@@ -40,7 +40,7 @@ from .laplace import (
     laplace_main_d,
     laplace_main_p,
     laplace_p2,
-    residual_scan_p,
+    residual_scan,
     series_constant,
     series_limit,
     weight_f,

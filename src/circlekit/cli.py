@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from math import gcd
+from math import gcd, inf
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -97,22 +97,32 @@ def read_csv(path: str):
 
 
 def _parse_t_list(text: str) -> list[float]:
-    """'64..8192' doubles geometrically; '64,96,128' is taken literally."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = float(lo_s), float(hi_s)
-        if lo <= 0 or hi < lo:
-            raise UsageError(f"bad T range {text!r}")
-        out = []
-        t = lo
-        while t <= hi * (1 + 1e-12):
-            out.append(t)
-            t *= 2
-        return out
+    """'64..8192' doubles geometrically; '64,96,128' is taken literally.
+
+    The result is non-empty, strictly ascending, finite and >= 1.
+    """
     try:
-        return [float(part) for part in text.split(",") if part]
+        if ".." in text:
+            lo_s, hi_s = text.split("..", 1)
+            lo, hi = float(lo_s), float(hi_s)
+            if not 1 <= lo <= hi < inf:
+                raise UsageError(f"bad T range {text!r}: need 1 <= lo <= hi, both finite")
+            out = []
+            t = lo
+            while t <= hi * (1 + 1e-12):
+                out.append(t)
+                t *= 2
+            return out
+        out = [float(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise UsageError(f"bad T list {text!r}") from exc
+    if not out:
+        raise UsageError("empty T list")
+    if not all(1 <= t < inf for t in out):
+        raise UsageError(f"bad T list {text!r}: every T must be finite and >= 1")
+    if any(a >= b for a, b in zip(out, out[1:])):
+        raise UsageError(f"bad T list {text!r}: T values must be strictly ascending")
+    return out
 
 
 def _build_tables(limit: int) -> arith.ArithTables:
@@ -188,50 +198,29 @@ def cmd_correlate(args) -> int:
 
 def cmd_laplace(args) -> int:
     t_list = _parse_t_list(args.t_list)
-    if not t_list:
-        raise UsageError("empty T list")
-    t_max = max(t_list)
     # Crude sizing: the tail bound needs x_max ~ T log(1/(rel_tol)) + margin.
-    needed = int(40 * t_max)
+    needed = int(40 * t_list[-1])
     args.limit = args.limit if args.limit is not None else needed
     tables = _build_tables(args.limit)
-    if args.kind == "circle":
-        profile = lattice.step_profile(tables, lattice.CIRCLE)
-        c = laplace.series_limit(laplace.R_SQUARED)
-        scan = laplace.residual_scan_p(profile, c, t_list, args.rel_tol)
-        rows = [
-            (r.T, r.integral, r.truncation_bound, r.main_term, r.residual, r.ratio_t23)
-            for r in scan.rows
-        ]
-        write_csv(
-            args.out,
-            ["T", "integral", "truncation_bound", "main_term", "residual", "ratio_t23"],
-            rows,
-            args.precision,
-        )
-        print(f"series constant (closed form) {c:.12f}")
+    circle = args.kind == "circle"
+    profile = lattice.step_profile(tables, lattice.CIRCLE if circle else lattice.DIVISOR)
+    c = laplace.series_limit(laplace.R_SQUARED if circle else laplace.D_SQUARED)
+    scan = laplace.residual_scan(profile, c, t_list, args.rel_tol)
+    header = ["T", "integral", "truncation_bound", "main_term", "residual"]
+    rows = [(r.T, r.integral, r.truncation_bound, r.main_term, r.residual) for r in scan.rows]
+    if circle:   # the T^(2/3) remainder scale is the circle problem's
+        header.append("ratio_t23")
+        rows = [row + (r.ratio_t23,) for row, r in zip(rows, scan.rows)]
+    write_csv(args.out, header, rows, args.precision)
+    print(f"series constant (closed form) {c:.12f}")
+    if circle:
         print(f"slope log|residual| vs log T: {scan.slope:.4f}")
-    else:
-        profile = lattice.step_profile(tables, lattice.DIVISOR)
-        c = laplace.series_limit(laplace.D_SQUARED)
-        rows = []
-        for T in t_list:
-            integral, trunc = laplace.laplace_d2(profile, T, args.rel_tol)
-            main = laplace.laplace_main_d(c, T)
-            rows.append((float(T), integral, trunc, main, integral - main))
-        write_csv(
-            args.out,
-            ["T", "integral", "truncation_bound", "main_term", "residual"],
-            rows,
-            args.precision,
+    elif len(scan.rows) >= 3:
+        fit = laplace.fit_a1(scan)
+        print(
+            f"fitted A1 {fit.a1:.7f} (expected {laplace.A1_EXPECTED:.7f}), "
+            f"A2 {fit.a2:.4f}, A3 {fit.a3:.4f}"
         )
-        print(f"series constant (closed form) {c:.12f}")
-        if len(t_list) >= 3:
-            fit = laplace.fit_a1(profile, c, t_list, args.rel_tol)
-            print(
-                f"fitted A1 {fit.a1:.7f} (expected {laplace.A1_EXPECTED:.7f}), "
-                f"A2 {fit.a2:.4f}, A3 {fit.a3:.4f}"
-            )
     return 0
 
 

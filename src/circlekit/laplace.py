@@ -5,11 +5,11 @@ The central quantity is
     L_P(T) = int_0^infty P^2(x) exp(-x/T) dx
            = (1/4) (T/pi)^(3/2) * sum_{n>=1} r^2(n) n^(-3/2)  -  T  + R(T),
 
-whose remainder R(T) this module measures across a geometric range of T;
-the analogous divisor transform L_D(T) carries main term
+whose remainder R(T) `residual_scan` measures across an ascending range
+of T; the analogous divisor transform L_D(T) carries main term
 (1/8) (T/pi)^(3/2) * sum d^2(n) n^(-3/2) followed by
 T (A1 log^2 T + A2 log T + A3) with A1 = -1/(4 pi^2), which `fit_a1`
-recovers empirically.
+recovers empirically from the rows of a divisor scan.
 
 Integration is exact where possible: P is affine on every unit interval,
 so P^2 exp(-x/T) has an elementary antiderivative per interval, evaluated
@@ -17,9 +17,9 @@ in local coordinates (x = n + s, s in [0, 1)) with the interval moments
 int_0^1 s^k exp(-s/T) ds precomputed in high precision -- the naive
 antiderivative difference cancels catastrophically when T >> 1.  The
 divisor integrand is not polynomial, so each unit interval gets fixed-order
-Gauss-Legendre quadrature with an order-doubling self-check (the first
-interval is subdivided dyadically because x log x has unbounded derivatives
-at 0).
+Gauss-Legendre quadrature at two orders in the same pass, the doubled order
+serving as a self-check (the first interval is subdivided dyadically
+because x log x has unbounded derivatives at 0).
 
 Truncation policy: integrate until the crude-envelope tail bound
 
@@ -43,7 +43,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import CapacityError
-from .lattice import CIRCLE, DIVISOR, EULER_GAMMA, StepProfile
+from .lattice import CIRCLE, DIVISOR, StepProfile, divisor_main
 
 R_SQUARED = "r_squared"
 D_SQUARED = "d_squared"
@@ -180,7 +180,9 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
     """Accumulate block_fn(lo, hi) over unit intervals until the crude tail
     bound at the right edge falls below rel_tol * |total|.
 
-    Returns (total, truncation_bound, x_max).  Raises CapacityError naming
+    block_fn returns a tuple of block integrals, one per column; the
+    stopping rule reads column 0 and every column covers the same blocks.
+    Returns (column totals, truncation_bound).  Raises CapacityError naming
     the required limit when the profile is too short.
     """
     if T < 1:
@@ -189,18 +191,18 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     limit = profile.limit
     block = max(64, int(math.ceil(T)))
-    pieces: list[float] = []
+    pieces: list[tuple[float, ...]] = []
     x = 0
     total = 0.0
     while True:
         hi = min(x + block, limit)
         if hi > x:
             pieces.append(block_fn(x, hi))
-            total = math.fsum(pieces)
+            total = math.fsum(p[0] for p in pieces)
             x = hi
         bound = _tail_bound(T, x)
         if total > 0.0 and bound < rel_tol * total:
-            return total, bound, x
+            return tuple(math.fsum(column) for column in zip(*pieces)), bound
         if x >= limit:
             need = x
             while _tail_bound(T, need) >= rel_tol * max(total, 1.0):
@@ -225,7 +227,7 @@ def laplace_p2(
         raise ValueError("laplace_p2 needs a CIRCLE profile")
     m0, m1, m2 = _interval_moments(T)
 
-    def block(lo: int, hi: int) -> float:
+    def block(lo: int, hi: int) -> tuple[float]:
         n = np.arange(lo, hi, dtype=np.float64)
         b = profile.partial[lo:hi].astype(np.float64) + 1.0 - np.pi * n
         if hi > 1:
@@ -238,9 +240,9 @@ def laplace_p2(
             )
             _check_envelope(worst, j_lo, hi, "circle")
         vals = (b * b * m0 - 2.0 * np.pi * b * m1 + (np.pi * np.pi) * m2) * np.exp(-n / T)
-        return float(np.sum(vals))
+        return (float(np.sum(vals)),)
 
-    total, bound, _ = _integrate_to_tolerance(profile, T, rel_tol, block)
+    (total,), bound = _integrate_to_tolerance(profile, T, rel_tol, block)
     return total, bound
 
 
@@ -270,23 +272,33 @@ def _series_value(c, expected_kind: str) -> float:
 
 @dataclass(frozen=True)
 class ResidualScan:
+    kind: str        # CIRCLE or DIVISOR, the kind of the scanned profile
     rows: list[LaplaceEstimate]
     slope: float     # least-squares slope of log |residual| against log T
 
 
-def residual_scan_p(
-    profile: StepProfile, c_r, T_list, rel_tol: float = DEFAULT_REL_TOL
+def residual_scan(
+    profile: StepProfile, c, T_list, rel_tol: float = DEFAULT_REL_TOL
 ) -> ResidualScan:
-    """Residuals of the circle transform over ascending T plus their log-log slope."""
+    """Residuals of the profile's transform over ascending T plus their log-log slope.
+
+    A CIRCLE profile is scanned with `laplace_p2` against `laplace_main_p`,
+    a DIVISOR profile with `laplace_d2` against `laplace_main_d`; ``c`` is
+    the matching series constant.  Each transform is computed once per T.
+    """
     Ts = list(T_list)
     if Ts != sorted(Ts):
         raise ValueError("T_list must be ascending")
     if not Ts:
         raise ValueError("T_list must be non-empty")
+    if profile.kind == CIRCLE:
+        transform, main_term = laplace_p2, laplace_main_p
+    else:
+        transform, main_term = laplace_d2, laplace_main_d
     rows = []
     for T in Ts:
-        integral, trunc = laplace_p2(profile, T, rel_tol)
-        main = laplace_main_p(c_r, T)
+        integral, trunc = transform(profile, T, rel_tol)
+        main = main_term(c, T)
         rows.append(
             LaplaceEstimate(
                 T=float(T),
@@ -302,11 +314,7 @@ def residual_scan_p(
         slope = float(np.polyfit(lt, lr, 1)[0])
     else:
         slope = float("nan")
-    return ResidualScan(rows=rows, slope=slope)
-
-
-def _divisor_main(x: np.ndarray) -> np.ndarray:
-    return x * (np.log(x) + 2.0 * EULER_GAMMA - 1.0) + 0.25
+    return ResidualScan(kind=profile.kind, rows=rows, slope=slope)
 
 
 def _d2_first_interval(D0: float, T: float, nodes, weights) -> float:
@@ -323,9 +331,20 @@ def _d2_first_interval(D0: float, T: float, nodes, weights) -> float:
         a, b = edges[j + 1], edges[j]
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         x = mid + half * nodes
-        f = (D0 - _divisor_main(x)) ** 2 * np.exp(-x / T)
+        f = (D0 - divisor_main(x)) ** 2 * np.exp(-x / T)
         total += half * float(np.dot(weights, f))
     return total
+
+
+def _d2_unit_intervals(n: np.ndarray, Dn: np.ndarray, T: float, s, w) -> float:
+    """Sum over n of the Gauss rule (s, w) for (Dn - main(x))^2 exp(-x/T) on [n, n+1).
+
+    A function of its own so that one order's arrays are freed before the
+    next order allocates its own.
+    """
+    x = n[:, None] + s[None, :]
+    f = (Dn[:, None] - divisor_main(x)) ** 2 * np.exp(-x / T)
+    return float(np.sum(f @ w))
 
 
 def laplace_d2(
@@ -334,46 +353,38 @@ def laplace_d2(
     """int_0^infty Delta^2(x) exp(-x/T) dx; returns (integral, truncation_bound).
 
     Per unit interval the integrand is smooth but not polynomial, so each
-    gets fixed-order Gauss-Legendre quadrature; the whole computation runs
-    at order 12 and again at order 24 and must agree to 1e-12 relative,
-    otherwise it aborts rather than return a silently degraded value.
+    gets fixed-order Gauss-Legendre quadrature; one pass evaluates every
+    block at order 12 and at order 24, truncation follows the order-12
+    total, and the two totals must agree to 1e-12 relative, otherwise it
+    aborts rather than return a silently degraded value.
     """
     if profile.kind != DIVISOR:
         raise ValueError("laplace_d2 needs a DIVISOR profile")
-
-    def make_block(order: int):
+    rules = []
+    for order in (_QUAD_ORDER, 2 * _QUAD_ORDER):
         nodes, weights = np.polynomial.legendre.leggauss(order)
-        s = (nodes + 1.0) / 2.0
-        w = weights / 2.0
+        rules.append((nodes, weights, (nodes + 1.0) / 2.0, weights / 2.0))
 
-        def block(lo: int, hi: int) -> float:
-            n = np.arange(lo, hi, dtype=np.float64)
-            Dn = profile.partial[lo:hi].astype(np.float64)
-            j_lo = max(lo, 1)
-            jn = np.arange(j_lo, hi + 1, dtype=np.float64)
-            main_j = _divisor_main(jn)
-            right = profile.partial[j_lo : hi + 1].astype(np.float64) - main_j
-            left = profile.partial[j_lo - 1 : hi].astype(np.float64) - main_j
-            worst = float(np.max(np.maximum(np.abs(right), np.abs(left)) / np.sqrt(jn)))
-            _check_envelope(worst, j_lo, hi, "divisor")
-            start = 0
-            extra = 0.0
-            if lo == 0:
-                extra = _d2_first_interval(float(Dn[0]), T, nodes, weights)
-                start = 1
+    def block(lo: int, hi: int) -> tuple[float, ...]:
+        n = np.arange(lo, hi, dtype=np.float64)
+        Dn = profile.partial[lo:hi].astype(np.float64)
+        j_lo = max(lo, 1)
+        jn = np.arange(j_lo, hi + 1, dtype=np.float64)
+        main_j = divisor_main(jn)
+        right = profile.partial[j_lo : hi + 1].astype(np.float64) - main_j
+        left = profile.partial[j_lo - 1 : hi].astype(np.float64) - main_j
+        worst = float(np.max(np.maximum(np.abs(right), np.abs(left)) / np.sqrt(jn)))
+        _check_envelope(worst, j_lo, hi, "divisor")
+        start = 1 if lo == 0 else 0
+        values = []
+        for nodes, weights, s, w in rules:
+            extra = _d2_first_interval(float(Dn[0]), T, nodes, weights) if start else 0.0
             if hi - lo > start:
-                x = n[start:, None] + s[None, :]
-                f = (Dn[start:, None] - _divisor_main(x)) ** 2 * np.exp(-x / T)
-                extra += float(np.sum(f @ w))
-            return extra
+                extra += _d2_unit_intervals(n[start:], Dn[start:], T, s, w)
+            values.append(extra)
+        return tuple(values)
 
-        return block
-
-    v_lo, trunc, x_max = _integrate_to_tolerance(profile, T, rel_tol, make_block(_QUAD_ORDER))
-    # Order-doubling self-check over exactly the same [0, x_max] range.
-    block_hi = make_block(2 * _QUAD_ORDER)
-    step = max(64, int(math.ceil(T)))
-    v_hi = math.fsum(block_hi(lo, min(lo + step, x_max)) for lo in range(0, x_max, step))
+    (v_lo, v_hi), trunc = _integrate_to_tolerance(profile, T, rel_tol, block)
     if abs(v_hi - v_lo) > _QUAD_SELF_CHECK * max(1.0, abs(v_hi)):
         raise RuntimeError(
             f"quadrature self-check failed for T={T}: order {_QUAD_ORDER} and "
@@ -399,29 +410,27 @@ class A1Fit:
     a1: float
     a2: float
     a3: float
-    rows: list[tuple[float, float]]   # (T, y(T)/T)
 
 
 A1_EXPECTED = -1.0 / (4.0 * math.pi**2)
 
 
-def fit_a1(profile: StepProfile, c_d, T_list, rel_tol: float = DEFAULT_REL_TOL) -> A1Fit:
+def fit_a1(scan: ResidualScan) -> A1Fit:
     """Fit the log^2 T coefficient of the divisor transform's secondary term.
 
-    Computes y(T) = laplace_d2(T) - (1/8) (T/pi)^(3/2) c_d, then fits
-    y(T)/T against {log^2 T, log T, 1}.  The leading fitted coefficient
-    estimates A1 = -1/(4 pi^2) ~ -0.02533; recovering it requires c_d
-    accurate well beyond any sievable partial sum, i.e. `series_limit`.
+    Takes the rows (at least 3) of a divisor `residual_scan`, whose
+    residual is y(T) = laplace_d2(T) - (1/8) (T/pi)^(3/2) c_d, and fits
+    y(T)/T against {log^2 T, log T, 1}; no transform is computed here.
+    The leading fitted coefficient estimates A1 = -1/(4 pi^2) ~ -0.02533;
+    recovering it requires c_d accurate well beyond any sievable partial
+    sum, i.e. `series_limit`.
     """
-    Ts = list(T_list)
-    if len(Ts) < 3:
-        raise ValueError(f"need at least 3 transform points to fit, got {len(Ts)}")
-    ys = []
-    for T in Ts:
-        integral, _ = laplace_d2(profile, T, rel_tol)
-        ys.append((integral - laplace_main_d(c_d, T)) / T)
-    a1, a2, a3 = fit_log_quadratic(Ts, ys)
-    return A1Fit(a1=a1, a2=a2, a3=a3, rows=list(zip(map(float, Ts), ys)))
+    if scan.kind != DIVISOR:
+        raise ValueError(f"fit_a1 needs a {DIVISOR} scan, got {scan.kind!r}")
+    a1, a2, a3 = fit_log_quadratic(
+        [row.T for row in scan.rows], [row.residual / row.T for row in scan.rows]
+    )
+    return A1Fit(a1=a1, a2=a2, a3=a3)
 
 
 # ---------------------------------------------------------------------------

@@ -50,15 +50,6 @@ class StepProfile:
         return int(self.partial[n] - self.partial[n - 1])
 
 
-@dataclass(frozen=True)
-class ErrorTermSample:
-    """One evaluation of P(x) or Delta(x)."""
-
-    x: float
-    value: float
-    kind: str
-
-
 def step_profile(tables: ArithTables, kind: str) -> StepProfile:
     """Build the summatory profile of r (kind=CIRCLE) or d (kind=DIVISOR)."""
     if kind == CIRCLE:
@@ -119,6 +110,11 @@ def delta_of_x(profile: StepProfile, x: float) -> float:
         - x * (math.log(x) + 2.0 * EULER_GAMMA - 1.0)
         - 0.25
     )
+
+
+def divisor_main(x: np.ndarray) -> np.ndarray:
+    """Vectorised divisor main term x (log x + 2 gamma - 1) + 1/4."""
+    return x * (np.log(x) + 2.0 * EULER_GAMMA - 1.0) + 0.25
 
 
 def mean_square_p(profile: StepProfile, X: float) -> float:
@@ -196,14 +192,8 @@ def _error_at_jumps(profile: StepProfile, n_hi: int):
     if profile.kind == CIRCLE:
         main = np.pi * n - 1.0
     else:
-        main = n * (np.log(n) + 2.0 * EULER_GAMMA - 1.0) + 0.25
+        main = divisor_main(n)
     return n, s_left - main, s_right - main
-
-
-def error_sample(profile: StepProfile, x: float) -> ErrorTermSample:
-    """Evaluate the profile's error term (P or Delta) at one point."""
-    value = p_of_x(profile, x) if profile.kind == CIRCLE else delta_of_x(profile, x)
-    return ErrorTermSample(x=float(x), value=value, kind=profile.kind)
 
 
 def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> PointwiseReport:
@@ -220,15 +210,16 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
     argmax = float(n[i])
     rq = absval / n**0.25
     rh = absval / n ** (23.0 / 73.0)
+    error_term = p_of_x if profile.kind == CIRCLE else delta_of_x
     rows = []
     for x in np.geomspace(1.0, float(x_max), samples):
-        s = error_sample(profile, float(x))
+        value = error_term(profile, float(x))
         rows.append(
             PointwiseRow(
-                x=s.x,
-                value=s.value,
-                ratio_quarter=abs(s.value) / x**0.25,
-                ratio_huxley=abs(s.value) / x ** (23.0 / 73.0),
+                x=float(x),
+                value=value,
+                ratio_quarter=abs(value) / x**0.25,
+                ratio_huxley=abs(value) / x ** (23.0 / 73.0),
             )
         )
     return PointwiseReport(

@@ -155,7 +155,7 @@ def test_acc07_laplace_transform_remainder_order(circle_1m):
     t0 = time.perf_counter()
     c = laplace.series_limit(laplace.R_SQUARED)
     Ts = [2.0**k for k in range(6, 14)]
-    scan = laplace.residual_scan_p(circle_1m, c, Ts, rel_tol=1e-6)
+    scan = laplace.residual_scan(circle_1m, c, Ts, rel_tol=1e-6)
     scaled = [row.residual / row.T**1.5 for row in scan.rows]
     decreasing = all(a > b for a, b in zip(scaled, scaled[1:]))
     top = scan.rows[-1]
@@ -175,7 +175,7 @@ def test_acc08_divisor_transform_a1(divisor_1m):
     t0 = time.perf_counter()
     c = laplace.series_limit(laplace.D_SQUARED)
     Ts = [2.0**k for k in range(7, 14)]
-    fit = laplace.fit_a1(divisor_1m, c, Ts, rel_tol=1e-6)
+    fit = laplace.fit_a1(laplace.residual_scan(divisor_1m, c, Ts, rel_tol=1e-6))
     rel_gap = abs(fit.a1 - laplace.A1_EXPECTED) / abs(laplace.A1_EXPECTED)
     _announce("ACC-08 divisor transform log^2 coefficient", t0,
               f"fitted {fit.a1:.7f} vs -1/(4 pi^2) = {laplace.A1_EXPECTED:.7f} "

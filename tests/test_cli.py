@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from circlekit import cli
+from circlekit import cli, laplace
 
 
 def run(args):
@@ -76,6 +76,36 @@ def test_laplace_circle_scan(tmp_path, capsys):
     assert [r[0] for r in rows] == [16.0, 32.0, 64.0]
     printed = capsys.readouterr().out
     assert "slope" in printed
+
+
+def test_laplace_divisor_scan(tmp_path, capsys, divisor_4k):
+    out = tmp_path / "lapd.csv"
+    rc = run(["laplace", "divisor", "--t-list", "16..64", "--limit", "4000",
+              "--out", str(out)])
+    assert rc == 0
+    header, rows = cli.read_csv(str(out))
+    assert header == ["T", "integral", "truncation_bound", "main_term", "residual"]
+    assert [r[0] for r in rows] == [16.0, 32.0, 64.0]
+    printed = capsys.readouterr().out
+    assert "series constant (closed form) 38.745144143901" in printed
+    scan = laplace.residual_scan(divisor_4k, laplace.series_limit(laplace.D_SQUARED),
+                                 [16.0, 32.0, 64.0])
+    assert f"fitted A1 {laplace.fit_a1(scan).a1:.7f} " in printed
+
+    rc = run(["laplace", "divisor", "--t-list", "16,32", "--limit", "4000",
+              "--out", str(out)])
+    assert rc == 0
+    assert [r[0] for r in cli.read_csv(str(out))[1]] == [16.0, 32.0]
+    assert "fitted A1" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["circle", "divisor"])
+@pytest.mark.parametrize("t_list", ["256,128", "256,128,64", "64,64", "0.5", "0.5..64",
+                                    "nan", "16,inf", "16..inf", ",", "x,16"])
+def test_laplace_bad_t_list_exits_2(tmp_path, capsys, kind, t_list):
+    rc = run(["laplace", kind, "--t-list", t_list, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_constants_command(capsys):

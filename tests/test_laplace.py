@@ -9,6 +9,8 @@ from circlekit.laplace import (
     A1_EXPECTED,
     D_SQUARED,
     R_SQUARED,
+    LaplaceEstimate,
+    ResidualScan,
     SeriesConstant,
     exp_power_peak,
     fit_a1,
@@ -17,7 +19,7 @@ from circlekit.laplace import (
     laplace_main_d,
     laplace_main_p,
     laplace_p2,
-    residual_scan_p,
+    residual_scan,
     series_constant,
     series_limit,
     weight_f,
@@ -160,18 +162,33 @@ def test_leading_coefficient_convergence(circle_1m):
     assert gaps[-1] <= 2.0 / math.sqrt(1024.0)
 
 
-def test_residual_scan_rows_and_validation(circle_1m):
+def test_residual_scan_rows_and_validation(circle_1m, divisor_1m):
     c = series_limit(R_SQUARED)
-    scan = residual_scan_p(circle_1m, c, [128.0])
+    scan = residual_scan(circle_1m, c, [128.0])
+    assert scan.kind == CIRCLE
     assert len(scan.rows) == 1
     row = scan.rows[0]
     assert row.residual == row.integral - row.main_term
     assert row.ratio_t23 == pytest.approx(abs(row.residual) / 128.0 ** (2 / 3))
     assert math.isnan(scan.slope)
     with pytest.raises(ValueError):
-        residual_scan_p(circle_1m, c, [256.0, 128.0])
+        residual_scan(circle_1m, c, [256.0, 128.0])
     with pytest.raises(ValueError):
-        residual_scan_p(circle_1m, c, [])
+        residual_scan(circle_1m, c, [])
+
+    c_d = series_limit(D_SQUARED)
+    scan = residual_scan(divisor_1m, c_d, [128.0, 256.0])
+    assert scan.kind == DIVISOR
+    assert [row.T for row in scan.rows] == [128.0, 256.0]
+    for row in scan.rows:
+        assert (row.integral, row.truncation_bound) == laplace_d2(divisor_1m, row.T)
+        assert row.main_term == laplace_main_d(c_d, row.T)
+        assert row.residual == row.integral - row.main_term
+    assert not math.isnan(scan.slope)
+    with pytest.raises(ValueError):
+        residual_scan(divisor_1m, c_d, [256.0, 128.0])
+    with pytest.raises(ValueError):
+        residual_scan(divisor_1m, c_d, [])
 
 
 def _d2_integrand(profile, T):
@@ -201,6 +218,22 @@ def test_laplace_d2_kind_guard(circle_4k):
         laplace_d2(circle_4k, 10.0)
 
 
+def test_envelope_guard_raises(monkeypatch, circle_4k, divisor_4k):
+    # observed sup of |error|/sqrt(x) on [1, 64]: ~2.37 for P, ~0.89 for Delta
+    monkeypatch.setattr(laplace, "_ENVELOPE_COEF", 0.5)
+    with pytest.raises(RuntimeError, match="envelope"):
+        laplace_p2(circle_4k, 10.0)
+    with pytest.raises(RuntimeError, match="envelope"):
+        laplace_d2(divisor_4k, 10.0)
+
+
+def test_quadrature_self_check_compares_both_orders(monkeypatch, divisor_4k):
+    # a negative tolerance fails any comparison that actually takes place
+    monkeypatch.setattr(laplace, "_QUAD_SELF_CHECK", -1.0)
+    with pytest.raises(RuntimeError, match="quadrature self-check failed"):
+        laplace_d2(divisor_4k, 10.0)
+
+
 def test_fit_log_quadratic_recovers_synthetic_exactly():
     a, b, c = -0.025, 0.37, -1.2
     Ts = [2.0**k for k in range(7, 14)]
@@ -214,8 +247,11 @@ def test_fit_log_quadratic_recovers_synthetic_exactly():
 def test_fit_underdetermined():
     with pytest.raises(ValueError):
         fit_log_quadratic([10.0, 20.0], [1.0, 2.0])
+    rows = [LaplaceEstimate(T, 1.0, 0.0, 0.5, 0.5) for T in (128.0, 256.0, 512.0)]
     with pytest.raises(ValueError):
-        fit_a1(None, 38.7, [128.0, 256.0])
+        fit_a1(ResidualScan(kind=DIVISOR, rows=rows[:2], slope=0.0))
+    with pytest.raises(ValueError):
+        fit_a1(ResidualScan(kind=CIRCLE, rows=rows, slope=0.0))
 
 
 # ------------------------------------------------------------------ weights
