@@ -5,8 +5,8 @@ UTF-8); each written file is accompanied by ``<out>.manifest.json``
 holding the flat run manifest.  Reals print with a configurable number of
 significant digits (default 17, which round-trips doubles exactly);
 integers print exactly; exact rationals print as ``p/q`` and are never
-converted to floats.  Identical parameters (including the seed) produce
-byte-identical CSV in a fixed build.
+converted to floats.  Identical parameters produce byte-identical CSV in
+a fixed build.
 
 Exit codes: 0 success, 2 usage error, 3 capacity error (the message names
 the sieve limit that would have sufficed), 1 internal failure.
@@ -35,7 +35,6 @@ class UsageError(Exception):
 class RunManifest:
     command: str
     parameters: dict
-    seed: int
     sieve_limit: int
     tool_version: str = __version__
     wall_time: float = 0.0
@@ -43,9 +42,7 @@ class RunManifest:
 
 def _write_manifest(out_path: str, manifest: RunManifest) -> None:
     path = Path(str(out_path) + ".manifest.json")
-    payload = asdict(manifest)
-    payload["parameters"] = {k: payload["parameters"][k] for k in sorted(payload["parameters"])}
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(asdict(manifest), sort_keys=True) + "\n", encoding="utf-8")
 
 
 def format_value(v, precision: int) -> str:
@@ -156,15 +153,15 @@ def cmd_sieve(args) -> int:
     print(f"sum d(n)         {d_sum}")
     print(f"sum sigma(n)     {s_sum}")
     print(f"max r(n)         {int(tables.r.max())}")
-    print(f"bytes per entry  16")
+    print(f"bytes per entry  {tables.r.itemsize + tables.d.itemsize + tables.sigma.itemsize}")
     return 0
 
 
 def cmd_error_term(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
-    if args.x_max < 1:
-        raise UsageError(f"--x-max must be >= 1, got {args.x_max}")
+    if not 1 <= args.x_max < inf:
+        raise UsageError(f"--x-max must be finite and >= 1, got {args.x_max}")
     args.limit = _require_limit(args.limit, int(args.x_max), "error-term scan")
     tables = _build_tables(args.limit)
     kind = lattice.CIRCLE if args.kind == "circle" else lattice.DIVISOR
@@ -266,8 +263,8 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_voronoi(args) -> int:
-    if args.x < 2:
-        raise UsageError(f"--x must be >= 2, got {args.x}")
+    if not 2 <= args.x < inf:
+        raise UsageError(f"--x must be finite and >= 2, got {args.x}")
     if args.n_terms < 2:
         raise UsageError(f"--n-terms must be >= 2, got {args.n_terms}")
     needed = max(int(args.x) + 1, args.n_terms)
@@ -298,10 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, out_required: bool):
         sp.add_argument("--limit", type=int, default=None, help="sieve limit")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed for randomized reports")
-        sp.add_argument("--rel-tol", dest="rel_tol", type=float,
-                        default=laplace.DEFAULT_REL_TOL,
-                        help="relative truncation tolerance for transforms")
         if out_required:
             sp.add_argument("--out", required=True, help="output CSV path")
 
@@ -326,6 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("kind", choices=["circle", "divisor"])
     sp.add_argument("--t-list", dest="t_list", required=True,
                     help="'64..8192' (doubling) or comma-separated values")
+    sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=laplace.DEFAULT_REL_TOL,
+                    help="relative truncation tolerance for transforms")
     add_common(sp, out_required=True)
     sp.set_defaults(func=cmd_laplace)
 
@@ -337,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gauss", help="quadratic Gauss sum congruence classes")
     sp.add_argument("--k-max", dest="k_max", type=int, required=True)
-    add_common(sp, out_required=False)
     sp.set_defaults(func=cmd_gauss)
 
     sp = sub.add_parser("voronoi", help="compare P(x) against its series approximations")
@@ -369,12 +363,11 @@ def main(argv=None) -> int:
     if getattr(args, "out", None):
         params = {
             k: v for k, v in vars(args).items()
-            if k not in {"func", "command", "out", "seed", "limit"} and v is not None
+            if k not in {"func", "command", "out", "limit"} and v is not None
         }
         manifest = RunManifest(
             command=args.command,
             parameters=params,
-            seed=getattr(args, "seed", 0),
             sieve_limit=args.limit if args.limit is not None else 0,
             wall_time=time.perf_counter() - started,
         )

@@ -26,9 +26,11 @@ Truncation policy: integrate until the crude-envelope tail bound
     int_{x_max}^infty (3 sqrt(x))^2 exp(-x/T) dx = 9 T (x_max + T) exp(-x_max/T)
 
 drops below rel_tol times the running total.  The envelope |error| <=
-3 sqrt(x) is verified over every processed block (it holds with margin;
-the observed sup of |P(x)|/sqrt(x) is ~2.4), and the resulting
-truncation_bound is reported, never silently absorbed.
+3 sqrt(x) is verified over every processed block, at both one-sided limits
+of each integer as formed by `lattice.error_at_jumps`, the kernel behind
+`lattice.pointwise_report` too (it holds with margin; the observed sup of
+|P(x)|/sqrt(x) is ~2.4), and the resulting truncation_bound is reported,
+never silently absorbed.
 
 Interval sums are chunked and reduced in a fixed ascending order, so runs
 are bit-reproducible in a given build.
@@ -43,7 +45,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import CapacityError
-from .lattice import CIRCLE, DIVISOR, StepProfile, divisor_main
+from .lattice import _CHUNK, CIRCLE, DIVISOR, StepProfile, divisor_main, error_at_jumps
 
 R_SQUARED = "r_squared"
 D_SQUARED = "d_squared"
@@ -89,10 +91,6 @@ class LaplaceEstimate:
         return abs(self.residual) / self.T ** (2.0 / 3.0)
 
 
-def _f_squared(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    return values[lo:hi].astype(np.float64) ** 2
-
-
 def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
     """Partial sum of sum_{n<=terms} f(n)^2 n^(-3/2) with compensated accumulation."""
     if kind == R_SQUARED:
@@ -103,11 +101,10 @@ def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
         raise ValueError(f"unknown series kind {kind!r}")
     if terms < 1 or terms > tables.limit:
         raise ValueError(f"terms={terms} outside table range [1, {tables.limit}]")
-    chunk = 1 << 22
     pieces = []
-    for lo in range(1, terms + 1, chunk):
-        hi = min(lo + chunk, terms + 1)
-        f2 = _f_squared(values, lo, hi)
+    for lo in range(1, terms + 1, _CHUNK):
+        hi = min(lo + _CHUNK, terms + 1)
+        f2 = values[lo:hi].astype(np.float64) ** 2
         n = np.arange(lo, hi, dtype=np.float64)
         pieces.append(math.fsum(f2 * n**-1.5))
     value = math.fsum(pieces)
@@ -167,11 +164,16 @@ def _tail_bound(T: float, x: float) -> float:
     return 9.0 * T * (x + T) * math.exp(-x / T)
 
 
-def _check_envelope(errs_over_sqrt: float, x_lo: int, x_hi: int, kind: str) -> None:
-    if errs_over_sqrt > _ENVELOPE_COEF:
+def _check_envelope(profile: StepProfile, lo: int, hi: int) -> None:
+    """Verify |error| <= _ENVELOPE_COEF sqrt(n) at both one-sided limits of
+    every integer n in [max(lo, 1), hi], the jumps of the block [lo, hi)."""
+    lo = max(lo, 1)
+    n, err = error_at_jumps(profile, lo, hi)
+    worst = float(np.max(err / np.sqrt(n)))
+    if worst > _ENVELOPE_COEF:
         raise RuntimeError(
-            f"{kind} envelope |error| <= {_ENVELOPE_COEF} sqrt(x) violated on "
-            f"[{x_lo}, {x_hi}] (observed ratio {errs_over_sqrt:.3f}); "
+            f"{profile.kind} envelope |error| <= {_ENVELOPE_COEF} sqrt(x) violated on "
+            f"[{lo}, {hi}] (observed ratio {worst:.3f}); "
             "tail bounds would be unjustified"
         )
 
@@ -230,15 +232,7 @@ def laplace_p2(
     def block(lo: int, hi: int) -> tuple[float]:
         n = np.arange(lo, hi, dtype=np.float64)
         b = profile.partial[lo:hi].astype(np.float64) + 1.0 - np.pi * n
-        if hi > 1:
-            j_lo = max(lo, 1)
-            jn = np.arange(j_lo, hi + 1, dtype=np.float64)
-            right = profile.partial[j_lo : hi + 1].astype(np.float64) + 1.0 - np.pi * jn
-            left = profile.partial[j_lo - 1 : hi].astype(np.float64) + 1.0 - np.pi * jn
-            worst = float(
-                np.max(np.maximum(np.abs(right), np.abs(left)) / np.sqrt(jn))
-            )
-            _check_envelope(worst, j_lo, hi, "circle")
+        _check_envelope(profile, lo, hi)
         vals = (b * b * m0 - 2.0 * np.pi * b * m1 + (np.pi * np.pi) * m2) * np.exp(-n / T)
         return (float(np.sum(vals)),)
 
@@ -368,13 +362,7 @@ def laplace_d2(
     def block(lo: int, hi: int) -> tuple[float, ...]:
         n = np.arange(lo, hi, dtype=np.float64)
         Dn = profile.partial[lo:hi].astype(np.float64)
-        j_lo = max(lo, 1)
-        jn = np.arange(j_lo, hi + 1, dtype=np.float64)
-        main_j = divisor_main(jn)
-        right = profile.partial[j_lo : hi + 1].astype(np.float64) - main_j
-        left = profile.partial[j_lo - 1 : hi].astype(np.float64) - main_j
-        worst = float(np.max(np.maximum(np.abs(right), np.abs(left)) / np.sqrt(jn)))
-        _check_envelope(worst, j_lo, hi, "divisor")
+        _check_envelope(profile, lo, hi)
         start = 1 if lo == 0 else 0
         values = []
         for nodes, weights, s, w in rules:

@@ -184,16 +184,20 @@ class PointwiseReport:
     max_ratio_huxley: float
 
 
-def _error_at_jumps(profile: StepProfile, n_hi: int):
-    """Left and right one-sided limits of the error term at 1..n_hi."""
-    n = np.arange(1, n_hi + 1, dtype=np.float64)
-    s_right = profile.partial[1 : n_hi + 1].astype(np.float64)
-    s_left = profile.partial[0:n_hi].astype(np.float64)
-    if profile.kind == CIRCLE:
-        main = np.pi * n - 1.0
-    else:
-        main = divisor_main(n)
-    return n, s_left - main, s_right - main
+def error_at_jumps(profile: StepProfile, lo: int, hi: int):
+    """Integers n = lo..hi and the larger of |error(n-)| and |error(n+)| at each.
+
+    The left limit is partial[n-1] - main(n) and the right partial[n] - main(n),
+    with main(n) = pi n - 1 for CIRCLE and `divisor_main` for DIVISOR; the
+    extremes of the error term live at these limits.  Needs 1 <= lo <= hi <= limit.
+    """
+    if not 1 <= lo <= hi <= profile.limit:
+        raise ValueError(f"[{lo}, {hi}] outside profile domain [1, {profile.limit}]")
+    n = np.arange(lo, hi + 1, dtype=np.float64)
+    main = np.pi * n - 1.0 if profile.kind == CIRCLE else divisor_main(n)
+    left = profile.partial[lo - 1 : hi].astype(np.float64) - main
+    right = profile.partial[lo : hi + 1].astype(np.float64) - main
+    return n, np.maximum(np.abs(left), np.abs(right))
 
 
 def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> PointwiseReport:
@@ -203,8 +207,7 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
     if x_max < 1 or x_max > profile.limit:
         raise ValueError(f"x_max={x_max} outside profile domain [1, {profile.limit}]")
     n_hi = int(math.floor(x_max))
-    n, left, right = _error_at_jumps(profile, n_hi)
-    absval = np.maximum(np.abs(left), np.abs(right))
+    n, absval = error_at_jumps(profile, 1, n_hi)
     i = int(np.argmax(absval))
     max_abs = float(absval[i])
     argmax = float(n[i])

@@ -131,6 +131,20 @@ def test_acc05a_truncated_formula_slope(tables_1m, circle_1m):
     )
 
 
+def test_acc05a_dense_grid_slope(tables_1m, circle_1m):
+    t0 = time.perf_counter()
+    xs = np.floor(np.exp(np.linspace(math.log(10**3), math.log(10**6), 41))) + 0.5
+    res = [
+        abs(lattice.p_of_x(circle_1m, float(x))
+            - special.truncated_p(tables_1m, float(x), math.ceil(float(x) ** (1 / 3))))
+        for x in xs
+    ]
+    slope = float(np.polyfit(np.log(xs), np.log(res), 1)[0])
+    _announce("ACC-05a companion, dense 41-point grid", t0,
+              f"slope {slope:.4f} (window [0.15, 0.45])")
+    assert 0.15 <= slope <= 0.45
+
+
 def test_acc05b_truncated_formula_full_cutoff(tables_1m, circle_1m):
     t0 = time.perf_counter()
     res = _truncation_residuals(tables_1m, circle_1m, lambda x: int(x))

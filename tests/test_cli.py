@@ -39,13 +39,44 @@ def test_error_term_csv_and_manifest(tmp_path, capsys):
     assert manifest["command"] == "error-term"
     assert manifest["sieve_limit"] == 200
     assert manifest["tool_version"]
-    assert "wall_time" in manifest and "seed" in manifest and "parameters" in manifest
+    assert "wall_time" in manifest and "parameters" in manifest
 
 
 def test_error_term_rejects_zero_samples(tmp_path):
     rc = run(["error-term", "circle", "--x-max", "100", "--samples", "0",
               "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["error-term", "circle", "--x-max", "inf"],
+    ["error-term", "circle", "--x-max", "nan"],
+    ["voronoi", "--x", "inf", "--n-terms", "10"],
+    ["voronoi", "--x", "nan", "--n-terms", "10"],
+])
+def test_non_finite_input_exits_2(tmp_path, capsys, argv):
+    if argv[0] == "error-term":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--seed", "7"],
+    ["error-term", "circle", "--x-max", "100", "--seed", "7"],
+    ["error-term", "circle", "--x-max", "100", "--rel-tol", "5"],
+    ["correlate", "--n", "10", "--h-max", "3", "--rel-tol", "1e-3"],
+    ["laplace", "circle", "--t-list", "16", "--seed", "7"],
+    ["constants", "r_squared", "--terms", "100", "--rel-tol", "1e-3"],
+    ["gauss", "--k-max", "5", "--limit", "100"],
+    ["voronoi", "--x", "10.5", "--n-terms", "10", "--seed", "7"],
+])
+def test_removed_options_exit_2(tmp_path, capsys, argv):
+    if argv[0] in {"error-term", "correlate", "laplace"}:
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_capacity_exit_code(tmp_path, capsys):

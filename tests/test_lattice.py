@@ -180,6 +180,25 @@ def test_pointwise_report_divisor(divisor_4k):
     assert all(r.ratio_quarter >= 0 for r in rep.rows)
 
 
+@pytest.mark.parametrize("kind", [CIRCLE, DIVISOR])
+def test_error_at_jumps_interior_range(tables_4k, kind):
+    profile = step_profile(tables_4k, kind)
+    error_term = p_of_x if kind == CIRCLE else delta_of_x
+    lo, hi = 1000, 1100
+    n_all, err_all = lattice.error_at_jumps(profile, 1, hi)
+    n, err = lattice.error_at_jumps(profile, lo, hi)
+    assert np.array_equal(n, n_all[lo - 1 :])
+    assert np.array_equal(err, err_all[lo - 1 :])
+    assert n[0] == lo and n[-1] == hi
+    for m, e in zip(n, err):
+        sides = (error_term(profile, m - 1e-9), error_term(profile, m + 1e-9))
+        assert e == pytest.approx(max(abs(v) for v in sides), abs=1e-6)
+    with pytest.raises(ValueError):
+        lattice.error_at_jumps(profile, 0, hi)
+    with pytest.raises(ValueError):
+        lattice.error_at_jumps(profile, lo, profile.limit + 1)
+
+
 def test_step_profile_structure(tables_4k):
     prof = step_profile(tables_4k, CIRCLE)
     assert prof.partial[0] == 0
