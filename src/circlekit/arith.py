@@ -107,6 +107,10 @@ def build_tables(N: int) -> ArithTables:
     """
     if N < 1:
         raise ValueError(f"sieve limit must be >= 1, got {N}")
+    need = N * _BYTES_PER_ENTRY
+    message = f"cannot allocate sieve tables for N={N} (~{need / 2**20:.0f} MiB needed)"
+    if (N + 1) * 8 > np.iinfo(np.intp).max:   # no numpy array can hold the int64 sigma table
+        raise CapacityError(message, required_limit=N)
     try:
         w_chi = np.zeros(N + 1, dtype=np.int32)
         w_chi[1::4] = 4
@@ -116,11 +120,7 @@ def build_tables(N: int) -> ArithTables:
         d = _divisor_sieve(np.ones(N + 1, dtype=np.int32), np.int32)
         sigma = _divisor_sieve(np.arange(0, N + 1, dtype=np.int64), np.int64)
     except MemoryError as exc:
-        need = N * _BYTES_PER_ENTRY
-        raise CapacityError(
-            f"cannot allocate sieve tables for N={N} (~{need / 2**20:.0f} MiB needed)",
-            required_limit=N,
-        ) from exc
+        raise CapacityError(message, required_limit=N) from exc
     # Overflow guard: r(n) <= 4 d(n) and d fits easily in int32 at any
     # feasible N, but check the built maxima rather than trusting the bound.
     if int(np.abs(r).max()) >= 2**31 - 1 or int(d.max()) >= 2**31 - 1:

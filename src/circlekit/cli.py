@@ -9,7 +9,9 @@ converted to floats.  Identical parameters produce byte-identical CSV in
 a fixed build.
 
 Exit codes: 0 success, 2 usage error, 3 capacity error (the message names
-the sieve limit that would have sufficed), 1 internal failure.
+the sieve limit that would have sufficed), 1 internal failure.  Usage errors
+come from the parser, which checks each option's range where the option is
+declared, and from checks that compare two options or parse ``--t-list``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from math import gcd, inf
+from math import ceil, gcd, inf
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +31,27 @@ from .errors import CapacityError
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Turns argparse's own errors into UsageError, so main has one exit-2 path."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _ranged(convert, ok, domain: str):
+    """An argparse type: convert the text, then require ok(value); nan fails any comparison."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {text}")
+        return value
+    parse.__name__ = convert.__name__   # argparse names it in "invalid int value"
+    return parse
+
+
+_POSITIVE_INT = _ranged(int, lambda v: v >= 1, "an integer >= 1")
 
 
 @dataclass
@@ -122,29 +145,23 @@ def _parse_t_list(text: str) -> list[float]:
     return out
 
 
-def _build_tables(limit: int) -> arith.ArithTables:
-    if limit < 1:
-        raise UsageError(f"sieve limit must be >= 1, got {limit}")
-    return arith.build_tables(limit)
-
-
-def _require_limit(requested: int | None, needed: int, what: str) -> int:
-    if requested is None:
-        return needed
-    if requested < needed:
+def _require_limit(args, needed: int, what: str) -> arith.ArithTables:
+    """Sieve to args.limit, which defaults to needed and may not be below it."""
+    if args.limit is None:
+        args.limit = needed
+    elif args.limit < needed:
         raise CapacityError(
-            f"{what} needs sieve limit >= {needed}, but --limit {requested} was given",
+            f"{what} needs sieve limit >= {needed}, but --limit {args.limit} was given",
             required_limit=needed,
         )
-    return requested
+    return arith.build_tables(args.limit)
 
 
 # ----------------------------------------------------------------- commands
 
 
 def cmd_sieve(args) -> int:
-    args.limit = args.limit if args.limit is not None else 10**6
-    tables = _build_tables(args.limit)
+    tables = arith.build_tables(args.limit)
     r_sum = int(tables.r.sum(dtype="int64"))
     d_sum = int(tables.d.sum(dtype="int64"))
     s_sum = int(tables.sigma.sum(dtype="int64"))
@@ -158,14 +175,8 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_error_term(args) -> int:
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
-    if not 1 <= args.x_max < inf:
-        raise UsageError(f"--x-max must be finite and >= 1, got {args.x_max}")
-    args.limit = _require_limit(args.limit, int(args.x_max), "error-term scan")
-    tables = _build_tables(args.limit)
-    kind = lattice.CIRCLE if args.kind == "circle" else lattice.DIVISOR
-    profile = lattice.step_profile(tables, kind)
+    tables = _require_limit(args, ceil(args.x_max), "error-term scan")
+    profile = lattice.step_profile(tables, args.kind)
     report = lattice.pointwise_report(profile, args.x_max, args.samples)
     rows = [
         (r.x, r.value, r.ratio_quarter, r.ratio_huxley)
@@ -179,12 +190,9 @@ def cmd_error_term(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.h_max < 1:
-        raise UsageError(f"--h-max must be >= 1, got {args.h_max}")
-    args.limit = _require_limit(args.limit, args.n + args.h_max, "correlation grid")
-    tables = _build_tables(args.limit)
+    if args.h_max > args.n:   # the E(N, h) envelope report needs h <= N
+        raise UsageError(f"--h-max {args.h_max} exceeds --n {args.n}")
+    tables = _require_limit(args, args.n + args.h_max, "correlation grid")
     records = correlate.corr_grid(tables, [args.n], args.h_max)
     rows = [(rec.N, rec.h, rec.raw, rec.main, rec.e_value) for rec in records]
     write_csv(args.out, ["N", "h", "raw", "main", "e_value"], rows, args.precision)
@@ -196,11 +204,11 @@ def cmd_correlate(args) -> int:
 def cmd_laplace(args) -> int:
     t_list = _parse_t_list(args.t_list)
     # Crude sizing: the tail bound needs x_max ~ T log(1/(rel_tol)) + margin.
-    needed = int(40 * t_list[-1])
-    args.limit = args.limit if args.limit is not None else needed
-    tables = _build_tables(args.limit)
-    circle = args.kind == "circle"
-    profile = lattice.step_profile(tables, lattice.CIRCLE if circle else lattice.DIVISOR)
+    if args.limit is None:
+        args.limit = int(40 * t_list[-1])
+    tables = arith.build_tables(args.limit)
+    circle = args.kind == lattice.CIRCLE
+    profile = lattice.step_profile(tables, args.kind)
     c = laplace.series_limit(laplace.R_SQUARED if circle else laplace.D_SQUARED)
     scan = laplace.residual_scan(profile, c, t_list, args.rel_tol)
     header = ["T", "integral", "truncation_bound", "main_term", "residual"]
@@ -222,13 +230,9 @@ def cmd_laplace(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    if args.terms < 1:
-        raise UsageError(f"--terms must be >= 1, got {args.terms}")
-    args.limit = _require_limit(args.limit, args.terms, "series constant")
-    tables = _build_tables(args.limit)
-    kind = laplace.R_SQUARED if args.kind == "r_squared" else laplace.D_SQUARED
-    sc = laplace.series_constant(tables, kind, args.terms)
-    closed = laplace.series_limit(kind)
+    tables = _require_limit(args, max(args.terms, 2), "series constant")  # C_hat needs 2
+    sc = laplace.series_constant(tables, args.kind, args.terms)
+    closed = laplace.series_limit(args.kind)
     print(f"kind              {sc.kind}")
     print(f"terms             {sc.terms_used}")
     print(f"partial sum       {sc.value:.12f}")
@@ -240,8 +244,6 @@ def cmd_constants(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    if args.k_max < 1:
-        raise UsageError(f"--k-max must be >= 1, got {args.k_max}")
     tol_passes = {1: 0, 2: 0}
     tol_fails = {1: 0, 2: 0}
     for k in range(1, args.k_max + 1):
@@ -263,13 +265,7 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_voronoi(args) -> int:
-    if not 2 <= args.x < inf:
-        raise UsageError(f"--x must be finite and >= 2, got {args.x}")
-    if args.n_terms < 2:
-        raise UsageError(f"--n-terms must be >= 2, got {args.n_terms}")
-    needed = max(int(args.x) + 1, args.n_terms)
-    args.limit = _require_limit(args.limit, needed, "series evaluation")
-    tables = _build_tables(args.limit)
+    tables = _require_limit(args, max(int(args.x) + 1, args.n_terms), "series evaluation")
     profile = lattice.step_profile(tables, lattice.CIRCLE)
     exact = lattice.p_of_x(profile, args.x)
     trunc = special.truncated_p(tables, args.x, args.n_terms)
@@ -284,73 +280,75 @@ def cmd_voronoi(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="circlekit",
         description="Exact circle-problem error terms, correlation sums and "
         "Laplace-transform asymptotics.",
     )
-    p.add_argument("--precision", type=int, default=17,
+    p.add_argument("--precision", type=_POSITIVE_INT, default=17,
                    help="significant digits for reals in CSV output (default 17)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp, out_required: bool):
-        sp.add_argument("--limit", type=int, default=None, help="sieve limit")
+        sp.add_argument("--limit", type=_POSITIVE_INT, default=None, help="sieve limit")
         if out_required:
             sp.add_argument("--out", required=True, help="output CSV path")
 
     sp = sub.add_parser("sieve", help="build tables and print checksums")
     add_common(sp, out_required=False)
-    sp.set_defaults(func=cmd_sieve)
+    sp.set_defaults(func=cmd_sieve, limit=10**6)
 
     sp = sub.add_parser("error-term", help="scan P(x) or Delta(x) and bound ratios")
-    sp.add_argument("kind", choices=["circle", "divisor"])
-    sp.add_argument("--x-max", dest="x_max", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=64)
+    sp.add_argument("kind", choices=[lattice.CIRCLE, lattice.DIVISOR])
+    sp.add_argument("--x-max", dest="x_max", required=True,
+                    type=_ranged(float, lambda v: 1 <= v < inf, "finite and >= 1"))
+    sp.add_argument("--samples", type=_POSITIVE_INT, default=64)
     add_common(sp, out_required=True)
     sp.set_defaults(func=cmd_error_term)
 
     sp = sub.add_parser("correlate", help="correlation sums and E(N, h) records")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--h-max", dest="h_max", type=int, required=True)
+    sp.add_argument("--n", type=_POSITIVE_INT, required=True)
+    sp.add_argument("--h-max", dest="h_max", type=_POSITIVE_INT, required=True)
     add_common(sp, out_required=True)
     sp.set_defaults(func=cmd_correlate)
 
     sp = sub.add_parser("laplace", help="Laplace transform scan of P^2 or Delta^2")
-    sp.add_argument("kind", choices=["circle", "divisor"])
+    sp.add_argument("kind", choices=[lattice.CIRCLE, lattice.DIVISOR])
     sp.add_argument("--t-list", dest="t_list", required=True,
                     help="'64..8192' (doubling) or comma-separated values")
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=laplace.DEFAULT_REL_TOL,
+    sp.add_argument("--rel-tol", dest="rel_tol", default=laplace.DEFAULT_REL_TOL,
+                    type=_ranged(float, lambda v: 0 < v < 1, "in (0, 1)"),
                     help="relative truncation tolerance for transforms")
     add_common(sp, out_required=True)
     sp.set_defaults(func=cmd_laplace)
 
     sp = sub.add_parser("constants", help="series constant sum f^2(n) n^(-3/2)")
-    sp.add_argument("kind", choices=["r_squared", "d_squared"])
-    sp.add_argument("--terms", type=int, required=True)
+    sp.add_argument("kind", choices=[laplace.R_SQUARED, laplace.D_SQUARED])
+    sp.add_argument("--terms", type=_POSITIVE_INT, required=True)
     add_common(sp, out_required=False)
     sp.set_defaults(func=cmd_constants)
 
     sp = sub.add_parser("gauss", help="quadratic Gauss sum congruence classes")
-    sp.add_argument("--k-max", dest="k_max", type=int, required=True)
+    sp.add_argument("--k-max", dest="k_max", type=_POSITIVE_INT, required=True)
     sp.set_defaults(func=cmd_gauss)
 
     sp = sub.add_parser("voronoi", help="compare P(x) against its series approximations")
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--n-terms", dest="n_terms", type=int, required=True)
+    sp.add_argument("--x", required=True,
+                    type=_ranged(float, lambda v: 2 <= v < inf, "finite and >= 2"))
+    sp.add_argument("--n-terms", dest="n_terms", required=True,
+                    type=_ranged(int, lambda v: v >= 2, "an integer >= 2"))
     add_common(sp, out_required=False)
     sp.set_defaults(func=cmd_voronoi)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 2)
     started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
         rc = args.func(args)
+    except SystemExit as exc:   # --help; parse errors raise UsageError instead
+        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -101,6 +101,8 @@ def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
         raise ValueError(f"unknown series kind {kind!r}")
     if terms < 1 or terms > tables.limit:
         raise ValueError(f"terms={terms} outside table range [1, {tables.limit}]")
+    if tables.limit < 2:
+        raise ValueError(f"C_hat needs tables.limit >= 2, got {tables.limit}")
     pieces = []
     for lo in range(1, terms + 1, _CHUNK):
         hi = min(lo + _CHUNK, terms + 1)
@@ -189,8 +191,8 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    if not 0 < rel_tol < 1:
+        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
     limit = profile.limit
     block = max(64, int(math.ceil(T)))
     pieces: list[tuple[float, ...]] = []

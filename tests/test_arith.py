@@ -43,6 +43,13 @@ def test_build_tables_rejects_bad_limit():
         arith.build_tables(0)
 
 
+def test_build_tables_impossible_limit_is_capacity_error():
+    # numpy cannot describe arrays of 10**19 entries, so this fails before allocating
+    with pytest.raises(CapacityError, match="N=10000000000000000000") as info:
+        arith.build_tables(10**19)
+    assert info.value.required_limit == 10**19
+
+
 def test_tables_immutable(tables_4k):
     with pytest.raises(ValueError):
         tables_4k.r[1] = 0

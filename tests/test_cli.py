@@ -61,6 +61,47 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--precision", "0", "error-term", "circle", "--x-max", "100"], "--precision"),
+    (["error-term", "circle", "--x-max", "100", "--limit", "0"], "--limit"),
+    (["error-term", "circle", "--x-max", "100", "--samples", "-3"], "--samples"),
+    (["error-term", "circle", "--x-max", "0.5"], "--x-max"),
+    (["correlate", "--n", "0", "--h-max", "3"], "--n"),
+    (["correlate", "--n", "10", "--h-max", "0"], "--h-max"),
+    (["correlate", "--n", "5", "--h-max", "10"], "--h-max"),
+    (["laplace", "circle", "--t-list", "16", "--rel-tol", "0"], "--rel-tol"),
+    (["laplace", "circle", "--t-list", "16", "--rel-tol", "nan"], "--rel-tol"),
+    (["laplace", "circle", "--t-list", "16", "--rel-tol", "inf"], "--rel-tol"),
+    (["laplace", "divisor", "--t-list", "16", "--rel-tol", "1"], "--rel-tol"),
+    (["constants", "r_squared", "--terms", "0"], "--terms"),
+    (["gauss", "--k-max", "0"], "--k-max"),
+    (["voronoi", "--x", "1.5", "--n-terms", "10"], "--x"),
+    (["voronoi", "--x", "10.5", "--n-terms", "1"], "--n-terms"),
+    (["voronoi", "--x", "10.5", "--n-terms", "ten"], "--n-terms"),
+])
+def test_out_of_range_option_exits_2(tmp_path, capsys, argv, named):
+    if {"error-term", "correlate", "laplace"} & set(argv):
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and named in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_error_term_fractional_x_max(tmp_path):
+    out = tmp_path / "p.csv"
+    assert run(["error-term", "circle", "--x-max", "100.5", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+    assert manifest["sieve_limit"] == 101
+    assert manifest["parameters"]["x_max"] == 100.5
+
+
+def test_impossible_limit_exits_3(capsys):
+    assert run(["sieve", "--limit", str(10**19)]) == 3
+    assert "capacity error: cannot allocate sieve tables for N=10000000000000000000" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["sieve", "--seed", "7"],
     ["error-term", "circle", "--x-max", "100", "--seed", "7"],
@@ -143,6 +184,13 @@ def test_constants_command(capsys):
     assert run(["constants", "r_squared", "--terms", "20000"]) == 0
     out = capsys.readouterr().out
     assert "closed form       50.15605614" in out
+    assert "closed form in [partial, partial+tail]: yes" in out
+
+
+def test_constants_single_term(capsys):
+    assert run(["constants", "r_squared", "--terms", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "terms             1\n" in out
     assert "closed form in [partial, partial+tail]: yes" in out
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from circlekit import laplace, lattice
+from circlekit import arith, laplace, lattice
 from circlekit.errors import CapacityError
 from circlekit.laplace import (
     A1_EXPECTED,
@@ -56,6 +56,8 @@ def test_series_constant_domain(tables_4k):
         series_constant(tables_4k, R_SQUARED, tables_4k.limit + 1)
     with pytest.raises(ValueError):
         series_constant(tables_4k, "bogus", 10)
+    with pytest.raises(ValueError, match="limit >= 2"):
+        series_constant(arith.build_tables(1), R_SQUARED, 1)
 
 
 def test_series_constant_monotone_with_bracketing_tail(tables_120k):
@@ -136,8 +138,9 @@ def test_laplace_p2_validates_input(circle_4k, divisor_4k):
         laplace_p2(divisor_4k, 10.0)
     with pytest.raises(ValueError):
         laplace_p2(circle_4k, 0.5)
-    with pytest.raises(ValueError):
-        laplace_p2(circle_4k, 10.0, rel_tol=0.0)
+    for rel_tol in (0.0, math.nan, math.inf, 1.0):
+        with pytest.raises(ValueError):
+            laplace_p2(circle_4k, 10.0, rel_tol=rel_tol)
 
 
 def test_laplace_main_p():
