@@ -61,35 +61,25 @@ class ArithTables:
     sigma: np.ndarray   # int64, sigma(n) <= n (1 + ln n)
 
 
-def _divisor_sieve(weights: np.ndarray, out_dtype) -> np.ndarray:
-    """out[n] = sum_{d | n} weights[d] for n in 1..N.
+def _divisor_sieve(weights: np.ndarray) -> np.ndarray:
+    """out[n] = sum_{delta | n} weights[delta] for n in 1..N, in the dtype of weights.
 
-    Small divisors go through strided slice adds; divisors d > N^(2/3)
-    (which have at most N^(1/3) multiples each) are processed in bulk per
-    multiple count, keeping the Python-level loop at O(N^(1/3)) + O(N^(2/3))
-    iterations while the element work stays at sum_d N/d ~ N log N.
+    Pairs each divisor delta < sqrt(n) with its cofactor (Bays & Hudson,
+    BIT 17, 1977): sum_{delta | n} f(delta) = sum_{delta | n, delta < sqrt(n)}
+    (f(delta) + f(n/delta)) + [n = delta^2] f(delta).  Each delta <= sqrt(N)
+    is one strided add over n = delta k, k > delta, plus the square term:
+    ~N (ln N / 2) element updates over sqrt(N) Python iterations.  The pair
+    sums go through one preallocated buffer: a fresh temporary per delta
+    leaves freed heap behind that raised the peak RSS of later commands.
     """
     N = len(weights) - 1
-    out = np.zeros(N + 1, dtype=out_dtype)
-    k_max = max(1, int(round(N ** (1.0 / 3.0))))
-    d_cut = N // (k_max + 1)
-    for d in range(1, d_cut + 1):
-        w = weights[d]
-        if w:
-            out[d::d] += w
-    for k in range(1, k_max + 1):
-        lo = max(d_cut, N // (k + 1))
-        hi = N // k
-        if hi <= lo:
-            continue
-        ds = np.arange(lo + 1, hi + 1)
-        ws = weights[ds]
-        keep = ws != 0
-        if not keep.all():
-            ds, ws = ds[keep], ws[keep]
-        ws = ws.astype(out_dtype, copy=False)
-        for j in range(1, k + 1):
-            out[j * ds] += ws      # indices j*ds are distinct for fixed j
+    out = np.zeros(N + 1, dtype=weights.dtype)
+    pair = np.empty(N, dtype=weights.dtype)
+    for delta in range(1, math.isqrt(N) + 1):
+        cofactor = weights[delta + 1:N // delta + 1]    # w(n/delta) for n = delta (delta+1), ...
+        out[delta * (delta + 1)::delta] += np.add(cofactor, weights[delta],
+                                                  out=pair[:cofactor.size])
+        out[delta * delta] += weights[delta]
     return out
 
 
@@ -99,11 +89,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def build_tables(N: int) -> ArithTables:
-    """Sieve r, d and sigma up to N (inclusive).
+    """Sieve r, d and sigma up to N (inclusive) by divisor/cofactor pair sieves.
 
-    r is built from its divisor-sum representation r(n) = 4 sum_{d|n} chi(d):
-    every odd divisor d contributes 4*chi(d) to all of its multiples.  d and
-    sigma use the standard divisor sieves.
+    d and sigma are `_divisor_sieve` with weights 1 and delta.  r(n) =
+    4 sum_{delta|n} chi(delta) needs no weights: chi is completely
+    multiplicative, so for odd n a pair adds chi(delta) (1 + chi(n)), which is
+    2 chi(delta) at n = 1 (mod 4) and 0 at n = 3 (mod 4).  Each odd
+    delta <= sqrt(N) thus adds 8 chi(delta) at n = delta (delta + 4j), j >= 1,
+    and 4 chi(delta) at delta^2; the even entries follow from r(2^k m) = r(m)
+    by one slice copy per k <= log2(N) (odd sources, even targets).
     """
     if N < 1:
         raise ValueError(f"sieve limit must be >= 1, got {N}")
@@ -112,13 +106,15 @@ def build_tables(N: int) -> ArithTables:
     if (N + 1) * 8 > np.iinfo(np.intp).max:   # no numpy array can hold the int64 sigma table
         raise CapacityError(message, required_limit=N)
     try:
-        w_chi = np.zeros(N + 1, dtype=np.int32)
-        w_chi[1::4] = 4
-        w_chi[3::4] = -4
-        r = _divisor_sieve(w_chi, np.int32)
-        del w_chi
-        d = _divisor_sieve(np.ones(N + 1, dtype=np.int32), np.int32)
-        sigma = _divisor_sieve(np.arange(0, N + 1, dtype=np.int64), np.int64)
+        r = np.zeros(N + 1, dtype=np.int32)
+        for delta in range(1, math.isqrt(N) + 1, 2):
+            c = 4 if delta % 4 == 1 else -4
+            r[delta * (delta + 4)::4 * delta] += 2 * c
+            r[delta * delta] += c
+        for k in range(1, N.bit_length()):
+            r[1 << k::2 << k] = r[1:(N >> k) + 1:2]
+        d = _divisor_sieve(np.ones(N + 1, dtype=np.int32))
+        sigma = _divisor_sieve(np.arange(0, N + 1, dtype=np.int64))
     except MemoryError as exc:
         raise CapacityError(message, required_limit=N) from exc
     # Overflow guard: r(n) <= 4 d(n) and d fits easily in int32 at any
@@ -218,8 +214,8 @@ def g_identity_first_failure(limit: int) -> int | None:
         raise ValueError(f"limit must be >= 1, got {limit}")
     w = np.arange(0, limit + 1, dtype=np.int64)
     w[1::2] *= -1
-    t_alt = _divisor_sieve(w, np.int64)            # sum_{d|h} (-1)^d d
-    sigma = _divisor_sieve(np.arange(0, limit + 1, dtype=np.int64), np.int64)
+    t_alt = _divisor_sieve(w)  # sum_{d|h} (-1)^d d
+    sigma = _divisor_sieve(np.arange(0, limit + 1, dtype=np.int64))
     h = np.arange(1, limit + 1, dtype=np.int64)
     lowbit = h & -h
     k = np.log2(lowbit.astype(np.float64)).astype(np.int64)  # exact: lowbit is a power of 2

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from circlekit import arith, lattice
+
+LIMIT_1M = 1_001_024
 
 
 @pytest.fixture(scope="session")
@@ -18,7 +22,7 @@ def tables_120k():
 def tables_1m():
     # Covers the transform scans (x_max ~ 2.1e5 at T = 8192), the truncated
     # formula at x = 1e6 + 0.5, and correlation grids N = 1e6, h <= 1000.
-    return arith.build_tables(1_001_024)
+    return arith.build_tables(LIMIT_1M)
 
 
 @pytest.fixture(scope="session")
@@ -43,8 +47,6 @@ def divisor_4k(tables_4k):
 
 def brute_r(n: int) -> int:
     """Lattice-point count of a^2 + b^2 = n by direct enumeration."""
-    import math
-
     count = 0
     for a in range(-math.isqrt(n), math.isqrt(n) + 1):
         rem = n - a * a
@@ -55,4 +57,32 @@ def brute_r(n: int) -> int:
 
 
 def brute_divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Divisors of n in ascending order, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+# O(sqrt N) integer counts of the table sums, independent of any sieve.
+
+def lattice_count(N: int) -> int:
+    """sum_{n<=N} r(n): points with 0 < a^2 + b^2 <= N, counted by columns a."""
+    s = math.isqrt(N)
+    return sum(2 * math.isqrt(N - a * a) + 1 for a in range(-s, s + 1)) - 1
+
+
+def hyperbola_count(N: int) -> int:
+    """sum_{n<=N} d(n): points with a b <= N, by the Dirichlet hyperbola method."""
+    s = math.isqrt(N)
+    return 2 * sum(N // k for k in range(1, s + 1)) - s * s
+
+
+def sigma_count(N: int) -> int:
+    """sum_{n<=N} sigma(n) = sum_{k<=N} k floor(N/k), summed over the blocks of
+    k where floor(N/k) is constant."""
+    total, lo = 0, 1
+    while lo <= N:
+        q = N // lo
+        hi = N // q
+        total += q * (lo + hi) * (hi - lo + 1) // 2
+        lo = hi + 1
+    return total

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a measured
 summary line (run with -v -s to see them).  Shared large fixtures live in
 conftest; the 1e7 table is module-local since only the mean-square
-criterion needs it.
+criterion and the table-sum check need it.
 """
 
 import math
@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from circlekit import arith, cli, correlate, laplace, lattice, special
+
+from conftest import hyperbola_count, lattice_count, sigma_count
 
 GRID_BASES = (10**3, 10**4, 10**5, 10**6)
 
@@ -163,6 +165,17 @@ def test_acc06_mean_square_remainder_bound(tables_10m, circle_10m):
     _announce("ACC-06 mean-square remainder", t0,
               f"max |Q(X)|/(X log^2 X) = {worst:.5f} over X in 1e4..1e7 (bound 1)")
     assert worst <= 1.0
+
+
+def test_acc06b_table_sums_at_1e7(tables_10m):
+    t0 = time.perf_counter()
+    N = tables_10m.limit
+    sums = (int(tables_10m.r.sum(dtype=np.int64)), int(tables_10m.d.sum(dtype=np.int64)),
+            int(tables_10m.sigma.sum()))
+    counts = (lattice_count(N), hyperbola_count(N), sigma_count(N))
+    _announce("ACC-06b sieve sums at N=1e7", t0,
+              f"(sum r, sum d, sum sigma) = {sums}, O(sqrt N) counts {counts}")
+    assert sums == counts
 
 
 def test_acc07_laplace_transform_remainder_order(circle_1m):

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from circlekit import arith
 from circlekit.errors import CapacityError
 
-from conftest import brute_divisors, brute_r
+from conftest import (LIMIT_1M, brute_divisors, brute_r, hyperbola_count, lattice_count,
+                      sigma_count)
+
+property_test = settings(deadline=None, derandomize=True)   # the same examples on every run
 
 
 def test_chi_values():
@@ -48,6 +52,59 @@ def test_build_tables_impossible_limit_is_capacity_error():
     with pytest.raises(CapacityError, match="N=10000000000000000000") as info:
         arith.build_tables(10**19)
     assert info.value.required_limit == 10**19
+
+
+def test_build_tables_entrywise_exact():
+    # every N <= 300 (N < 4, perfect-square N, the delta^2 terms), and N around
+    # 2^10, 2^12 and 100^2 (the last level of the 2-adic fill of r)
+    edge = (1023, 1024, 1025, 4096, 9999, 10000, 10001)
+    top = max(edge)
+    r = [0] + [brute_r(n) for n in range(1, top + 1)]
+    divisors = [[]] + [brute_divisors(n) for n in range(1, top + 1)]
+    d = [len(ds) for ds in divisors]
+    sigma = [sum(ds) for ds in divisors]
+    for N in list(range(1, 301)) + list(edge):
+        t = arith.build_tables(N)
+        assert t.r.tolist() == r[:N + 1], N
+        assert t.d.tolist() == d[:N + 1], N
+        assert t.sigma.tolist() == sigma[:N + 1], N
+
+
+def test_table_sums_match_integer_counts(tables_1m):
+    N = tables_1m.limit
+    assert int(tables_1m.r.sum(dtype=np.int64)) == lattice_count(N)
+    assert int(tables_1m.d.sum(dtype=np.int64)) == hyperbola_count(N)
+    assert int(tables_1m.sigma.sum()) == sigma_count(N)
+
+
+@st.composite
+def _coprime_pairs(draw):
+    m = draw(st.integers(1, LIMIT_1M))
+    n = draw(st.integers(1, LIMIT_1M // m))
+    assume(math.gcd(m, n) == 1)
+    return m, n
+
+
+@property_test
+@given(_coprime_pairs())
+def test_multiplicative_on_coprime_pairs(tables_1m, pair):
+    m, n = pair
+    t = tables_1m
+    assert int(t.r[m * n]) * 4 == int(t.r[m]) * int(t.r[n])
+    assert int(t.d[m * n]) == int(t.d[m]) * int(t.d[n])
+    assert int(t.sigma[m * n]) == int(t.sigma[m]) * int(t.sigma[n])
+
+
+@property_test
+@given(st.integers(1, LIMIT_1M // 2))
+def test_r_even_part_ignored(tables_1m, n):
+    assert tables_1m.r[2 * n] == tables_1m.r[n]
+
+
+@property_test
+@given(st.integers(0, (LIMIT_1M - 3) // 4))
+def test_r_vanishes_at_3_mod_4(tables_1m, j):
+    assert tables_1m.r[4 * j + 3] == 0
 
 
 def test_tables_immutable(tables_4k):
@@ -97,12 +154,8 @@ def test_r_over_4_multiplicative(tables_4k):
 
 
 def test_r_partial_sum_is_lattice_count(tables_4k):
-    # sum_{n<=N} r(n) + 1 counts all lattice points with a^2 + b^2 <= N
     for N in (1, 10, 97, 500):
-        direct = 0
-        for a in range(-math.isqrt(N), math.isqrt(N) + 1):
-            direct += 2 * math.isqrt(N - a * a) + 1
-        assert int(tables_4k.r[1 : N + 1].sum()) + 1 == direct
+        assert int(tables_4k.r[1 : N + 1].sum()) == lattice_count(N)
 
 
 def test_g_closed_examples():
