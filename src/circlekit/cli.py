@@ -205,6 +205,9 @@ def cmd_laplace(args) -> int:
     t_list = _parse_t_list(args.t_list)
     # Crude sizing: the tail bound needs x_max ~ T log(1/(rel_tol)) + margin.
     if args.limit is None:
+        if 40 * t_list[-1] == inf:
+            raise CapacityError(f"T={t_list[-1]:g} needs sieve limit 40 T > "
+                                f"{sys.float_info.max:.4g}", required_limit=40 * int(t_list[-1]))
         args.limit = int(40 * t_list[-1])
     tables = arith.build_tables(args.limit)
     circle = args.kind == lattice.CIRCLE

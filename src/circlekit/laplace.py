@@ -25,12 +25,12 @@ Truncation policy: integrate until the crude-envelope tail bound
 
     int_{x_max}^infty (3 sqrt(x))^2 exp(-x/T) dx = 9 T (x_max + T) exp(-x_max/T)
 
-drops below rel_tol times the running total.  The envelope |error| <=
-3 sqrt(x) is verified over every processed block, at both one-sided limits
-of each integer as formed by `lattice.error_at_jumps`, the kernel behind
-`lattice.pointwise_report` too (it holds with margin; the observed sup of
-|P(x)|/sqrt(x) is ~2.4), and the resulting truncation_bound is reported,
-never silently absorbed.
+drops below rel_tol times the running total.  `_integrate_to_tolerance`,
+which owns that bound, verifies the envelope |error| <= 3 sqrt(x) over every
+block it processes, at both one-sided limits of each integer as formed by
+`lattice.error_at_jumps`, the kernel behind `lattice.pointwise_report` too
+(it holds with margin; the observed sup of |P(x)|/sqrt(x) is ~2.4), and the
+resulting truncation_bound is reported, never silently absorbed.
 
 Interval sums are chunked and reduced in a fixed ascending order, so runs
 are bit-reproducible in a given build.
@@ -182,7 +182,8 @@ def _check_envelope(profile: StepProfile, lo: int, hi: int) -> None:
 
 def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, block_fn):
     """Accumulate block_fn(lo, hi) over unit intervals until the crude tail
-    bound at the right edge falls below rel_tol * |total|.
+    bound at the right edge falls below rel_tol * |total|; each block is first
+    checked against the envelope that justifies that bound.
 
     block_fn returns a tuple of block integrals, one per column; the
     stopping rule reads column 0 and every column covers the same blocks.
@@ -201,6 +202,7 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
     while True:
         hi = min(x + block, limit)
         if hi > x:
+            _check_envelope(profile, x, hi)
             pieces.append(block_fn(x, hi))
             total = math.fsum(p[0] for p in pieces)
             x = hi
@@ -233,8 +235,7 @@ def laplace_p2(
 
     def block(lo: int, hi: int) -> tuple[float]:
         n = np.arange(lo, hi, dtype=np.float64)
-        b = profile.partial[lo:hi].astype(np.float64) + 1.0 - np.pi * n
-        _check_envelope(profile, lo, hi)
+        b = profile.partial[lo:hi] + 1.0 - np.pi * n
         vals = (b * b * m0 - 2.0 * np.pi * b * m1 + (np.pi * np.pi) * m2) * np.exp(-n / T)
         return (float(np.sum(vals)),)
 
@@ -313,21 +314,21 @@ def residual_scan(
     return ResidualScan(kind=profile.kind, rows=rows, slope=slope)
 
 
-def _d2_first_interval(D0: float, T: float, nodes, weights) -> float:
-    """int_0^1 (D0 - main(x))^2 exp(-x/T) dx on a dyadic graded mesh.
+def _d2_first_interval(T: float, nodes, weights) -> float:
+    """int_0^1 main(x)^2 exp(-x/T) dx (Delta = -main on [0, 1)) on a dyadic graded mesh.
 
     x log x has unbounded derivatives at 0, so a single Gauss panel loses
     ~1e-9 relative accuracy here; panels [2^-j-1, 2^-j] restore spectral
     convergence and the leftover [0, 2^-52] stub is integrated as the
-    constant (D0 - 1/4)^2.
+    constant (1/4)^2.
     """
     edges = [2.0**-j for j in range(53)]
-    total = (D0 - 0.25) ** 2 * edges[-1]    # exp(-x/T) ~ 1 below 2^-52
+    total = 0.25**2 * edges[-1]    # exp(-x/T) ~ 1 below 2^-52
     for j in range(52):
         a, b = edges[j + 1], edges[j]
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         x = mid + half * nodes
-        f = (D0 - divisor_main(x)) ** 2 * np.exp(-x / T)
+        f = divisor_main(x) ** 2 * np.exp(-x / T)
         total += half * float(np.dot(weights, f))
     return total
 
@@ -363,12 +364,11 @@ def laplace_d2(
 
     def block(lo: int, hi: int) -> tuple[float, ...]:
         n = np.arange(lo, hi, dtype=np.float64)
-        Dn = profile.partial[lo:hi].astype(np.float64)
-        _check_envelope(profile, lo, hi)
+        Dn = profile.partial[lo:hi]
         start = 1 if lo == 0 else 0
         values = []
         for nodes, weights, s, w in rules:
-            extra = _d2_first_interval(float(Dn[0]), T, nodes, weights) if start else 0.0
+            extra = _d2_first_interval(T, nodes, weights) if start else 0.0
             if hi - lo > start:
                 extra += _d2_unit_intervals(n[start:], Dn[start:], T, s, w)
             values.append(extra)
@@ -462,33 +462,31 @@ def weight_f(t: float, h: float, T: float) -> float:
     return _weight_f_raw(t, h, T)
 
 
-def _exponent(t: float, h: float, T: float) -> float:
-    return math.pi**2 * T * _sqrt_gap_sq(t, h)
+def _u_parts(t: float, h: float, T: float) -> tuple[float, float]:
+    """(E, f' - E' f) for E = pi^2 T G, G = (sqrt(t+h) - sqrt(t))^2, in closed form.
 
-
-def _exponent_derivative(t: float, h: float, T: float) -> float:
-    # d/dt (sqrt(t+h) - sqrt(t))^2 = -(sqrt(t+h) - sqrt(t))^2 / sqrt(t(t+h))
-    return -math.pi**2 * T * _sqrt_gap_sq(t, h) / math.sqrt(t * (t + h))
-
-
-def _f_derivative(t: float, h: float, T: float) -> float:
-    dt = t * 1e-6
-    d1 = (_weight_f_raw(t + dt, h, T) - _weight_f_raw(t - dt, h, T)) / (2.0 * dt)
-    d2 = (_weight_f_raw(t + dt / 2, h, T) - _weight_f_raw(t - dt / 2, h, T)) / dt
-    return (4.0 * d2 - d1) / 3.0    # Richardson step on the central difference
+    With rho = sqrt(t(t+h)): E' = -E/rho, the brace of f has derivative
+    G/rho - 3 h^2 / (32 pi^2 T rho^3), and t^(-3/4) (t+h)^(-3/4) has
+    logarithmic derivative -3 (2t+h) / (4 rho^2).
+    """
+    rho = math.sqrt(t * (t + h))
+    gap = _sqrt_gap_sq(t, h)
+    E, f = math.pi**2 * T * gap, _weight_f_raw(t, h, T)
+    brace_prime = gap / rho - 3.0 * h * h / (32.0 * math.pi**2 * T * rho**3)
+    f_prime = t**-0.75 * (t + h) ** -0.75 * brace_prime - f * 3.0 * (2.0 * t + h) / (4.0 * rho**2)
+    return E, f_prime + E / rho * f
 
 
 def weight_u(t: float, h: float, T: float) -> float:
     """u(t, h) = d/dt [ exp(-pi^2 T (sqrt(t+h) - sqrt(t))^2) f(t, h) ].
 
-    Differentiated as exp(-E) (f' - E' f) with E' analytic and f' a
-    Richardson-refined central difference; the exponential factor may
-    underflow to zero for strongly damped arguments (use
-    `weight_u_log_ratio` in that regime).
+    Differentiated as exp(-E) (f' - E' f) with f' and E' both in closed
+    form; the exponential factor may underflow to zero for strongly damped
+    arguments (use `weight_u_log_ratio` in that regime).
     """
     _check_weight_domain(t, h, T)
-    inner = _f_derivative(t, h, T) - _exponent_derivative(t, h, T) * _weight_f_raw(t, h, T)
-    return math.exp(-_exponent(t, h, T)) * inner
+    E, inner = _u_parts(t, h, T)
+    return math.exp(-E) * inner
 
 
 def _envelope_log(t: float, h: float, T: float) -> float:
@@ -505,10 +503,10 @@ def weight_u_log_ratio(t: float, h: float, T: float) -> float:
     numeric content of the integration-by-parts estimate.
     """
     _check_weight_domain(t, h, T)
-    inner = _f_derivative(t, h, T) - _exponent_derivative(t, h, T) * _weight_f_raw(t, h, T)
+    E, inner = _u_parts(t, h, T)
     if inner == 0.0:
         return float("-inf")
-    return -_exponent(t, h, T) + math.log(abs(inner)) - _envelope_log(t, h, T)
+    return -E + math.log(abs(inner)) - _envelope_log(t, h, T)
 
 
 def weight_u_bound_check(t: float, h: float, T: float, c_cap: float = 100.0) -> bool:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import ArithTables
+from .errors import CapacityError
 
 # Euler's constant to 30 significant digits (double rounds it at 16).
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -37,13 +38,14 @@ _CHUNK = 1 << 22  # block length for chunked reductions; fixed order keeps runs 
 class StepProfile:
     """Cumulative sums of an arithmetic function f in {r, d}.
 
-    ``partial[n] = sum_{m<=n} f(m)`` with ``partial[0] = 0``; int64 and
-    non-decreasing (f >= 0).  Immutable and shareable across threads.
+    ``partial[n] = sum_{m<=n} f(m)`` with ``partial[0] = 0``; non-decreasing
+    (f >= 0) float64 integers, exact because `step_profile` checks that they
+    stay below 2^53.  Immutable and shareable across threads.
     """
 
     kind: str            # CIRCLE (f = r) or DIVISOR (f = d)
     limit: int
-    partial: np.ndarray  # int64, length limit + 1
+    partial: np.ndarray  # float64, exact integers < 2^53, length limit + 1
 
     def jump(self, n: int) -> int:
         """f(n) = partial[n] - partial[n-1]."""
@@ -58,8 +60,11 @@ def step_profile(tables: ArithTables, kind: str) -> StepProfile:
         values = tables.d
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
-    partial = np.zeros(tables.limit + 1, dtype=np.int64)
-    np.cumsum(values[1:], dtype=np.int64, out=partial[1:])
+    partial = np.zeros(tables.limit + 1, dtype=np.float64)
+    np.cumsum(values[1:], dtype=np.float64, out=partial[1:])
+    if partial[-1] >= 2.0**53:   # f >= 0: the last sum is the largest; all are exact below it
+        raise CapacityError(f"{kind} partial sums reach {partial[-1]:.6g} at limit "
+                            f"{tables.limit}; the float64 profile is exact only below 2^53")
     partial.flags.writeable = False
     return StepProfile(kind=kind, limit=tables.limit, partial=partial)
 
@@ -120,9 +125,9 @@ def divisor_main(x: np.ndarray) -> np.ndarray:
 def mean_square_p(profile: StepProfile, X: float) -> float:
     """Exact integral of P^2 over [0, X].
 
-    On [n, n+1) the integrand is the square of the affine function
-    S_n + 1 - pi x, so each unit interval contributes a closed-form cubic
-    difference; no quadrature is involved.  Chunked summation with a fixed
+    On [n, n+1) with b = P(n+) the integrand is (b - pi s)^2, s = x - n, so a
+    unit interval contributes b (b - pi) + pi^2/3 and a final one of length u
+    contributes u (b^2 - pi b u + pi^2 u^2/3).  Chunked summation with a fixed
     reduction order keeps results reproducible run to run.
     """
     if profile.kind != CIRCLE:
@@ -130,21 +135,14 @@ def mean_square_p(profile: StepProfile, X: float) -> float:
     if X < 0 or X > profile.limit:
         raise ValueError(f"X={X} outside profile domain [0, {profile.limit}]")
     nf = int(math.floor(X))
-    pieces = []
+    pieces = [nf * math.pi**2 / 3.0]
     for lo in range(0, nf, _CHUNK):
         hi = min(lo + _CHUNK, nf)
-        n = np.arange(lo, hi, dtype=np.float64)
-        a = profile.partial[lo:hi].astype(np.float64) + 1.0
-        left = a - np.pi * n          # P at the left edge of [n, n+1)
-        right = left - np.pi          # P just below the right edge
-        pieces.append(float(np.sum(left**3 - right**3)))
-    total = math.fsum(pieces) / (3.0 * math.pi)
-    if X > nf:
-        a = float(profile.partial[nf]) + 1.0
-        left = a - math.pi * nf
-        right = a - math.pi * X
-        total += (left**3 - right**3) / (3.0 * math.pi)
-    return total
+        b = profile.partial[lo:hi] + 1.0 - np.pi * np.arange(lo, hi, dtype=np.float64)
+        pieces.append(float(np.sum(b * (b - np.pi))))
+    b, u = profile.partial[nf] + 1.0 - math.pi * nf, X - nf
+    pieces.append(u * (b * b - math.pi * b * u + math.pi**2 * u * u / 3.0))
+    return math.fsum(pieces)
 
 
 def q_of_x(profile: StepProfile, X: float, c32: float) -> float:
@@ -195,8 +193,8 @@ def error_at_jumps(profile: StepProfile, lo: int, hi: int):
         raise ValueError(f"[{lo}, {hi}] outside profile domain [1, {profile.limit}]")
     n = np.arange(lo, hi + 1, dtype=np.float64)
     main = np.pi * n - 1.0 if profile.kind == CIRCLE else divisor_main(n)
-    left = profile.partial[lo - 1 : hi].astype(np.float64) - main
-    right = profile.partial[lo : hi + 1].astype(np.float64) - main
+    left = profile.partial[lo - 1 : hi] - main
+    right = profile.partial[lo : hi + 1] - main
     return n, np.maximum(np.abs(left), np.abs(right))
 
 

@@ -107,6 +107,18 @@ def test_r_vanishes_at_3_mod_4(tables_1m, j):
     assert tables_1m.r[4 * j + 3] == 0
 
 
+@property_test
+@given(st.integers(1, LIMIT_1M))
+def test_r_table_matches_r_single(tables_1m, n):
+    assert int(tables_1m.r[n]) == arith.r_single(n)
+
+
+@property_test
+@given(st.integers(1, 10**9))
+def test_g_direct_equals_g_closed(h):
+    assert arith.g_direct(h) == arith.g_closed(h)
+
+
 def test_tables_immutable(tables_4k):
     with pytest.raises(ValueError):
         tables_4k.r[1] = 0

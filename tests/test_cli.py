@@ -96,10 +96,14 @@ def test_error_term_fractional_x_max(tmp_path):
     assert manifest["parameters"]["x_max"] == 100.5
 
 
-def test_impossible_limit_exits_3(capsys):
+def test_impossible_limit_exits_3(tmp_path, capsys):
     assert run(["sieve", "--limit", str(10**19)]) == 3
     assert "capacity error: cannot allocate sieve tables for N=10000000000000000000" \
         in capsys.readouterr().err
+    out = tmp_path / "x.csv"   # 40 T overflows float64 when sizing the sieve
+    assert run(["laplace", "circle", "--t-list", "1e307", "--out", str(out)]) == 3
+    assert "capacity error: T=1e+307 needs sieve limit 40 T > 1.798e+308" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

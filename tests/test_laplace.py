@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -307,6 +308,34 @@ def test_weight_u_matches_log_ratio():
         h * h * t**-3.5 + t**-2.5 / T + T * h**4 * t**-4.5
     )
     assert math.log(abs(u)) - env_log == pytest.approx(weight_u_log_ratio(t, h, T), abs=1e-9)
+
+
+def _u_inner_reference(t: float, h: float, T: float):
+    """exp(E) d/dt [exp(-E) f] by 50-digit numerical differentiation."""
+    with mp.workdps(50):
+        h, T = mp.mpf(h), mp.mpf(T)
+
+        def damped_f(x):
+            root = mp.sqrt(x * (x + h))
+            gap = (mp.sqrt(x + h) - mp.sqrt(x)) ** 2
+            brace = -gap + (3 * (2 * x + h) + 2 * root) / (16 * mp.pi**2 * root * T)
+            return mp.exp(-mp.pi**2 * T * gap) * brace * (x * (x + h)) ** mp.mpf(-0.75)
+
+        t = mp.mpf(t)
+        return mp.diff(damped_f, t) * mp.exp(mp.pi**2 * T * (mp.sqrt(t + h) - mp.sqrt(t)) ** 2)
+
+
+def test_weight_u_derivative_against_mpmath():
+    points = 0
+    for T in (10.0, 1e3, 1e5):
+        for h in (0.0, 0.5, 1.0, 3.0, 10.0, 100.0):
+            for t in sorted({max(10.0**k * h * h, 1.0) for k in range(9)}):
+                if t > T**10:
+                    continue
+                ref = _u_inner_reference(t, h, T)
+                assert abs((laplace._u_parts(t, h, T)[1] - ref) / ref) <= 1e-12, (t, h, T)
+                points += 1
+    assert points == 136
 
 
 def test_exp_power_inequality():

@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from circlekit import lattice
+from circlekit import arith, lattice
+from circlekit.errors import CapacityError
 from circlekit.lattice import (
     CIRCLE,
     DIVISOR,
@@ -135,6 +137,41 @@ def test_mean_square_against_quadrature(circle_4k):
         assert mean_square_p(circle_4k, X) == pytest.approx(
             _p_squared_quadrature(circle_4k, 0.0, X), rel=1e-12
         )
+
+
+def _mean_square_oracle(tables, X: float):
+    """int_0^X P^2 from exact integer sums: on [n, n+1) with A = S_n + 1,
+    P^2 integrates to A^2 - pi A (2n + 1) + pi^2 (n^2 + n + 1/3), and
+    sum_{n<N} (n^2 + n + 1/3) = N^3 / 3; pi enters at 40 digits."""
+    nf = math.floor(X)
+    A = np.cumsum(tables.r[: nf + 1], dtype=np.int64).astype(object) + 1
+    n = np.arange(nf, dtype=np.int64).astype(object)
+    sum_a2 = int(np.sum(A[:nf] ** 2))
+    sum_a_odd = int(np.sum(A[:nf] * (2 * n + 1)))
+    with mp.workdps(40):
+        total = sum_a2 - mp.pi * sum_a_odd + mp.pi**2 * mp.mpf(nf) ** 3 / 3
+        u = mp.mpf(X) - nf
+        b = int(A[nf]) - mp.pi * nf
+        total += u * (b * b - mp.pi * b * u + mp.pi**2 * u * u / 3)
+        return total
+
+
+def test_mean_square_sieve_scale_oracle(tables_1m, circle_1m):
+    for X in (1e5, 12345.6):
+        ref = _mean_square_oracle(tables_1m, X)
+        assert abs((mean_square_p(circle_1m, X) - ref) / ref) <= 1e-14, X
+
+
+def test_step_profile_checks_float64_exactness():
+    def tables(d):
+        zeros = np.zeros(len(d), dtype=np.int64)
+        return arith.ArithTables(limit=len(d) - 1, r=zeros, d=np.array(d, dtype=np.int64),
+                                 sigma=zeros)
+
+    prof = step_profile(tables([0, 2**52, 2**52 - 1]), DIVISOR)
+    assert prof.partial[-1] == 2**53 - 1
+    with pytest.raises(CapacityError, match=r"2\^53"):
+        step_profile(tables([0, 2**52, 2**52]), DIVISOR)
 
 
 def test_mean_square_monotone_and_additive(circle_4k):
