@@ -10,23 +10,24 @@ Everything here is exact integer (or rational) arithmetic:
                    sum_{n<=N} r(n) r(n+h) ~ g(h) N, available in two
                    provably equal forms (`g_direct`, `g_closed`).
 
-Tables are immutable numpy arrays and safe to share across threads; all
-query helpers are read-only.
+The tables are read-only numpy arrays, each sieved on the first access to
+it, so a command that reads only r never sieves d or sigma.  Built tables
+are safe to share across threads; all query helpers are read-only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError
 
-# Per-entry table footprint: r int32 + d int32 + sigma int64 = 16 bytes.
-# A limit of 10**8 therefore needs ~1.6 GB; memory, not time, is the
-# binding constraint for large sieves.
+# Bytes per entry of all three tables, r int32 + d int32 + sigma int64: 10**8 needs ~1.6 GB
+# if all are read (only `circlekit sieve` reads sigma); a command reading only r holds 4 B.
+# Memory, not time, is the binding constraint for large sieves.
 _BYTES_PER_ENTRY = 16
 
 
@@ -46,19 +47,70 @@ def v2(h: int) -> int:
     return (h & -h).bit_length() - 1
 
 
-@dataclass(frozen=True)
 class ArithTables:
-    """Immutable sieved tables of r, d and sigma for 1..limit.
+    """Sieved tables of r, d and sigma for 1..limit, each sieved on first access.
 
     Arrays are indexed by n (index 0 is unused and zero).  Invariants:
     4 | r(n); r(n) = 0 whenever some prime p = 3 (mod 4) divides n to an
     odd power; d(n) >= 2 and sigma(n) >= n + 1 for n >= 2.
+
+    ``r``, ``d`` and ``sigma`` are cached properties, so a command sieves only
+    the tables it reads; arrays passed in are used as given.  A racing first
+    access from two threads may sieve a table twice; both get equal arrays.
     """
 
-    limit: int
-    r: np.ndarray       # int32, r(n) <= 4 d(n) < 2**31 for any feasible limit
-    d: np.ndarray       # int32
-    sigma: np.ndarray   # int64, sigma(n) <= n (1 + ln n)
+    def __init__(self, limit: int, r=None, d=None, sigma=None):
+        self.limit = limit
+        given = {"r": r, "d": d, "sigma": sigma}
+        self.__dict__.update((k, v) for k, v in given.items() if v is not None)  # never sieved
+
+    @cached_property
+    def r(self) -> np.ndarray:       # int32, r(n) <= 4 d(n) < 2**31 for any feasible limit
+        return _sieved(self.limit, _r_sieve)
+
+    @cached_property
+    def d(self) -> np.ndarray:       # int32
+        return _sieved(self.limit, lambda N: _divisor_sieve(np.ones(N + 1, dtype=np.int32)))
+
+    @cached_property
+    def sigma(self) -> np.ndarray:   # int64, sigma(n) <= n (1 + ln n)
+        return _sieved(self.limit, lambda N: _divisor_sieve(np.arange(N + 1, dtype=np.int64)))
+
+
+def _sieved(N: int, sieve) -> np.ndarray:
+    """sieve(N) made read-only; a failed allocation is a CapacityError naming N."""
+    try:
+        table = sieve(N)
+    except MemoryError as exc:
+        raise _capacity_error(N) from exc
+    # Overflow guard: r(n) <= 4 d(n) < 2**31 at any feasible N, but check the built maxima.
+    if table.dtype == np.int32 and max(int(table.max()), -int(table.min())) >= 2**31 - 1:
+        raise CapacityError(f"int32 table overflow at N={N}", required_limit=N)
+    table.flags.writeable = False
+    return table
+
+
+def _capacity_error(N: int) -> CapacityError:   # integer MiB: a float overflows past N ~ 1e302
+    return CapacityError(f"cannot allocate sieve tables for N={N} "
+                         f"(~{N * _BYTES_PER_ENTRY >> 20} MiB needed)", required_limit=N)
+
+
+def _r_sieve(N: int) -> np.ndarray:
+    """r(n) = 4 sum_{delta|n} chi(delta), n <= N, by a divisor/cofactor pair sieve.
+
+    chi is completely multiplicative, so for odd n a pair adds chi(delta) (1 + chi(n)):
+    2 chi(delta) at n = 1 (mod 4), 0 at n = 3 (mod 4).  Each odd delta <= sqrt(N) thus
+    adds 8 chi(delta) at n = delta (delta + 4j), j >= 1, and 4 chi(delta) at delta^2; the
+    even entries follow from r(2^k m) = r(m) by one slice copy per k <= log2(N).
+    """
+    r = np.zeros(N + 1, dtype=np.int32)
+    for delta in range(1, math.isqrt(N) + 1, 2):
+        c = 4 if delta % 4 == 1 else -4
+        r[delta * (delta + 4)::4 * delta] += 2 * c
+        r[delta * delta] += c
+    for k in range(1, N.bit_length()):
+        r[1 << k::2 << k] = r[1:(N >> k) + 1:2]
+    return r
 
 
 def _divisor_sieve(weights: np.ndarray) -> np.ndarray:
@@ -83,45 +135,14 @@ def _divisor_sieve(weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def build_tables(N: int) -> ArithTables:
-    """Sieve r, d and sigma up to N (inclusive) by divisor/cofactor pair sieves.
-
-    d and sigma are `_divisor_sieve` with weights 1 and delta.  r(n) =
-    4 sum_{delta|n} chi(delta) needs no weights: chi is completely
-    multiplicative, so for odd n a pair adds chi(delta) (1 + chi(n)), which is
-    2 chi(delta) at n = 1 (mod 4) and 0 at n = 3 (mod 4).  Each odd
-    delta <= sqrt(N) thus adds 8 chi(delta) at n = delta (delta + 4j), j >= 1,
-    and 4 chi(delta) at delta^2; the even entries follow from r(2^k m) = r(m)
-    by one slice copy per k <= log2(N) (odd sources, even targets).
-    """
+    """Tables of r, d and sigma up to N (inclusive): N is checked now, and each
+    table is sieved when first read (see `ArithTables`)."""
     if N < 1:
         raise ValueError(f"sieve limit must be >= 1, got {N}")
-    need = N * _BYTES_PER_ENTRY
-    message = f"cannot allocate sieve tables for N={N} (~{need / 2**20:.0f} MiB needed)"
     if (N + 1) * 8 > np.iinfo(np.intp).max:   # no numpy array can hold the int64 sigma table
-        raise CapacityError(message, required_limit=N)
-    try:
-        r = np.zeros(N + 1, dtype=np.int32)
-        for delta in range(1, math.isqrt(N) + 1, 2):
-            c = 4 if delta % 4 == 1 else -4
-            r[delta * (delta + 4)::4 * delta] += 2 * c
-            r[delta * delta] += c
-        for k in range(1, N.bit_length()):
-            r[1 << k::2 << k] = r[1:(N >> k) + 1:2]
-        d = _divisor_sieve(np.ones(N + 1, dtype=np.int32))
-        sigma = _divisor_sieve(np.arange(0, N + 1, dtype=np.int64))
-    except MemoryError as exc:
-        raise CapacityError(message, required_limit=N) from exc
-    # Overflow guard: r(n) <= 4 d(n) and d fits easily in int32 at any
-    # feasible N, but check the built maxima rather than trusting the bound.
-    if int(np.abs(r).max()) >= 2**31 - 1 or int(d.max()) >= 2**31 - 1:
-        raise CapacityError(f"int32 table overflow at N={N}", required_limit=N)
-    return ArithTables(limit=N, r=_freeze(r), d=_freeze(d), sigma=_freeze(sigma))
+        raise _capacity_error(N)
+    return ArithTables(limit=N)
 
 
 def r_single(n: int) -> int:

@@ -48,7 +48,9 @@ class StepProfile:
     partial: np.ndarray  # float64, exact integers < 2^53, length limit + 1
 
     def jump(self, n: int) -> int:
-        """f(n) = partial[n] - partial[n-1]."""
+        """f(n) = partial[n] - partial[n-1] for 1 <= n <= limit."""
+        if not 1 <= n <= self.limit:
+            raise ValueError(f"n={n} outside profile domain [1, {self.limit}]")
         return int(self.partial[n] - self.partial[n - 1])
 
 

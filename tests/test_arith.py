@@ -70,6 +70,30 @@ def test_build_tables_entrywise_exact():
         assert t.sigma.tolist() == sigma[:N + 1], N
 
 
+def test_lazy_tables_equal_eager_sieves():
+    # the eager path ran these three sieves at once; each lazy table is sieved
+    # only when read, whatever the order, and is the same array with the same dtype
+    for N in [*range(1, 301), 10**6]:
+        eager = {"r": arith._r_sieve(N),
+                 "d": arith._divisor_sieve(np.ones(N + 1, dtype=np.int32)),
+                 "sigma": arith._divisor_sieve(np.arange(N + 1, dtype=np.int64))}
+        for order in (("r", "d", "sigma"), ("sigma", "d", "r")):
+            t = arith.build_tables(N)
+            for i, name in enumerate(order):
+                assert set(vars(t)) == {"limit", *order[:i]}, (N, name)
+                table = getattr(t, name)
+                assert table.dtype == eager[name].dtype and not table.flags.writeable
+                assert np.array_equal(table, eager[name]), (N, name)
+                assert getattr(t, name) is table
+
+
+def test_prebuilt_arrays_are_not_sieved(monkeypatch):
+    monkeypatch.setattr(arith, "_divisor_sieve", None)   # any sieve of d or sigma would fail
+    d = np.array([0, 1, 2])
+    t = arith.ArithTables(limit=2, d=d)
+    assert t.d is d and t.r.tolist() == [0, 4, 4]
+
+
 def test_table_sums_match_integer_counts(tables_1m):
     N = tables_1m.limit
     assert int(tables_1m.r.sum(dtype=np.int64)) == lattice_count(N)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from circlekit import cli, laplace
+from circlekit import arith, cli, laplace
 
 
 def run(args):
@@ -100,6 +100,9 @@ def test_impossible_limit_exits_3(tmp_path, capsys):
     assert run(["sieve", "--limit", str(10**19)]) == 3
     assert "capacity error: cannot allocate sieve tables for N=10000000000000000000" \
         in capsys.readouterr().err
+    assert run(["sieve", "--limit", str(10**400)]) == 3   # N / 2**20 overflows a float
+    assert f"capacity error: cannot allocate sieve tables for N={10**400} (~" \
+        in capsys.readouterr().err
     out = tmp_path / "x.csv"   # 40 T overflows float64 when sizing the sieve
     assert run(["laplace", "circle", "--t-list", "1e307", "--out", str(out)]) == 3
     assert "capacity error: T=1e+307 needs sieve limit 40 T > 1.798e+308" in capsys.readouterr().err
@@ -129,6 +132,51 @@ def test_capacity_exit_code(tmp_path, capsys):
               "--limit", "100", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "capacity error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failing, argv", [
+    ("_r_sieve", ["sieve", "--limit", "1000"]),
+    ("_divisor_sieve", ["sieve", "--limit", "1000"]),
+    ("_r_sieve", ["error-term", "circle", "--x-max", "1000"]),   # r is first read in step_profile
+])
+def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, failing, argv):
+    def out_of_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(arith, failing, out_of_memory)
+    if argv[0] == "error-term":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 3
+    assert "capacity error: cannot allocate sieve tables for N=1000" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, sieves", [
+    (["error-term", "circle", "--x-max", "200", "--samples", "4"], (1, 0)),
+    (["constants", "r_squared", "--terms", "100"], (1, 0)),
+    (["correlate", "--n", "50", "--h-max", "3"], (1, 0)),
+    (["voronoi", "--x", "100.5", "--n-terms", "50"], (1, 0)),
+    (["laplace", "circle", "--t-list", "16,32", "--limit", "2000"], (1, 0)),
+    (["error-term", "divisor", "--x-max", "200", "--samples", "4"], (0, 1)),
+    (["laplace", "divisor", "--t-list", "16,32", "--limit", "2000"], (0, 1)),
+    (["constants", "d_squared", "--terms", "100"], (0, 1)),
+    (["sieve", "--limit", "100"], (1, 2)),
+])
+def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, sieves):
+    calls = {"_r_sieve": 0, "_divisor_sieve": 0}
+
+    def counted(name):
+        sieve = getattr(arith, name)
+
+        def count(*args):
+            calls[name] += 1
+            return sieve(*args)
+        return count
+    for name in calls:
+        monkeypatch.setattr(arith, name, counted(name))
+    if argv[0] in {"error-term", "correlate", "laplace"}:
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 0
+    assert (calls["_r_sieve"], calls["_divisor_sieve"]) == sieves
 
 
 def test_correlate_round_trip(tmp_path):

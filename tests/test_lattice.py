@@ -76,6 +76,13 @@ def test_p_jump_size(circle_4k, tables_4k):
         assert p_of_x(circle_4k, float(n)) == pytest.approx((below + above) / 2, abs=1e-5)
 
 
+def test_jump_rejects_n_outside_domain(circle_4k):
+    assert circle_4k.jump(1) == 4 and circle_4k.jump(4000) == 16   # 4000 = 2^5 5^3: r = 4 (3 + 1)
+    for n in (0, -1, 4001):
+        with pytest.raises(ValueError, match="outside profile domain"):
+            circle_4k.jump(n)
+
+
 def test_delta_values(divisor_4k):
     # d(1) = 1, d(2) = 2 halved at the integer endpoint
     expect_2 = 1 + 2 / 2 - 2 * (math.log(2) + 2 * EULER_GAMMA - 1) - 0.25
