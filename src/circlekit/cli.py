@@ -129,7 +129,9 @@ def _parse_t_list(text: str) -> list[float]:
                 raise UsageError(f"bad T range {text!r}: need 1 <= lo <= hi, both finite")
             out = []
             t = lo
-            while t <= hi * (1 + 1e-12):
+            # capped at the largest float: t doubles to inf there, and inf <= inf
+            top = min(hi * (1 + 1e-12), sys.float_info.max)
+            while t <= top:
                 out.append(t)
                 t *= 2
             return out

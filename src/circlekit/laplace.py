@@ -16,10 +16,11 @@ so P^2 exp(-x/T) has an elementary antiderivative per interval, evaluated
 in local coordinates (x = n + s, s in [0, 1)) with the interval moments
 int_0^1 s^k exp(-s/T) ds precomputed in high precision -- the naive
 antiderivative difference cancels catastrophically when T >> 1.  The
-divisor integrand is not polynomial, so each unit interval gets fixed-order
-Gauss-Legendre quadrature at two orders in the same pass, the doubled order
-serving as a self-check (the first interval is subdivided dyadically
-because x log x has unbounded derivatives at 0).
+divisor integrand is not polynomial, so each unit interval gets one
+24-point Gauss-Legendre rule (the first interval is subdivided dyadically
+because x log x has unbounded derivatives at 0), with a certified bound on
+its discretisation error from a Bernstein ellipse around every panel; float
+rounding is not bounded yet (ROADMAP item 7).
 
 Truncation policy: integrate until the crude-envelope tail bound
 
@@ -45,14 +46,16 @@ import mpmath as mp
 import numpy as np
 
 from .errors import CapacityError
-from .lattice import _CHUNK, CIRCLE, DIVISOR, StepProfile, divisor_main, error_at_jumps
+from .lattice import (
+    _CHUNK, CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, divisor_main, error_at_jumps,
+)
 
 R_SQUARED = "r_squared"
 D_SQUARED = "d_squared"
 
 DEFAULT_REL_TOL = 1e-6
 _ENVELOPE_COEF = 3.0      # |P(x)|, |Delta(x)| <= 3 sqrt(x) on every checked range
-_QUAD_ORDER = 12
+_QUAD_ORDER = 24
 _QUAD_SELF_CHECK = 1e-12
 
 
@@ -185,10 +188,9 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
     bound at the right edge falls below rel_tol * |total|; each block is first
     checked against the envelope that justifies that bound.
 
-    block_fn returns a tuple of block integrals, one per column; the
-    stopping rule reads column 0 and every column covers the same blocks.
-    Returns (column totals, truncation_bound).  Raises CapacityError naming
-    the required limit when the profile is too short.
+    block_fn returns the block's integral as a float.  Returns (total,
+    truncation_bound).  Raises CapacityError naming the required limit when
+    the profile is too short.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -196,7 +198,7 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
     limit = profile.limit
     block = max(64, int(math.ceil(T)))
-    pieces: list[tuple[float, ...]] = []
+    pieces: list[float] = []
     x = 0
     total = 0.0
     while True:
@@ -204,11 +206,11 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
         if hi > x:
             _check_envelope(profile, x, hi)
             pieces.append(block_fn(x, hi))
-            total = math.fsum(p[0] for p in pieces)
+            total = math.fsum(pieces)
             x = hi
         bound = _tail_bound(T, x)
         if total > 0.0 and bound < rel_tol * total:
-            return tuple(math.fsum(column) for column in zip(*pieces)), bound
+            return total, bound
         if x >= limit:
             need = x
             while _tail_bound(T, need) >= rel_tol * max(total, 1.0):
@@ -233,14 +235,13 @@ def laplace_p2(
         raise ValueError("laplace_p2 needs a CIRCLE profile")
     m0, m1, m2 = _interval_moments(T)
 
-    def block(lo: int, hi: int) -> tuple[float]:
+    def block(lo: int, hi: int) -> float:
         n = np.arange(lo, hi, dtype=np.float64)
         b = profile.partial[lo:hi] + 1.0 - np.pi * n
         vals = (b * b * m0 - 2.0 * np.pi * b * m1 + (np.pi * np.pi) * m2) * np.exp(-n / T)
-        return (float(np.sum(vals)),)
+        return float(np.sum(vals))
 
-    (total,), bound = _integrate_to_tolerance(profile, T, rel_tol, block)
-    return total, bound
+    return _integrate_to_tolerance(profile, T, rel_tol, block)
 
 
 def laplace_main_p(c_r, T: float) -> float:
@@ -333,15 +334,44 @@ def _d2_first_interval(T: float, nodes, weights) -> float:
     return total
 
 
-def _d2_unit_intervals(n: np.ndarray, Dn: np.ndarray, T: float, s, w) -> float:
-    """Sum over n of the Gauss rule (s, w) for (Dn - main(x))^2 exp(-x/T) on [n, n+1).
+def _gauss_error_bound(lo, hi, D, T: float, m: int) -> float:
+    """Certified error of m-point Gauss-Legendre for (D - main(x))^2 exp(-x/T),
+    summed over the panels [lo, hi] (arrays or scalars, D one value per panel).
 
-    A function of its own so that one order's arrays are freed before the
-    next order allocates its own.
+    If f is analytic in the Bernstein ellipse E_rho of [-1, 1] with |f| <= M
+    there, the m-point rule errs by at most (64/15) M rho^(-2m) / (rho^2 - 1)
+    (Trefethen, SIAM Rev. 50 (2008), Thm 4.5); a panel of half-width h scales
+    this by h.  With rho = 4 the ellipse of a panel with centre c lies in
+    Re z in [c - 2.125 h, c + 2.125 h], |Im z| <= 1.875 h, with left end
+    n - 0.5625 on [n, n+1] and 0.875 h on the dyadic panels of [0, 1).  So
+    |arg z| < pi/2, |exp(-z/T)| = exp(-Re z/T) and, with R the modulus of the
+    far corner, |main(z)| <= R (max |log|z|| + pi/2 + |2 gamma - 1|) + 1/4.
+    A left end <= 0 makes the bound nan or inf, which fails any check.
     """
-    x = n[:, None] + s[None, :]
-    f = (Dn[:, None] - divisor_main(x)) ** 2 * np.exp(-x / T)
-    return float(np.sum(f @ w))
+    rho = 4.0
+    a, b = (rho + 1.0 / rho) / 2.0, (rho - 1.0 / rho) / 2.0   # semi-axes of E_rho
+    c, h = (lo + hi) / 2.0, (hi - lo) / 2.0
+    near, far = c - a * h, np.hypot(c + a * h, b * h)
+    ell = np.maximum(np.abs(np.log(far)), np.abs(np.log(near)))
+    main_sup = far * (ell + np.pi / 2.0 + abs(2.0 * EULER_GAMMA - 1.0)) + 0.25
+    M = (np.abs(D) + main_sup) ** 2 * np.exp(-near / T)
+    return float(np.sum(h * (64.0 / 15.0) * M * rho ** (-2 * m) / (rho * rho - 1.0)))
+
+
+def _d2_first_interval_bound(T: float, m: int) -> float:
+    """Certified error of `_d2_first_interval` at order m: its 52 dyadic
+    panels (Delta = -main, so D = 0) plus the [0, 2^-52] stub.
+
+    On (0, eps], eps = 2^-52, x |log x| is increasing, so |main(x) - 1/4| <=
+    eps (52 log 2 + |2 gamma - 1|) =: delta and 1 - exp(-x/T) <= eps/T; the
+    stub's constant (1/4)^2 is therefore off by at most eps (delta (1/2 +
+    delta) + eps/(16 T)), ~1e-30.
+    """
+    eps = 2.0**-52
+    delta = eps * (52.0 * math.log(2.0) + abs(2.0 * EULER_GAMMA - 1.0))
+    stub = eps * (delta * (0.5 + delta) + eps / (16.0 * T))
+    right = 2.0 ** -np.arange(52.0)
+    return stub + _gauss_error_bound(right / 2.0, right, 0.0, T, m)
 
 
 def laplace_d2(
@@ -350,37 +380,41 @@ def laplace_d2(
     """int_0^infty Delta^2(x) exp(-x/T) dx; returns (integral, truncation_bound).
 
     Per unit interval the integrand is smooth but not polynomial, so each
-    gets fixed-order Gauss-Legendre quadrature; one pass evaluates every
-    block at order 12 and at order 24, truncation follows the order-12
-    total, and the two totals must agree to 1e-12 relative, otherwise it
-    aborts rather than return a silently degraded value.
+    gets one _QUAD_ORDER-point Gauss-Legendre rule.  When the certified
+    discretisation error, `_gauss_error_bound` summed over every panel
+    integrated, exceeds _QUAD_SELF_CHECK * max(1, |integral|), it aborts
+    rather than return a silently degraded value.  Float rounding is not
+    covered.
     """
     if profile.kind != DIVISOR:
         raise ValueError("laplace_d2 needs a DIVISOR profile")
-    rules = []
-    for order in (_QUAD_ORDER, 2 * _QUAD_ORDER):
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        rules.append((nodes, weights, (nodes + 1.0) / 2.0, weights / 2.0))
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
+    s, w = (nodes + 1.0) / 2.0, weights / 2.0
+    errors = []
 
-    def block(lo: int, hi: int) -> tuple[float, ...]:
-        n = np.arange(lo, hi, dtype=np.float64)
-        Dn = profile.partial[lo:hi]
-        start = 1 if lo == 0 else 0
-        values = []
-        for nodes, weights, s, w in rules:
-            extra = _d2_first_interval(T, nodes, weights) if start else 0.0
-            if hi - lo > start:
-                extra += _d2_unit_intervals(n[start:], Dn[start:], T, s, w)
-            values.append(extra)
-        return tuple(values)
+    def block(lo: int, hi: int) -> float:
+        value = 0.0
+        if lo == 0:
+            value = _d2_first_interval(T, nodes, weights)
+            errors.append(_d2_first_interval_bound(T, _QUAD_ORDER))
+            lo = 1
+        if hi > lo:
+            n = np.arange(lo, hi, dtype=np.float64)
+            Dn = profile.partial[lo:hi]
+            x = n[:, None] + s[None, :]
+            f = (Dn[:, None] - divisor_main(x)) ** 2 * np.exp(-x / T)
+            value += float(np.sum(f @ w))
+            errors.append(_gauss_error_bound(n, n + 1.0, Dn, T, _QUAD_ORDER))
+        return value
 
-    (v_lo, v_hi), trunc = _integrate_to_tolerance(profile, T, rel_tol, block)
-    if abs(v_hi - v_lo) > _QUAD_SELF_CHECK * max(1.0, abs(v_hi)):
+    total, trunc = _integrate_to_tolerance(profile, T, rel_tol, block)
+    bound = math.fsum(errors)
+    if not bound <= _QUAD_SELF_CHECK * max(1.0, abs(total)):
         raise RuntimeError(
-            f"quadrature self-check failed for T={T}: order {_QUAD_ORDER} and "
-            f"{2 * _QUAD_ORDER} differ by {abs(v_hi - v_lo):.3e} (> {_QUAD_SELF_CHECK} rel)"
+            f"quadrature self-check failed for T={T}: the certified order-{_QUAD_ORDER} "
+            f"error bound {bound:.3e} exceeds {_QUAD_SELF_CHECK} rel"
         )
-    return v_hi, trunc
+    return total, trunc
 
 
 def fit_log_quadratic(x_values, y_values) -> tuple[float, float, float]:

@@ -159,6 +159,14 @@ def _split_phase_cos(x: float, n: np.ndarray, shift: float) -> np.ndarray:
     return np.cos(2.0 * np.pi * frac + shift)
 
 
+def _nonzero_r_terms(tables: ArithTables, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, r(n)) as float64 over 1 <= n <= N with r(n) != 0, ascending in n."""
+    n = np.arange(1, N + 1, dtype=np.float64)
+    rn = tables.r[1 : N + 1].astype(np.float64)
+    keep = rn != 0
+    return n[keep], rn[keep]
+
+
 def hardy_partial(tables: ArithTables, x: float, N: int) -> float:
     """N-th partial sum of the Bessel series for P(x):
 
@@ -174,10 +182,7 @@ def hardy_partial(tables: ArithTables, x: float, N: int) -> float:
         raise ValueError(f"N={N} outside table range [0, {tables.limit}]")
     if N == 0:
         return 0.0
-    n = np.arange(1, N + 1, dtype=np.float64)
-    rn = tables.r[1 : N + 1].astype(np.float64)
-    keep = rn != 0
-    n, rn = n[keep], rn[keep]
+    n, rn = _nonzero_r_terms(tables, N)
     z = 2.0 * np.pi * np.sqrt(x * n)
     terms = rn / np.sqrt(n) * bessel_j(1, z)
     return math.sqrt(x) * math.fsum(terms)
@@ -197,10 +202,7 @@ def truncated_p(tables: ArithTables, x: float, N: int) -> float:
         raise ValueError(f"x must be >= 2, got {x}")
     if N < 2 or N > tables.limit:
         raise ValueError(f"N={N} outside allowed range [2, {tables.limit}]")
-    n = np.arange(1, N + 1, dtype=np.float64)
-    rn = tables.r[1 : N + 1].astype(np.float64)
-    keep = rn != 0
-    n, rn = n[keep], rn[keep]
+    n, rn = _nonzero_r_terms(tables, N)
     cosv = _split_phase_cos(x, n, math.pi / 4.0)
     terms = rn * n**-0.75 * cosv
     return -(x**0.25 / math.pi) * math.fsum(terms)

@@ -106,6 +106,9 @@ def test_impossible_limit_exits_3(tmp_path, capsys):
     out = tmp_path / "x.csv"   # 40 T overflows float64 when sizing the sieve
     assert run(["laplace", "circle", "--t-list", "1e307", "--out", str(out)]) == 3
     assert "capacity error: T=1e+307 needs sieve limit 40 T > 1.798e+308" in capsys.readouterr().err
+    # a range ending within 1e-12 of the largest float stops doubling at the last finite T
+    assert run(["laplace", "circle", "--t-list", "1..1.7976931348623157e308", "--out", str(out)]) == 3
+    assert "capacity error: T=8.98847e+307 needs sieve limit 40 T" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -238,6 +238,38 @@ def test_quadrature_self_check_compares_both_orders(monkeypatch, divisor_4k):
         laplace_d2(divisor_4k, 10.0)
 
 
+def _mp_gauss_legendre(m):
+    """m-point Gauss-Legendre nodes and weights on [-1, 1] at the working precision."""
+    nodes, weights = [], []
+    for guess in np.polynomial.legendre.leggauss(m)[0]:
+        x = mp.findroot(lambda t: mp.legendre(m, t), mp.mpf(guess))
+        dp = m * (x * mp.legendre(m, x) - mp.legendre(m - 1, x)) / (x * x - 1)
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * dp**2))
+    return nodes, weights
+
+
+@pytest.mark.parametrize("lo, hi, D", [
+    (2.0**-11, 2.0**-10, 0), (0.5, 1.0, 0), (1.0, 2.0, 1), (10.0, 11.0, 27), (1000.0, 1001.0, 7069),
+])
+def test_gauss_error_bound_is_an_upper_bound(lo, hi, D):
+    # D is the divisor partial sum on [lo, hi): 0 below 1, then D_1, D_10, D_1000
+    with mp.workdps(50):
+        rules = {m: _mp_gauss_legendre(m) for m in (2, 3, 4, 6)}
+        c, h = (mp.mpf(lo) + hi) / 2, (mp.mpf(hi) - lo) / 2
+        for T in (1.0, 10.0, 1e4):
+            def f(x):
+                return (D - x * (mp.log(x) + 2 * mp.euler - 1) - mp.mpf(1) / 4) ** 2 * mp.exp(-x / T)
+
+            exact = mp.quad(f, [lo, hi])
+            for m, (nodes, weights) in rules.items():
+                bound = laplace._gauss_error_bound(lo, hi, D, T, m)
+                if bound == 0.0:    # exp(-x/T) underflows: nothing to compare
+                    continue
+                approx = h * mp.fsum(w * f(c + h * t) for t, w in zip(nodes, weights))
+                assert abs(approx - exact) <= bound, (T, m)
+
+
 def test_fit_log_quadratic_recovers_synthetic_exactly():
     a, b, c = -0.025, 0.37, -1.2
     Ts = [2.0**k for k in range(7, 14)]
