@@ -25,12 +25,6 @@ import numpy as np
 
 from .errors import CapacityError
 
-# Bytes per entry of all three tables, r int32 + d int32 + sigma int64: 10**8 needs ~1.6 GB
-# if all are read (only `circlekit sieve` reads sigma); a command reading only r holds 4 B.
-# Memory, not time, is the binding constraint for large sieves.
-_BYTES_PER_ENTRY = 16
-
-
 def chi(n: int) -> int:
     """Non-principal Dirichlet character mod 4: +1, 0, -1 for n = 1, 0, 3 (mod 4)."""
     if n < 1:
@@ -66,33 +60,38 @@ class ArithTables:
 
     @cached_property
     def r(self) -> np.ndarray:       # int32, r(n) <= 4 d(n) < 2**31 for any feasible limit
-        return _sieved(self.limit, _r_sieve)
+        return _sieved(self.limit, np.int32, _r_sieve)
 
     @cached_property
-    def d(self) -> np.ndarray:       # int32
-        return _sieved(self.limit, lambda N: _divisor_sieve(np.ones(N + 1, dtype=np.int32)))
+    def d(self) -> np.ndarray:
+        return _sieved(self.limit, np.int32,
+                       lambda N: _divisor_sieve(np.ones(N + 1, dtype=np.int32)))
 
     @cached_property
     def sigma(self) -> np.ndarray:   # int64, sigma(n) <= n (1 + ln n)
-        return _sieved(self.limit, lambda N: _divisor_sieve(np.arange(N + 1, dtype=np.int64)))
+        return _sieved(self.limit, np.int64,
+                       lambda N: _divisor_sieve(np.arange(N + 1, dtype=np.int64)))
 
 
-def _sieved(N: int, sieve) -> np.ndarray:
-    """sieve(N) made read-only; a failed allocation is a CapacityError naming N."""
+def _sieved(N: int, dtype, sieve) -> np.ndarray:
+    """sieve(N), a dtype table, made read-only; a failed allocation is a CapacityError naming N."""
     try:
         table = sieve(N)
     except MemoryError as exc:
-        raise _capacity_error(N) from exc
+        raise _capacity_error(N, dtype) from exc
     # Overflow guard: r(n) <= 4 d(n) < 2**31 at any feasible N, but check the built maxima.
-    if table.dtype == np.int32 and max(int(table.max()), -int(table.min())) >= 2**31 - 1:
+    if dtype == np.int32 and max(int(table.max()), -int(table.min())) >= 2**31 - 1:
         raise CapacityError(f"int32 table overflow at N={N}", required_limit=N)
     table.flags.writeable = False
     return table
 
 
-def _capacity_error(N: int) -> CapacityError:   # integer MiB: a float overflows past N ~ 1e302
+def _capacity_error(N: int, dtype) -> CapacityError:
+    """Names the (N + 1) entries of the one dtype table being sieved, in integer MiB
+    (a float overflows past N ~ 1e302)."""
+    need = (N + 1) * np.dtype(dtype).itemsize
     return CapacityError(f"cannot allocate sieve tables for N={N} "
-                         f"(~{N * _BYTES_PER_ENTRY >> 20} MiB needed)", required_limit=N)
+                         f"(~{need >> 20} MiB needed)", required_limit=N)
 
 
 def _r_sieve(N: int) -> np.ndarray:
@@ -141,7 +140,7 @@ def build_tables(N: int) -> ArithTables:
     if N < 1:
         raise ValueError(f"sieve limit must be >= 1, got {N}")
     if (N + 1) * 8 > np.iinfo(np.intp).max:   # no numpy array can hold the int64 sigma table
-        raise _capacity_error(N)
+        raise _capacity_error(N, np.int64)
     return ArithTables(limit=N)
 
 

@@ -8,6 +8,11 @@ integers print exactly; exact rationals print as ``p/q`` and are never
 converted to floats.  Identical parameters produce byte-identical CSV in
 a fixed build.
 
+``--limit`` exists only where it changes the result: ``sieve`` (the size),
+``constants`` (the tail constant spans the whole sieve) and ``laplace`` (it caps
+the 40 T_max default).  ``error-term``, ``correlate`` and ``voronoi`` sieve
+exactly what their inputs need.
+
 Exit codes: 0 success, 2 usage error, 3 capacity error (the message names
 the sieve limit that would have sufficed), 1 internal failure.  Usage errors
 come from the parser, which checks each option's range where the option is
@@ -147,18 +152,6 @@ def _parse_t_list(text: str) -> list[float]:
     return out
 
 
-def _require_limit(args, needed: int, what: str) -> arith.ArithTables:
-    """Sieve to args.limit, which defaults to needed and may not be below it."""
-    if args.limit is None:
-        args.limit = needed
-    elif args.limit < needed:
-        raise CapacityError(
-            f"{what} needs sieve limit >= {needed}, but --limit {args.limit} was given",
-            required_limit=needed,
-        )
-    return arith.build_tables(args.limit)
-
-
 # ----------------------------------------------------------------- commands
 
 
@@ -177,7 +170,8 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_error_term(args) -> int:
-    tables = _require_limit(args, ceil(args.x_max), "error-term scan")
+    args.limit = ceil(args.x_max)   # the manifest's sieve_limit
+    tables = arith.build_tables(args.limit)
     profile = lattice.step_profile(tables, args.kind)
     report = lattice.pointwise_report(profile, args.x_max, args.samples)
     rows = [
@@ -194,7 +188,8 @@ def cmd_error_term(args) -> int:
 def cmd_correlate(args) -> int:
     if args.h_max > args.n:   # the E(N, h) envelope report needs h <= N
         raise UsageError(f"--h-max {args.h_max} exceeds --n {args.n}")
-    tables = _require_limit(args, args.n + args.h_max, "correlation grid")
+    args.limit = args.n + args.h_max
+    tables = arith.build_tables(args.limit)
     records = correlate.corr_grid(tables, [args.n], args.h_max)
     rows = [(rec.N, rec.h, rec.raw, rec.main, rec.e_value) for rec in records]
     write_csv(args.out, ["N", "h", "raw", "main", "e_value"], rows, args.precision)
@@ -235,7 +230,12 @@ def cmd_laplace(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    tables = _require_limit(args, max(args.terms, 2), "series constant")  # C_hat needs 2
+    needed = max(args.terms, 2)   # C_hat needs 2
+    limit = needed if args.limit is None else args.limit
+    if limit < needed:
+        raise CapacityError(f"series constant needs sieve limit >= {needed}, "
+                            f"but --limit {limit} was given", required_limit=needed)
+    tables = arith.build_tables(limit)
     sc = laplace.series_constant(tables, args.kind, args.terms)
     closed = laplace.series_limit(args.kind)
     print(f"kind              {sc.kind}")
@@ -270,7 +270,7 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_voronoi(args) -> int:
-    tables = _require_limit(args, max(int(args.x) + 1, args.n_terms), "series evaluation")
+    tables = arith.build_tables(max(int(args.x) + 1, args.n_terms))
     profile = lattice.step_profile(tables, lattice.CIRCLE)
     exact = lattice.p_of_x(profile, args.x)
     trunc = special.truncated_p(tables, args.x, args.n_terms)
@@ -294,27 +294,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="significant digits for reals in CSV output (default 17)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, out_required: bool):
-        sp.add_argument("--limit", type=_POSITIVE_INT, default=None, help="sieve limit")
-        if out_required:
-            sp.add_argument("--out", required=True, help="output CSV path")
-
     sp = sub.add_parser("sieve", help="build tables and print checksums")
-    add_common(sp, out_required=False)
-    sp.set_defaults(func=cmd_sieve, limit=10**6)
+    sp.add_argument("--limit", type=_POSITIVE_INT, default=10**6, help="sieve limit (default 10^6)")
+    sp.set_defaults(func=cmd_sieve)
 
     sp = sub.add_parser("error-term", help="scan P(x) or Delta(x) and bound ratios")
     sp.add_argument("kind", choices=[lattice.CIRCLE, lattice.DIVISOR])
     sp.add_argument("--x-max", dest="x_max", required=True,
                     type=_ranged(float, lambda v: 1 <= v < inf, "finite and >= 1"))
     sp.add_argument("--samples", type=_POSITIVE_INT, default=64)
-    add_common(sp, out_required=True)
+    sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=cmd_error_term)
 
     sp = sub.add_parser("correlate", help="correlation sums and E(N, h) records")
     sp.add_argument("--n", type=_POSITIVE_INT, required=True)
     sp.add_argument("--h-max", dest="h_max", type=_POSITIVE_INT, required=True)
-    add_common(sp, out_required=True)
+    sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=cmd_correlate)
 
     sp = sub.add_parser("laplace", help="Laplace transform scan of P^2 or Delta^2")
@@ -324,13 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rel-tol", dest="rel_tol", default=laplace.DEFAULT_REL_TOL,
                     type=_ranged(float, lambda v: 0 < v < 1, "in (0, 1)"),
                     help="relative truncation tolerance for transforms")
-    add_common(sp, out_required=True)
+    sp.add_argument("--limit", type=_POSITIVE_INT, help="sieve limit (default 40 T_max)")
+    sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=cmd_laplace)
 
     sp = sub.add_parser("constants", help="series constant sum f^2(n) n^(-3/2)")
     sp.add_argument("kind", choices=[laplace.R_SQUARED, laplace.D_SQUARED])
     sp.add_argument("--terms", type=_POSITIVE_INT, required=True)
-    add_common(sp, out_required=False)
+    sp.add_argument("--limit", type=_POSITIVE_INT, help="sieve limit (default max(terms, 2))")
     sp.set_defaults(func=cmd_constants)
 
     sp = sub.add_parser("gauss", help="quadratic Gauss sum congruence classes")
@@ -342,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                     type=_ranged(float, lambda v: 2 <= v < inf, "finite and >= 2"))
     sp.add_argument("--n-terms", dest="n_terms", required=True,
                     type=_ranged(int, lambda v: v >= 2, "an integer >= 2"))
-    add_common(sp, out_required=False)
     sp.set_defaults(func=cmd_voronoi)
     return p
 
@@ -371,7 +366,7 @@ def main(argv=None) -> int:
         manifest = RunManifest(
             command=args.command,
             parameters=params,
-            sieve_limit=args.limit if args.limit is not None else 0,
+            sieve_limit=args.limit,
             wall_time=time.perf_counter() - started,
         )
         _write_manifest(args.out, manifest)

@@ -11,12 +11,15 @@ shrinking amplitude keeps the absolute error small.  This degradation is
 inherent to double-precision arguments and is not silently hidden: it is
 documented here and in the README.
 
-The cosine sums (`hardy_partial`, `truncated_p`) need oscillation phases
-2 pi sqrt(x n) accurate to ~1e-10 even when sqrt(x n) ~ 1e6, which naive
-double arithmetic cannot deliver; both use a compensated split of
-sqrt(x n) into integer and fractional parts with a Newton correction
-(exact while x*n < 2^53), plus exact (fsum) accumulation of the slowly
-decaying, heavily cancelling terms.
+The cosine sum `truncated_p` reduces its phases 2 pi sqrt(x n) by a
+compensated split of sqrt(x n) into integer and fractional parts: x n and
+s0^2 are exact two-products (Dekker 1971, Veltkamp split), so a Newton step
+gives the fraction to ~1e-15 while x n < 2^53.  Rounding s0^2 instead would
+let the phase error grow like sqrt(x n): 2.9e-11 at x n ~ 1e10 and 1.0e-8 at
+2e15 against 50-digit mpmath.  `hardy_partial` hands 2 pi sqrt(x n) to
+`bessel_j` as a plain double, with the argument rounding described above.
+Both sums accumulate their slowly decaying, heavily cancelling terms
+exactly (fsum).
 
 All operations are pure.
 """
@@ -142,19 +145,36 @@ def gauss_sum_sq(k: int, h: int) -> complex:
     return complex(inner * inner)
 
 
+def _veltkamp_split(a):
+    """(hi, lo) with hi + lo = a exactly and each half at most 26 significant bits."""
+    c = (2.0**27 + 1.0) * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker, Numer. Math. 18 (1971))."""
+    p = a * b
+    a_hi, a_lo = _veltkamp_split(a)
+    b_hi, b_lo = _veltkamp_split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
 def _split_phase_cos(x: float, n: np.ndarray, shift: float) -> np.ndarray:
     """cos(2 pi sqrt(x n) + shift) with compensated phase reduction.
 
-    p = x*n is exact in doubles while below 2^53; sqrt(p) is split into its
-    integer part (which drops out of the phase modulo 2 pi exactly) and a
-    fractional part refined by one Newton step, leaving the reduced phase
-    accurate to ~1e-15 regardless of the size of sqrt(p).
+    x n = p + e_p and s0^2 = q + e_q are exact two-products with s0 = fl(sqrt(p)),
+    and p - q is exact (Sterbenz), so one Newton step recovers sqrt(x n) - s0.
+    The integer part of s0 drops out of the phase modulo 2 pi exactly, which
+    leaves the reduced phase accurate to ~1e-15 however large sqrt(x n) is,
+    while x n < 2^53.
     """
-    p = x * n
+    p, e_p = _two_product(x, n)
     if p[-1] >= 2.0**53:
         raise ValueError("x*n exceeds 2^53; phase reduction would lose integer exactness")
     s0 = np.sqrt(p)
-    corr = (p - s0 * s0) / (2.0 * s0)     # exact residual: Sterbenz subtraction
+    q, e_q = _two_product(s0, s0)
+    corr = ((p - q) + (e_p - e_q)) / (2.0 * s0)
     frac = (s0 - np.floor(s0)) + corr
     return np.cos(2.0 * np.pi * frac + shift)
 

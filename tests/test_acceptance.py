@@ -13,7 +13,7 @@ import pytest
 
 from circlekit import arith, cli, correlate, laplace, lattice, special
 
-from conftest import hyperbola_count, lattice_count, sigma_count
+from conftest import brute_divisors, hyperbola_count, lattice_count, sigma_count
 
 GRID_BASES = (10**3, 10**4, 10**5, 10**6)
 
@@ -65,6 +65,39 @@ def test_acc02_lattice_oracle_equivalence(circle_1m):
     _announce("ACC-02 lattice oracle", t0,
               "100/100 exact matches; 37-10pi dual-path gap "
               f"{abs(profile_path - oracle_path):.2e}")
+
+
+def _p_from_count(x: float) -> float:
+    """P(x) from the O(sqrt x) lattice count, primed at integer x, by p_of_x's main term."""
+    m = math.floor(x)
+    count = float(lattice_count(m))
+    if x == m:
+        count -= arith.r_single(m) / 2.0
+    return count - math.pi * x + 1.0
+
+
+def _delta_from_count(x: float) -> float:
+    """Delta(x) from the O(sqrt x) hyperbola count, primed at integer x, by delta_of_x's main term."""
+    m = math.floor(x)
+    count = float(hyperbola_count(m))
+    if x == m:
+        count -= len(brute_divisors(m)) / 2.0
+    return count - x * (math.log(x) + 2.0 * lattice.EULER_GAMMA - 1.0) - 0.25
+
+
+def test_acc02b_exact_error_terms_at_sieve_scale(circle_1m, divisor_1m, circle_10m):
+    t0 = time.perf_counter()
+    checked = 0
+    for k in range(1, 7):
+        for x in (10.0**k, 10.0**k + 0.5):
+            assert lattice.p_of_x(circle_1m, x) == _p_from_count(x), x
+            assert lattice.delta_of_x(divisor_1m, x) == _delta_from_count(x), x
+            checked += 2
+    for x in (1e7 - 0.5, 1e7):   # the 1e7 table ends at x = 1e7
+        assert lattice.p_of_x(circle_10m, x) == _p_from_count(x), x
+        checked += 1
+    _announce("ACC-02b exact error terms at x = 10^k and 10^k + 0.5", t0,
+              f"{checked}/{checked} equal to O(sqrt x) counts (P to 1e7, Delta to 1e6)")
 
 
 def test_acc03_gauss_sum_congruence_classes():

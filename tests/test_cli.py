@@ -63,7 +63,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv, named", [
     (["--precision", "0", "error-term", "circle", "--x-max", "100"], "--precision"),
-    (["error-term", "circle", "--x-max", "100", "--limit", "0"], "--limit"),
+    (["laplace", "circle", "--t-list", "16", "--limit", "0"], "--limit"),
     (["error-term", "circle", "--x-max", "100", "--samples", "-3"], "--samples"),
     (["error-term", "circle", "--x-max", "0.5"], "--x-max"),
     (["correlate", "--n", "0", "--h-max", "3"], "--n"),
@@ -121,6 +121,9 @@ def test_impossible_limit_exits_3(tmp_path, capsys):
     ["constants", "r_squared", "--terms", "100", "--rel-tol", "1e-3"],
     ["gauss", "--k-max", "5", "--limit", "100"],
     ["voronoi", "--x", "10.5", "--n-terms", "10", "--seed", "7"],
+    ["error-term", "circle", "--x-max", "100", "--limit", "200"],   # the sieve limit is derived
+    ["correlate", "--n", "10", "--h-max", "3", "--limit", "200"],
+    ["voronoi", "--x", "10.5", "--n-terms", "10", "--limit", "200"],
 ])
 def test_removed_options_exit_2(tmp_path, capsys, argv):
     if argv[0] in {"error-term", "correlate", "laplace"}:
@@ -130,26 +133,29 @@ def test_removed_options_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_capacity_exit_code(tmp_path, capsys):
-    rc = run(["error-term", "circle", "--x-max", "1000", "--samples", "4",
-              "--limit", "100", "--out", str(tmp_path / "x.csv")])
-    assert rc == 3
-    assert "capacity error" in capsys.readouterr().err
+def test_capacity_exit_code(capsys):
+    assert run(["constants", "r_squared", "--terms", "1000", "--limit", "100"]) == 3
+    assert ("capacity error: series constant needs sieve limit >= 1000, but --limit 100 "
+            "was given") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("failing, argv", [
     ("_r_sieve", ["sieve", "--limit", "1000"]),
     ("_divisor_sieve", ["sieve", "--limit", "1000"]),
     ("_r_sieve", ["error-term", "circle", "--x-max", "1000"]),   # r is first read in step_profile
+    ("_r_sieve", ["error-term", "circle", "--x-max", "1e7"]),
 ])
 def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, failing, argv):
     def out_of_memory(*args):
         raise MemoryError
     monkeypatch.setattr(arith, failing, out_of_memory)
+    N = int(float(argv[-1]))   # each argv ends with the sieve limit
+    needed = {1000: "~0 MiB", 10**7: "~38 MiB"}[N]   # (N + 1) * 4 B of the int32 r or d alone
     if argv[0] == "error-term":
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     assert run(argv) == 3
-    assert "capacity error: cannot allocate sieve tables for N=1000" in capsys.readouterr().err
+    assert (f"capacity error: cannot allocate sieve tables for N={N} ({needed} needed)"
+            in capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
 
 

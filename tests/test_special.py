@@ -1,6 +1,7 @@
 import math
 from math import gcd
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -149,3 +150,19 @@ def test_phase_reduction_matches_direct_cosine(tables_120k):
         a = special._split_phase_cos(x, n, math.pi / 4)
         b = np.cos(2 * np.pi * np.sqrt(x * n) + math.pi / 4)
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_phase_reduction_against_mpmath():
+    # x n from 1e10 to 2e15, dyadic and non-dyadic x: rounding s0^2 instead of
+    # forming it as a two-product errs by 3e-11 to 1e-8 on these cases
+    rng = np.random.default_rng(5)
+    for x, n_max in ((100000.5, 1e5), (100000.5, 1e7), (100000.5, 2e10),
+                     (1000.3, 1e9), (math.pi * 1e5, 1e7)):
+        n = np.sort(np.floor(rng.uniform(1.0, n_max, 400)))
+        got = special._split_phase_cos(x, n, math.pi / 4)
+        with mpmath.workdps(50):
+            ref = [float(mpmath.cos(2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(x) * int(k))
+                                    + mpmath.mpf(math.pi / 4))) for k in n]
+        assert np.max(np.abs(got - ref)) <= 1e-14, x
+    with pytest.raises(ValueError, match="2\\^53"):
+        special._split_phase_cos(2.0**40, np.array([1.0, 2.0**13]), 0.0)
