@@ -8,10 +8,10 @@ integers print exactly; exact rationals print as ``p/q`` and are never
 converted to floats.  Identical parameters produce byte-identical CSV in
 a fixed build.
 
-``--limit`` exists only where it changes the result: ``sieve`` (the size),
-``constants`` (the tail constant spans the whole sieve) and ``laplace`` (it caps
-the 40 T_max default).  ``error-term``, ``correlate`` and ``voronoi`` sieve
-exactly what their inputs need.
+``--limit`` exists only where it changes the result: ``sieve`` (the size)
+and ``constants`` (the tail constant spans the whole sieve).  ``error-term``,
+``correlate`` and ``voronoi`` sieve exactly what their inputs need, and
+``laplace`` sieves to where its transforms' tail bound predicts they stop.
 
 Exit codes: 0 success, 2 usage error, 3 capacity error (the message names
 the sieve limit that would have sufficed), 1 internal failure.  Usage errors
@@ -200,17 +200,26 @@ def cmd_correlate(args) -> int:
 
 def cmd_laplace(args) -> int:
     t_list = _parse_t_list(args.t_list)
-    # Crude sizing: the tail bound needs x_max ~ T log(1/(rel_tol)) + margin.
-    if args.limit is None:
-        if 40 * t_list[-1] == inf:
-            raise CapacityError(f"T={t_list[-1]:g} needs sieve limit 40 T > "
-                                f"{sys.float_info.max:.4g}", required_limit=40 * int(t_list[-1]))
-        args.limit = int(40 * t_list[-1])
-    tables = arith.build_tables(args.limit)
     circle = args.kind == lattice.CIRCLE
-    profile = lattice.step_profile(tables, args.kind)
     c = laplace.series_limit(laplace.R_SQUARED if circle else laplace.D_SQUARED)
-    scan = laplace.residual_scan(profile, c, t_list, args.rel_tol)
+    main_term = laplace.laplace_main_p if circle else laplace.laplace_main_d
+    # Sieve to where the largest T's main term predicts its stop, plus one
+    # block; a scan that still runs out names the block edge it needs.
+    T = t_list[-1]
+    try:
+        estimate = main_term(c, T)
+    except OverflowError:   # T^1.5 past the largest float: no block edge can stop the scan
+        estimate = inf
+    args.limit = laplace.stop_edge(T, args.rel_tol, estimate) + laplace.block_size(T)
+    while True:
+        profile = lattice.step_profile(arith.build_tables(args.limit), args.kind)
+        try:
+            scan = laplace.residual_scan(profile, c, t_list, args.rel_tol)
+            break
+        except CapacityError as exc:
+            if not exc.required_limit > args.limit:   # the limit only grows, so this ends
+                raise
+            args.limit = exc.required_limit
     header = ["T", "integral", "truncation_bound", "main_term", "residual"]
     rows = [(r.T, r.integral, r.truncation_bound, r.main_term, r.residual) for r in scan.rows]
     if circle:   # the T^(2/3) remainder scale is the circle problem's
@@ -319,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rel-tol", dest="rel_tol", default=laplace.DEFAULT_REL_TOL,
                     type=_ranged(float, lambda v: 0 < v < 1, "in (0, 1)"),
                     help="relative truncation tolerance for transforms")
-    sp.add_argument("--limit", type=_POSITIVE_INT, help="sieve limit (default 40 T_max)")
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=cmd_laplace)
 

@@ -22,16 +22,21 @@ because x log x has unbounded derivatives at 0), with a certified bound on
 its discretisation error from a Bernstein ellipse around every panel; float
 rounding is not bounded yet (ROADMAP item 7).
 
-Truncation policy: integrate until the crude-envelope tail bound
+Truncation policy: integrate whole blocks of `block_size(T)` unit intervals
+until, at a block edge x_max, the crude-envelope tail bound
 
     int_{x_max}^infty (3 sqrt(x))^2 exp(-x/T) dx = 9 T (x_max + T) exp(-x_max/T)
 
-drops below rel_tol times the running total.  `_integrate_to_tolerance`,
-which owns that bound, verifies the envelope |error| <= 3 sqrt(x) over every
+drops below rel_tol times the running total.  `stop_edge` owns that rule.
+`_integrate_to_tolerance` verifies the envelope |error| <= 3 sqrt(x) over every
 block it processes, at both one-sided limits of each integer as formed by
 `lattice.error_at_jumps`, the kernel behind `lattice.pointwise_report` too
 (it holds with margin; the observed sup of |P(x)|/sqrt(x) is ~2.4), and the
-resulting truncation_bound is reported, never silently absorbed.
+resulting truncation_bound is reported, never silently absorbed.  A scan
+stops only at block edges, so no value depends on the profile's length: a
+profile that ends before the stop raises CapacityError naming a block edge
+that suffices.  The sieve a scan needs is thus fixed by T and rel_tol, and
+the `laplace` command derives it from `stop_edge` rather than asking.
 
 Interval sums are chunked and reduced in a fixed ascending order, so runs
 are bit-reproducible in a given build.
@@ -57,6 +62,7 @@ DEFAULT_REL_TOL = 1e-6
 _ENVELOPE_COEF = 3.0      # |P(x)|, |Delta(x)| <= 3 sqrt(x) on every checked range
 _QUAD_ORDER = 24
 _QUAD_SELF_CHECK = 1e-12
+_LAST_BLOCK = 747         # blocks span >= T, so x >= 747 T here, where exp(-x/T) is 0.0
 
 
 @dataclass(frozen=True)
@@ -169,6 +175,37 @@ def _tail_bound(T: float, x: float) -> float:
     return 9.0 * T * (x + T) * math.exp(-x / T)
 
 
+def block_size(T: float) -> int:
+    """Unit intervals per block of a transform at T: scans stop only at the
+    multiples of this, the block edges."""
+    return max(64, int(math.ceil(T)))
+
+
+def stop_edge(T: float, rel_tol: float, total: float) -> int:
+    """The first block edge x with _tail_bound(T, x) < rel_tol * total: where
+    a scan at T whose integral is ``total`` stops.
+
+    The bound decreases from edge to edge, so a running total, which only
+    grows, names an edge at or past the scan's true stop.  The search ends
+    at the _LAST_BLOCK-th edge: past x = 745.2 T the bound's exp factor is
+    0.0, so from there on the bound is 0 or nan (inf times 0), and if that
+    edge fails, every later one fails too.  Then no limit suffices, and the
+    CapacityError names the limit searched up to.
+    """
+    block = block_size(T)
+    for k in range(1, _LAST_BLOCK + 1):
+        # k * float(block) equals float(k * block), but is inf, not an
+        # OverflowError, past the largest float
+        if _tail_bound(T, k * float(block)) < rel_tol * total:
+            return k * block
+    raise CapacityError(
+        f"T={T:g} at rel_tol={rel_tol:g} needs sieve limit > {_LAST_BLOCK} T: the tail "
+        f"bound is not below rel_tol times the integral (~{total:.4g}) at any block "
+        "edge up to there, nor, in float64, beyond",
+        required_limit=_LAST_BLOCK * block + 1,
+    )
+
+
 def _check_envelope(profile: StepProfile, lo: int, hi: int) -> None:
     """Verify |error| <= _ENVELOPE_COEF sqrt(n) at both one-sided limits of
     every integer n in [max(lo, 1), hi], the jumps of the block [lo, hi)."""
@@ -184,42 +221,40 @@ def _check_envelope(profile: StepProfile, lo: int, hi: int) -> None:
 
 
 def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, block_fn):
-    """Accumulate block_fn(lo, hi) over unit intervals until the crude tail
-    bound at the right edge falls below rel_tol * |total|; each block is first
-    checked against the envelope that justifies that bound.
+    """Accumulate block_fn(lo, hi) over whole blocks of unit intervals up to
+    the first block edge at which `stop_edge` stops the running total; each
+    block is first checked against the envelope that justifies the bound.
 
     block_fn returns the block's integral as a float.  Returns (total,
-    truncation_bound).  Raises CapacityError naming the required limit when
-    the profile is too short.
+    truncation_bound).  A profile that ends before the stop raises
+    CapacityError naming a block edge that suffices; the block it cuts
+    short only raises the running total that names the edge, never a
+    returned value.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    limit = profile.limit
-    block = max(64, int(math.ceil(T)))
+    block = block_size(T)
     pieces: list[float] = []
     x = 0
     total = 0.0
-    while True:
-        hi = min(x + block, limit)
-        if hi > x:
-            _check_envelope(profile, x, hi)
-            pieces.append(block_fn(x, hi))
-            total = math.fsum(pieces)
-            x = hi
-        bound = _tail_bound(T, x)
-        if total > 0.0 and bound < rel_tol * total:
-            return total, bound
-        if x >= limit:
-            need = x
-            while _tail_bound(T, need) >= rel_tol * max(total, 1.0):
-                need += block
+    while x == 0 or stop_edge(T, rel_tol, total) > x:
+        hi = x + block
+        if hi > profile.limit:
+            if profile.limit > x:
+                pieces.append(block_fn(x, profile.limit))
+            need = max(hi, stop_edge(T, rel_tol, math.fsum(pieces)))
             raise CapacityError(
-                f"profile limit {limit} too small for T={T} at rel_tol={rel_tol}; "
-                f"required limit ~{need}",
+                f"profile limit {profile.limit} too small for T={T} at rel_tol={rel_tol}; "
+                f"required limit {need}",
                 required_limit=need,
             )
+        _check_envelope(profile, x, hi)
+        pieces.append(block_fn(x, hi))
+        total = math.fsum(pieces)
+        x = hi
+    return total, _tail_bound(T, x)
 
 
 def laplace_p2(

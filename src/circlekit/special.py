@@ -16,10 +16,12 @@ compensated split of sqrt(x n) into integer and fractional parts: x n and
 s0^2 are exact two-products (Dekker 1971, Veltkamp split), so a Newton step
 gives the fraction to ~1e-15 while x n < 2^53.  Rounding s0^2 instead would
 let the phase error grow like sqrt(x n): 2.9e-11 at x n ~ 1e10 and 1.0e-8 at
-2e15 against 50-digit mpmath.  `hardy_partial` hands 2 pi sqrt(x n) to
-`bessel_j` as a plain double, with the argument rounding described above.
-Both sums accumulate their slowly decaying, heavily cancelling terms
-exactly (fsum).
+2e15 against 50-digit mpmath.  `hardy_partial` takes the oscillation of
+each J1 from the same reduced phase and only the amplitude from
+2 pi sqrt(x n) as a double, so the argument rounding described above does
+not reach it: at x = 100000.5 with 1e5 terms its error against a 30-digit
+sum is 3.6e-14, not 6.0e-11.  Both sums accumulate their slowly decaying,
+heavily cancelling terms exactly (fsum).
 
 All operations are pure.
 """
@@ -50,12 +52,15 @@ def _bessel_series(order: int, z: np.ndarray) -> np.ndarray:
     return total.astype(np.float64)
 
 
-def _bessel_asymptotic(order: int, z: np.ndarray) -> np.ndarray:
+def _bessel_asymptotic(order: int, z: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Hankel expansion sqrt(2/(pi z)) (P cos(chi) - Q sin(chi)), chi = z - (2*order+1)pi/4.
 
-    The phase shift by pi/4 (or 3pi/4) is applied through exact
-    trigonometric identities instead of subtracting from z, so no extra
-    argument rounding is introduced.
+    The oscillation is taken at theta = z (mod 2 pi), which a caller that
+    knows z only through its reduced phase passes more accurately than z;
+    the 1/(8z) series needs z only to relative accuracy.  The phase shift
+    by pi/4 (or 3pi/4) is applied through exact trigonometric identities
+    instead of subtracting from theta, so no extra argument rounding is
+    introduced.
     """
     mu = 4.0 * order * order
     w = 1.0 / (8.0 * z)
@@ -73,7 +78,7 @@ def _bessel_asymptotic(order: int, z: np.ndarray) -> np.ndarray:
             P -= a
         else:
             Q -= a
-    c, s = np.cos(z), np.sin(z)
+    c, s = np.cos(theta), np.sin(theta)
     rsqrt2 = 1.0 / math.sqrt(2.0)
     if order == 0:
         cos_chi = (c + s) * rsqrt2      # cos(z - pi/4)
@@ -96,14 +101,21 @@ def bessel_j(order: int, z):
     zz = np.atleast_1d(np.asarray(z, dtype=np.float64))
     if (zz < 0).any():
         raise ValueError("bessel_j requires z >= 0")
-    out = np.empty_like(zz)
-    small = zz < BESSEL_SWITCH
+    out = _bessel_j(order, zz, zz)
+    return float(out[0]) if scalar else out
+
+
+def _bessel_j(order: int, z: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """J_order(z) for arrays z >= 0, the asymptotic branch oscillating at
+    theta = z (mod 2 pi)."""
+    out = np.empty_like(z)
+    small = z < BESSEL_SWITCH
     if small.any():
-        out[small] = _bessel_series(order, zz[small])
+        out[small] = _bessel_series(order, z[small])
     large = ~small
     if large.any():
-        out[large] = _bessel_asymptotic(order, zz[large])
-    return float(out[0]) if scalar else out
+        out[large] = _bessel_asymptotic(order, z[large], theta[large])
+    return out
 
 
 def bessel_oracle(order: int, z: float) -> float:
@@ -160,14 +172,15 @@ def _two_product(a, b):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _split_phase_cos(x: float, n: np.ndarray, shift: float) -> np.ndarray:
-    """cos(2 pi sqrt(x n) + shift) with compensated phase reduction.
+def _reduced_phase(x: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(frac, s0): sqrt(x n) = s0 + corr with s0 = fl(sqrt(fl(x n))), and
+    frac = sqrt(x n) - floor(s0), the phase 2 pi sqrt(x n) reduced modulo 2 pi.
 
-    x n = p + e_p and s0^2 = q + e_q are exact two-products with s0 = fl(sqrt(p)),
-    and p - q is exact (Sterbenz), so one Newton step recovers sqrt(x n) - s0.
+    x n = p + e_p and s0^2 = q + e_q are exact two-products, and p - q is
+    exact (Sterbenz), so one Newton step recovers corr = sqrt(x n) - s0.
     The integer part of s0 drops out of the phase modulo 2 pi exactly, which
-    leaves the reduced phase accurate to ~1e-15 however large sqrt(x n) is,
-    while x n < 2^53.
+    leaves frac accurate to ~1e-15 however large sqrt(x n) is, while
+    x n < 2^53 (n ascending; checked at its last entry).
     """
     p, e_p = _two_product(x, n)
     if p[-1] >= 2.0**53:
@@ -175,7 +188,12 @@ def _split_phase_cos(x: float, n: np.ndarray, shift: float) -> np.ndarray:
     s0 = np.sqrt(p)
     q, e_q = _two_product(s0, s0)
     corr = ((p - q) + (e_p - e_q)) / (2.0 * s0)
-    frac = (s0 - np.floor(s0)) + corr
+    return (s0 - np.floor(s0)) + corr, s0
+
+
+def _split_phase_cos(x: float, n: np.ndarray, shift: float) -> np.ndarray:
+    """cos(2 pi sqrt(x n) + shift) at the compensated `_reduced_phase`."""
+    frac, _ = _reduced_phase(x, n)
     return np.cos(2.0 * np.pi * frac + shift)
 
 
@@ -194,7 +212,8 @@ def hardy_partial(tables: ArithTables, x: float, N: int) -> float:
 
     The full series converges to P(x) boundedly but not absolutely, so
     partial sums oscillate; callers monitor the residual against p_of_x
-    rather than asserting a rate.
+    rather than asserting a rate.  Each J1 oscillates at the compensated
+    `_reduced_phase` of sqrt(x n), which needs x N < 2^53.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -203,8 +222,8 @@ def hardy_partial(tables: ArithTables, x: float, N: int) -> float:
     if N == 0:
         return 0.0
     n, rn = _nonzero_r_terms(tables, N)
-    z = 2.0 * np.pi * np.sqrt(x * n)
-    terms = rn / np.sqrt(n) * bessel_j(1, z)
+    frac, root = _reduced_phase(x, n)
+    terms = rn / np.sqrt(n) * _bessel_j(1, 2.0 * np.pi * root, 2.0 * np.pi * frac)
     return math.sqrt(x) * math.fsum(terms)
 
 

@@ -266,7 +266,7 @@ def test_acc10_cli_determinism(tmp_path):
     pairs = []
     for name, args in (
         ("corr", ["correlate", "--n", "2000", "--h-max", "16"]),
-        ("lap", ["laplace", "circle", "--t-list", "16,32", "--limit", "3000"]),
+        ("lap", ["laplace", "circle", "--t-list", "16,32"]),
         ("err", ["error-term", "divisor", "--x-max", "500", "--samples", "9"]),
     ):
         a = tmp_path / f"{name}_a.csv"

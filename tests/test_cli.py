@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -63,7 +64,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv, named", [
     (["--precision", "0", "error-term", "circle", "--x-max", "100"], "--precision"),
-    (["laplace", "circle", "--t-list", "16", "--limit", "0"], "--limit"),
+    (["constants", "r_squared", "--terms", "10", "--limit", "0"], "--limit"),
     (["error-term", "circle", "--x-max", "100", "--samples", "-3"], "--samples"),
     (["error-term", "circle", "--x-max", "0.5"], "--x-max"),
     (["correlate", "--n", "0", "--h-max", "3"], "--n"),
@@ -103,12 +104,14 @@ def test_impossible_limit_exits_3(tmp_path, capsys):
     assert run(["sieve", "--limit", str(10**400)]) == 3   # N / 2**20 overflows a float
     assert f"capacity error: cannot allocate sieve tables for N={10**400} (~" \
         in capsys.readouterr().err
-    out = tmp_path / "x.csv"   # 40 T overflows float64 when sizing the sieve
+    out = tmp_path / "x.csv"   # T^1.5 overflows float64 when sizing the sieve
     assert run(["laplace", "circle", "--t-list", "1e307", "--out", str(out)]) == 3
-    assert "capacity error: T=1e+307 needs sieve limit 40 T > 1.798e+308" in capsys.readouterr().err
+    assert ("capacity error: T=1e+307 at rel_tol=1e-06 needs sieve limit > 747 T: "
+            in capsys.readouterr().err)
     # a range ending within 1e-12 of the largest float stops doubling at the last finite T
     assert run(["laplace", "circle", "--t-list", "1..1.7976931348623157e308", "--out", str(out)]) == 3
-    assert "capacity error: T=8.98847e+307 needs sieve limit 40 T" in capsys.readouterr().err
+    assert ("capacity error: T=8.98847e+307 at rel_tol=1e-06 needs sieve limit > 747 T: "
+            in capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -124,6 +127,7 @@ def test_impossible_limit_exits_3(tmp_path, capsys):
     ["error-term", "circle", "--x-max", "100", "--limit", "200"],   # the sieve limit is derived
     ["correlate", "--n", "10", "--h-max", "3", "--limit", "200"],
     ["voronoi", "--x", "10.5", "--n-terms", "10", "--limit", "200"],
+    ["laplace", "circle", "--t-list", "16", "--limit", "3000"],
 ])
 def test_removed_options_exit_2(tmp_path, capsys, argv):
     if argv[0] in {"error-term", "correlate", "laplace"}:
@@ -164,9 +168,9 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
     (["constants", "r_squared", "--terms", "100"], (1, 0)),
     (["correlate", "--n", "50", "--h-max", "3"], (1, 0)),
     (["voronoi", "--x", "100.5", "--n-terms", "50"], (1, 0)),
-    (["laplace", "circle", "--t-list", "16,32", "--limit", "2000"], (1, 0)),
+    (["laplace", "circle", "--t-list", "16,32"], (1, 0)),
     (["error-term", "divisor", "--x-max", "200", "--samples", "4"], (0, 1)),
-    (["laplace", "divisor", "--t-list", "16,32", "--limit", "2000"], (0, 1)),
+    (["laplace", "divisor", "--t-list", "16,32"], (0, 1)),
     (["constants", "d_squared", "--terms", "100"], (0, 1)),
     (["sieve", "--limit", "100"], (1, 2)),
 ])
@@ -201,8 +205,7 @@ def test_correlate_round_trip(tmp_path):
 
 def test_laplace_circle_scan(tmp_path, capsys):
     out = tmp_path / "lap.csv"
-    rc = run(["laplace", "circle", "--t-list", "16..64", "--limit", "4000",
-              "--out", str(out)])
+    rc = run(["laplace", "circle", "--t-list", "16..64", "--out", str(out)])
     assert rc == 0
     header, rows = cli.read_csv(str(out))
     assert header == ["T", "integral", "truncation_bound", "main_term", "residual", "ratio_t23"]
@@ -213,8 +216,7 @@ def test_laplace_circle_scan(tmp_path, capsys):
 
 def test_laplace_divisor_scan(tmp_path, capsys, divisor_4k):
     out = tmp_path / "lapd.csv"
-    rc = run(["laplace", "divisor", "--t-list", "16..64", "--limit", "4000",
-              "--out", str(out)])
+    rc = run(["laplace", "divisor", "--t-list", "16..64", "--out", str(out)])
     assert rc == 0
     header, rows = cli.read_csv(str(out))
     assert header == ["T", "integral", "truncation_bound", "main_term", "residual"]
@@ -225,11 +227,60 @@ def test_laplace_divisor_scan(tmp_path, capsys, divisor_4k):
                                  [16.0, 32.0, 64.0])
     assert f"fitted A1 {laplace.fit_a1(scan).a1:.7f} " in printed
 
-    rc = run(["laplace", "divisor", "--t-list", "16,32", "--limit", "4000",
-              "--out", str(out)])
+    rc = run(["laplace", "divisor", "--t-list", "16,32", "--out", str(out)])
     assert rc == 0
     assert [r[0] for r in cli.read_csv(str(out))[1]] == [16.0, 32.0]
     assert "fitted A1" not in capsys.readouterr().out
+
+
+def test_laplace_sieves_what_a_tight_tolerance_needs(tmp_path):
+    # a fixed 40 T_max sieve (163,840) ends before this scan stops
+    out = tmp_path / "lap.csv"
+    assert run(["laplace", "circle", "--t-list", "4096", "--rel-tol", "1e-14",
+                "--out", str(out)]) == 0
+    [[T, integral, truncation_bound, *_]] = cli.read_csv(str(out))[1]
+    assert truncation_bound < 1e-14 * integral
+    manifest = json.loads((tmp_path / "lap.csv.manifest.json").read_text())
+    assert manifest["sieve_limit"] % 4096 == 0 and manifest["sieve_limit"] > 40 * 4096
+
+
+def test_laplace_rebuilds_at_the_limit_a_scan_names(tmp_path, monkeypatch):
+    argv = ["laplace", "divisor", "--t-list", "100,150,1000.5", "--rel-tol", "1e-3", "--out"]
+    sized, retried = tmp_path / "sized.csv", tmp_path / "retried.csv"
+    assert run(argv + [str(sized)]) == 0
+    built = []
+    build_tables, stop_edge = arith.build_tables, laplace.stop_edge
+    monkeypatch.setattr(arith, "build_tables", lambda limit: built.append(limit) or build_tables(limit))
+    # the first call, before any table is built, is the command's prediction:
+    # undershoot it to one block, so the first sieve spans two
+    monkeypatch.setattr(laplace, "stop_edge", lambda T, rel_tol, total: (
+        stop_edge(T, rel_tol, total) if built else laplace.block_size(T)))
+    assert run(argv + [str(retried)]) == 0
+    assert retried.read_bytes() == sized.read_bytes()
+    assert built[0] == 2 * 1001 and len(built) > 1 and built == sorted(set(built))
+    manifest = json.loads((tmp_path / "retried.csv.manifest.json").read_text())
+    assert manifest["sieve_limit"] == built[-1]
+
+
+def test_laplace_scan_that_cannot_stop_exits_3(tmp_path, capsys):
+    # rel_tol times T = 1's integral underflows to 0, which no tail bound is
+    # below; the limit this names is below the sieve T = 1000 sized, so no rebuild
+    out = tmp_path / "x.csv"
+    assert run(["laplace", "divisor", "--t-list", "1,1000", "--rel-tol", "5e-324",
+                "--out", str(out)]) == 3
+    assert "capacity error: T=1 at rel_tol=4.94066e-324 needs sieve limit > 747 T: " \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_settable_values():
+    # every argument of the top-level parser and of each subcommand, --help
+    # excluded, as the CI report counts them: a new option is a deliberate edit here
+    p = cli.build_parser()
+    subs = next(a for a in p._actions if isinstance(a, argparse._SubParsersAction))
+    n = sum(not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))
+            for q in (p, *subs.choices.values()) for a in q._actions)
+    assert n == 19
 
 
 @pytest.mark.parametrize("kind", ["circle", "divisor"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -132,6 +133,34 @@ def test_laplace_p2_capacity_error(circle_4k):
     assert err.value.required_limit is not None
     assert err.value.required_limit > circle_4k.limit
     assert str(err.value.required_limit) in str(err.value) or "required" in str(err.value)
+
+
+@pytest.mark.parametrize("kind, transform", [(CIRCLE, laplace_p2), (DIVISOR, laplace_d2)])
+def test_transform_never_depends_on_the_profile_size(tables_120k, kind, transform):
+    # Cut short, a profile gives the full value bit for bit or names a block
+    # edge that does.  Cut inside the stop block it used to return a truncated
+    # value: the circle at T = 100 cut at 2090 (stop 2100) was 4e-7 off.
+    profile = step_profile(tables_120k, kind)
+
+    def cut(limit):
+        return lattice.StepProfile(kind, limit, profile.partial[: limit + 1])
+
+    for T in (1.0, 10.0, 100.0, 150.5):
+        block = laplace.block_size(T)
+        for rel_tol in (1e-3, 1e-6, 1e-9):
+            full = transform(profile, T, rel_tol)
+            stop = next(x for x in itertools.count(block, block)
+                        if laplace._tail_bound(T, x) == full[1])
+            limits = {1, 63, 64, 65, 2090, stop + block // 2}
+            limits |= {stop + d for d in (-block - 1, -block, -block + 1, -1, 0, 1)}
+            for limit in sorted(x for x in limits if x >= 1):
+                try:
+                    got = transform(cut(limit), T, rel_tol)
+                except CapacityError as err:
+                    need = err.required_limit
+                    assert need > limit and need % block == 0, (T, rel_tol, limit, need)
+                    got = transform(cut(need), T, rel_tol)
+                assert got == full, (T, rel_tol, limit)
 
 
 def test_laplace_p2_validates_input(circle_4k, divisor_4k):

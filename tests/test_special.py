@@ -48,7 +48,7 @@ def test_bessel_branches_agree_at_switch():
     zs = np.linspace(BESSEL_SWITCH - 1.0, BESSEL_SWITCH + 1.0, 41)
     for order in (0, 1):
         series = special._bessel_series(order, zs)
-        asym = special._bessel_asymptotic(order, zs)
+        asym = special._bessel_asymptotic(order, zs, zs)
         assert np.max(np.abs(series - asym)) <= 1e-10
 
 
@@ -101,6 +101,20 @@ def test_hardy_partial_converges_to_p(tables_120k):
     # overall without asserting a rate
     assert residuals[-1] < 0.05
     assert residuals[-1] < residuals[0]
+
+
+def test_hardy_partial_phase_against_mpmath(tables_120k):
+    # the terms 99000 < n <= 1e5 at x = 100000.5 (z ~ 2e6): J1 at a double
+    # z = 2 pi sqrt(x n) put this segment off by 3.5e-12, the reduced phase by 2e-15
+    x, lo, hi = 100000.5, 99_000, 100_000
+    got = hardy_partial(tables_120k, x, hi) - hardy_partial(tables_120k, x, lo)
+    with mpmath.workdps(30):
+        ref = mpmath.sqrt(x) * mpmath.fsum(
+            int(tables_120k.r[n]) / mpmath.sqrt(n)
+            * mpmath.besselj(1, 2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(x) * n))
+            for n in range(lo + 1, hi + 1) if tables_120k.r[n]
+        )
+    assert abs(got - float(ref)) <= 1e-13
 
 
 def test_truncated_p_smallest_n(tables_120k):
