@@ -57,6 +57,9 @@ def _ranged(convert, ok, domain: str):
 
 
 _POSITIVE_INT = _ranged(int, lambda v: v >= 1, "an integer >= 1")
+# checked at parse time, so a missing directory fails before the computation, not after
+_OUT_PATH = _ranged(str, lambda v: Path(v).parent.is_dir() and not Path(v).is_dir(),
+                    "a file path in an existing directory")
 
 
 @dataclass
@@ -210,7 +213,7 @@ def cmd_laplace(args) -> int:
         estimate = main_term(c, T)
     except OverflowError:   # T^1.5 past the largest float: no block edge can stop the scan
         estimate = inf
-    args.limit = laplace.stop_edge(T, args.rel_tol, estimate) + laplace.block_size(T)
+    args.limit = laplace.stop_edge(args.kind, T, args.rel_tol, estimate) + laplace.block_size(T)
     while True:
         profile = lattice.step_profile(arith.build_tables(args.limit), args.kind)
         try:
@@ -279,6 +282,11 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_voronoi(args) -> int:
+    # both series reduce their phases exactly only while fl(x n) < 2^53 up to
+    # n = n_terms; min() keeps n_terms a finite, exact float (x >= 2 fails it anyway)
+    if args.x * min(args.n_terms, 2**53) >= 2.0**53:
+        raise UsageError(f"--x {args.x:g} times --n-terms {args.n_terms} must be below 2^53, "
+                         "the range where the phases 2 pi sqrt(x n) are reduced exactly")
     tables = arith.build_tables(max(int(args.x) + 1, args.n_terms))
     profile = lattice.step_profile(tables, lattice.CIRCLE)
     exact = lattice.p_of_x(profile, args.x)
@@ -312,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-max", dest="x_max", required=True,
                     type=_ranged(float, lambda v: 1 <= v < inf, "finite and >= 1"))
     sp.add_argument("--samples", type=_POSITIVE_INT, default=64)
-    sp.add_argument("--out", required=True, help="output CSV path")
+    sp.add_argument("--out", required=True, type=_OUT_PATH, help="output CSV path")
     sp.set_defaults(func=cmd_error_term)
 
     sp = sub.add_parser("correlate", help="correlation sums and E(N, h) records")
     sp.add_argument("--n", type=_POSITIVE_INT, required=True)
     sp.add_argument("--h-max", dest="h_max", type=_POSITIVE_INT, required=True)
-    sp.add_argument("--out", required=True, help="output CSV path")
+    sp.add_argument("--out", required=True, type=_OUT_PATH, help="output CSV path")
     sp.set_defaults(func=cmd_correlate)
 
     sp = sub.add_parser("laplace", help="Laplace transform scan of P^2 or Delta^2")
@@ -328,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rel-tol", dest="rel_tol", default=laplace.DEFAULT_REL_TOL,
                     type=_ranged(float, lambda v: 0 < v < 1, "in (0, 1)"),
                     help="relative truncation tolerance for transforms")
-    sp.add_argument("--out", required=True, help="output CSV path")
+    sp.add_argument("--out", required=True, type=_OUT_PATH, help="output CSV path")
     sp.set_defaults(func=cmd_laplace)
 
     sp = sub.add_parser("constants", help="series constant sum f^2(n) n^(-3/2)")

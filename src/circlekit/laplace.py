@@ -23,20 +23,16 @@ its discretisation error from a Bernstein ellipse around every panel; float
 rounding is not bounded yet (ROADMAP item 7).
 
 Truncation policy: integrate whole blocks of `block_size(T)` unit intervals
-until, at a block edge x_max, the crude-envelope tail bound
-
-    int_{x_max}^infty (3 sqrt(x))^2 exp(-x/T) dx = 9 T (x_max + T) exp(-x_max/T)
-
-drops below rel_tol times the running total.  `stop_edge` owns that rule.
-`_integrate_to_tolerance` verifies the envelope |error| <= 3 sqrt(x) over every
-block it processes, at both one-sided limits of each integer as formed by
-`lattice.error_at_jumps`, the kernel behind `lattice.pointwise_report` too
-(it holds with margin; the observed sup of |P(x)|/sqrt(x) is ~2.4), and the
-resulting truncation_bound is reported, never silently absorbed.  A scan
-stops only at block edges, so no value depends on the profile's length: a
-profile that ends before the stop raises CapacityError naming a block edge
-that suffices.  The sieve a scan needs is thus fixed by T and rel_tol, and
-the `laplace` command derives it from `stop_edge` rather than asking.
+until, at a block edge x_max, the tail bound `_tail_bound` drops below
+rel_tol times the running total.  `stop_edge` owns that rule.  The bound
+integrates a proven envelope |error(x)| <= c sqrt(x) + c0 (x >= 1, both
+one-sided limits, `_ENVELOPES`) over [x_max, infty), so the reported
+truncation_bound is a theorem, not an extrapolation of checked values.  A
+scan stops only at block edges, so no value depends on the profile's
+length: a profile that ends before the stop raises CapacityError naming a
+block edge that suffices.  The sieve a scan needs is thus fixed by T and
+rel_tol, and the `laplace` command derives it from `stop_edge` rather than
+asking.
 
 Interval sums are chunked and reduced in a fixed ascending order, so runs
 are bit-reproducible in a given build.
@@ -51,15 +47,12 @@ import mpmath as mp
 import numpy as np
 
 from .errors import CapacityError
-from .lattice import (
-    _CHUNK, CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, divisor_main, error_at_jumps,
-)
+from .lattice import _CHUNK, CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, divisor_main
 
 R_SQUARED = "r_squared"
 D_SQUARED = "d_squared"
 
 DEFAULT_REL_TOL = 1e-6
-_ENVELOPE_COEF = 3.0      # |P(x)|, |Delta(x)| <= 3 sqrt(x) on every checked range
 _QUAD_ORDER = 24
 _QUAD_SELF_CHECK = 1e-12
 _LAST_BLOCK = 747         # blocks span >= T, so x >= 747 T here, where exp(-x/T) is 0.0
@@ -171,8 +164,22 @@ def _interval_moments(T: float) -> tuple[float, float, float]:
         return float(m0), float(m1), float(m2)
 
 
-def _tail_bound(T: float, x: float) -> float:
-    return 9.0 * T * (x + T) * math.exp(-x / T)
+# (c, c0) with |error(x)| <= c sqrt(x) + c0 for x >= 1, at both one-sided limits.
+# Circle (Gauss): the unit squares centred at the lattice points of the closed
+# disk of radius R = sqrt(x) are disjoint, lie inside the disk of radius
+# R + 1/sqrt(2) and cover the one of radius R - 1/sqrt(2), so |N(x) - pi x| <=
+# sqrt(2) pi R + pi/2; the open disk's count, the left limit, is a limit of these.
+# Divisor: |sum_{n<=x} d(n) - x (log x + 2 gamma - 1)| <= 0.961 sqrt(x) for x >= 1
+# (Berkane, Bordelles, Ramare, Math. Comp. 81 (2012)), so Delta, which carries a
+# further -1/4, is within 0.961 sqrt(x) + 1/4 <= 3 sqrt(x): not tight, but proven.
+_ENVELOPES = {CIRCLE: (math.sqrt(2.0) * math.pi, math.pi / 2.0), DIVISOR: (3.0, 0.0)}
+
+
+def _tail_bound(kind: str, T: float, x: float) -> float:
+    """int_x^infty (c sqrt(t) + c0)^2 exp(-t/T) dt <= (c + c0/sqrt(x))^2 T (x + T) exp(-x/T),
+    since (c sqrt(t) + c0)^2 <= (c + c0/sqrt(x))^2 t for t >= x."""
+    c, c0 = _ENVELOPES[kind]
+    return (c + c0 / math.sqrt(x)) ** 2 * T * (x + T) * math.exp(-x / T)
 
 
 def block_size(T: float) -> int:
@@ -181,9 +188,9 @@ def block_size(T: float) -> int:
     return max(64, int(math.ceil(T)))
 
 
-def stop_edge(T: float, rel_tol: float, total: float) -> int:
-    """The first block edge x with _tail_bound(T, x) < rel_tol * total: where
-    a scan at T whose integral is ``total`` stops.
+def stop_edge(kind: str, T: float, rel_tol: float, total: float) -> int:
+    """The first block edge x with _tail_bound(kind, T, x) < rel_tol * total:
+    where a scan of ``kind`` at T whose integral is ``total`` stops.
 
     The bound decreases from edge to edge, so a running total, which only
     grows, names an edge at or past the scan's true stop.  The search ends
@@ -196,7 +203,7 @@ def stop_edge(T: float, rel_tol: float, total: float) -> int:
     for k in range(1, _LAST_BLOCK + 1):
         # k * float(block) equals float(k * block), but is inf, not an
         # OverflowError, past the largest float
-        if _tail_bound(T, k * float(block)) < rel_tol * total:
+        if _tail_bound(kind, T, k * float(block)) < rel_tol * total:
             return k * block
     raise CapacityError(
         f"T={T:g} at rel_tol={rel_tol:g} needs sieve limit > {_LAST_BLOCK} T: the tail "
@@ -206,24 +213,9 @@ def stop_edge(T: float, rel_tol: float, total: float) -> int:
     )
 
 
-def _check_envelope(profile: StepProfile, lo: int, hi: int) -> None:
-    """Verify |error| <= _ENVELOPE_COEF sqrt(n) at both one-sided limits of
-    every integer n in [max(lo, 1), hi], the jumps of the block [lo, hi)."""
-    lo = max(lo, 1)
-    n, err = error_at_jumps(profile, lo, hi)
-    worst = float(np.max(err / np.sqrt(n)))
-    if worst > _ENVELOPE_COEF:
-        raise RuntimeError(
-            f"{profile.kind} envelope |error| <= {_ENVELOPE_COEF} sqrt(x) violated on "
-            f"[{lo}, {hi}] (observed ratio {worst:.3f}); "
-            "tail bounds would be unjustified"
-        )
-
-
 def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, block_fn):
     """Accumulate block_fn(lo, hi) over whole blocks of unit intervals up to
-    the first block edge at which `stop_edge` stops the running total; each
-    block is first checked against the envelope that justifies the bound.
+    the first block edge at which `stop_edge` stops the running total.
 
     block_fn returns the block's integral as a float.  Returns (total,
     truncation_bound).  A profile that ends before the stop raises
@@ -239,22 +231,21 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
     pieces: list[float] = []
     x = 0
     total = 0.0
-    while x == 0 or stop_edge(T, rel_tol, total) > x:
+    while x == 0 or stop_edge(profile.kind, T, rel_tol, total) > x:
         hi = x + block
         if hi > profile.limit:
             if profile.limit > x:
                 pieces.append(block_fn(x, profile.limit))
-            need = max(hi, stop_edge(T, rel_tol, math.fsum(pieces)))
+            need = max(hi, stop_edge(profile.kind, T, rel_tol, math.fsum(pieces)))
             raise CapacityError(
                 f"profile limit {profile.limit} too small for T={T} at rel_tol={rel_tol}; "
                 f"required limit {need}",
                 required_limit=need,
             )
-        _check_envelope(profile, x, hi)
         pieces.append(block_fn(x, hi))
         total = math.fsum(pieces)
         x = hi
-    return total, _tail_bound(T, x)
+    return total, _tail_bound(profile.kind, T, x)
 
 
 def laplace_p2(

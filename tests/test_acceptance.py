@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a measured
 summary line (run with -v -s to see them).  Shared large fixtures live in
 conftest; the 1e7 table is module-local since only the mean-square
-criterion and the table-sum check need it.
+criterion, the table-sum check and the envelope check need it.
 """
 
 import math
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from circlekit import arith, cli, correlate, laplace, lattice, special
+from circlekit.lattice import divisor_main
 
 from conftest import brute_divisors, hyperbola_count, lattice_count, sigma_count
 
@@ -26,6 +27,11 @@ def tables_10m():
 @pytest.fixture(scope="module")
 def circle_10m(tables_10m):
     return lattice.step_profile(tables_10m, lattice.CIRCLE)
+
+
+@pytest.fixture(scope="module")
+def divisor_10m(tables_10m):
+    return lattice.step_profile(tables_10m, lattice.DIVISOR)
 
 
 def _announce(tag: str, started: float, detail: str) -> None:
@@ -209,6 +215,33 @@ def test_acc06b_table_sums_at_1e7(tables_10m):
     _announce("ACC-06b sieve sums at N=1e7", t0,
               f"(sum r, sum d, sum sigma) = {sums}, O(sqrt N) counts {counts}")
     assert sums == counts
+
+
+def test_acc06c_proven_truncation_envelopes_at_1e7(circle_10m, divisor_10m):
+    # The Laplace tail bounds integrate these envelopes past the stop; here
+    # they hold at both one-sided limits of every jump up to 1e7, and so does
+    # the theorem behind the divisor's, in its own convention.
+    t0 = time.perf_counter()
+    (c, c0), (cd, cd0) = (laplace._ENVELOPES[k] for k in (lattice.CIRCLE, lattice.DIVISOR))
+    chunks = []
+    for lo in range(1, 10**7, 10**6):   # chunked to bound the temporaries
+        n, p_abs = lattice.error_at_jumps(circle_10m, lo, lo + 10**6 - 1)
+        root = np.sqrt(n)
+        delta_abs = lattice.error_at_jumps(divisor_10m, lo, lo + 10**6 - 1)[1]
+        bbr_main = divisor_main(n) - 0.25   # x (log x + 2 gamma - 1), without Delta's 1/4
+        partial = divisor_10m.partial[lo - 1 : lo + 10**6]
+        bbr_abs = np.maximum(np.abs(partial[:-1] - bbr_main), np.abs(partial[1:] - bbr_main))
+        chunks.append((np.min(c * root + c0 - p_abs), np.max(p_abs / root),
+                       np.max(delta_abs / root), np.max(bbr_abs / root)))
+    slack = float(min(ch[0] for ch in chunks))
+    p_sup, delta_sup, bbr_sup = (float(max(ch[i] for ch in chunks)) for i in (1, 2, 3))
+    _announce("ACC-06c proven envelopes to 1e7", t0,
+              f"sup |P|/sqrt(n) {p_sup:.5f}, min slack {slack:.3f} to {c:.4f} sqrt(n) + {c0:.4f}; "
+              f"sup |Delta|/sqrt(n) {delta_sup:.4f} (<= {cd:g}); "
+              f"sup |sum d - n (log n + 2 gamma - 1)|/sqrt(n) {bbr_sup:.6f} (<= 0.961)")
+    assert (c, c0) == (math.sqrt(2) * math.pi, math.pi / 2) and slack > 0
+    assert (cd, cd0) == (3.0, 0.0) and delta_sup <= cd
+    assert bbr_sup <= 0.961 and 0.961 + 0.25 <= cd   # BBR's bound, plus Delta's 1/4
 
 
 def test_acc07_laplace_transform_remainder_order(circle_1m):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from circlekit import arith, cli, laplace
+from circlekit.errors import CapacityError
 
 
 def run(args):
@@ -87,6 +88,38 @@ def test_out_of_range_option_exits_2(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and named in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["error-term", "circle", "--x-max", "1.5", "--samples", "1"],
+    ["correlate", "--n", "10", "--h-max", "3"],
+    ["laplace", "circle", "--t-list", "16"],
+])
+@pytest.mark.parametrize("where", ["missing/x.csv", "."])
+def test_out_outside_an_existing_directory_exits_2(tmp_path, monkeypatch, capsys, argv, where):
+    # a path that cannot be written is a usage error before any sieve, not an
+    # internal error after the whole computation
+    def unreachable(limit):
+        raise AssertionError("sieved before the usage check")
+    monkeypatch.setattr(arith, "build_tables", unreachable)
+    assert run(argv + ["--out", str(tmp_path / where)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: argument --out: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_voronoi_outside_the_phase_domain_exits_2(monkeypatch, capsys):
+    # x n_terms = 1e16 >= 2^53 is rejected before sieving 1e8 entries; just
+    # below 2^53 the command goes on to the sieve, stubbed here to fail
+    def no_sieve(limit):
+        raise CapacityError("stub sieve", required_limit=limit)
+    monkeypatch.setattr(arith, "build_tables", no_sieve)
+    assert run(["voronoi", "--x", "1e8", "--n-terms", "100000000"]) == 2
+    assert run(["voronoi", "--x", str(2.0**52), "--n-terms", "2"]) == 2
+    assert run(["voronoi", "--x", "2", "--n-terms", str(10**400)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("usage error: --x ") == 3 and "must be below 2^53" in err
+    assert run(["voronoi", "--x", str(2.0**52 - 0.5), "--n-terms", "2"]) == 3
+    assert "capacity error: stub sieve" in capsys.readouterr().err
 
 
 def test_error_term_fractional_x_max(tmp_path):
@@ -253,8 +286,8 @@ def test_laplace_rebuilds_at_the_limit_a_scan_names(tmp_path, monkeypatch):
     monkeypatch.setattr(arith, "build_tables", lambda limit: built.append(limit) or build_tables(limit))
     # the first call, before any table is built, is the command's prediction:
     # undershoot it to one block, so the first sieve spans two
-    monkeypatch.setattr(laplace, "stop_edge", lambda T, rel_tol, total: (
-        stop_edge(T, rel_tol, total) if built else laplace.block_size(T)))
+    monkeypatch.setattr(laplace, "stop_edge", lambda kind, T, rel_tol, total: (
+        stop_edge(kind, T, rel_tol, total) if built else laplace.block_size(T)))
     assert run(argv + [str(retried)]) == 0
     assert retried.read_bytes() == sized.read_bytes()
     assert built[0] == 2 * 1001 and len(built) > 1 and built == sorted(set(built))
