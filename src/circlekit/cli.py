@@ -2,16 +2,15 @@
 
 Data goes to CSV (comma separated, LF line endings, mandatory header,
 UTF-8); each written file is accompanied by ``<out>.manifest.json``
-holding the flat run manifest.  Reals print with a configurable number of
-significant digits (default 17, which round-trips doubles exactly);
-integers print exactly; exact rationals print as ``p/q`` and are never
-converted to floats.  Identical parameters produce byte-identical CSV in
-a fixed build.
+holding the flat run manifest.  Reals print with 17 significant digits,
+so ``float(cell)`` gives back the exact double; integers print exactly;
+exact rationals print as ``p/q`` and are never converted to floats.
+Identical parameters produce byte-identical CSV in a fixed build.
 
-``--limit`` exists only where it changes the result: ``sieve`` (the size)
-and ``constants`` (the tail constant spans the whole sieve).  ``error-term``,
-``correlate`` and ``voronoi`` sieve exactly what their inputs need, and
-``laplace`` sieves to where its transforms' tail bound predicts they stop.
+Only ``sieve`` takes ``--limit``, because there the limit is the result.
+``error-term``, ``correlate``, ``constants`` and ``voronoi`` sieve exactly
+what their inputs need, and ``laplace`` sieves to where its transforms'
+tail bound predicts they stop.
 
 Exit codes: 0 success, 2 usage error, 3 capacity error (the message names
 the sieve limit that would have sufficed), 1 internal failure.  Usage errors
@@ -26,7 +25,6 @@ import json
 import sys
 import time
 from math import ceil, gcd, inf
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,21 +60,7 @@ _OUT_PATH = _ranged(str, lambda v: Path(v).parent.is_dir() and not Path(v).is_di
                     "a file path in an existing directory")
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    sieve_limit: int
-    tool_version: str = __version__
-    wall_time: float = 0.0
-
-
-def _write_manifest(out_path: str, manifest: RunManifest) -> None:
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(asdict(manifest), sort_keys=True) + "\n", encoding="utf-8")
-
-
-def format_value(v, precision: int) -> str:
+def format_value(v) -> str:
     if isinstance(v, bool):
         return str(int(v))
     if isinstance(v, Fraction):
@@ -84,15 +68,15 @@ def format_value(v, precision: int) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
-        return f"{v:.{precision}g}"
+        return f"{v:.17g}"   # 17 digits round-trip every double
     return str(v)
 
 
-def write_csv(path: str, header: list[str], rows, precision: int) -> None:
+def write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_value(v, precision) for v in row) + "\n")
+            fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
 def _parse_cell(cell: str):
@@ -181,7 +165,7 @@ def cmd_error_term(args) -> int:
         (r.x, r.value, r.ratio_quarter, r.ratio_huxley)
         for r in report.rows
     ]
-    write_csv(args.out, ["x", "value", "ratio_quarter", "ratio_huxley"], rows, args.precision)
+    write_csv(args.out, ["x", "value", "ratio_quarter", "ratio_huxley"], rows)
     print(f"max |error| {report.max_abs:.6f} at x={report.argmax:.0f}")
     print(f"max ratio_quarter {report.max_ratio_quarter:.6f}")
     print(f"max ratio_huxley  {report.max_ratio_huxley:.6f}")
@@ -195,7 +179,7 @@ def cmd_correlate(args) -> int:
     tables = arith.build_tables(args.limit)
     records = correlate.corr_grid(tables, [args.n], args.h_max)
     rows = [(rec.N, rec.h, rec.raw, rec.main, rec.e_value) for rec in records]
-    write_csv(args.out, ["N", "h", "raw", "main", "e_value"], rows, args.precision)
+    write_csv(args.out, ["N", "h", "raw", "main", "e_value"], rows)
     report = correlate.pointwise_bound_report(records)
     print(f"max |E|/(N^(2/3) h^(5/42)) = {report.max_ratio:.6f} at (N,h)={report.argmax}")
     return 0
@@ -228,7 +212,7 @@ def cmd_laplace(args) -> int:
     if circle:   # the T^(2/3) remainder scale is the circle problem's
         header.append("ratio_t23")
         rows = [row + (r.ratio_t23,) for row, r in zip(rows, scan.rows)]
-    write_csv(args.out, header, rows, args.precision)
+    write_csv(args.out, header, rows)
     print(f"series constant (closed form) {c:.12f}")
     if circle:
         print(f"slope log|residual| vs log T: {scan.slope:.4f}")
@@ -242,12 +226,7 @@ def cmd_laplace(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    needed = max(args.terms, 2)   # C_hat needs 2
-    limit = needed if args.limit is None else args.limit
-    if limit < needed:
-        raise CapacityError(f"series constant needs sieve limit >= {needed}, "
-                            f"but --limit {limit} was given", required_limit=needed)
-    tables = arith.build_tables(limit)
+    tables = arith.build_tables(max(args.terms, 2))   # C_hat needs 2
     sc = laplace.series_constant(tables, args.kind, args.terms)
     closed = laplace.series_limit(args.kind)
     print(f"kind              {sc.kind}")
@@ -307,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact circle-problem error terms, correlation sums and "
         "Laplace-transform asymptotics.",
     )
-    p.add_argument("--precision", type=_POSITIVE_INT, default=17,
-                   help="significant digits for reals in CSV output (default 17)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sieve", help="build tables and print checksums")
@@ -342,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("constants", help="series constant sum f^2(n) n^(-3/2)")
     sp.add_argument("kind", choices=[laplace.R_SQUARED, laplace.D_SQUARED])
     sp.add_argument("--terms", type=_POSITIVE_INT, required=True)
-    sp.add_argument("--limit", type=_POSITIVE_INT, help="sieve limit (default max(terms, 2))")
     sp.set_defaults(func=cmd_constants)
 
     sp = sub.add_parser("gauss", help="quadratic Gauss sum congruence classes")
@@ -375,17 +351,16 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if getattr(args, "out", None):
-        params = {
-            k: v for k, v in vars(args).items()
-            if k not in {"func", "command", "out", "limit"} and v is not None
+        manifest = {
+            "command": args.command,
+            "parameters": {k: v for k, v in vars(args).items()
+                           if k not in {"func", "command", "out", "limit"}},
+            "sieve_limit": args.limit,
+            "tool_version": __version__,
+            "wall_time": time.perf_counter() - started,
         }
-        manifest = RunManifest(
-            command=args.command,
-            parameters=params,
-            sieve_limit=args.limit,
-            wall_time=time.perf_counter() - started,
-        )
-        _write_manifest(args.out, manifest)
+        Path(args.out + ".manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
     return rc
 
 

@@ -14,7 +14,6 @@ is known to hold uniformly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 

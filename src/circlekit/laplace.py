@@ -578,4 +578,5 @@ def exp_power_peak(alpha: float) -> float:
     """max over x >= 0 of exp(-x) x^alpha, attained at x = alpha: exp(-alpha) alpha^alpha."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return math.exp(-alpha) * alpha**alpha
+    # squaring the half power: alpha**alpha alone overflows from alpha ~ 143.03
+    return (math.exp(-alpha / 2) * alpha ** (alpha / 2)) ** 2

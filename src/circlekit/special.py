@@ -191,12 +191,6 @@ def _reduced_phase(x: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (s0 - np.floor(s0)) + corr, s0
 
 
-def _split_phase_cos(x: float, n: np.ndarray, shift: float) -> np.ndarray:
-    """cos(2 pi sqrt(x n) + shift) at the compensated `_reduced_phase`."""
-    frac, _ = _reduced_phase(x, n)
-    return np.cos(2.0 * np.pi * frac + shift)
-
-
 def _nonzero_r_terms(tables: ArithTables, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, r(n)) as float64 over 1 <= n <= N with r(n) != 0, ascending in n."""
     n = np.arange(1, N + 1, dtype=np.float64)
@@ -242,6 +236,6 @@ def truncated_p(tables: ArithTables, x: float, N: int) -> float:
     if N < 2 or N > tables.limit:
         raise ValueError(f"N={N} outside allowed range [2, {tables.limit}]")
     n, rn = _nonzero_r_terms(tables, N)
-    cosv = _split_phase_cos(x, n, math.pi / 4.0)
-    terms = rn * n**-0.75 * cosv
+    frac, _ = _reduced_phase(x, n)
+    terms = rn * n**-0.75 * np.cos(2.0 * np.pi * frac + math.pi / 4.0)
     return -(x**0.25 / math.pi) * math.fsum(terms)

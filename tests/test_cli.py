@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from circlekit import arith, cli, laplace
+from circlekit import arith, cli, laplace, lattice
 from circlekit.errors import CapacityError
 
 
@@ -64,8 +64,8 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["--precision", "0", "error-term", "circle", "--x-max", "100"], "--precision"),
-    (["constants", "r_squared", "--terms", "10", "--limit", "0"], "--limit"),
+    (["voronoi", "--x", "10.5", "--n-terms", "ten"], "--n-terms"),
+    (["sieve", "--limit", "0"], "--limit"),
     (["error-term", "circle", "--x-max", "100", "--samples", "-3"], "--samples"),
     (["error-term", "circle", "--x-max", "0.5"], "--x-max"),
     (["correlate", "--n", "0", "--h-max", "3"], "--n"),
@@ -79,7 +79,6 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv):
     (["gauss", "--k-max", "0"], "--k-max"),
     (["voronoi", "--x", "1.5", "--n-terms", "10"], "--x"),
     (["voronoi", "--x", "10.5", "--n-terms", "1"], "--n-terms"),
-    (["voronoi", "--x", "10.5", "--n-terms", "ten"], "--n-terms"),
 ])
 def test_out_of_range_option_exits_2(tmp_path, capsys, argv, named):
     if {"error-term", "correlate", "laplace"} & set(argv):
@@ -161,6 +160,8 @@ def test_impossible_limit_exits_3(tmp_path, capsys):
     ["correlate", "--n", "10", "--h-max", "3", "--limit", "200"],
     ["voronoi", "--x", "10.5", "--n-terms", "10", "--limit", "200"],
     ["laplace", "circle", "--t-list", "16", "--limit", "3000"],
+    ["--precision=5", "sieve", "--limit", "10"],   # "--precision 5" would make "5" the command
+    ["constants", "r_squared", "--terms", "100", "--limit", "1000"],   # the sieve limit is derived
 ])
 def test_removed_options_exit_2(tmp_path, capsys, argv):
     if argv[0] in {"error-term", "correlate", "laplace"}:
@@ -170,10 +171,14 @@ def test_removed_options_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_capacity_exit_code(capsys):
-    assert run(["constants", "r_squared", "--terms", "1000", "--limit", "100"]) == 3
-    assert ("capacity error: series constant needs sieve limit >= 1000, but --limit 100 "
-            "was given") in capsys.readouterr().err
+def test_capacity_exit_code(monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("sieved past the capacity check")
+    for name in ("_r_sieve", "_divisor_sieve"):
+        monkeypatch.setattr(arith, name, unreachable)
+    assert run(["constants", "r_squared", "--terms", str(10**19)]) == 3
+    assert "capacity error: cannot allocate sieve tables for N=10000000000000000000" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("failing, argv", [
@@ -234,6 +239,52 @@ def test_correlate_round_trip(tmp_path):
     assert rows[0][3] == Fraction(80, 1)
     assert isinstance(rows[0][3], Fraction)
     assert rows[0][4] == 16.0
+
+
+def _library_rows(command, out):
+    """The rows the library computes for an error-term or laplace divisor run,
+    on the sieve its manifest names."""
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    params = manifest["parameters"]
+    profile = lattice.step_profile(arith.build_tables(manifest["sieve_limit"]), params["kind"])
+    if command == "error-term":
+        report = lattice.pointwise_report(profile, params["x_max"], params["samples"])
+        return [(r.x, r.value, r.ratio_quarter, r.ratio_huxley) for r in report.rows]
+    c = laplace.series_limit(laplace.D_SQUARED)
+    scan = laplace.residual_scan(profile, c, cli._parse_t_list(params["t_list"]), params["rel_tol"])
+    return [(r.T, r.integral, r.truncation_bound, r.main_term, r.residual) for r in scan.rows]
+
+
+@pytest.mark.parametrize("argv", [
+    ["error-term", "circle", "--x-max", "1000.5", "--samples", "40"],
+    ["laplace", "divisor", "--t-list", "16..64"],
+])
+def test_csv_reals_round_trip(tmp_path, argv):
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    cells = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    expected = _library_rows(argv[0], out)
+    assert len(cells) == len(expected)
+    for row, values in zip(cells, expected):
+        assert len(row) == len(values)
+        for cell, value in zip(row, values):
+            assert isinstance(value, float) and float(cell) == value, (cell, value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["error-term", "circle", "--x-max", "100", "--samples", "4"],
+    ["correlate", "--n", "10", "--h-max", "3"],
+    ["laplace", "circle", "--t-list", "16"],
+])
+def test_manifest_parameters_are_the_commands_options(tmp_path, argv):
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    parameters = json.loads((tmp_path / "x.csv.manifest.json").read_text())["parameters"]
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest for a in subs.choices[argv[0]]._actions
+               if not isinstance(a, argparse._HelpAction)} - {"out"}
+    assert set(parameters) == options
 
 
 def test_laplace_circle_scan(tmp_path, capsys):
@@ -313,7 +364,7 @@ def test_cli_settable_values():
     subs = next(a for a in p._actions if isinstance(a, argparse._SubParsersAction))
     n = sum(not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))
             for q in (p, *subs.choices.values()) for a in q._actions)
-    assert n == 19
+    assert n == 17
 
 
 @pytest.mark.parametrize("kind", ["circle", "divisor"])
@@ -359,18 +410,7 @@ def test_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_precision_flag(tmp_path):
-    out5 = tmp_path / "p5.csv"
-    out17 = tmp_path / "p17.csv"
-    base = ["error-term", "circle", "--x-max", "50", "--samples", "5"]
-    assert run(["--precision", "5"] + base + ["--out", str(out5)]) == 0
-    assert run(base + ["--out", str(out17)]) == 0
-    first5 = out5.read_text().splitlines()[1].split(",")[1]
-    first17 = out17.read_text().splitlines()[1].split(",")[1]
-    assert len(first5) <= len(first17)
-
-
 def test_format_value_rationals():
-    assert cli.format_value(Fraction(80, 1), 17) == "80/1"
-    assert cli.format_value(Fraction(-32, 3), 17) == "-32/3"
-    assert cli.format_value(10, 17) == "10"
+    assert cli.format_value(Fraction(80, 1)) == "80/1"
+    assert cli.format_value(Fraction(-32, 3)) == "-32/3"
+    assert cli.format_value(10) == "10"

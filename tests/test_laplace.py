@@ -400,3 +400,11 @@ def test_exp_power_inequality():
     assert np.exp(-alpha) * alpha**alpha == pytest.approx(peak, rel=1e-15)
     dense = np.linspace(alpha - 0.5, alpha + 0.5, 2001)
     assert float(np.max(np.exp(-dense) * dense**alpha)) == pytest.approx(peak, rel=1e-7)
+
+
+@pytest.mark.parametrize("alpha", [150.0, 171.0])
+def test_exp_power_peak_near_the_float_range_end(alpha):
+    # the peak is finite here, though alpha**alpha alone is past the largest float
+    with mp.workdps(30):
+        ref = mp.exp(-mp.mpf(alpha)) * mp.mpf(alpha) ** mp.mpf(alpha)
+    assert exp_power_peak(alpha) == pytest.approx(float(ref), rel=1e-14)
