@@ -37,15 +37,13 @@ from .laplace import (
     fit_a1,
     fit_log_quadratic,
     laplace_d2,
-    laplace_main_d,
-    laplace_main_p,
+    laplace_main,
     laplace_p2,
     residual_scan,
     series_constant,
     series_limit,
     weight_f,
     weight_u,
-    weight_u_bound_check,
 )
 from .lattice import (
     CIRCLE,
@@ -57,7 +55,6 @@ from .lattice import (
     p_gauss_oracle,
     p_of_x,
     pointwise_report,
-    q_of_x,
     step_profile,
 )
 from .special import (

@@ -177,7 +177,7 @@ def cmd_correlate(args) -> int:
         raise UsageError(f"--h-max {args.h_max} exceeds --n {args.n}")
     args.limit = args.n + args.h_max
     tables = arith.build_tables(args.limit)
-    records = correlate.corr_grid(tables, [args.n], args.h_max)
+    records = correlate.corr_grid(tables, args.n, args.h_max)
     rows = [(rec.N, rec.h, rec.raw, rec.main, rec.e_value) for rec in records]
     write_csv(args.out, ["N", "h", "raw", "main", "e_value"], rows)
     report = correlate.pointwise_bound_report(records)
@@ -188,20 +188,18 @@ def cmd_correlate(args) -> int:
 def cmd_laplace(args) -> int:
     t_list = _parse_t_list(args.t_list)
     circle = args.kind == lattice.CIRCLE
-    c = laplace.series_limit(laplace.R_SQUARED if circle else laplace.D_SQUARED)
-    main_term = laplace.laplace_main_p if circle else laplace.laplace_main_d
     # Sieve to where the largest T's main term predicts its stop, plus one
     # block; a scan that still runs out names the block edge it needs.
     T = t_list[-1]
     try:
-        estimate = main_term(c, T)
+        estimate = laplace.laplace_main(args.kind, T)
     except OverflowError:   # T^1.5 past the largest float: no block edge can stop the scan
         estimate = inf
     args.limit = laplace.stop_edge(args.kind, T, args.rel_tol, estimate) + laplace.block_size(T)
     while True:
         profile = lattice.step_profile(arith.build_tables(args.limit), args.kind)
         try:
-            scan = laplace.residual_scan(profile, c, t_list, args.rel_tol)
+            scan = laplace.residual_scan(profile, t_list, args.rel_tol)
             break
         except CapacityError as exc:
             if not exc.required_limit > args.limit:   # the limit only grows, so this ends
@@ -213,7 +211,7 @@ def cmd_laplace(args) -> int:
         header.append("ratio_t23")
         rows = [row + (r.ratio_t23,) for row, r in zip(rows, scan.rows)]
     write_csv(args.out, header, rows)
-    print(f"series constant (closed form) {c:.12f}")
+    print(f"series constant (closed form) {scan.constant:.12f}")
     if circle:
         print(f"slope log|residual| vs log T: {scan.slope:.4f}")
     elif len(scan.rows) >= 3:

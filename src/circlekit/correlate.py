@@ -68,31 +68,23 @@ def e_term(tables: ArithTables, N: int, h: int) -> CorrelationRecord:
     return _record(N, h, corr_sum(tables, N, h))
 
 
-def corr_grid(tables: ArithTables, N_list: list[int], H_max: int) -> list[CorrelationRecord]:
-    """All records for N in N_list, 1 <= h <= H_max.
+def corr_grid(tables: ArithTables, N: int, H_max: int) -> list[CorrelationRecord]:
+    """All records at N for 1 <= h <= H_max.
 
-    One pass per (N, h) pair over contiguous int64 slices: O(N * H_max)
+    One pass per h over contiguous int64 slices: O(N * H_max)
     multiply-adds total with cache-friendly streaming access, which is the
     point -- building each record via scattered per-n updates would touch
     the same data in a worse order.
     """
-    if not N_list:
-        return []
     if H_max < 1:
         raise ValueError(f"H_max must be >= 1, got {H_max}")
-    worst = max(N_list)
-    if worst + H_max > tables.limit:
+    if N + H_max > tables.limit:
         raise ValueError(
-            f"corr_grid needs tables up to {worst + H_max}, limit is {tables.limit}"
+            f"corr_grid needs tables up to {N + H_max}, limit is {tables.limit}"
         )
     r64 = tables.r.astype(np.int64)
-    out = []
-    for N in N_list:
-        a = r64[1 : N + 1]
-        for h in range(1, H_max + 1):
-            raw = int(np.dot(a, r64[1 + h : N + 1 + h])) if N else 0
-            out.append(_record(N, h, raw))
-    return out
+    a = r64[1 : N + 1]
+    return [_record(N, h, int(np.dot(a, r64[1 + h : N + 1 + h]))) for h in range(1, H_max + 1)]
 
 
 @dataclass(frozen=True)

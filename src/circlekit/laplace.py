@@ -9,7 +9,9 @@ whose remainder R(T) `residual_scan` measures across an ascending range
 of T; the analogous divisor transform L_D(T) carries main term
 (1/8) (T/pi)^(3/2) * sum d^2(n) n^(-3/2) followed by
 T (A1 log^2 T + A2 log T + A3) with A1 = -1/(4 pi^2), which `fit_a1`
-recovers empirically from the rows of a divisor scan.
+recovers empirically from the rows of a divisor scan.  `laplace_main` gives
+the main term by kind, with the series sum in closed form (`series_limit`);
+a scan takes both from its profile's kind, so no caller supplies a constant.
 
 Integration is exact where possible: P is affine on every unit interval,
 so P^2 exp(-x/T) has an elementary antiderivative per interval, evaluated
@@ -270,59 +272,50 @@ def laplace_p2(
     return _integrate_to_tolerance(profile, T, rel_tol, block)
 
 
-def laplace_main_p(c_r, T: float) -> float:
-    """Main term (1/4) (T/pi)^(3/2) c_r - T of the circle transform.
-
-    ``c_r`` is a SeriesConstant of kind r_squared, or a bare float carrying
-    the series value (e.g. from `series_limit`).
-    """
-    value = _series_value(c_r, R_SQUARED)
-    return 0.25 * (T / math.pi) ** 1.5 * value - T
+# The series sum f(n)^2 n^(-3/2) whose closed form a kind's main term carries.
+_SERIES = {CIRCLE: R_SQUARED, DIVISOR: D_SQUARED}
 
 
-def laplace_main_d(c_d, T: float) -> float:
-    """Leading term (1/8) (T/pi)^(3/2) c_d of the divisor transform."""
-    value = _series_value(c_d, D_SQUARED)
-    return 0.125 * (T / math.pi) ** 1.5 * value
+def _main_term(kind: str, T: float, c: float) -> float:
+    if kind == CIRCLE:
+        return 0.25 * (T / math.pi) ** 1.5 * c - T
+    return 0.125 * (T / math.pi) ** 1.5 * c
 
 
-def _series_value(c, expected_kind: str) -> float:
-    if isinstance(c, SeriesConstant):
-        if c.kind != expected_kind:
-            raise ValueError(f"series constant has kind {c.kind!r}, need {expected_kind!r}")
-        return c.value
-    return float(c)
+def laplace_main(kind: str, T: float) -> float:
+    """Main term of the ``kind`` transform at T, with c = `series_limit` of
+    the kind's series: (1/4) (T/pi)^(3/2) c - T for CIRCLE (c = sum r^2(n)
+    n^(-3/2)), (1/8) (T/pi)^(3/2) c for DIVISOR (c = sum d^2(n) n^(-3/2))."""
+    return _main_term(kind, T, series_limit(_SERIES[kind]))
 
 
 @dataclass(frozen=True)
 class ResidualScan:
     kind: str        # CIRCLE or DIVISOR, the kind of the scanned profile
+    constant: float  # series_limit of the kind's series, the main terms' constant
     rows: list[LaplaceEstimate]
     slope: float     # least-squares slope of log |residual| against log T
 
 
-def residual_scan(
-    profile: StepProfile, c, T_list, rel_tol: float = DEFAULT_REL_TOL
-) -> ResidualScan:
+def residual_scan(profile: StepProfile, T_list, rel_tol: float = DEFAULT_REL_TOL) -> ResidualScan:
     """Residuals of the profile's transform over ascending T plus their log-log slope.
 
-    A CIRCLE profile is scanned with `laplace_p2` against `laplace_main_p`,
-    a DIVISOR profile with `laplace_d2` against `laplace_main_d`; ``c`` is
-    the matching series constant.  Each transform is computed once per T.
+    A CIRCLE profile is scanned with `laplace_p2`, a DIVISOR profile with
+    `laplace_d2`, each against the kind's `laplace_main`: the scan pairs
+    the closed-form constant with the profile's kind itself, reading it
+    once.  Each transform is computed once per T.
     """
     Ts = list(T_list)
     if Ts != sorted(Ts):
         raise ValueError("T_list must be ascending")
     if not Ts:
         raise ValueError("T_list must be non-empty")
-    if profile.kind == CIRCLE:
-        transform, main_term = laplace_p2, laplace_main_p
-    else:
-        transform, main_term = laplace_d2, laplace_main_d
+    transform = laplace_p2 if profile.kind == CIRCLE else laplace_d2
+    c = series_limit(_SERIES[profile.kind])
     rows = []
     for T in Ts:
         integral, trunc = transform(profile, T, rel_tol)
-        main = main_term(c, T)
+        main = _main_term(profile.kind, T, c)
         rows.append(
             LaplaceEstimate(
                 T=float(T),
@@ -338,7 +331,7 @@ def residual_scan(
         slope = float(np.polyfit(lt, lr, 1)[0])
     else:
         slope = float("nan")
-    return ResidualScan(kind=profile.kind, rows=rows, slope=slope)
+    return ResidualScan(kind=profile.kind, constant=c, rows=rows, slope=slope)
 
 
 def _d2_first_interval(T: float, nodes, weights) -> float:
@@ -473,7 +466,7 @@ def fit_a1(scan: ResidualScan) -> A1Fit:
     y(T)/T against {log^2 T, log T, 1}; no transform is computed here.
     The leading fitted coefficient estimates A1 = -1/(4 pi^2) ~ -0.02533;
     recovering it requires c_d accurate well beyond any sievable partial
-    sum, i.e. `series_limit`.
+    sum, which is why the scan takes c_d from `series_limit` itself.
     """
     if scan.kind != DIVISOR:
         raise ValueError(f"fit_a1 needs a {DIVISOR} scan, got {scan.kind!r}")
@@ -567,16 +560,3 @@ def weight_u_log_ratio(t: float, h: float, T: float) -> float:
     if inner == 0.0:
         return float("-inf")
     return -E + math.log(abs(inner)) - _envelope_log(t, h, T)
-
-
-def weight_u_bound_check(t: float, h: float, T: float, c_cap: float = 100.0) -> bool:
-    """True when |u(t, h)| <= c_cap * envelope at this point (log-space compare)."""
-    return weight_u_log_ratio(t, h, T) <= math.log(c_cap)
-
-
-def exp_power_peak(alpha: float) -> float:
-    """max over x >= 0 of exp(-x) x^alpha, attained at x = alpha: exp(-alpha) alpha^alpha."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    # squaring the half power: alpha**alpha alone overflows from alpha ~ 143.03
-    return (math.exp(-alpha / 2) * alpha ** (alpha / 2)) ** 2

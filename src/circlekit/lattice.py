@@ -147,15 +147,6 @@ def mean_square_p(profile: StepProfile, X: float) -> float:
     return math.fsum(pieces)
 
 
-def q_of_x(profile: StepProfile, X: float, c32: float) -> float:
-    """Mean-square remainder Q(X) = int_0^X P^2 - c32 * X^(3/2).
-
-    ``c32`` is (1/(3 pi^2)) * sum r^2(n) n^(-3/2), supplied by the caller
-    (see `laplace.series_constant`); the classical bound is Q(X) = O(X log^2 X).
-    """
-    return mean_square_p(profile, X) - c32 * X**1.5
-
-
 @dataclass(frozen=True)
 class PointwiseRow:
     x: float

@@ -196,10 +196,11 @@ def test_acc05b_truncated_formula_full_cutoff(tables_1m, circle_1m):
 
 def test_acc06_mean_square_remainder_bound(tables_10m, circle_10m):
     t0 = time.perf_counter()
+    # Q(X) = int_0^X P^2 - c32 X^(3/2), classically O(X log^2 X)
     c32 = laplace.series_constant(tables_10m, laplace.R_SQUARED, 10**7).value / (3 * math.pi**2)
     worst = 0.0
     for X in (10**4, 10**5, 10**6, 10**7):
-        q = lattice.q_of_x(circle_10m, float(X), c32)
+        q = lattice.mean_square_p(circle_10m, float(X)) - c32 * float(X)**1.5
         worst = max(worst, abs(q) / (X * math.log(X) ** 2))
     _announce("ACC-06 mean-square remainder", t0,
               f"max |Q(X)|/(X log^2 X) = {worst:.5f} over X in 1e4..1e7 (bound 1)")
@@ -248,7 +249,7 @@ def test_acc07_laplace_transform_remainder_order(circle_1m):
     t0 = time.perf_counter()
     c = laplace.series_limit(laplace.R_SQUARED)
     Ts = [2.0**k for k in range(6, 14)]
-    scan = laplace.residual_scan(circle_1m, c, Ts, rel_tol=1e-6)
+    scan = laplace.residual_scan(circle_1m, Ts, rel_tol=1e-6)
     scaled = [row.residual / row.T**1.5 for row in scan.rows]
     decreasing = all(a > b for a, b in zip(scaled, scaled[1:]))
     top = scan.rows[-1]
@@ -266,9 +267,8 @@ def test_acc07_laplace_transform_remainder_order(circle_1m):
 
 def test_acc08_divisor_transform_a1(divisor_1m):
     t0 = time.perf_counter()
-    c = laplace.series_limit(laplace.D_SQUARED)
     Ts = [2.0**k for k in range(7, 14)]
-    fit = laplace.fit_a1(laplace.residual_scan(divisor_1m, c, Ts, rel_tol=1e-6))
+    fit = laplace.fit_a1(laplace.residual_scan(divisor_1m, Ts, rel_tol=1e-6))
     rel_gap = abs(fit.a1 - laplace.A1_EXPECTED) / abs(laplace.A1_EXPECTED)
     _announce("ACC-08 divisor transform log^2 coefficient", t0,
               f"fitted {fit.a1:.7f} vs -1/(4 pi^2) = {laplace.A1_EXPECTED:.7f} "
@@ -278,13 +278,13 @@ def test_acc08_divisor_transform_a1(divisor_1m):
 
 def test_acc09_correlation_dual_path_and_ratios(tables_1m):
     t0 = time.perf_counter()
-    records = correlate.corr_grid(tables_1m, [10**5], 100)
+    records = correlate.corr_grid(tables_1m, 10**5, 100)
     for rec in records:
         assert rec.raw == correlate.corr_sum(tables_1m, rec.N, rec.h)
     assert correlate.e_term(tables_1m, 10, 1).e_value == 16.0
     maxima = []
     for N in (10**4, 10**5, 10**6):
-        grid = correlate.corr_grid(tables_1m, [N], math.isqrt(N))
+        grid = correlate.corr_grid(tables_1m, N, math.isqrt(N))
         maxima.append(correlate.pointwise_bound_report(grid).max_ratio)
     growth = [b / a for a, b in zip(maxima, maxima[1:])]
     _announce("ACC-09 correlation dual path + envelope", t0,

@@ -60,7 +60,7 @@ def test_e_unit_step_identity(tables_4k):
 
 
 def test_corr_grid_matches_individual_calls(tables_4k):
-    records = corr_grid(tables_4k, [10], 3)
+    records = corr_grid(tables_4k, 10, 3)
     assert len(records) == 3
     for rec in records:
         solo = e_term(tables_4k, rec.N, rec.h)
@@ -68,15 +68,14 @@ def test_corr_grid_matches_individual_calls(tables_4k):
 
 
 def test_corr_grid_dual_path_exact(tables_4k):
-    records = corr_grid(tables_4k, [2000, 3000], 50)
+    records = corr_grid(tables_4k, 2000, 50) + corr_grid(tables_4k, 3000, 50)
     for rec in records:
         assert rec.raw == corr_sum(tables_4k, rec.N, rec.h)
 
 
 def test_corr_grid_empty_and_domain(tables_4k):
-    assert corr_grid(tables_4k, [], 10) == []
     with pytest.raises(ValueError):
-        corr_grid(tables_4k, [tables_4k.limit], 1)
+        corr_grid(tables_4k, tables_4k.limit, 1)
 
 
 def test_main_term_two_forms_interchangeable():
@@ -98,7 +97,7 @@ def test_pointwise_bound_report(tables_4k):
 
 
 def test_weighted_bound_report_determinism(tables_4k):
-    records = corr_grid(tables_4k, [1000], 32)
+    records = corr_grid(tables_4k, 1000, 32)
     block = [r for r in records if 16 < r.h <= 32]
     rep1 = weighted_bound_report(block, trials=5, seed=99)
     rep2 = weighted_bound_report(block, trials=5, seed=99)

@@ -13,20 +13,16 @@ from circlekit.laplace import (
     R_SQUARED,
     LaplaceEstimate,
     ResidualScan,
-    SeriesConstant,
-    exp_power_peak,
     fit_a1,
     fit_log_quadratic,
     laplace_d2,
-    laplace_main_d,
-    laplace_main_p,
+    laplace_main,
     laplace_p2,
     residual_scan,
     series_constant,
     series_limit,
     weight_f,
     weight_u,
-    weight_u_bound_check,
     weight_u_log_ratio,
 )
 from circlekit.lattice import CIRCLE, DIVISOR, delta_of_x, p_of_x, step_profile
@@ -174,13 +170,11 @@ def test_laplace_p2_validates_input(circle_4k, divisor_4k):
 
 
 def test_laplace_main_p():
-    c = SeriesConstant(kind=R_SQUARED, terms_used=10, value=50.0, tail_bound=1.0)
-    assert laplace_main_p(c, math.pi) == pytest.approx(50.0 / 4 - math.pi, rel=1e-15)
-    assert laplace_main_p(50.0, math.pi) == laplace_main_p(c, math.pi)
-    tiny = laplace_main_p(c, 1e-9)
+    c_r, c_d = series_limit(R_SQUARED), series_limit(D_SQUARED)
+    assert laplace_main(CIRCLE, math.pi) == pytest.approx(c_r / 4 - math.pi, rel=1e-15)
+    assert laplace_main(DIVISOR, math.pi) == pytest.approx(c_d / 8, rel=1e-15)
+    tiny = laplace_main(CIRCLE, 1e-9)
     assert abs(tiny) < 1e-8
-    with pytest.raises(ValueError):
-        laplace_main_p(SeriesConstant(D_SQUARED, 10, 38.0, 1.0), 10.0)
 
 
 def test_leading_coefficient_convergence(circle_1m):
@@ -196,8 +190,7 @@ def test_leading_coefficient_convergence(circle_1m):
 
 
 def test_residual_scan_rows_and_validation(circle_1m, divisor_1m):
-    c = series_limit(R_SQUARED)
-    scan = residual_scan(circle_1m, c, [128.0])
+    scan = residual_scan(circle_1m, [128.0])
     assert scan.kind == CIRCLE
     assert len(scan.rows) == 1
     row = scan.rows[0]
@@ -205,23 +198,31 @@ def test_residual_scan_rows_and_validation(circle_1m, divisor_1m):
     assert row.ratio_t23 == pytest.approx(abs(row.residual) / 128.0 ** (2 / 3))
     assert math.isnan(scan.slope)
     with pytest.raises(ValueError):
-        residual_scan(circle_1m, c, [256.0, 128.0])
+        residual_scan(circle_1m, [256.0, 128.0])
     with pytest.raises(ValueError):
-        residual_scan(circle_1m, c, [])
+        residual_scan(circle_1m, [])
 
-    c_d = series_limit(D_SQUARED)
-    scan = residual_scan(divisor_1m, c_d, [128.0, 256.0])
+    scan = residual_scan(divisor_1m, [128.0, 256.0])
     assert scan.kind == DIVISOR
     assert [row.T for row in scan.rows] == [128.0, 256.0]
     for row in scan.rows:
         assert (row.integral, row.truncation_bound) == laplace_d2(divisor_1m, row.T)
-        assert row.main_term == laplace_main_d(c_d, row.T)
+        assert row.main_term == laplace_main(DIVISOR, row.T)
         assert row.residual == row.integral - row.main_term
     assert not math.isnan(scan.slope)
     with pytest.raises(ValueError):
-        residual_scan(divisor_1m, c_d, [256.0, 128.0])
+        residual_scan(divisor_1m, [256.0, 128.0])
     with pytest.raises(ValueError):
-        residual_scan(divisor_1m, c_d, [])
+        residual_scan(divisor_1m, [])
+
+
+def test_scan_main_term_is_the_kinds_closed_form(circle_4k, divisor_4k):
+    # the scan pairs the profile's kind with its series constant itself
+    for profile, series in ((circle_4k, R_SQUARED), (divisor_4k, D_SQUARED)):
+        scan = residual_scan(profile, [16.0, 32.0])
+        assert scan.constant == series_limit(series)
+        for row in scan.rows:
+            assert row.main_term == laplace_main(profile.kind, row.T)
 
 
 def _d2_integrand(profile, T):
@@ -305,9 +306,9 @@ def test_fit_underdetermined():
         fit_log_quadratic([10.0, 20.0], [1.0, 2.0])
     rows = [LaplaceEstimate(T, 1.0, 0.0, 0.5, 0.5) for T in (128.0, 256.0, 512.0)]
     with pytest.raises(ValueError):
-        fit_a1(ResidualScan(kind=DIVISOR, rows=rows[:2], slope=0.0))
+        fit_a1(ResidualScan(kind=DIVISOR, constant=0.5, rows=rows[:2], slope=0.0))
     with pytest.raises(ValueError):
-        fit_a1(ResidualScan(kind=CIRCLE, rows=rows, slope=0.0))
+        fit_a1(ResidualScan(kind=CIRCLE, constant=0.5, rows=rows, slope=0.0))
 
 
 # ------------------------------------------------------------------ weights
@@ -345,7 +346,7 @@ def test_weight_u_bound_on_grid():
     for h in (1.0, 10.0):
         for mult in (1.0, 10.0, 1e4):
             t = mult * h * h
-            ok = weight_u_bound_check(t, h, T, c_cap=100.0)
+            ok = weight_u_log_ratio(t, h, T) <= math.log(100.0)
             if h == 1.0 and mult == 1.0:
                 assert not ok
                 assert weight_u_log_ratio(t, h, T) > 100.0
@@ -388,23 +389,3 @@ def test_weight_u_derivative_against_mpmath():
                 assert abs((laplace._u_parts(t, h, T)[1] - ref) / ref) <= 1e-12, (t, h, T)
                 points += 1
     assert points == 136
-
-
-def test_exp_power_inequality():
-    alpha = 11.0 / 6.0
-    peak = exp_power_peak(alpha)
-    xs = np.geomspace(1e-6, 1e3, 400)
-    vals = np.exp(-xs) * xs**alpha
-    assert (vals <= peak * (1 + 1e-12)).all()
-    # the maximum is attained at x = alpha
-    assert np.exp(-alpha) * alpha**alpha == pytest.approx(peak, rel=1e-15)
-    dense = np.linspace(alpha - 0.5, alpha + 0.5, 2001)
-    assert float(np.max(np.exp(-dense) * dense**alpha)) == pytest.approx(peak, rel=1e-7)
-
-
-@pytest.mark.parametrize("alpha", [150.0, 171.0])
-def test_exp_power_peak_near_the_float_range_end(alpha):
-    # the peak is finite here, though alpha**alpha alone is past the largest float
-    with mp.workdps(30):
-        ref = mp.exp(-mp.mpf(alpha)) * mp.mpf(alpha) ** mp.mpf(alpha)
-    assert exp_power_peak(alpha) == pytest.approx(float(ref), rel=1e-14)

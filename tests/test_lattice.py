@@ -15,7 +15,6 @@ from circlekit.lattice import (
     p_gauss_oracle,
     p_of_x,
     pointwise_report,
-    q_of_x,
     step_profile,
 )
 
@@ -193,11 +192,12 @@ def test_mean_square_monotone_and_additive(circle_4k):
 
 
 def test_q_of_x(circle_4k):
-    assert q_of_x(circle_4k, 0.0, 1.7) == 0.0
+    # Q(X) = int_0^X P^2 - c32 X^(3/2), written inline where it is used (ACC-06)
+    assert mean_square_p(circle_4k, 0.0) - 1.7 * 0.0**1.5 == 0.0
     X = 2000.0
     c32 = 1.69
-    assert q_of_x(circle_4k, X, c32) == pytest.approx(
-        mean_square_p(circle_4k, X) - c32 * X**1.5, rel=1e-12
+    assert mean_square_p(circle_4k, X) - c32 * X**1.5 == pytest.approx(
+        _p_squared_quadrature(circle_4k, 0.0, X) - c32 * X**1.5, rel=1e-12
     )
 
 
