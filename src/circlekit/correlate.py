@@ -78,6 +78,8 @@ def corr_grid(tables: ArithTables, N: int, H_max: int) -> list[CorrelationRecord
     """
     if H_max < 1:
         raise ValueError(f"H_max must be >= 1, got {H_max}")
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     if N + H_max > tables.limit:
         raise ValueError(
             f"corr_grid needs tables up to {N + H_max}, limit is {tables.limit}"

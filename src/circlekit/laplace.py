@@ -13,16 +13,15 @@ recovers empirically from the rows of a divisor scan.  `laplace_main` gives
 the main term by kind, with the series sum in closed form (`series_limit`);
 a scan takes both from its profile's kind, so no caller supplies a constant.
 
-Integration is exact where possible: P is affine on every unit interval,
-so P^2 exp(-x/T) has an elementary antiderivative per interval, evaluated
-in local coordinates (x = n + s, s in [0, 1)) with the interval moments
-int_0^1 s^k exp(-s/T) ds precomputed in high precision -- the naive
-antiderivative difference cancels catastrophically when T >> 1.  The
-divisor integrand is not polynomial, so each unit interval gets one
-24-point Gauss-Legendre rule (the first interval is subdivided dyadically
-because x log x has unbounded derivatives at 0), with a certified bound on
-its discretisation error from a Bernstein ellipse around every panel; float
-rounding is not bounded yet (ROADMAP item 7).
+Both transforms integrate one way: on each unit interval [n, n+1) the
+error term is a polynomial p in local coordinates, so the interval
+contributes exp(-n/T) p^T H p with H[i][j] = mu_{i+j}, the moments
+int_0^1 (s - shift)^k exp(-s/T) ds (`_moments`) formed once per T in high
+precision -- the naive antiderivative difference cancels catastrophically
+when T >> 1.  P is affine, so p is exact.  Delta's p is its Taylor
+polynomial about n + 1/2, with a certified remainder; on [0, 1), where
+Delta = -main has a log singularity, Delta^2 is integrated in closed form.
+Float rounding is not bounded yet (ROADMAP item 7).
 
 Truncation policy: integrate whole blocks of `block_size(T)` unit intervals
 until, at a block edge x_max, the tail bound `_tail_bound` drops below
@@ -55,7 +54,6 @@ R_SQUARED = "r_squared"
 D_SQUARED = "d_squared"
 
 DEFAULT_REL_TOL = 1e-6
-_QUAD_ORDER = 24
 _QUAD_SELF_CHECK = 1e-12
 _LAST_BLOCK = 747         # blocks span >= T, so x >= 747 T here, where exp(-x/T) is 0.0
 
@@ -151,19 +149,29 @@ def series_limit(kind: str) -> float:
         return float(val)
 
 
-def _interval_moments(T: float) -> tuple[float, float, float]:
-    """m_k = int_0^1 s^k exp(-s/T) ds for k = 0, 1, 2, in high precision.
-
-    For large T these are tiny differences of near-equal exponentials, so
-    they are formed once per call with mpmath rather than in doubles.
-    """
+def _exp_sum(T: float, term) -> mp.mpf:
+    """sum_j (-1/T)^j/j! term(j) at 40 digits: exp(-s/T) as its series, with
+    every |term(j)| <= 1.  It stops once (1/T)^j/j! < 10^-40, not on the size
+    of a term, which can be exactly 0; T >= 1 bounds the omitted tail by that."""
     with mp.workdps(40):
-        lam = 1 / mp.mpf(T)
-        E = mp.e**-lam
-        m0 = (1 - E) / lam
-        m1 = (1 - E * (1 + lam)) / lam**2
-        m2 = (2 - E * (2 + 2 * lam + lam**2)) / lam**3
-        return float(m0), float(m1), float(m2)
+        c, terms = mp.mpf(1), []
+        while abs(c) >= mp.mpf(10) ** -40:
+            terms.append(c * term(len(terms)))
+            c /= -mp.mpf(T) * len(terms)
+        return mp.fsum(terms)
+
+
+def _moments(T: float, k_max: int, shift: float) -> list[float]:
+    """mu_k = int_0^1 (s - shift)^k exp(-s/T) ds for k = 0..k_max, at 40 digits:
+    with u = s - shift, exp(-shift/T) sum_j (-1/T)^j/j! int u^(k+j) du over
+    [-shift, 1 - shift].  In closed form these are tiny differences of
+    near-equal exponentials when T >> 1, so they are formed in mpmath."""
+    if not 1 <= T < math.inf:
+        raise ValueError(f"T must be finite and >= 1, got {T}")
+    with mp.workdps(40):
+        a, b, scale = -mp.mpf(shift), 1 - mp.mpf(shift), mp.exp(-mp.mpf(shift) / T)
+        return [float(scale * _exp_sum(T, lambda j, e=k + 1: (b**(e + j) - a**(e + j)) / (e + j)))
+                for k in range(k_max + 1)]
 
 
 # (c, c0) with |error(x)| <= c sqrt(x) + c0 for x >= 1, at both one-sided limits.
@@ -225,8 +233,6 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
     short only raises the running total that names the edge, never a
     returned value.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
     block = block_size(T)
@@ -261,7 +267,7 @@ def laplace_p2(
     """
     if profile.kind != CIRCLE:
         raise ValueError("laplace_p2 needs a CIRCLE profile")
-    m0, m1, m2 = _interval_moments(T)
+    m0, m1, m2 = _moments(T, 2, 0.0)
 
     def block(lo: int, hi: int) -> float:
         n = np.arange(lo, hi, dtype=np.float64)
@@ -334,63 +340,49 @@ def residual_scan(profile: StepProfile, T_list, rel_tol: float = DEFAULT_REL_TOL
     return ResidualScan(kind=profile.kind, constant=c, rows=rows, slope=slope)
 
 
-def _d2_first_interval(T: float, nodes, weights) -> float:
-    """int_0^1 main(x)^2 exp(-x/T) dx (Delta = -main on [0, 1)) on a dyadic graded mesh.
+def _first_interval(T: float) -> float:
+    """int_0^1 main(x)^2 exp(-x/T) dx (Delta = -main on [0, 1)) at 40 digits:
+    main^2 = x^2 (L + a)^2 + x (L + a)/2 + 1/16, L = log x, a = 2 gamma - 1,
+    and int_0^1 x^k L^b dx = (-1)^b b!/(k+1)^(b+1)."""
+    with mp.workdps(40):
+        a = 2 * mp.euler - 1
 
-    x log x has unbounded derivatives at 0, so a single Gauss panel loses
-    ~1e-9 relative accuracy here; panels [2^-j-1, 2^-j] restore spectral
-    convergence and the leftover [0, 2^-52] stub is integrated as the
-    constant (1/4)^2.
-    """
-    edges = [2.0**-j for j in range(53)]
-    total = 0.25**2 * edges[-1]    # exp(-x/T) ~ 1 below 2^-52
-    for j in range(52):
-        a, b = edges[j + 1], edges[j]
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        x = mid + half * nodes
-        f = divisor_main(x) ** 2 * np.exp(-x / T)
-        total += half * float(np.dot(weights, f))
-    return total
+        def J(k, b):
+            return (-1) ** b * mp.factorial(b) / mp.mpf(k + 1) ** (b + 1)
+
+        return float(_exp_sum(T, lambda j: J(j + 2, 2) + 2 * a * J(j + 2, 1) + a * a * J(j + 2, 0)
+                              + (J(j + 1, 1) + a * J(j + 1, 0)) / 2 + J(j, 0) / 16))
 
 
-def _gauss_error_bound(lo, hi, D, T: float, m: int) -> float:
-    """Certified error of m-point Gauss-Legendre for (D - main(x))^2 exp(-x/T),
-    summed over the panels [lo, hi] (arrays or scalars, D one value per panel).
-
-    If f is analytic in the Bernstein ellipse E_rho of [-1, 1] with |f| <= M
-    there, the m-point rule errs by at most (64/15) M rho^(-2m) / (rho^2 - 1)
-    (Trefethen, SIAM Rev. 50 (2008), Thm 4.5); a panel of half-width h scales
-    this by h.  With rho = 4 the ellipse of a panel with centre c lies in
-    Re z in [c - 2.125 h, c + 2.125 h], |Im z| <= 1.875 h, with left end
-    n - 0.5625 on [n, n+1] and 0.875 h on the dyadic panels of [0, 1).  So
-    |arg z| < pi/2, |exp(-z/T)| = exp(-Re z/T) and, with R the modulus of the
-    far corner, |main(z)| <= R (max |log|z|| + pi/2 + |2 gamma - 1|) + 1/4.
-    A left end <= 0 makes the bound nan or inf, which fails any check.
-    """
-    rho = 4.0
-    a, b = (rho + 1.0 / rho) / 2.0, (rho - 1.0 / rho) / 2.0   # semi-axes of E_rho
-    c, h = (lo + hi) / 2.0, (hi - lo) / 2.0
-    near, far = c - a * h, np.hypot(c + a * h, b * h)
-    ell = np.maximum(np.abs(np.log(far)), np.abs(np.log(near)))
-    main_sup = far * (ell + np.pi / 2.0 + abs(2.0 * EULER_GAMMA - 1.0)) + 0.25
-    M = (np.abs(D) + main_sup) ** 2 * np.exp(-near / T)
-    return float(np.sum(h * (64.0 / 15.0) * M * rho ** (-2 * m) / (rho * rho - 1.0)))
+def _taylor_coefficients(n, D, K: int) -> np.ndarray:
+    """p, one row per n, with Delta(c + u) = sum_{k<=K} p_k u^k on [n, n+1) to
+    within `_taylor_remainder`: about c = n + 1/2, main^(k) = (-1)^k (k-2)!/x^(k-1)
+    for k >= 2 gives Delta(c + u) = (D - main(c)) - u (log c + 2 gamma)
+    - sum_{k>=2} (-1)^k u^k / (k (k-1) c^(k-1)), D the step value on [n, n+1)."""
+    c = n + 0.5
+    cols = [D - divisor_main(c), -(np.log(c) + 2.0 * EULER_GAMMA)]
+    cols += [-((-1.0) ** k) / (k * (k - 1) * c ** (k - 1)) for k in range(2, K + 1)]
+    return np.stack(cols, axis=-1)
 
 
-def _d2_first_interval_bound(T: float, m: int) -> float:
-    """Certified error of `_d2_first_interval` at order m: its 52 dyadic
-    panels (Delta = -main, so D = 0) plus the [0, 2^-52] stub.
+def _taylor_remainder(n, K: int):
+    """R = c rho^(K+1) / (K (K+1) (1 - rho)) >= the order-K terms' omitted
+    sum, since |u|/c <= rho = 1/(2n+1) and term k > K is <= c (|u|/c)^k/(K (K+1))."""
+    rho = 1.0 / (2.0 * n + 1.0)
+    return (n + 0.5) * rho ** (K + 1) / (K * (K + 1) * (1.0 - rho))
 
-    On (0, eps], eps = 2^-52, x |log x| is increasing, so |main(x) - 1/4| <=
-    eps (52 log 2 + |2 gamma - 1|) =: delta and 1 - exp(-x/T) <= eps/T; the
-    stub's constant (1/4)^2 is therefore off by at most eps (delta (1/2 +
-    delta) + eps/(16 T)), ~1e-30.
-    """
-    eps = 2.0**-52
-    delta = eps * (52.0 * math.log(2.0) + abs(2.0 * EULER_GAMMA - 1.0))
-    stub = eps * (delta * (0.5 + delta) + eps / (16.0 * T))
-    right = 2.0 ** -np.arange(52.0)
-    return stub + _gauss_error_bound(right / 2.0, right, 0.0, T, m)
+
+def _taylor_order(n: int) -> int:
+    """Least K with R <= 2^-60 on [n, n+1), 1/256 ulp of main(c) >= 1, whose
+    rounding in p_0 then dominates: 32 at n = 1, 5 at n = 1000, 3 from n ~ 1.8e5."""
+    return next(K for K in range(1, 64) if _taylor_remainder(n, K) <= 2.0**-60)
+
+
+def _taylor_certificate(n, p: np.ndarray, T: float):
+    """exp(-n/T) R (2 sum |p_k| 2^-k + R) >= int |Delta^2 - Delta_K^2| exp(-x/T)
+    over [n, n+1), as |Delta - Delta_K| <= R and |Delta_K| <= sum |p_k| 2^-k."""
+    R = _taylor_remainder(n, p.shape[-1] - 1)
+    return np.exp(-n / T) * R * (2.0 * (np.abs(p) @ 0.5 ** np.arange(p.shape[-1])) + R)
 
 
 def laplace_d2(
@@ -398,40 +390,42 @@ def laplace_d2(
 ) -> tuple[float, float]:
     """int_0^infty Delta^2(x) exp(-x/T) dx; returns (integral, truncation_bound).
 
-    Per unit interval the integrand is smooth but not polynomial, so each
-    gets one _QUAD_ORDER-point Gauss-Legendre rule.  When the certified
-    discretisation error, `_gauss_error_bound` summed over every panel
-    integrated, exceeds _QUAD_SELF_CHECK * max(1, |integral|), it aborts
-    rather than return a silently degraded value.  Float rounding is not
-    covered.
+    Integrated like `laplace_p2`: on [n, n+1), n >= 1, Delta is its Taylor
+    polynomial p about n + 1/2, of one order per octave [2^m, 2^(m+1)), so
+    the interval contributes exp(-n/T) p^T H p with H[i][j] = mu_{i+j} at
+    shift 1/2; [0, 1) is `_first_interval`.  When the certified remainder,
+    `_taylor_certificate` summed over every interval integrated, exceeds
+    _QUAD_SELF_CHECK * max(1, |integral|), it aborts rather than return a
+    silently degraded value.  Float rounding is not covered.
     """
     if profile.kind != DIVISOR:
         raise ValueError("laplace_d2 needs a DIVISOR profile")
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
-    s, w = (nodes + 1.0) / 2.0, weights / 2.0
+    k_max = _taylor_order(1)
+    mu = _moments(T, 2 * k_max, 0.5)
+    H = np.array(mu)[np.add.outer(range(k_max + 1), range(k_max + 1))]   # H[i][j] = mu_{i+j}
     errors = []
 
     def block(lo: int, hi: int) -> float:
         value = 0.0
         if lo == 0:
-            value = _d2_first_interval(T, nodes, weights)
-            errors.append(_d2_first_interval_bound(T, _QUAD_ORDER))
+            value = _first_interval(T)
             lo = 1
-        if hi > lo:
-            n = np.arange(lo, hi, dtype=np.float64)
-            Dn = profile.partial[lo:hi]
-            x = n[:, None] + s[None, :]
-            f = (Dn[:, None] - divisor_main(x)) ** 2 * np.exp(-x / T)
-            value += float(np.sum(f @ w))
-            errors.append(_gauss_error_bound(n, n + 1.0, Dn, T, _QUAD_ORDER))
+        while lo < hi:
+            top = min(hi, 1 << lo.bit_length())   # one order per octave [2^m, 2^(m+1))
+            K = _taylor_order(lo)
+            n = np.arange(lo, top, dtype=np.float64)
+            p = _taylor_coefficients(n, profile.partial[lo:top], K)
+            value += float(np.sum(np.exp(-n / T) * np.sum((p @ H[: K + 1, : K + 1]) * p, axis=1)))
+            errors.append(float(np.sum(_taylor_certificate(n, p, T))))
+            lo = top
         return value
 
     total, trunc = _integrate_to_tolerance(profile, T, rel_tol, block)
     bound = math.fsum(errors)
     if not bound <= _QUAD_SELF_CHECK * max(1.0, abs(total)):
         raise RuntimeError(
-            f"quadrature self-check failed for T={T}: the certified order-{_QUAD_ORDER} "
-            f"error bound {bound:.3e} exceeds {_QUAD_SELF_CHECK} rel"
+            f"quadrature self-check failed for T={T}: the certified Taylor remainder "
+            f"bound {bound:.3e} exceeds {_QUAD_SELF_CHECK} rel"
         )
     return total, trunc
 

@@ -99,7 +99,7 @@ def bessel_j(order: int, z):
         raise ValueError(f"order must be 0 or 1, got {order}")
     scalar = np.isscalar(z)
     zz = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    if (zz < 0).any():
+    if not (zz >= 0).all():   # nan fails too
         raise ValueError("bessel_j requires z >= 0")
     out = _bessel_j(order, zz, zz)
     return float(out[0]) if scalar else out

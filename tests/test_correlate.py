@@ -76,6 +76,9 @@ def test_corr_grid_dual_path_exact(tables_4k):
 def test_corr_grid_empty_and_domain(tables_4k):
     with pytest.raises(ValueError):
         corr_grid(tables_4k, tables_4k.limit, 1)
+    for H_max in (1, 4):   # an empty sum, and one np.dot used to reject by shape
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            corr_grid(tables_4k, -3, H_max)
 
 
 def test_main_term_two_forms_interchangeable():

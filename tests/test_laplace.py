@@ -162,8 +162,10 @@ def test_transform_never_depends_on_the_profile_size(tables_120k, kind, transfor
 def test_laplace_p2_validates_input(circle_4k, divisor_4k):
     with pytest.raises(ValueError):
         laplace_p2(divisor_4k, 10.0)
-    with pytest.raises(ValueError):
-        laplace_p2(circle_4k, 0.5)
+    for profile, transform in ((circle_4k, laplace_p2), (divisor_4k, laplace_d2)):
+        for T in (0.5, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="T must be"):
+                transform(profile, T)
     for rel_tol in (0.0, math.nan, math.inf, 1.0):
         with pytest.raises(ValueError):
             laplace_p2(circle_4k, 10.0, rel_tol=rel_tol)
@@ -259,36 +261,69 @@ def test_quadrature_self_check_compares_both_orders(monkeypatch, divisor_4k):
         laplace_d2(divisor_4k, 10.0)
 
 
-def _mp_gauss_legendre(m):
-    """m-point Gauss-Legendre nodes and weights on [-1, 1] at the working precision."""
-    nodes, weights = [], []
-    for guess in np.polynomial.legendre.leggauss(m)[0]:
-        x = mp.findroot(lambda t: mp.legendre(m, t), mp.mpf(guess))
-        dp = m * (x * mp.legendre(m, x) - mp.legendre(m - 1, x)) / (x * x - 1)
-        nodes.append(x)
-        weights.append(2 / ((1 - x * x) * dp**2))
-    return nodes, weights
-
-
-@pytest.mark.parametrize("lo, hi, D", [
-    (2.0**-11, 2.0**-10, 0), (0.5, 1.0, 0), (1.0, 2.0, 1), (10.0, 11.0, 27), (1000.0, 1001.0, 7069),
-])
-def test_gauss_error_bound_is_an_upper_bound(lo, hi, D):
-    # D is the divisor partial sum on [lo, hi): 0 below 1, then D_1, D_10, D_1000
+@pytest.mark.parametrize("n, D", [(1, 1), (10, 27), (1000, 7069)])
+def test_taylor_remainder_is_an_upper_bound(n, D):
+    # D is the divisor partial sum on [n, n+1): D_1, D_10, D_1000
     with mp.workdps(50):
-        rules = {m: _mp_gauss_legendre(m) for m in (2, 3, 4, 6)}
-        c, h = (mp.mpf(lo) + hi) / 2, (mp.mpf(hi) - lo) / 2
-        for T in (1.0, 10.0, 1e4):
-            def f(x):
-                return (D - x * (mp.log(x) + 2 * mp.euler - 1) - mp.mpf(1) / 4) ** 2 * mp.exp(-x / T)
+        c, gamma = mp.mpf(n) + mp.mpf(1) / 2, mp.euler
 
-            exact = mp.quad(f, [lo, hi])
-            for m, (nodes, weights) in rules.items():
-                bound = laplace._gauss_error_bound(lo, hi, D, T, m)
-                if bound == 0.0:    # exp(-x/T) underflows: nothing to compare
+        def delta(x):
+            return D - x * (mp.log(x) + 2 * gamma - 1) - mp.mpf(1) / 4
+
+        for T in (1.0, 10.0, 1e4):
+            for K in sorted({1, 2, 4, laplace._taylor_order(n)}):
+                def delta_k(x):
+                    u = x - c
+                    return delta(c) - u * (mp.log(c) + 2 * gamma) - mp.fsum(
+                        (-1) ** k * u**k / (k * (k - 1) * c ** (k - 1)) for k in range(2, K + 1))
+
+                p = laplace._taylor_coefficients(float(n), float(D), K)
+                bound = float(laplace._taylor_certificate(float(n), p, T))
+                if bound == 0.0:    # exp(-n/T) underflows: nothing to compare
                     continue
-                approx = h * mp.fsum(w * f(c + h * t) for t, w in zip(nodes, weights))
-                assert abs(approx - exact) <= bound, (T, m)
+                gap = mp.quad(lambda x: (delta(x)**2 - delta_k(x)**2) * mp.exp(-x / T), [n, n + 1])
+                assert abs(gap) <= bound, (T, K)
+
+
+def test_first_interval_closed_form():
+    # Delta = -main on [0, 1); the log singularity at 0 is tanh-sinh's endpoint case
+    with mp.workdps(30):
+        for T in (1.0, 10.0, 4096.0, 1e6):
+            ref = mp.quad(lambda x: (x * (mp.log(x) + 2 * mp.euler - 1) + mp.mpf(1) / 4) ** 2
+                          * mp.exp(-x / T), [0, 1])
+            assert abs(laplace._first_interval(T) - ref) <= 1e-15 * ref, T
+
+
+def _long_double_order24(profile, T, x_max):
+    """int_0^x_max Delta^2 exp(-x/T) dx by a 24-point Gauss-Legendre rule per
+    unit interval, [0, 1) on dyadic panels [2^-j-1, 2^-j], summed in long double."""
+    ld = np.longdouble
+    nodes, weights = (a.astype(ld) for a in np.polynomial.legendre.leggauss(24))
+    s, w = (nodes + 1) / 2, weights / 2
+    a = 2 * ld("0.577215664901532860606512090082") - 1
+
+    def main(x):
+        return x * (np.log(x) + a) + ld(0.25)
+
+    right = ld(2) ** -np.arange(60, dtype=ld)
+    x = right[:, None] * (1 + s[None, :]) / 2          # panels [r/2, r]
+    total = np.sum((main(x) ** 2 * np.exp(-x / T)) @ w * (right / 2))
+    for lo in range(1, x_max, 4096):
+        n = np.arange(lo, min(lo + 4096, x_max), dtype=ld)
+        x = n[:, None] + s[None, :]
+        D = profile.partial[lo : lo + n.size].astype(ld)[:, None]
+        total += np.sum(((D - main(x)) ** 2 * np.exp(-x / T)) @ w)
+    return total
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs 80-bit long double")
+def test_laplace_d2_against_long_double_reference(divisor_1m):
+    T = 4096.0
+    value, trunc = laplace_d2(divisor_1m, T)
+    x_max = next(x for x in itertools.count(4096, 4096)
+                 if laplace._tail_bound(DIVISOR, T, x) == trunc)
+    ref = _long_double_order24(divisor_1m, T, x_max)
+    assert abs(value - ref) <= 5e-14 * ref
 
 
 def test_fit_log_quadratic_recovers_synthetic_exactly():

@@ -61,8 +61,9 @@ def test_bessel_bounded_by_one():
 def test_bessel_rejects_bad_args():
     with pytest.raises(ValueError):
         bessel_j(2, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(0, -1.0)
+    for z in (-1.0, math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            bessel_j(0, z)
 
 
 def test_gauss_sum_examples():
