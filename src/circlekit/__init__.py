@@ -30,8 +30,6 @@ from .correlate import (
 from .errors import CapacityError, CircleKitError
 from .laplace import (
     A1_EXPECTED,
-    D_SQUARED,
-    R_SQUARED,
     LaplaceEstimate,
     SeriesConstant,
     fit_a1,
@@ -50,10 +48,9 @@ from .lattice import (
     DIVISOR,
     EULER_GAMMA,
     StepProfile,
-    delta_of_x,
+    error_term,
     mean_square_p,
     p_gauss_oracle,
-    p_of_x,
     pointwise_report,
     step_profile,
 )

@@ -79,35 +79,6 @@ def write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
-def _parse_cell(cell: str):
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    if "/" in cell:
-        try:
-            return Fraction(cell)
-        except ValueError:
-            pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
-
-
-def read_csv(path: str):
-    """Parse a CSV written by this tool back into typed cells."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ValueError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    rows = [[_parse_cell(c) for c in line.split(",")] for line in lines[1:]]
-    return header, rows
-
-
 def _parse_t_list(text: str) -> list[float]:
     """'64..8192' doubles geometrically; '64,96,128' is taken literally.
 
@@ -225,9 +196,10 @@ def cmd_laplace(args) -> int:
 
 def cmd_constants(args) -> int:
     tables = arith.build_tables(max(args.terms, 2))   # C_hat needs 2
-    sc = laplace.series_constant(tables, args.kind, args.terms)
-    closed = laplace.series_limit(args.kind)
-    print(f"kind              {sc.kind}")
+    kind = _SERIES_KINDS[args.kind]
+    sc = laplace.series_constant(tables, kind, args.terms)
+    closed = laplace.series_limit(kind)
+    print(f"kind              {args.kind}")
     print(f"terms             {sc.terms_used}")
     print(f"partial sum       {sc.value:.12f}")
     print(f"tail bound        {sc.tail_bound:.6e}")
@@ -266,7 +238,7 @@ def cmd_voronoi(args) -> int:
                          "the range where the phases 2 pi sqrt(x n) are reduced exactly")
     tables = arith.build_tables(max(int(args.x) + 1, args.n_terms))
     profile = lattice.step_profile(tables, lattice.CIRCLE)
-    exact = lattice.p_of_x(profile, args.x)
+    exact = lattice.error_term(profile, args.x)
     trunc = special.truncated_p(tables, args.x, args.n_terms)
     hardy = special.hardy_partial(tables, args.x, args.n_terms)
     print(f"P(x) exact            {exact:.12f}")
@@ -276,6 +248,9 @@ def cmd_voronoi(args) -> int:
 
 
 # ------------------------------------------------------------------- driver
+
+# `constants` names each series by its square; scripts pass these names.
+_SERIES_KINDS = {"r_squared": lattice.CIRCLE, "d_squared": lattice.DIVISOR}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_laplace)
 
     sp = sub.add_parser("constants", help="series constant sum f^2(n) n^(-3/2)")
-    sp.add_argument("kind", choices=[laplace.R_SQUARED, laplace.D_SQUARED])
+    sp.add_argument("kind", choices=_SERIES_KINDS)
     sp.add_argument("--terms", type=_POSITIVE_INT, required=True)
     sp.set_defaults(func=cmd_constants)
 

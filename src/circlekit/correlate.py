@@ -90,34 +90,23 @@ def corr_grid(tables: ArithTables, N: int, H_max: int) -> list[CorrelationRecord
 
 
 @dataclass(frozen=True)
-class BoundRatioRow:
-    N: int
-    h: int
-    e_value: float
-    ratio: float     # |E| / (N^(2/3) h^(5/42))
-
-
-@dataclass(frozen=True)
 class PointwiseBoundReport:
-    rows: list[BoundRatioRow]
     max_ratio: float
     argmax: tuple[int, int]   # (N, h) attaining the max
 
 
 def pointwise_bound_report(records: list[CorrelationRecord]) -> PointwiseBoundReport:
-    """Ratios |E(N, h)| / (N^(2/3) h^(5/42)) per record plus the grid maximum."""
+    """The grid maximum of |E(N, h)| / (N^(2/3) h^(5/42)) and where it is attained."""
     if not records:
         raise ValueError("pointwise_bound_report needs at least one record")
-    rows = []
     best = (-1.0, (0, 0))
     for rec in records:
         if rec.h > rec.N:
             raise ValueError(f"pointwise envelope needs h <= N, got h={rec.h} > N={rec.N}")
         ratio = abs(rec.e_value) / (rec.N ** (2.0 / 3.0) * rec.h ** (5.0 / 42.0))
-        rows.append(BoundRatioRow(N=rec.N, h=rec.h, e_value=rec.e_value, ratio=ratio))
         if ratio > best[0]:
             best = (ratio, (rec.N, rec.h))
-    return PointwiseBoundReport(rows=rows, max_ratio=best[0], argmax=best[1])
+    return PointwiseBoundReport(max_ratio=best[0], argmax=best[1])
 
 
 @dataclass(frozen=True)

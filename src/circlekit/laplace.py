@@ -12,6 +12,9 @@ T (A1 log^2 T + A2 log T + A3) with A1 = -1/(4 pi^2), which `fit_a1`
 recovers empirically from the rows of a divisor scan.  `laplace_main` gives
 the main term by kind, with the series sum in closed form (`series_limit`);
 a scan takes both from its profile's kind, so no caller supplies a constant.
+The series sums are keyed by the same kinds: `series_constant` and
+`series_limit` take CIRCLE for sum r^2(n) n^(-3/2) and DIVISOR for
+sum d^2(n) n^(-3/2).
 
 Both transforms integrate one way: on each unit interval [n, n+1) the
 error term is a polynomial p in local coordinates, so the interval
@@ -48,10 +51,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import CapacityError
-from .lattice import _CHUNK, CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, divisor_main
-
-R_SQUARED = "r_squared"
-D_SQUARED = "d_squared"
+from .lattice import _CHUNK, CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, _values, divisor_main
 
 DEFAULT_REL_TOL = 1e-6
 _QUAD_SELF_CHECK = 1e-12
@@ -71,7 +71,7 @@ class SeriesConstant:
     increases the bound.
     """
 
-    kind: str
+    kind: str          # CIRCLE (f = r) or DIVISOR (f = d)
     terms_used: int
     value: float
     tail_bound: float
@@ -94,13 +94,9 @@ class LaplaceEstimate:
 
 
 def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
-    """Partial sum of sum_{n<=terms} f(n)^2 n^(-3/2) with compensated accumulation."""
-    if kind == R_SQUARED:
-        values = tables.r
-    elif kind == D_SQUARED:
-        values = tables.d
-    else:
-        raise ValueError(f"unknown series kind {kind!r}")
+    """Partial sum of sum_{n<=terms} f(n)^2 n^(-3/2) with compensated accumulation,
+    f = r for CIRCLE and d for DIVISOR."""
+    values = _values(tables, kind)
     if terms < 1 or terms > tables.limit:
         raise ValueError(f"terms={terms} outside table range [1, {tables.limit}]")
     if tables.limit < 2:
@@ -125,8 +121,8 @@ def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
 
 
 def series_limit(kind: str) -> float:
-    """Full value of sum f(n)^2 n^(-3/2) from the Euler product of its
-    generating Dirichlet series, evaluated in high precision:
+    """Full value of sum f(n)^2 n^(-3/2) (f = r for CIRCLE, d for DIVISOR) from
+    the Euler product of its generating Dirichlet series, in high precision:
 
         sum r^2(n) n^(-s) = 16 zeta(s)^2 L(s, chi4)^2 / ((1 + 2^(-s)) zeta(2s))
         sum d^2(n) n^(-s) = zeta(s)^4 / zeta(2s)
@@ -139,13 +135,13 @@ def series_limit(kind: str) -> float:
     """
     with mp.workdps(30):
         s = mp.mpf(3) / 2
-        if kind == R_SQUARED:
+        if kind == CIRCLE:
             beta = 4**-s * (mp.zeta(s, mp.mpf(1) / 4) - mp.zeta(s, mp.mpf(3) / 4))
             val = 16 * mp.zeta(s) ** 2 * beta**2 / ((1 + 2**-s) * mp.zeta(2 * s))
-        elif kind == D_SQUARED:
+        elif kind == DIVISOR:
             val = mp.zeta(s) ** 4 / mp.zeta(2 * s)
         else:
-            raise ValueError(f"unknown series kind {kind!r}")
+            raise ValueError(f"unknown profile kind {kind!r}")
         return float(val)
 
 
@@ -278,10 +274,6 @@ def laplace_p2(
     return _integrate_to_tolerance(profile, T, rel_tol, block)
 
 
-# The series sum f(n)^2 n^(-3/2) whose closed form a kind's main term carries.
-_SERIES = {CIRCLE: R_SQUARED, DIVISOR: D_SQUARED}
-
-
 def _main_term(kind: str, T: float, c: float) -> float:
     if kind == CIRCLE:
         return 0.25 * (T / math.pi) ** 1.5 * c - T
@@ -289,16 +281,16 @@ def _main_term(kind: str, T: float, c: float) -> float:
 
 
 def laplace_main(kind: str, T: float) -> float:
-    """Main term of the ``kind`` transform at T, with c = `series_limit` of
-    the kind's series: (1/4) (T/pi)^(3/2) c - T for CIRCLE (c = sum r^2(n)
-    n^(-3/2)), (1/8) (T/pi)^(3/2) c for DIVISOR (c = sum d^2(n) n^(-3/2))."""
-    return _main_term(kind, T, series_limit(_SERIES[kind]))
+    """Main term of the ``kind`` transform at T, with c = `series_limit(kind)`:
+    (1/4) (T/pi)^(3/2) c - T for CIRCLE (c = sum r^2(n) n^(-3/2)),
+    (1/8) (T/pi)^(3/2) c for DIVISOR (c = sum d^2(n) n^(-3/2))."""
+    return _main_term(kind, T, series_limit(kind))
 
 
 @dataclass(frozen=True)
 class ResidualScan:
     kind: str        # CIRCLE or DIVISOR, the kind of the scanned profile
-    constant: float  # series_limit of the kind's series, the main terms' constant
+    constant: float  # series_limit(kind), the main terms' constant
     rows: list[LaplaceEstimate]
     slope: float     # least-squares slope of log |residual| against log T
 
@@ -317,7 +309,7 @@ def residual_scan(profile: StepProfile, T_list, rel_tol: float = DEFAULT_REL_TOL
     if not Ts:
         raise ValueError("T_list must be non-empty")
     transform = laplace_p2 if profile.kind == CIRCLE else laplace_d2
-    c = series_limit(_SERIES[profile.kind])
+    c = series_limit(profile.kind)
     rows = []
     for T in Ts:
         integral, trunc = transform(profile, T, rel_tol)

@@ -54,14 +54,18 @@ class StepProfile:
         return int(self.partial[n] - self.partial[n - 1])
 
 
+def _values(tables: ArithTables, kind: str) -> np.ndarray:
+    """The table of kind's f: r for CIRCLE, d for DIVISOR (only that one is sieved)."""
+    if kind == CIRCLE:
+        return tables.r
+    if kind == DIVISOR:
+        return tables.d
+    raise ValueError(f"unknown profile kind {kind!r}")
+
+
 def step_profile(tables: ArithTables, kind: str) -> StepProfile:
     """Build the summatory profile of r (kind=CIRCLE) or d (kind=DIVISOR)."""
-    if kind == CIRCLE:
-        values = tables.r
-    elif kind == DIVISOR:
-        values = tables.d
-    else:
-        raise ValueError(f"unknown profile kind {kind!r}")
+    values = _values(tables, kind)
     partial = np.zeros(tables.limit + 1, dtype=np.float64)
     np.cumsum(values[1:], dtype=np.float64, out=partial[1:])
     if partial[-1] >= 2.0**53:   # f >= 0: the last sum is the largest; all are exact below it
@@ -82,11 +86,13 @@ def _primed_partial(profile: StepProfile, x: float) -> float:
     return s
 
 
-def p_of_x(profile: StepProfile, x: float) -> float:
-    """Circle-problem error term P(x) = sum'_{n<=x} r(n) - pi x + 1."""
-    if profile.kind != CIRCLE:
-        raise ValueError("p_of_x needs a CIRCLE profile")
-    return _primed_partial(profile, x) - math.pi * x + 1.0
+def error_term(profile: StepProfile, x: float) -> float:
+    """The profile's error term at x: P(x) = sum'_{n<=x} r(n) - pi x + 1 for
+    CIRCLE, Delta(x) = sum'_{n<=x} d(n) - x(log x + 2 gamma - 1) - 1/4 for DIVISOR."""
+    s = _primed_partial(profile, x)
+    if profile.kind == CIRCLE:
+        return s - math.pi * x + 1.0
+    return s - x * (math.log(x) + 2.0 * EULER_GAMMA - 1.0) - 0.25
 
 
 def p_gauss_oracle(x: float) -> float:
@@ -106,17 +112,6 @@ def p_gauss_oracle(x: float) -> float:
     for a in range(-a_max, a_max + 1):
         count += 2 * math.isqrt(m - a * a) + 1
     return count - math.pi * x + 1.0
-
-
-def delta_of_x(profile: StepProfile, x: float) -> float:
-    """Divisor-problem error term Delta(x) = sum'_{n<=x} d(n) - x(log x + 2 gamma - 1) - 1/4."""
-    if profile.kind != DIVISOR:
-        raise ValueError("delta_of_x needs a DIVISOR profile")
-    return (
-        _primed_partial(profile, x)
-        - x * (math.log(x) + 2.0 * EULER_GAMMA - 1.0)
-        - 0.25
-    )
 
 
 def divisor_main(x: np.ndarray) -> np.ndarray:
@@ -204,7 +199,6 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
     argmax = float(n[i])
     rq = absval / n**0.25
     rh = absval / n ** (23.0 / 73.0)
-    error_term = p_of_x if profile.kind == CIRCLE else delta_of_x
     rows = []
     for x in np.geomspace(1.0, float(x_max), samples):
         value = error_term(profile, float(x))

@@ -205,11 +205,11 @@ def hardy_partial(tables: ArithTables, x: float, N: int) -> float:
         sqrt(x) * sum_{n<=N} r(n) n^(-1/2) J1(2 pi sqrt(x n)).
 
     The full series converges to P(x) boundedly but not absolutely, so
-    partial sums oscillate; callers monitor the residual against p_of_x
+    partial sums oscillate; callers monitor the residual against error_term
     rather than asserting a rate.  Each J1 oscillates at the compensated
     `_reduced_phase` of sqrt(x n), which needs x N < 2^53.
     """
-    if x < 1:
+    if not x >= 1:   # nan fails too
         raise ValueError(f"x must be >= 1, got {x}")
     if N < 0 or N > tables.limit:
         raise ValueError(f"N={N} outside table range [0, {tables.limit}]")
@@ -227,11 +227,11 @@ def truncated_p(tables: ArithTables, x: float, N: int) -> float:
         -(x^(1/4) / pi) * sum_{n<=N} r(n) n^(-3/4) cos(2 pi sqrt(x n) + pi/4),
 
     valid for x >= 2 and 2 <= N; the caller interprets the difference from
-    p_of_x(x) as the truncation error, whose envelope decays like
+    error_term(x) as the truncation error, whose envelope decays like
     x^(1/2+eps) N^(-1/2).  Terms are accumulated in ascending n with exact
     (fsum) summation; phases use the compensated reduction above.
     """
-    if x < 2:
+    if not x >= 2:   # nan fails too
         raise ValueError(f"x must be >= 2, got {x}")
     if N < 2 or N > tables.limit:
         raise ValueError(f"N={N} outside allowed range [2, {tables.limit}]")

@@ -59,7 +59,7 @@ def test_acc02_lattice_oracle_equivalence(circle_1m):
         if x != math.floor(x):
             xs.append(x)
     for x in xs:
-        assert lattice.p_of_x(circle_1m, x) == lattice.p_gauss_oracle(x)
+        assert lattice.error_term(circle_1m, x) == lattice.p_gauss_oracle(x)
     # the quantity 37 - 10 pi both ways: the unprimed profile count through
     # n = 10 versus the direct lattice enumeration at x = 10
     profile_path = float(circle_1m.partial[10]) + 1.0 - 10.0 * math.pi
@@ -67,14 +67,14 @@ def test_acc02_lattice_oracle_equivalence(circle_1m):
     assert abs(profile_path - oracle_path) <= 1e-12
     assert abs(profile_path - (37 - 10 * math.pi)) <= 1e-12
     # under the primed convention the endpoint term r(10) = 8 is halved
-    assert lattice.p_of_x(circle_1m, 10.0) == pytest.approx(33 - 10 * math.pi, abs=1e-12)
+    assert lattice.error_term(circle_1m, 10.0) == pytest.approx(33 - 10 * math.pi, abs=1e-12)
     _announce("ACC-02 lattice oracle", t0,
               "100/100 exact matches; 37-10pi dual-path gap "
               f"{abs(profile_path - oracle_path):.2e}")
 
 
 def _p_from_count(x: float) -> float:
-    """P(x) from the O(sqrt x) lattice count, primed at integer x, by p_of_x's main term."""
+    """P(x) from the O(sqrt x) lattice count, primed at integer x, by error_term's main term."""
     m = math.floor(x)
     count = float(lattice_count(m))
     if x == m:
@@ -83,7 +83,7 @@ def _p_from_count(x: float) -> float:
 
 
 def _delta_from_count(x: float) -> float:
-    """Delta(x) from the O(sqrt x) hyperbola count, primed at integer x, by delta_of_x's main term."""
+    """Delta(x) from the O(sqrt x) hyperbola count, primed at integer x, by error_term's main term."""
     m = math.floor(x)
     count = float(hyperbola_count(m))
     if x == m:
@@ -96,11 +96,11 @@ def test_acc02b_exact_error_terms_at_sieve_scale(circle_1m, divisor_1m, circle_1
     checked = 0
     for k in range(1, 7):
         for x in (10.0**k, 10.0**k + 0.5):
-            assert lattice.p_of_x(circle_1m, x) == _p_from_count(x), x
-            assert lattice.delta_of_x(divisor_1m, x) == _delta_from_count(x), x
+            assert lattice.error_term(circle_1m, x) == _p_from_count(x), x
+            assert lattice.error_term(divisor_1m, x) == _delta_from_count(x), x
             checked += 2
     for x in (1e7 - 0.5, 1e7):   # the 1e7 table ends at x = 1e7
-        assert lattice.p_of_x(circle_10m, x) == _p_from_count(x), x
+        assert lattice.error_term(circle_10m, x) == _p_from_count(x), x
         checked += 1
     _announce("ACC-02b exact error terms at x = 10^k and 10^k + 0.5", t0,
               f"{checked}/{checked} equal to O(sqrt x) counts (P to 1e7, Delta to 1e6)")
@@ -144,7 +144,7 @@ def _truncation_residuals(tables, profile, n_of_x):
     for base in GRID_BASES:
         x = base + 0.5
         n = n_of_x(x)
-        out.append(abs(lattice.p_of_x(profile, x) - special.truncated_p(tables, x, n)))
+        out.append(abs(lattice.error_term(profile, x) - special.truncated_p(tables, x, n)))
     return out
 
 
@@ -157,7 +157,7 @@ def test_acc05a_truncated_formula_slope(tables_1m, circle_1m):
     # single-point oscillation fades average out)
     dense_x = np.floor(np.exp(np.linspace(math.log(10**3), math.log(10**6), 41))) + 0.5
     dense_r = [
-        abs(lattice.p_of_x(circle_1m, float(x))
+        abs(lattice.error_term(circle_1m, float(x))
             - special.truncated_p(tables_1m, float(x), math.ceil(float(x) ** (1 / 3))))
         for x in dense_x
     ]
@@ -176,7 +176,7 @@ def test_acc05a_dense_grid_slope(tables_1m, circle_1m):
     t0 = time.perf_counter()
     xs = np.floor(np.exp(np.linspace(math.log(10**3), math.log(10**6), 41))) + 0.5
     res = [
-        abs(lattice.p_of_x(circle_1m, float(x))
+        abs(lattice.error_term(circle_1m, float(x))
             - special.truncated_p(tables_1m, float(x), math.ceil(float(x) ** (1 / 3))))
         for x in xs
     ]
@@ -197,7 +197,7 @@ def test_acc05b_truncated_formula_full_cutoff(tables_1m, circle_1m):
 def test_acc06_mean_square_remainder_bound(tables_10m, circle_10m):
     t0 = time.perf_counter()
     # Q(X) = int_0^X P^2 - c32 X^(3/2), classically O(X log^2 X)
-    c32 = laplace.series_constant(tables_10m, laplace.R_SQUARED, 10**7).value / (3 * math.pi**2)
+    c32 = laplace.series_constant(tables_10m, lattice.CIRCLE, 10**7).value / (3 * math.pi**2)
     worst = 0.0
     for X in (10**4, 10**5, 10**6, 10**7):
         q = lattice.mean_square_p(circle_10m, float(X)) - c32 * float(X)**1.5
@@ -247,7 +247,7 @@ def test_acc06c_proven_truncation_envelopes_at_1e7(circle_10m, divisor_10m):
 
 def test_acc07_laplace_transform_remainder_order(circle_1m):
     t0 = time.perf_counter()
-    c = laplace.series_limit(laplace.R_SQUARED)
+    c = laplace.series_limit(lattice.CIRCLE)
     Ts = [2.0**k for k in range(6, 14)]
     scan = laplace.residual_scan(circle_1m, Ts, rel_tol=1e-6)
     scaled = [row.residual / row.T**1.5 for row in scan.rows]

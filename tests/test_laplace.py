@@ -9,8 +9,6 @@ from circlekit import arith, laplace, lattice
 from circlekit.errors import CapacityError
 from circlekit.laplace import (
     A1_EXPECTED,
-    D_SQUARED,
-    R_SQUARED,
     LaplaceEstimate,
     ResidualScan,
     fit_a1,
@@ -25,43 +23,43 @@ from circlekit.laplace import (
     weight_u,
     weight_u_log_ratio,
 )
-from circlekit.lattice import CIRCLE, DIVISOR, delta_of_x, p_of_x, step_profile
+from circlekit.lattice import CIRCLE, DIVISOR, error_term, step_profile
 
 
 # ------------------------------------------------------------ series constant
 
 
 def test_series_constant_single_term(tables_4k):
-    sc = series_constant(tables_4k, R_SQUARED, 1)
+    sc = series_constant(tables_4k, CIRCLE, 1)
     assert sc.value == 16.0
-    assert sc.kind == R_SQUARED and sc.terms_used == 1
+    assert sc.kind == CIRCLE and sc.terms_used == 1
 
 
 def test_series_constant_five_terms(tables_4k):
-    sc = series_constant(tables_4k, R_SQUARED, 5)
+    sc = series_constant(tables_4k, CIRCLE, 5)
     expect = 16 + 16 / 2**1.5 + 16 / 4**1.5 + 64 / 5**1.5   # r(3) = 0 drops out
     assert sc.value == pytest.approx(expect, rel=1e-15)
 
 
 def test_series_constant_divisor(tables_4k):
-    sc = series_constant(tables_4k, D_SQUARED, 2)
+    sc = series_constant(tables_4k, DIVISOR, 2)
     assert sc.value == pytest.approx(1 + 4 / 2**1.5, rel=1e-15)
     assert sc.value == pytest.approx(2.414213562373095, rel=1e-12)
 
 
 def test_series_constant_domain(tables_4k):
     with pytest.raises(ValueError):
-        series_constant(tables_4k, R_SQUARED, tables_4k.limit + 1)
+        series_constant(tables_4k, CIRCLE, tables_4k.limit + 1)
     with pytest.raises(ValueError):
         series_constant(tables_4k, "bogus", 10)
     with pytest.raises(ValueError, match="limit >= 2"):
-        series_constant(arith.build_tables(1), R_SQUARED, 1)
+        series_constant(arith.build_tables(1), CIRCLE, 1)
 
 
 def test_series_constant_monotone_with_bracketing_tail(tables_120k):
     prev = None
     for terms in (10**2, 10**3, 10**4, 10**5):
-        sc = series_constant(tables_120k, R_SQUARED, terms)
+        sc = series_constant(tables_120k, CIRCLE, terms)
         if prev is not None:
             assert sc.value >= prev.value                 # non-negative summands
             assert sc.tail_bound <= prev.tail_bound       # bound shrinks with terms
@@ -70,7 +68,7 @@ def test_series_constant_monotone_with_bracketing_tail(tables_120k):
 
 
 def test_series_limits_bracketed_by_partial_sums(tables_120k):
-    for kind in (R_SQUARED, D_SQUARED):
+    for kind in (CIRCLE, DIVISOR):
         closed = series_limit(kind)
         sc = series_constant(tables_120k, kind, tables_120k.limit)
         assert sc.value <= closed <= sc.value + sc.tail_bound, kind
@@ -78,8 +76,8 @@ def test_series_limits_bracketed_by_partial_sums(tables_120k):
 
 def test_series_limit_values():
     # frozen from the 30-digit evaluation of the closed forms
-    assert series_limit(R_SQUARED) == pytest.approx(50.156056142639436, rel=1e-14)
-    assert series_limit(D_SQUARED) == pytest.approx(38.745144143901322, rel=1e-14)
+    assert series_limit(CIRCLE) == pytest.approx(50.156056142639436, rel=1e-14)
+    assert series_limit(DIVISOR) == pytest.approx(38.745144143901322, rel=1e-14)
     with pytest.raises(ValueError):
         series_limit("bogus")
 
@@ -172,7 +170,7 @@ def test_laplace_p2_validates_input(circle_4k, divisor_4k):
 
 
 def test_laplace_main_p():
-    c_r, c_d = series_limit(R_SQUARED), series_limit(D_SQUARED)
+    c_r, c_d = series_limit(CIRCLE), series_limit(DIVISOR)
     assert laplace_main(CIRCLE, math.pi) == pytest.approx(c_r / 4 - math.pi, rel=1e-15)
     assert laplace_main(DIVISOR, math.pi) == pytest.approx(c_d / 8, rel=1e-15)
     tiny = laplace_main(CIRCLE, 1e-9)
@@ -181,7 +179,7 @@ def test_laplace_main_p():
 
 def test_leading_coefficient_convergence(circle_1m):
     # integral / T^(3/2) approaches (1/4) pi^(-3/2) * c as T grows
-    c = series_limit(R_SQUARED)
+    c = series_limit(CIRCLE)
     target = 0.25 * math.pi**-1.5 * c
     gaps = []
     for T in (64.0, 256.0, 1024.0):
@@ -220,7 +218,7 @@ def test_residual_scan_rows_and_validation(circle_1m, divisor_1m):
 
 def test_scan_main_term_is_the_kinds_closed_form(circle_4k, divisor_4k):
     # the scan pairs the profile's kind with its series constant itself
-    for profile, series in ((circle_4k, R_SQUARED), (divisor_4k, D_SQUARED)):
+    for profile, series in ((circle_4k, CIRCLE), (divisor_4k, DIVISOR)):
         scan = residual_scan(profile, [16.0, 32.0])
         assert scan.constant == series_limit(series)
         for row in scan.rows:

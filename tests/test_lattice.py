@@ -10,22 +10,21 @@ from circlekit.lattice import (
     CIRCLE,
     DIVISOR,
     EULER_GAMMA,
-    delta_of_x,
+    error_term,
     mean_square_p,
     p_gauss_oracle,
-    p_of_x,
     pointwise_report,
     step_profile,
 )
 
 
-def test_p_of_x_basic_values(circle_4k):
+def test_circle_error_term_basic_values(circle_4k):
     # r(1) + r(2) = 8 nonzero lattice points inside radius sqrt(2.5)
-    assert p_of_x(circle_4k, 2.5) == pytest.approx(8 + 1 - 2.5 * math.pi, abs=1e-14)
+    assert error_term(circle_4k, 2.5) == pytest.approx(8 + 1 - 2.5 * math.pi, abs=1e-14)
     # integer x: the final term r(x) is halved
-    assert p_of_x(circle_4k, 1.0) == pytest.approx(4 / 2 - math.pi + 1, abs=1e-14)
+    assert error_term(circle_4k, 1.0) == pytest.approx(4 / 2 - math.pi + 1, abs=1e-14)
     # sum_{n<=10} r(n) = 36, r(10) = 8 halved at the endpoint
-    assert p_of_x(circle_4k, 10.0) == pytest.approx(36 - 4 + 1 - 10 * math.pi, abs=1e-13)
+    assert error_term(circle_4k, 10.0) == pytest.approx(36 - 4 + 1 - 10 * math.pi, abs=1e-13)
 
 
 def test_p_right_limit_at_10_is_unhalved_count(circle_4k):
@@ -47,32 +46,32 @@ def test_p_matches_oracle_at_random_noninteger_x(circle_4k):
     xs = rng.uniform(1.0, 4000.0, size=100)
     xs = xs[np.floor(xs) != xs]
     for x in xs:
-        assert p_of_x(circle_4k, float(x)) == p_gauss_oracle(float(x))
+        assert error_term(circle_4k, float(x)) == p_gauss_oracle(float(x))
 
 
 def test_p_domain_error(circle_4k):
     with pytest.raises(ValueError):
-        p_of_x(circle_4k, 4001.0)
+        error_term(circle_4k, 4001.0)
     with pytest.raises(ValueError):
-        p_of_x(circle_4k, 0.5)
+        error_term(circle_4k, 0.5)
 
 
 def test_p_affine_between_jumps(circle_4k):
     # slope is exactly -pi between consecutive integers
     for x in (7.2, 123.4, 3999.1):
-        v1 = p_of_x(circle_4k, x)
-        v2 = p_of_x(circle_4k, x + 0.3)
+        v1 = error_term(circle_4k, x)
+        v2 = error_term(circle_4k, x + 0.3)
         assert v2 - v1 == pytest.approx(-0.3 * math.pi, abs=1e-9)
 
 
 def test_p_jump_size(circle_4k, tables_4k):
     # crossing integer n the error term jumps by r(n)
     for n in (5, 25, 1000):
-        below = p_of_x(circle_4k, n - 1e-9)
-        above = p_of_x(circle_4k, n + 1e-9)
+        below = error_term(circle_4k, n - 1e-9)
+        above = error_term(circle_4k, n + 1e-9)
         assert above - below == pytest.approx(float(tables_4k.r[n]), abs=1e-5)
         # primed convention sits halfway
-        assert p_of_x(circle_4k, float(n)) == pytest.approx((below + above) / 2, abs=1e-5)
+        assert error_term(circle_4k, float(n)) == pytest.approx((below + above) / 2, abs=1e-5)
 
 
 def test_jump_rejects_n_outside_domain(circle_4k):
@@ -85,26 +84,22 @@ def test_jump_rejects_n_outside_domain(circle_4k):
 def test_delta_values(divisor_4k):
     # d(1) = 1, d(2) = 2 halved at the integer endpoint
     expect_2 = 1 + 2 / 2 - 2 * (math.log(2) + 2 * EULER_GAMMA - 1) - 0.25
-    assert delta_of_x(divisor_4k, 2.0) == pytest.approx(expect_2, abs=1e-14)
+    assert error_term(divisor_4k, 2.0) == pytest.approx(expect_2, abs=1e-14)
     assert expect_2 == pytest.approx(0.0548429793, abs=1e-9)
     # only d(1) contributes below x = 2
     expect_15 = 1 - 1.5 * (math.log(1.5) + 2 * EULER_GAMMA - 1) - 0.25
-    assert delta_of_x(divisor_4k, 1.5) == pytest.approx(expect_15, abs=1e-14)
+    assert error_term(divisor_4k, 1.5) == pytest.approx(expect_15, abs=1e-14)
     assert expect_15 == pytest.approx(-0.0898446569, abs=1e-9)
 
 
 def test_delta_jump_structure(divisor_4k, tables_4k):
     for n in (6, 100, 3600):
-        below = delta_of_x(divisor_4k, n - 1e-9)
-        above = delta_of_x(divisor_4k, n + 1e-9)
+        below = error_term(divisor_4k, n - 1e-9)
+        above = error_term(divisor_4k, n + 1e-9)
         assert above - below == pytest.approx(float(tables_4k.d[n]), abs=1e-4)
 
 
 def test_kind_guards(circle_4k, divisor_4k):
-    with pytest.raises(ValueError):
-        delta_of_x(circle_4k, 2.0)
-    with pytest.raises(ValueError):
-        p_of_x(divisor_4k, 2.0)
     with pytest.raises(ValueError):
         mean_square_p(divisor_4k, 2.0)
 
@@ -128,7 +123,7 @@ def _p_squared_quadrature(profile, lo: float, hi: float) -> float:
     nodes, weights = np.polynomial.legendre.leggauss(4)
 
     def p_sq(x: float) -> float:
-        return (1 - math.pi * x) ** 2 if x < 1 else p_of_x(profile, x) ** 2
+        return (1 - math.pi * x) ** 2 if x < 1 else error_term(profile, x) ** 2
 
     edges = sorted({lo, hi} | {float(n) for n in range(math.ceil(lo), math.floor(hi) + 1)})
     total = 0.0
@@ -210,7 +205,7 @@ def test_pointwise_report(circle_4k):
     dense = 0.0
     for n in range(1, 101):
         for x in (n - 1e-9, n + 1e-9):
-            dense = max(dense, abs(p_of_x(circle_4k, min(max(x, 1.0), 100.0))))
+            dense = max(dense, abs(error_term(circle_4k, min(max(x, 1.0), 100.0))))
     assert rep.max_abs >= dense - 1e-5
     assert rep.max_ratio_quarter >= rep.max_abs / 100.0**0.25
     with pytest.raises(ValueError):
@@ -227,7 +222,6 @@ def test_pointwise_report_divisor(divisor_4k):
 @pytest.mark.parametrize("kind", [CIRCLE, DIVISOR])
 def test_error_at_jumps_interior_range(tables_4k, kind):
     profile = step_profile(tables_4k, kind)
-    error_term = p_of_x if kind == CIRCLE else delta_of_x
     lo, hi = 1000, 1100
     n_all, err_all = lattice.error_at_jumps(profile, 1, hi)
     n, err = lattice.error_at_jumps(profile, lo, hi)

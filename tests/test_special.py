@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from circlekit import special
-from circlekit.lattice import CIRCLE, p_of_x, step_profile
+from circlekit.lattice import CIRCLE, error_term, step_profile
 from circlekit.special import (
     BESSEL_SWITCH,
     bessel_j,
@@ -96,7 +96,7 @@ def test_hardy_partial_empty(tables_120k):
 def test_hardy_partial_converges_to_p(tables_120k):
     profile = step_profile(tables_120k, CIRCLE)
     x = 10.5
-    target = p_of_x(profile, x)
+    target = error_term(profile, x)
     residuals = [abs(hardy_partial(tables_120k, x, N) - target) for N in (10**3, 10**4, 10**5)]
     # bounded, not absolute, convergence: monitor that the residual shrinks
     # overall without asserting a rate
@@ -131,7 +131,7 @@ def test_truncated_p_approximates_p(tables_120k):
     profile = step_profile(tables_120k, CIRCLE)
     for x in (10**3 + 0.5, 10**4 + 0.5):
         # with N = x the leftover is O(x^eps): small
-        assert abs(p_of_x(profile, x) - truncated_p(tables_120k, x, int(x))) < 5.0
+        assert abs(error_term(profile, x) - truncated_p(tables_120k, x, int(x))) < 5.0
 
 
 def test_truncated_p_error_envelope_exponent(tables_120k):
@@ -139,7 +139,7 @@ def test_truncated_p_error_envelope_exponent(tables_120k):
     profile = step_profile(tables_120k, CIRCLE)
     xs = [10**3 + 0.5, 10**4 + 0.5, 10**5 + 0.5]
     res = [
-        abs(p_of_x(profile, x) - truncated_p(tables_120k, x, math.ceil(x ** (1 / 3))))
+        abs(error_term(profile, x) - truncated_p(tables_120k, x, math.ceil(x ** (1 / 3))))
         for x in xs
     ]
     slope = np.polyfit(np.log(xs), np.log(res), 1)[0]
@@ -155,6 +155,10 @@ def test_truncated_p_domain_errors(tables_120k):
         truncated_p(tables_120k, 10.5, tables_120k.limit + 1)
     with pytest.raises(ValueError):
         hardy_partial(tables_120k, 0.5, 10)
+    with pytest.raises(ValueError):
+        truncated_p(tables_120k, math.nan, 10)
+    with pytest.raises(ValueError):
+        hardy_partial(tables_120k, math.nan, 10)
 
 
 def test_phase_reduction_matches_direct_cosine(tables_120k):
