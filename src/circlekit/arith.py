@@ -25,6 +25,9 @@ import numpy as np
 
 from .errors import CapacityError
 
+_BLOCK = 1 << 16  # entries per bounded scratch buffer or fold block; no result depends on it
+
+
 def chi(n: int) -> int:
     """Non-principal Dirichlet character mod 4: +1, 0, -1 for n = 1, 0, 3 (mod 4)."""
     if n < 1:
@@ -64,8 +67,7 @@ class ArithTables:
 
     @cached_property
     def d(self) -> np.ndarray:
-        return _sieved(self.limit, np.int32,
-                       lambda N: _divisor_sieve(np.ones(N + 1, dtype=np.int32)))
+        return _sieved(self.limit, np.int32, _d_sieve)
 
     @cached_property
     def sigma(self) -> np.ndarray:   # int64, sigma(n) <= n (1 + ln n)
@@ -112,6 +114,19 @@ def _r_sieve(N: int) -> np.ndarray:
     return r
 
 
+def _d_sieve(N: int) -> np.ndarray:
+    """d(n) for n <= N: the pair sieve of `_divisor_sieve` with every weight 1.
+
+    A pair adds 1 + 1, so each delta <= sqrt(N) adds 2 at n = delta k, k > delta,
+    and 1 at delta^2: in-place strided adds, with no weights array or pair buffer.
+    """
+    d = np.zeros(N + 1, dtype=np.int32)
+    for delta in range(1, math.isqrt(N) + 1):
+        d[delta * (delta + 1)::delta] += 2
+        d[delta * delta] += 1
+    return d
+
+
 def _divisor_sieve(weights: np.ndarray) -> np.ndarray:
     """out[n] = sum_{delta | n} weights[delta] for n in 1..N, in the dtype of weights.
 
@@ -120,16 +135,19 @@ def _divisor_sieve(weights: np.ndarray) -> np.ndarray:
     (f(delta) + f(n/delta)) + [n = delta^2] f(delta).  Each delta <= sqrt(N)
     is one strided add over n = delta k, k > delta, plus the square term:
     ~N (ln N / 2) element updates over sqrt(N) Python iterations.  The pair
-    sums go through one preallocated buffer: a fresh temporary per delta
-    leaves freed heap behind that raised the peak RSS of later commands.
+    sums go through one preallocated buffer of at most _BLOCK entries, one
+    block of cofactors k at a time: a fresh temporary per delta leaves freed
+    heap behind that raised the peak RSS of later commands.
     """
     N = len(weights) - 1
     out = np.zeros(N + 1, dtype=weights.dtype)
-    pair = np.empty(N, dtype=weights.dtype)
+    pair = np.empty(min(N, _BLOCK), dtype=weights.dtype)
     for delta in range(1, math.isqrt(N) + 1):
-        cofactor = weights[delta + 1:N // delta + 1]    # w(n/delta) for n = delta (delta+1), ...
-        out[delta * (delta + 1)::delta] += np.add(cofactor, weights[delta],
-                                                  out=pair[:cofactor.size])
+        k_end = N // delta + 1
+        for lo in range(delta + 1, k_end, _BLOCK):   # cofactors k = lo..hi-1
+            hi = min(lo + _BLOCK, k_end)
+            out[delta * lo:delta * (hi - 1) + 1:delta] += np.add(weights[lo:hi], weights[delta],
+                                                                 out=pair[:hi - lo])
         out[delta * delta] += weights[delta]
     return out
 

@@ -115,9 +115,10 @@ def _parse_t_list(text: str) -> list[float]:
 
 def cmd_sieve(args) -> int:
     tables = arith.build_tables(args.limit)
-    r_sum = int(tables.r.sum(dtype="int64"))
-    d_sum = int(tables.d.sum(dtype="int64"))
+    # sigma's sieve holds a weights array as large as its table: run it while no other table is held
     s_sum = int(tables.sigma.sum(dtype="int64"))
+    d_sum = int(tables.d.sum(dtype="int64"))
+    r_sum = int(tables.r.sum(dtype="int64"))
     print(f"sieve limit      {tables.limit}")
     print(f"sum r(n)         {r_sum}")
     print(f"sum d(n)         {d_sum}")

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
+from . import arith
 from .errors import CapacityError
 from .lattice import _CHUNK, CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, _values, divisor_main
 
@@ -110,10 +111,21 @@ def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
     value = math.fsum(pieces)
 
     # Envelope constant over the full sieve range (not just `terms`):
-    # C_hat = 2 * max_{2<=n<=limit} F(n) / (n log n), F = cumsum f^2.
-    n_all = np.arange(2, tables.limit + 1, dtype=np.float64)
-    F = np.cumsum(values[1:].astype(np.float64) ** 2)
-    c_hat = 2.0 * float(np.max(F[1:] / (n_all * np.log(n_all))))
+    # C_hat = 2 * max_{2<=n<=limit} F(n) / (n log n), F = cumsum f^2, folded over
+    # blocks with F carried; every F is an integer, exact below 2^53 in any order.
+    carry, ratio_max = float(values[1]) ** 2, 0.0
+    for lo in range(2, tables.limit + 1, arith._BLOCK):
+        hi = min(lo + arith._BLOCK, tables.limit + 1)
+        F = values[lo:hi].astype(np.float64) ** 2
+        F[0] += carry
+        np.cumsum(F, out=F)
+        carry = float(F[-1])
+        n = np.arange(lo, hi, dtype=np.float64)
+        ratio_max = max(ratio_max, float(np.max(F / (n * np.log(n)))))
+    if carry >= 2.0**53:   # f^2 >= 0: the last sum is the largest; all are exact below it
+        raise CapacityError(f"{kind} sums of f^2 reach {carry:.6g} at limit "
+                            f"{tables.limit}; C_hat is exact only below 2^53")
+    c_hat = 2.0 * ratio_max
     # tail <= int_X^inf t^(-3/2) dF <= 3 C_hat (log X + 2) / sqrt(X); the
     # looser form without the -F(X) X^(-3/2) sharpening is monotone in X.
     tail_bound = 3.0 * c_hat * (math.log(terms) + 2.0) / math.sqrt(terms)

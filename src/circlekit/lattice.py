@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTables
+from . import arith
 from .errors import CapacityError
 
 # Euler's constant to 30 significant digits (double rounds it at 16).
@@ -54,7 +54,7 @@ class StepProfile:
         return int(self.partial[n] - self.partial[n - 1])
 
 
-def _values(tables: ArithTables, kind: str) -> np.ndarray:
+def _values(tables: arith.ArithTables, kind: str) -> np.ndarray:
     """The table of kind's f: r for CIRCLE, d for DIVISOR (only that one is sieved)."""
     if kind == CIRCLE:
         return tables.r
@@ -63,11 +63,12 @@ def _values(tables: ArithTables, kind: str) -> np.ndarray:
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
-def step_profile(tables: ArithTables, kind: str) -> StepProfile:
+def step_profile(tables: arith.ArithTables, kind: str) -> StepProfile:
     """Build the summatory profile of r (kind=CIRCLE) or d (kind=DIVISOR)."""
     values = _values(tables, kind)
     partial = np.zeros(tables.limit + 1, dtype=np.float64)
-    np.cumsum(values[1:], dtype=np.float64, out=partial[1:])
+    partial[1:] = values[1:]
+    np.cumsum(partial[1:], out=partial[1:])   # in place: a cast cumsum copies all N to float64
     if partial[-1] >= 2.0**53:   # f >= 0: the last sum is the largest; all are exact below it
         raise CapacityError(f"{kind} partial sums reach {partial[-1]:.6g} at limit "
                             f"{tables.limit}; the float64 profile is exact only below 2^53")
@@ -192,13 +193,17 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
         raise ValueError(f"samples must be >= 1, got {samples}")
     if x_max < 1 or x_max > profile.limit:
         raise ValueError(f"x_max={x_max} outside profile domain [1, {profile.limit}]")
+    # fold error_at_jumps over blocks of n; a block takes the maximum only when
+    # strictly larger, so argmax is the first maximiser, as over the whole range
+    max_abs = argmax = max_ratio_quarter = max_ratio_huxley = -1.0
     n_hi = int(math.floor(x_max))
-    n, absval = error_at_jumps(profile, 1, n_hi)
-    i = int(np.argmax(absval))
-    max_abs = float(absval[i])
-    argmax = float(n[i])
-    rq = absval / n**0.25
-    rh = absval / n ** (23.0 / 73.0)
+    for lo in range(1, n_hi + 1, arith._BLOCK):
+        n, absval = error_at_jumps(profile, lo, min(lo + arith._BLOCK - 1, n_hi))
+        i = int(np.argmax(absval))
+        if absval[i] > max_abs:
+            max_abs, argmax = float(absval[i]), float(n[i])
+        max_ratio_quarter = max(max_ratio_quarter, float((absval / n**0.25).max()))
+        max_ratio_huxley = max(max_ratio_huxley, float((absval / n ** (23.0 / 73.0)).max()))
     rows = []
     for x in np.geomspace(1.0, float(x_max), samples):
         value = error_term(profile, float(x))
@@ -216,6 +221,6 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
         rows=rows,
         max_abs=max_abs,
         argmax=argmax,
-        max_ratio_quarter=float(rq.max()),
-        max_ratio_huxley=float(rh.max()),
+        max_ratio_quarter=max_ratio_quarter,
+        max_ratio_huxley=max_ratio_huxley,
     )

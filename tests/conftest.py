@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,3 +87,16 @@ def sigma_count(N: int) -> int:
         total += q * (lo + hi) * (hi - lo + 1) // 2
         lo = hi + 1
     return total
+
+
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees fn() allocate above what was allocated before it
+    (numpy reports its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

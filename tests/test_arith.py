@@ -9,7 +9,7 @@ from circlekit import arith
 from circlekit.errors import CapacityError
 
 from conftest import (LIMIT_1M, brute_divisors, brute_r, hyperbola_count, lattice_count,
-                      sigma_count)
+                      sigma_count, traced_peak)
 
 property_test = settings(deadline=None, derandomize=True)   # the same examples on every run
 
@@ -88,10 +88,49 @@ def test_lazy_tables_equal_eager_sieves():
 
 
 def test_prebuilt_arrays_are_not_sieved(monkeypatch):
-    monkeypatch.setattr(arith, "_divisor_sieve", None)   # any sieve of d or sigma would fail
+    for name in ("_d_sieve", "_divisor_sieve"):   # any sieve of d or sigma would fail
+        monkeypatch.setattr(arith, name, None)
     d = np.array([0, 1, 2])
     t = arith.ArithTables(limit=2, d=d)
     assert t.d is d and t.r.tolist() == [0, 4, 4]
+
+
+def _naive_divisor_sums(weights: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(weights)
+    for delta in range(1, len(weights)):
+        out[delta::delta] += weights[delta]
+    return out
+
+
+def _weights(N: int) -> dict:
+    alternating = np.arange(N + 1, dtype=np.int64)
+    alternating[1::2] *= -1
+    return {"ones": np.ones(N + 1, dtype=np.int32),
+            "arange": np.arange(N + 1, dtype=np.int64), "alternating": alternating}
+
+
+@pytest.mark.parametrize("block, sizes", [
+    (1, (1, 2, 3, 4, 50, 301)),
+    (7, (1, 6, 7, 8, 49, 56, 57, 1000)),
+    (arith._BLOCK, (2**17 + 3,)),   # the sieve's own buffer: delta = 1 crosses two block edges
+])
+def test_divisor_sieves_match_naive_sums(monkeypatch, block, sizes):
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    for N in sizes:
+        for name, w in _weights(N).items():
+            expected = _naive_divisor_sums(w)
+            got = arith._divisor_sieve(w)
+            assert got.dtype == w.dtype and np.array_equal(got, expected), (block, N, name)
+            if name == "ones":
+                d = arith._d_sieve(N)
+                assert d.dtype == np.int32 and np.array_equal(d, expected), (block, N)
+
+
+def test_sieve_scratch_memory_is_bounded():
+    # d needs its own table only; sigma its table and its weights, plus the bounded pair buffer
+    N = 10**6
+    assert traced_peak(lambda: arith.build_tables(N).d) <= 4 * N + 0.1 * 2**20
+    assert traced_peak(lambda: arith.build_tables(N).sigma) <= 16 * N + 2**20
 
 
 def test_table_sums_match_integer_counts(tables_1m):

@@ -7,6 +7,7 @@ import pytest
 import circlekit
 from circlekit import arith, cli, laplace, lattice
 from circlekit.errors import CapacityError
+from conftest import traced_peak
 
 
 def run(args):
@@ -232,18 +233,18 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
 
 
 @pytest.mark.parametrize("argv, sieves", [
-    (["error-term", "circle", "--x-max", "200", "--samples", "4"], (1, 0)),
-    (["constants", "r_squared", "--terms", "100"], (1, 0)),
-    (["correlate", "--n", "50", "--h-max", "3"], (1, 0)),
-    (["voronoi", "--x", "100.5", "--n-terms", "50"], (1, 0)),
-    (["laplace", "circle", "--t-list", "16,32"], (1, 0)),
-    (["error-term", "divisor", "--x-max", "200", "--samples", "4"], (0, 1)),
-    (["laplace", "divisor", "--t-list", "16,32"], (0, 1)),
-    (["constants", "d_squared", "--terms", "100"], (0, 1)),
-    (["sieve", "--limit", "100"], (1, 2)),
+    (["error-term", "circle", "--x-max", "200", "--samples", "4"], (1, 0, 0)),
+    (["constants", "r_squared", "--terms", "100"], (1, 0, 0)),
+    (["correlate", "--n", "50", "--h-max", "3"], (1, 0, 0)),
+    (["voronoi", "--x", "100.5", "--n-terms", "50"], (1, 0, 0)),
+    (["laplace", "circle", "--t-list", "16,32"], (1, 0, 0)),
+    (["error-term", "divisor", "--x-max", "200", "--samples", "4"], (0, 1, 0)),
+    (["laplace", "divisor", "--t-list", "16,32"], (0, 1, 0)),
+    (["constants", "d_squared", "--terms", "100"], (0, 1, 0)),
+    (["sieve", "--limit", "100"], (1, 1, 1)),
 ])
 def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, sieves):
-    calls = {"_r_sieve": 0, "_divisor_sieve": 0}
+    calls = {"_r_sieve": 0, "_d_sieve": 0, "_divisor_sieve": 0}
 
     def counted(name):
         sieve = getattr(arith, name)
@@ -257,7 +258,18 @@ def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, s
     if argv[0] in {"error-term", "correlate", "laplace"}:
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     assert run(argv) == 0
-    assert (calls["_r_sieve"], calls["_divisor_sieve"]) == sieves
+    assert (calls["_r_sieve"], calls["_d_sieve"], calls["_divisor_sieve"]) == sieves
+
+
+@pytest.mark.parametrize("argv, bytes_per_entry, slack_mib", [
+    (["sieve", "--limit", "1000000"], 16, 1),   # the three tables; sigma's sieve runs first
+    (["error-term", "circle", "--x-max", "1e6", "--samples", "64"], 12, 24),   # r + profile
+])
+def test_command_peak_memory_per_entry(tmp_path, capsys, argv, bytes_per_entry, slack_mib):
+    if argv[0] == "error-term":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert traced_peak(lambda: run(argv)) <= bytes_per_entry * 10**6 + slack_mib * 2**20
+    assert "error" not in capsys.readouterr().err
 
 
 def test_correlate_round_trip(tmp_path):

@@ -56,6 +56,54 @@ def test_series_constant_domain(tables_4k):
         series_constant(arith.build_tables(1), CIRCLE, 1)
 
 
+def _whole_range_series(tables, kind, terms):
+    """value and tail_bound with C_hat from one cumsum of f^2 over the whole table."""
+    values = lattice._values(tables, kind)
+    pieces = []
+    for lo in range(1, terms + 1, lattice._CHUNK):
+        hi = min(lo + lattice._CHUNK, terms + 1)
+        f2 = values[lo:hi].astype(np.float64) ** 2
+        pieces.append(math.fsum(f2 * np.arange(lo, hi, dtype=np.float64) ** -1.5))
+    n_all = np.arange(2, tables.limit + 1, dtype=np.float64)
+    F = np.cumsum(values[1:].astype(np.float64) ** 2)
+    c_hat = 2.0 * float(np.max(F[1:] / (n_all * np.log(n_all))))
+    return math.fsum(pieces), 3.0 * c_hat * (math.log(terms) + 2.0) / math.sqrt(terms)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_folded_c_hat_equals_whole_range_cumsum(monkeypatch, tables_4k, block):
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    # C_hat's blocks start at n = 2, so a table of limit 1 + k block ends on a block edge
+    limits = sorted({2, 3, *(k * block + e for k in (1, 3) for e in (0, 1, 2))} - {1})
+    for tables in [*(arith.build_tables(L) for L in limits), tables_4k]:
+        for kind in (CIRCLE, DIVISOR):
+            for terms in sorted({1, 2, block, tables.limit} & set(range(1, tables.limit + 1))):
+                sc = series_constant(tables, kind, terms)
+                assert (sc.value, sc.tail_bound) == _whole_range_series(tables, kind, terms), \
+                    (tables.limit, kind, terms)
+
+
+def test_folded_c_hat_equals_whole_range_cumsum_at_scale(tables_1m):
+    for kind in (CIRCLE, DIVISOR):
+        for terms in (arith._BLOCK + 1, tables_1m.limit):
+            sc = series_constant(tables_1m, kind, terms)
+            assert (sc.value, sc.tail_bound) == _whole_range_series(tables_1m, kind, terms), \
+                (kind, terms)
+
+
+def test_c_hat_checks_float64_exactness():
+    # C_hat's sums F(n) = sum_{m<=n} r(m)^2 are exact only below 2^53, as the profile's are
+    def tables(r):
+        zeros = np.zeros(3, dtype=np.int64)
+        return arith.ArithTables(limit=2, r=np.array(r, dtype=np.int64), d=zeros, sigma=zeros)
+
+    assert series_constant(tables([0, 2**26, 2**26 - 1]), CIRCLE, 1).value == 2.0**52
+    for r, reach in (([0, 2**26, 2**26], r"9\.0072e\+15"), ([0, 2**27, 2**27], r"3\.60288e\+16")):
+        with pytest.raises(CapacityError,
+                           match=rf"circle sums of f\^2 reach {reach} at limit 2; .*2\^53"):
+            series_constant(tables(r), CIRCLE, 1)
+
+
 def test_series_constant_monotone_with_bracketing_tail(tables_120k):
     prev = None
     for terms in (10**2, 10**3, 10**4, 10**5):

@@ -6,6 +6,7 @@ import pytest
 
 from circlekit import arith, lattice
 from circlekit.errors import CapacityError
+from conftest import traced_peak
 from circlekit.lattice import (
     CIRCLE,
     DIVISOR,
@@ -235,6 +236,58 @@ def test_error_at_jumps_interior_range(tables_4k, kind):
         lattice.error_at_jumps(profile, 0, hi)
     with pytest.raises(ValueError):
         lattice.error_at_jumps(profile, lo, profile.limit + 1)
+
+
+def _whole_range_maxima(profile, x_max):
+    """The report's four maxima from one error_at_jumps call over 1..floor(x_max)."""
+    n, absval = lattice.error_at_jumps(profile, 1, int(math.floor(x_max)))
+    i = int(np.argmax(absval))
+    return (float(absval[i]), float(n[i]), float((absval / n**0.25).max()),
+            float((absval / n ** (23.0 / 73.0)).max()))
+
+
+def _report_maxima(profile, x_max):
+    rep = pointwise_report(profile, x_max, samples=3)
+    return rep.max_abs, rep.argmax, rep.max_ratio_quarter, rep.max_ratio_huxley
+
+
+def _tied_profile():
+    """A circle profile whose |error| is exactly 8 at n = 100 and n = 120 (right
+    limits) and below 8 elsewhere, so only a first-maximiser fold reports 100."""
+    n = np.arange(201, dtype=np.float64)
+    partial = np.pi * n - 1.0
+    partial[0] = 0.0
+    partial[[100, 120]] += 8.0   # main(n) and main(n) + 8 share a binade: both sums are exact
+    return lattice.StepProfile(kind=CIRCLE, limit=200, partial=partial)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_folded_report_equals_whole_range_maxima(monkeypatch, circle_4k, divisor_4k, block):
+    tied = _tied_profile()
+    assert _whole_range_maxima(tied, 200.0)[:2] == (8.0, 100.0)
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    edges = [k * block + e for k in (1, 3) for e in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    for profile in (circle_4k, divisor_4k, tied):
+        for x_max in [1.0, 1.5, 2.0, 99.5, 100.0, 120.25, 128.0, *edges, profile.limit]:
+            if 1 <= x_max <= profile.limit:
+                assert _report_maxima(profile, x_max) == _whole_range_maxima(profile, x_max), \
+                    (profile.kind, profile.limit, x_max)
+
+
+def test_folded_report_equals_whole_range_maxima_at_scale(circle_1m, divisor_1m):
+    block = arith._BLOCK
+    for profile in (circle_1m, divisor_1m):
+        for x_max in (block - 0.5, block, block + 1.5, 7 * block + 0.25, 10**6, profile.limit):
+            assert _report_maxima(profile, x_max) == _whole_range_maxima(profile, x_max), \
+                (profile.kind, x_max)
+
+
+def test_profile_and_report_scratch_memory_is_bounded(tables_1m, circle_1m):
+    N = tables_1m.limit
+    tables_1m.r, tables_1m.d   # sieved already: only the profile's own allocation is traced
+    for kind in (CIRCLE, DIVISOR):
+        assert traced_peak(lambda: step_profile(tables_1m, kind)) <= 8 * N + 0.1 * 2**20, kind
+    assert traced_peak(lambda: pointwise_report(circle_1m, N, samples=64)) <= 8 * 2**20
 
 
 def test_step_profile_structure(tables_4k):
