@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import CapacityError
 
-_BLOCK = 1 << 16  # entries per bounded scratch buffer or fold block; no result depends on it
+_BLOCK = 1 << 16  # entries per scratch buffer and per fold block over a table; of all
+                  # results it fixes only mean_square_p's last bit, as block_size(T) a transform's
 
 
 def chi(n: int) -> int:

@@ -44,6 +44,7 @@ are bit-reproducible in a given build.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ import numpy as np
 
 from . import arith
 from .errors import CapacityError
-from .lattice import _CHUNK, CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, _values, divisor_main
+from .lattice import CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, _values, divisor_main
 
 DEFAULT_REL_TOL = 1e-6
 _QUAD_SELF_CHECK = 1e-12
@@ -95,20 +96,20 @@ class LaplaceEstimate:
 
 
 def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
-    """Partial sum of sum_{n<=terms} f(n)^2 n^(-3/2) with compensated accumulation,
-    f = r for CIRCLE and d for DIVISOR."""
+    """Partial sum of sum_{n<=terms} f(n)^2 n^(-3/2), f = r for CIRCLE and d for DIVISOR,
+    exactly rounded (one math.fsum), so no bit of it depends on how terms are grouped."""
     values = _values(tables, kind)
     if terms < 1 or terms > tables.limit:
         raise ValueError(f"terms={terms} outside table range [1, {tables.limit}]")
     if tables.limit < 2:
         raise ValueError(f"C_hat needs tables.limit >= 2, got {tables.limit}")
-    pieces = []
-    for lo in range(1, terms + 1, _CHUNK):
-        hi = min(lo + _CHUNK, terms + 1)
+
+    def block_terms(lo: int) -> list[float]:   # f(n)^2 n^(-3/2) for one block of n
+        hi = min(lo + arith._BLOCK, terms + 1)
         f2 = values[lo:hi].astype(np.float64) ** 2
-        n = np.arange(lo, hi, dtype=np.float64)
-        pieces.append(math.fsum(f2 * n**-1.5))
-    value = math.fsum(pieces)
+        return (f2 * np.arange(lo, hi, dtype=np.float64) ** -1.5).tolist()
+    blocks = map(block_terms, range(1, terms + 1, arith._BLOCK))
+    value = math.fsum(itertools.chain.from_iterable(blocks))
 
     # Envelope constant over the full sieve range (not just `terms`):
     # C_hat = 2 * max_{2<=n<=limit} F(n) / (n log n), F = cumsum f^2, folded over
@@ -157,28 +158,37 @@ def series_limit(kind: str) -> float:
         return float(val)
 
 
-def _exp_sum(T: float, term) -> mp.mpf:
-    """sum_j (-1/T)^j/j! term(j) at 40 digits: exp(-s/T) as its series, with
-    every |term(j)| <= 1.  It stops once (1/T)^j/j! < 10^-40, not on the size
-    of a term, which can be exactly 0; T >= 1 bounds the omitted tail by that."""
+def _exp_coefficients(T: float) -> list[mp.mpf]:
+    """c_j = (-1/T)^j/j!, exp(-s/T) as a series in s, at 40 digits while (1/T)^j/j!
+    >= 10^-40: T >= 1 bounds the omitted tail against terms |t_j| <= 1 by that,
+    and the stop never depends on the terms, which can be exactly 0."""
     with mp.workdps(40):
-        c, terms = mp.mpf(1), []
+        c, coefficients = mp.mpf(1), []
         while abs(c) >= mp.mpf(10) ** -40:
-            terms.append(c * term(len(terms)))
-            c /= -mp.mpf(T) * len(terms)
-        return mp.fsum(terms)
+            coefficients.append(c)
+            c /= -mp.mpf(T) * len(coefficients)
+        return coefficients
+
+
+def _exp_sum(T: float, term) -> mp.mpf:
+    """sum_j c_j term(j) at 40 digits over `_exp_coefficients(T)`, every |term(j)| <= 1."""
+    with mp.workdps(40):
+        return mp.fsum(c * term(j) for j, c in enumerate(_exp_coefficients(T)))
 
 
 def _moments(T: float, k_max: int, shift: float) -> list[float]:
     """mu_k = int_0^1 (s - shift)^k exp(-s/T) ds for k = 0..k_max, at 40 digits:
-    with u = s - shift, exp(-shift/T) sum_j (-1/T)^j/j! int u^(k+j) du over
-    [-shift, 1 - shift].  In closed form these are tiny differences of
-    near-equal exponentials when T >> 1, so they are formed in mpmath."""
+    exp(-shift/T) sum_j c_j I_(k+j), with c_j the `_exp_coefficients` and each
+    I_i = int u^i du = (b^(i+1) - a^(i+1))/(i+1) over [a, b] = [-shift, 1 - shift]
+    formed once.  In closed form these are tiny differences of near-equal
+    exponentials when T >> 1, so they are formed in mpmath."""
     if not 1 <= T < math.inf:
         raise ValueError(f"T must be finite and >= 1, got {T}")
     with mp.workdps(40):
         a, b, scale = -mp.mpf(shift), 1 - mp.mpf(shift), mp.exp(-mp.mpf(shift) / T)
-        return [float(scale * _exp_sum(T, lambda j, e=k + 1: (b**(e + j) - a**(e + j)) / (e + j)))
+        c = _exp_coefficients(T)
+        integrals = [(b**e - a**e) / e for e in range(1, k_max + len(c) + 1)]   # I_0, I_1, ...
+        return [float(scale * mp.fsum(c_j * integrals[k + j] for j, c_j in enumerate(c)))
                 for k in range(k_max + 1)]
 
 

@@ -31,8 +31,6 @@ EULER_GAMMA = 0.577215664901532860606512090082
 CIRCLE = "circle"
 DIVISOR = "divisor"
 
-_CHUNK = 1 << 22  # block length for chunked reductions; fixed order keeps runs reproducible
-
 
 @dataclass(frozen=True)
 class StepProfile:
@@ -125,8 +123,8 @@ def mean_square_p(profile: StepProfile, X: float) -> float:
 
     On [n, n+1) with b = P(n+) the integrand is (b - pi s)^2, s = x - n, so a
     unit interval contributes b (b - pi) + pi^2/3 and a final one of length u
-    contributes u (b^2 - pi b u + pi^2 u^2/3).  Chunked summation with a fixed
-    reduction order keeps results reproducible run to run.
+    contributes u (b^2 - pi b u + pi^2 u^2/3).  One np.sum per arith._BLOCK block,
+    then math.fsum: the block fixes the last bit, as block_size(T) a transform's.
     """
     if profile.kind != CIRCLE:
         raise ValueError("mean_square_p needs a CIRCLE profile")
@@ -134,8 +132,8 @@ def mean_square_p(profile: StepProfile, X: float) -> float:
         raise ValueError(f"X={X} outside profile domain [0, {profile.limit}]")
     nf = int(math.floor(X))
     pieces = [nf * math.pi**2 / 3.0]
-    for lo in range(0, nf, _CHUNK):
-        hi = min(lo + _CHUNK, nf)
+    for lo in range(0, nf, arith._BLOCK):
+        hi = min(lo + arith._BLOCK, nf)
         b = profile.partial[lo:hi] + 1.0 - np.pi * np.arange(lo, hi, dtype=np.float64)
         pieces.append(float(np.sum(b * (b - np.pi))))
     b, u = profile.partial[nf] + 1.0 - math.pi * nf, X - nf
@@ -204,17 +202,22 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
             max_abs, argmax = float(absval[i]), float(n[i])
         max_ratio_quarter = max(max_ratio_quarter, float((absval / n**0.25).max()))
         max_ratio_huxley = max(max_ratio_huxley, float((absval / n ** (23.0 / 73.0)).max()))
+    # the sampled rows join the fold: at a non-integer x_max the last sample lies
+    # past the last jump, where |error| can exceed every one-sided limit
     rows = []
     for x in np.geomspace(1.0, float(x_max), samples):
         value = error_term(profile, float(x))
-        rows.append(
-            PointwiseRow(
-                x=float(x),
-                value=value,
-                ratio_quarter=abs(value) / x**0.25,
-                ratio_huxley=abs(value) / x ** (23.0 / 73.0),
-            )
+        row = PointwiseRow(
+            x=float(x),
+            value=value,
+            ratio_quarter=abs(value) / x**0.25,
+            ratio_huxley=abs(value) / x ** (23.0 / 73.0),
         )
+        rows.append(row)
+        if abs(value) > max_abs:
+            max_abs, argmax = abs(value), row.x
+        max_ratio_quarter = max(max_ratio_quarter, float(row.ratio_quarter))
+        max_ratio_huxley = max(max_ratio_huxley, float(row.ratio_huxley))
     return PointwiseReport(
         kind=profile.kind,
         x_max=float(x_max),

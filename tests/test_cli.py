@@ -264,6 +264,7 @@ def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, s
 @pytest.mark.parametrize("argv, bytes_per_entry, slack_mib", [
     (["sieve", "--limit", "1000000"], 16, 1),   # the three tables; sigma's sieve runs first
     (["error-term", "circle", "--x-max", "1e6", "--samples", "64"], 12, 24),   # r + profile
+    (["constants", "r_squared", "--terms", "1000000"], 4, 4),   # r; the series' blocks
 ])
 def test_command_peak_memory_per_entry(tmp_path, capsys, argv, bytes_per_entry, slack_mib):
     if argv[0] == "error-term":

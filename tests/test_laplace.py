@@ -57,17 +57,15 @@ def test_series_constant_domain(tables_4k):
 
 
 def _whole_range_series(tables, kind, terms):
-    """value and tail_bound with C_hat from one cumsum of f^2 over the whole table."""
+    """value from one fsum of every term, and tail_bound with C_hat from one
+    cumsum of f^2, each over the whole range at once."""
     values = lattice._values(tables, kind)
-    pieces = []
-    for lo in range(1, terms + 1, lattice._CHUNK):
-        hi = min(lo + lattice._CHUNK, terms + 1)
-        f2 = values[lo:hi].astype(np.float64) ** 2
-        pieces.append(math.fsum(f2 * np.arange(lo, hi, dtype=np.float64) ** -1.5))
+    f2 = values[1:terms + 1].astype(np.float64) ** 2
+    value = math.fsum(f2 * np.arange(1, terms + 1, dtype=np.float64) ** -1.5)
     n_all = np.arange(2, tables.limit + 1, dtype=np.float64)
     F = np.cumsum(values[1:].astype(np.float64) ** 2)
     c_hat = 2.0 * float(np.max(F[1:] / (n_all * np.log(n_all))))
-    return math.fsum(pieces), 3.0 * c_hat * (math.log(terms) + 2.0) / math.sqrt(terms)
+    return value, 3.0 * c_hat * (math.log(terms) + 2.0) / math.sqrt(terms)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -338,6 +336,20 @@ def test_first_interval_closed_form():
             ref = mp.quad(lambda x: (x * (mp.log(x) + 2 * mp.euler - 1) + mp.mpf(1) / 4) ** 2
                           * mp.exp(-x / T), [0, 1])
             assert abs(laplace._first_interval(T) - ref) <= 1e-15 * ref, T
+
+
+@pytest.mark.parametrize("T", [1.0, 150.5, 32768.0])
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_moments_against_quadrature(T, shift):
+    # against 40-digit tanh-sinh, to 1e-15 of int_0^1 |s - shift|^k exp(-s/T) ds:
+    # at shift 1/2 odd k cancel, so |mu_k| itself is no scale for the rounding
+    mu = laplace._moments(T, 64, shift)
+    with mp.workdps(40):
+        edges = [0, shift, 1] if shift else [0, 1]
+        for k in (0, 1, 2, 31, 64):
+            ref = mp.quad(lambda s: (s - shift) ** k * mp.exp(-s / T), edges)
+            scale = mp.quad(lambda s: abs(s - shift) ** k * mp.exp(-s / T), edges)
+            assert abs(mu[k] - ref) <= 1e-15 * scale, k
 
 
 def _long_double_order24(profile, T, x_max):

@@ -158,10 +158,12 @@ def _mean_square_oracle(tables, X: float):
         return total
 
 
-def test_mean_square_sieve_scale_oracle(tables_1m, circle_1m):
-    for X in (1e5, 12345.6):
-        ref = _mean_square_oracle(tables_1m, X)
-        assert abs((mean_square_p(circle_1m, X) - ref) / ref) <= 1e-14, X
+def test_mean_square_sieve_scale_oracle(monkeypatch, tables_1m, circle_1m):
+    refs = {X: _mean_square_oracle(tables_1m, X) for X in (1e5, 12345.6)}
+    for block in (7, 64, arith._BLOCK):   # the block fixes only the last bits
+        monkeypatch.setattr(arith, "_BLOCK", block)
+        for X, ref in refs.items():
+            assert abs((mean_square_p(circle_1m, X) - ref) / ref) <= 1e-14, (X, block)
 
 
 def test_step_profile_checks_float64_exactness():
@@ -239,16 +241,39 @@ def test_error_at_jumps_interior_range(tables_4k, kind):
 
 
 def _whole_range_maxima(profile, x_max):
-    """The report's four maxima from one error_at_jumps call over 1..floor(x_max)."""
+    """The report's four maxima from one error_at_jumps call over 1..floor(x_max),
+    then from |error| at the report's 3 sample points, first maximiser kept."""
     n, absval = lattice.error_at_jumps(profile, 1, int(math.floor(x_max)))
     i = int(np.argmax(absval))
-    return (float(absval[i]), float(n[i]), float((absval / n**0.25).max()),
-            float((absval / n ** (23.0 / 73.0)).max()))
+    abs_max, argmax = float(absval[i]), float(n[i])
+    quarter = float((absval / n**0.25).max())
+    huxley = float((absval / n ** (23.0 / 73.0)).max())
+    for x in np.geomspace(1.0, x_max, 3):
+        v = abs(error_term(profile, float(x)))
+        if v > abs_max:
+            abs_max, argmax = v, float(x)
+        quarter = max(quarter, float(v / x**0.25))
+        huxley = max(huxley, float(v / x ** (23.0 / 73.0)))
+    return abs_max, argmax, quarter, huxley
 
 
 def _report_maxima(profile, x_max):
     rep = pointwise_report(profile, x_max, samples=3)
     return rep.max_abs, rep.argmax, rep.max_ratio_quarter, rep.max_ratio_huxley
+
+
+@pytest.mark.parametrize("kind, x_max", [(CIRCLE, 3960.07), (DIVISOR, 179.98)])
+def test_report_maxima_cover_the_sampled_rows(tables_4k, kind, x_max):
+    # the last sample lies past the last jump, where |error| exceeds every one-sided
+    # limit: 39.93 against 39.71 for the circle, 9.65 against 9.02 for the divisor
+    profile = step_profile(tables_4k, kind)
+    rep = pointwise_report(profile, x_max, samples=3)
+    last = rep.rows[-1]
+    assert last.x == x_max
+    assert abs(last.value) > lattice.error_at_jumps(profile, 1, int(x_max))[1].max()
+    assert (rep.max_abs, rep.argmax) == (abs(last.value), x_max)
+    assert rep.max_ratio_quarter >= max(r.ratio_quarter for r in rep.rows)
+    assert rep.max_ratio_huxley >= max(r.ratio_huxley for r in rep.rows)
 
 
 def _tied_profile():
