@@ -138,7 +138,7 @@ def cmd_error_term(args) -> int:
         for r in report.rows
     ]
     write_csv(args.out, ["x", "value", "ratio_quarter", "ratio_huxley"], rows)
-    print(f"max |error| {report.max_abs:.6f} at x={report.argmax:.0f}")
+    print(f"max |error| {report.max_abs:.6f} at x={report.argmax:.17g}")   # as the CSV prints x
     print(f"max ratio_quarter {report.max_ratio_quarter:.6f}")
     print(f"max ratio_huxley  {report.max_ratio_huxley:.6f}")
     return 0

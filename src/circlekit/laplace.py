@@ -53,7 +53,7 @@ import numpy as np
 
 from . import arith
 from .errors import CapacityError
-from .lattice import CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, _values, divisor_main
+from .lattice import CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, _block_sums, _values, divisor_main
 
 DEFAULT_REL_TOL = 1e-6
 _QUAD_SELF_CHECK = 1e-12
@@ -242,8 +242,9 @@ def stop_edge(kind: str, T: float, rel_tol: float, total: float) -> int:
 
 
 def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, block_fn):
-    """Accumulate block_fn(lo, hi) over whole blocks of unit intervals up to
-    the first block edge at which `stop_edge` stops the running total.
+    """Accumulate block_fn(lo, S) over whole blocks [lo, hi) of unit intervals, S
+    the block's sums S(lo), ..., S(hi), up to the first block edge at which
+    `stop_edge` stops the running total.
 
     block_fn returns the block's integral as a float.  Returns (total,
     truncation_bound).  A profile that ends before the stop raises
@@ -255,23 +256,20 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
     block = block_size(T)
     pieces: list[float] = []
-    x = 0
-    total = 0.0
-    while x == 0 or stop_edge(profile.kind, T, rel_tol, total) > x:
-        hi = x + block
-        if hi > profile.limit:
-            if profile.limit > x:
-                pieces.append(block_fn(x, profile.limit))
-            need = max(hi, stop_edge(profile.kind, T, rel_tol, math.fsum(pieces)))
-            raise CapacityError(
-                f"profile limit {profile.limit} too small for T={T} at rel_tol={rel_tol}; "
-                f"required limit {need}",
-                required_limit=need,
-            )
-        pieces.append(block_fn(x, hi))
-        total = math.fsum(pieces)
-        x = hi
-    return total, _tail_bound(profile.kind, T, x)
+    x, total = 0, 0.0   # a profile of limit 0 has no block
+    for lo, S in _block_sums(profile, 0, profile.limit, block):
+        pieces.append(block_fn(lo, S))
+        x, total = lo + block, math.fsum(pieces)
+        if x > profile.limit:   # the profile cut this block short
+            break
+        if stop_edge(profile.kind, T, rel_tol, total) <= x:
+            return total, _tail_bound(profile.kind, T, x)
+    need = max(x, stop_edge(profile.kind, T, rel_tol, total))
+    raise CapacityError(
+        f"profile limit {profile.limit} too small for T={T} at rel_tol={rel_tol}; "
+        f"required limit {need}",
+        required_limit=need,
+    )
 
 
 def laplace_p2(
@@ -287,9 +285,9 @@ def laplace_p2(
         raise ValueError("laplace_p2 needs a CIRCLE profile")
     m0, m1, m2 = _moments(T, 2, 0.0)
 
-    def block(lo: int, hi: int) -> float:
-        n = np.arange(lo, hi, dtype=np.float64)
-        b = profile.partial[lo:hi] + 1.0 - np.pi * n
+    def block(lo: int, S: np.ndarray) -> float:
+        n = np.arange(lo, lo + S.size - 1, dtype=np.float64)
+        b = S[:-1] + 1.0 - np.pi * n
         vals = (b * b * m0 - 2.0 * np.pi * b * m1 + (np.pi * np.pi) * m2) * np.exp(-n / T)
         return float(np.sum(vals))
 
@@ -419,8 +417,8 @@ def laplace_d2(
     H = np.array(mu)[np.add.outer(range(k_max + 1), range(k_max + 1))]   # H[i][j] = mu_{i+j}
     errors = []
 
-    def block(lo: int, hi: int) -> float:
-        value = 0.0
+    def block(a: int, S: np.ndarray) -> float:
+        value, lo, hi = 0.0, a, a + S.size - 1
         if lo == 0:
             value = _first_interval(T)
             lo = 1
@@ -428,7 +426,7 @@ def laplace_d2(
             top = min(hi, 1 << lo.bit_length())   # one order per octave [2^m, 2^(m+1))
             K = _taylor_order(lo)
             n = np.arange(lo, top, dtype=np.float64)
-            p = _taylor_coefficients(n, profile.partial[lo:top], K)
+            p = _taylor_coefficients(n, S[lo - a : top - a], K)
             value += float(np.sum(np.exp(-n / T) * np.sum((p @ H[: K + 1, : K + 1]) * p, axis=1)))
             errors.append(float(np.sum(_taylor_certificate(n, p, T))))
             lo = top

@@ -34,22 +34,20 @@ DIVISOR = "divisor"
 
 @dataclass(frozen=True)
 class StepProfile:
-    """Cumulative sums of an arithmetic function f in {r, d}.
-
-    ``partial[n] = sum_{m<=n} f(m)`` with ``partial[0] = 0``; non-decreasing
-    (f >= 0) float64 integers, exact because `step_profile` checks that they
-    stay below 2^53.  Immutable and shareable across threads.
+    """An arithmetic function f in {r, d} as its table, with no copy: each reader
+    forms the sums S(n) = sum_{m<=n} f(m) it needs block by block (`_block_sums`),
+    exact as `step_profile` checks S(limit) < 2^53.  Immutable and shareable across threads.
     """
 
-    kind: str            # CIRCLE (f = r) or DIVISOR (f = d)
+    kind: str           # CIRCLE (f = r) or DIVISOR (f = d)
     limit: int
-    partial: np.ndarray  # float64, exact integers < 2^53, length limit + 1
+    table: np.ndarray   # read-only f(0..limit), f(0) = 0
 
     def jump(self, n: int) -> int:
-        """f(n) = partial[n] - partial[n-1] for 1 <= n <= limit."""
+        """f(n) = S(n) - S(n-1) for 1 <= n <= limit."""
         if not 1 <= n <= self.limit:
             raise ValueError(f"n={n} outside profile domain [1, {self.limit}]")
-        return int(self.partial[n] - self.partial[n - 1])
+        return int(self.table[n])
 
 
 def _values(tables: arith.ArithTables, kind: str) -> np.ndarray:
@@ -62,33 +60,36 @@ def _values(tables: arith.ArithTables, kind: str) -> np.ndarray:
 
 
 def step_profile(tables: arith.ArithTables, kind: str) -> StepProfile:
-    """Build the summatory profile of r (kind=CIRCLE) or d (kind=DIVISOR)."""
+    """The summatory profile of r (kind=CIRCLE) or d (kind=DIVISOR): its table,
+    once S(limit) is checked to be below 2^53, so every sum is exact in float64."""
     values = _values(tables, kind)
-    partial = np.zeros(tables.limit + 1, dtype=np.float64)
-    partial[1:] = values[1:]
-    np.cumsum(partial[1:], out=partial[1:])   # in place: a cast cumsum copies all N to float64
-    if partial[-1] >= 2.0**53:   # f >= 0: the last sum is the largest; all are exact below it
-        raise CapacityError(f"{kind} partial sums reach {partial[-1]:.6g} at limit "
-                            f"{tables.limit}; the float64 profile is exact only below 2^53")
-    partial.flags.writeable = False
-    return StepProfile(kind=kind, limit=tables.limit, partial=partial)
+    total = int(values.sum(dtype=np.int64))   # f >= 0: the last sum is the largest
+    if total >= 2**53:
+        raise CapacityError(f"{kind} partial sums reach {total:.6g} at limit "
+                            f"{tables.limit}; float64 sums are exact only below 2^53")
+    return StepProfile(kind=kind, limit=tables.limit, table=values)
 
 
-def _primed_partial(profile: StepProfile, x: float) -> float:
-    """sum'_{n<=x} f(n): the final term is halved when x is an integer."""
-    if x < 1 or x > profile.limit:
-        raise ValueError(f"x={x} outside profile domain [1, {profile.limit}]")
-    k = int(math.floor(x))
-    s = float(profile.partial[k])
-    if x == k:
-        s -= profile.jump(k) / 2.0
-    return s
+def _block_sums(profile: StepProfile, lo: int, hi: int, block: int):
+    """Yield (a, [S(a), ..., S(b)]) for the blocks [a, b) of [lo, hi), hi <= limit: exact
+    int64 cumsums carried from S(lo - 1), one O(lo) prefix sum, cast to float64 (exact < 2^53)."""
+    carry = int(profile.table[:lo].sum(dtype=np.int64))
+    for a in range(lo, hi, block):
+        s = np.cumsum(profile.table[a : min(a + block, hi) + 1], dtype=np.int64) + carry
+        carry = int(s[-2])   # S(b - 1), the next block's carry
+        yield a, s.astype(np.float64)
 
 
 def error_term(profile: StepProfile, x: float) -> float:
     """The profile's error term at x: P(x) = sum'_{n<=x} r(n) - pi x + 1 for
-    CIRCLE, Delta(x) = sum'_{n<=x} d(n) - x(log x + 2 gamma - 1) - 1/4 for DIVISOR."""
-    s = _primed_partial(profile, x)
+    CIRCLE, Delta(x) = sum'_{n<=x} d(n) - x(log x + 2 gamma - 1) - 1/4 for DIVISOR.
+    sum' halves the final term when x is an integer."""
+    if x < 1 or x > profile.limit:
+        raise ValueError(f"x={x} outside profile domain [1, {profile.limit}]")
+    k = int(math.floor(x))
+    s = float(next(_block_sums(profile, k - 1, k, 1))[1][-1])   # S(k)
+    if x == k:
+        s -= profile.jump(k) / 2.0
     if profile.kind == CIRCLE:
         return s - math.pi * x + 1.0
     return s - x * (math.log(x) + 2.0 * EULER_GAMMA - 1.0) - 0.25
@@ -131,12 +132,11 @@ def mean_square_p(profile: StepProfile, X: float) -> float:
     if X < 0 or X > profile.limit:
         raise ValueError(f"X={X} outside profile domain [0, {profile.limit}]")
     nf = int(math.floor(X))
-    pieces = [nf * math.pi**2 / 3.0]
-    for lo in range(0, nf, arith._BLOCK):
-        hi = min(lo + arith._BLOCK, nf)
-        b = profile.partial[lo:hi] + 1.0 - np.pi * np.arange(lo, hi, dtype=np.float64)
+    pieces, S = [nf * math.pi**2 / 3.0], np.zeros(1)   # S(0) = 0 when X < 1
+    for lo, S in _block_sums(profile, 0, nf, arith._BLOCK):
+        b = S[:-1] + 1.0 - np.pi * np.arange(lo, lo + S.size - 1, dtype=np.float64)
         pieces.append(float(np.sum(b * (b - np.pi))))
-    b, u = profile.partial[nf] + 1.0 - math.pi * nf, X - nf
+    b, u = S[-1] + 1.0 - math.pi * nf, X - nf
     pieces.append(u * (b * b - math.pi * b * u + math.pi**2 * u * u / 3.0))
     return math.fsum(pieces)
 
@@ -169,20 +169,23 @@ class PointwiseReport:
     max_ratio_huxley: float
 
 
+def _jump_maxima(kind: str, lo: int, S: np.ndarray):
+    """`error_at_jumps` from the sums S = S(lo-1), ..., S(hi)."""
+    n = np.arange(lo, lo + S.size - 1, dtype=np.float64)
+    main = np.pi * n - 1.0 if kind == CIRCLE else divisor_main(n)
+    return n, np.maximum(np.abs(S[:-1] - main), np.abs(S[1:] - main))
+
+
 def error_at_jumps(profile: StepProfile, lo: int, hi: int):
     """Integers n = lo..hi and the larger of |error(n-)| and |error(n+)| at each.
 
-    The left limit is partial[n-1] - main(n) and the right partial[n] - main(n),
-    with main(n) = pi n - 1 for CIRCLE and `divisor_main` for DIVISOR; the
-    extremes of the error term live at these limits.  Needs 1 <= lo <= hi <= limit.
+    The left limit is S(n-1) - main(n) and the right S(n) - main(n), with
+    main(n) = pi n - 1 for CIRCLE and `divisor_main` for DIVISOR; the extremes
+    of the error term live at these limits.  Needs 1 <= lo <= hi <= limit.
     """
     if not 1 <= lo <= hi <= profile.limit:
         raise ValueError(f"[{lo}, {hi}] outside profile domain [1, {profile.limit}]")
-    n = np.arange(lo, hi + 1, dtype=np.float64)
-    main = np.pi * n - 1.0 if profile.kind == CIRCLE else divisor_main(n)
-    left = profile.partial[lo - 1 : hi] - main
-    right = profile.partial[lo : hi + 1] - main
-    return n, np.maximum(np.abs(left), np.abs(right))
+    return _jump_maxima(profile.kind, lo, next(_block_sums(profile, lo - 1, hi, hi - lo + 1))[1])
 
 
 def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> PointwiseReport:
@@ -191,12 +194,11 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
         raise ValueError(f"samples must be >= 1, got {samples}")
     if x_max < 1 or x_max > profile.limit:
         raise ValueError(f"x_max={x_max} outside profile domain [1, {profile.limit}]")
-    # fold error_at_jumps over blocks of n; a block takes the maximum only when
-    # strictly larger, so argmax is the first maximiser, as over the whole range
+    # fold error_at_jumps over blocks of n, one carried pass; a block takes the maximum
+    # only when strictly larger, so argmax is the first maximiser, as over the whole range
     max_abs = argmax = max_ratio_quarter = max_ratio_huxley = -1.0
-    n_hi = int(math.floor(x_max))
-    for lo in range(1, n_hi + 1, arith._BLOCK):
-        n, absval = error_at_jumps(profile, lo, min(lo + arith._BLOCK - 1, n_hi))
+    for a, S in _block_sums(profile, 0, int(math.floor(x_max)), arith._BLOCK):
+        n, absval = _jump_maxima(profile.kind, a + 1, S)
         i = int(np.argmax(absval))
         if absval[i] > max_abs:
             max_abs, argmax = float(absval[i]), float(n[i])

@@ -89,6 +89,11 @@ def sigma_count(N: int) -> int:
     return total
 
 
+def partial_sums(table):
+    """S(n) = sum_{m<=n} f(m) for every n of a table: the one oracle of a profile's sums."""
+    return np.cumsum(table, dtype=np.int64)
+
+
 def traced_peak(fn):
     """Peak bytes tracemalloc sees fn() allocate above what was allocated before it
     (numpy reports its array buffers to tracemalloc)."""

@@ -14,7 +14,7 @@ import pytest
 from circlekit import arith, cli, correlate, laplace, lattice, special
 from circlekit.lattice import divisor_main
 
-from conftest import brute_divisors, hyperbola_count, lattice_count, sigma_count
+from conftest import brute_divisors, hyperbola_count, lattice_count, partial_sums, sigma_count
 
 GRID_BASES = (10**3, 10**4, 10**5, 10**6)
 
@@ -62,7 +62,7 @@ def test_acc02_lattice_oracle_equivalence(circle_1m):
         assert lattice.error_term(circle_1m, x) == lattice.p_gauss_oracle(x)
     # the quantity 37 - 10 pi both ways: the unprimed profile count through
     # n = 10 versus the direct lattice enumeration at x = 10
-    profile_path = float(circle_1m.partial[10]) + 1.0 - 10.0 * math.pi
+    profile_path = float(partial_sums(circle_1m.table[:11])[10]) + 1.0 - 10.0 * math.pi
     oracle_path = lattice.p_gauss_oracle(10.0)
     assert abs(profile_path - oracle_path) <= 1e-12
     assert abs(profile_path - (37 - 10 * math.pi)) <= 1e-12
@@ -224,13 +224,13 @@ def test_acc06c_proven_truncation_envelopes_at_1e7(circle_10m, divisor_10m):
     # the theorem behind the divisor's, in its own convention.
     t0 = time.perf_counter()
     (c, c0), (cd, cd0) = (laplace._ENVELOPES[k] for k in (lattice.CIRCLE, lattice.DIVISOR))
-    chunks = []
+    chunks, sums = [], partial_sums(divisor_10m.table)
     for lo in range(1, 10**7, 10**6):   # chunked to bound the temporaries
         n, p_abs = lattice.error_at_jumps(circle_10m, lo, lo + 10**6 - 1)
         root = np.sqrt(n)
         delta_abs = lattice.error_at_jumps(divisor_10m, lo, lo + 10**6 - 1)[1]
         bbr_main = divisor_main(n) - 0.25   # x (log x + 2 gamma - 1), without Delta's 1/4
-        partial = divisor_10m.partial[lo - 1 : lo + 10**6]
+        partial = sums[lo - 1 : lo + 10**6]
         bbr_abs = np.maximum(np.abs(partial[:-1] - bbr_main), np.abs(partial[1:] - bbr_main))
         chunks.append((np.min(c * root + c0 - p_abs), np.max(p_abs / root),
                        np.max(delta_abs / root), np.max(bbr_abs / root)))

@@ -160,6 +160,16 @@ def test_error_term_fractional_x_max(tmp_path):
     assert manifest["parameters"]["x_max"] == 100.5
 
 
+def test_error_term_prints_argmax_as_the_csv_prints_x(tmp_path, capsys):
+    # the maximum lies at the last sample, x_max itself; it printed as x=180, past x_max
+    out = tmp_path / "p.csv"
+    assert run(["error-term", "divisor", "--x-max", "179.98", "--samples", "8",
+                "--out", str(out)]) == 0
+    last_x = out.read_text().splitlines()[-1].split(",")[0]
+    assert last_x == "179.97999999999999"
+    assert f"at x={last_x}\n" in capsys.readouterr().out
+
+
 def test_impossible_limit_exits_3(tmp_path, capsys):
     assert run(["sieve", "--limit", str(10**19)]) == 3
     assert "capacity error: cannot allocate sieve tables for N=10000000000000000000" \
@@ -263,8 +273,9 @@ def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, s
 
 @pytest.mark.parametrize("argv, bytes_per_entry, slack_mib", [
     (["sieve", "--limit", "1000000"], 16, 1),   # the three tables; sigma's sieve runs first
-    (["error-term", "circle", "--x-max", "1e6", "--samples", "64"], 12, 24),   # r + profile
+    (["error-term", "circle", "--x-max", "1e6", "--samples", "64"], 4, 6),   # r; the blocks
     (["constants", "r_squared", "--terms", "1000000"], 4, 4),   # r; the series' blocks
+    (["voronoi", "--x", "1000000.5", "--n-terms", "2"], 4, 1),   # r, for one P(x)
 ])
 def test_command_peak_memory_per_entry(tmp_path, capsys, argv, bytes_per_entry, slack_mib):
     if argv[0] == "error-term":

@@ -24,6 +24,7 @@ from circlekit.laplace import (
     weight_u_log_ratio,
 )
 from circlekit.lattice import CIRCLE, DIVISOR, error_term, step_profile
+from conftest import partial_sums
 
 
 # ------------------------------------------------------------ series constant
@@ -138,7 +139,7 @@ def _midpoint_oracle(values_fn, x_hi: float, step: float) -> float:
 
 
 def _p2_integrand(profile, T):
-    partial = profile.partial
+    partial = partial_sums(profile.table)
 
     def fn(xs):
         n = np.floor(xs).astype(np.int64)
@@ -183,7 +184,7 @@ def test_transform_never_depends_on_the_profile_size(tables_120k, kind, transfor
     profile = step_profile(tables_120k, kind)
 
     def cut(limit):
-        return lattice.StepProfile(kind, limit, profile.partial[: limit + 1])
+        return lattice.StepProfile(kind, limit, profile.table[: limit + 1])
 
     for T in (1.0, 10.0, 100.0, 150.5):
         block = laplace.block_size(T)
@@ -272,7 +273,7 @@ def test_scan_main_term_is_the_kinds_closed_form(circle_4k, divisor_4k):
 
 
 def _d2_integrand(profile, T):
-    partial = profile.partial
+    partial = partial_sums(profile.table)
 
     def fn(xs):
         n = np.floor(xs).astype(np.int64)
@@ -363,13 +364,14 @@ def _long_double_order24(profile, T, x_max):
     def main(x):
         return x * (np.log(x) + a) + ld(0.25)
 
+    partial = partial_sums(profile.table)
     right = ld(2) ** -np.arange(60, dtype=ld)
     x = right[:, None] * (1 + s[None, :]) / 2          # panels [r/2, r]
     total = np.sum((main(x) ** 2 * np.exp(-x / T)) @ w * (right / 2))
     for lo in range(1, x_max, 4096):
         n = np.arange(lo, min(lo + 4096, x_max), dtype=ld)
         x = n[:, None] + s[None, :]
-        D = profile.partial[lo : lo + n.size].astype(ld)[:, None]
+        D = partial[lo : lo + n.size].astype(ld)[:, None]
         total += np.sum(((D - main(x)) ** 2 * np.exp(-x / T)) @ w)
     return total
 

@@ -6,7 +6,7 @@ import pytest
 
 from circlekit import arith, lattice
 from circlekit.errors import CapacityError
-from conftest import traced_peak
+from conftest import partial_sums, traced_peak
 from circlekit.lattice import (
     CIRCLE,
     DIVISOR,
@@ -32,7 +32,7 @@ def test_p_right_limit_at_10_is_unhalved_count(circle_4k):
     # Straddling the halving convention: the lattice count through n = 10
     # is 36, so just above x = 10 the error term is 37 - 10 pi; the
     # enumeration oracle at x = 10 counts the full circle and agrees.
-    right_limit = float(circle_4k.partial[10]) + 1.0 - math.pi * 10.0
+    right_limit = float(partial_sums(circle_4k.table)[10]) + 1.0 - math.pi * 10.0
     assert right_limit == pytest.approx(37 - 10 * math.pi, abs=1e-13)
     assert abs(p_gauss_oracle(10.0) - right_limit) <= 1e-12
 
@@ -173,7 +173,8 @@ def test_step_profile_checks_float64_exactness():
                                  sigma=zeros)
 
     prof = step_profile(tables([0, 2**52, 2**52 - 1]), DIVISOR)
-    assert prof.partial[-1] == 2**53 - 1
+    assert int(prof.table.sum(dtype=np.int64)) == 2**53 - 1
+    assert next(lattice._block_sums(prof, 0, 2, 2))[1][-1] == 2**53 - 1   # the cast is exact
     with pytest.raises(CapacityError, match=r"2\^53"):
         step_profile(tables([0, 2**52, 2**52]), DIVISOR)
 
@@ -276,27 +277,59 @@ def test_report_maxima_cover_the_sampled_rows(tables_4k, kind, x_max):
     assert rep.max_ratio_huxley >= max(r.ratio_huxley for r in rep.rows)
 
 
-def _tied_profile():
-    """A circle profile whose |error| is exactly 8 at n = 100 and n = 120 (right
-    limits) and below 8 elsewhere, so only a first-maximiser fold reports 100."""
-    n = np.arange(201, dtype=np.float64)
-    partial = np.pi * n - 1.0
-    partial[0] = 0.0
-    partial[[100, 120]] += 8.0   # main(n) and main(n) + 8 share a binade: both sums are exact
-    return lattice.StepProfile(kind=CIRCLE, limit=200, partial=partial)
+def _tied_profile(monkeypatch, d):
+    """A divisor profile to 200 whose |error| at the jumps is exactly 20 at n = 100 and
+    n = 150 and below 20 elsewhere, so only a first-maximiser fold reports 100 (the two
+    lie in different blocks at every block size tested).
+
+    Integer sums never tie exactly against pi n - 1 or n log n, so the main term the
+    fold uses, `divisor_main`, is patched to S(n) - 20 at both n: there the right
+    limit is exactly 20 and the left 20 - d(n)."""
+    sums, divisor_main = partial_sums(d[:201]), lattice.divisor_main
+
+    def tied_main(n):
+        main = divisor_main(n)
+        for m in (100, 150):
+            main[n == m] = sums[m] - 20.0
+        return main
+    monkeypatch.setattr(lattice, "divisor_main", tied_main)
+    return lattice.StepProfile(kind=DIVISOR, limit=200, table=d[:201])
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
-def test_folded_report_equals_whole_range_maxima(monkeypatch, circle_4k, divisor_4k, block):
-    tied = _tied_profile()
-    assert _whole_range_maxima(tied, 200.0)[:2] == (8.0, 100.0)
+def test_folded_report_equals_whole_range_maxima(monkeypatch, tables_4k, circle_4k, divisor_4k,
+                                                 block):
+    tied = _tied_profile(monkeypatch, tables_4k.d)
+    assert [lattice.error_at_jumps(tied, n, n)[1][0] for n in (100, 150)] == [20.0, 20.0]
+    assert _whole_range_maxima(tied, 200.0)[:2] == (20.0, 100.0)
     monkeypatch.setattr(arith, "_BLOCK", block)
     edges = [k * block + e for k in (1, 3) for e in (-1.0, -0.5, 0.0, 0.5, 1.0)]
     for profile in (circle_4k, divisor_4k, tied):
-        for x_max in [1.0, 1.5, 2.0, 99.5, 100.0, 120.25, 128.0, *edges, profile.limit]:
+        for x_max in [1.0, 1.5, 2.0, 99.5, 100.0, 120.25, 128.0, 150.25, *edges, profile.limit]:
             if 1 <= x_max <= profile.limit:
                 assert _report_maxima(profile, x_max) == _whole_range_maxima(profile, x_max), \
                     (profile.kind, profile.limit, x_max)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_block_sums_and_error_term_across_block_edges(monkeypatch, circle_4k, divisor_4k, block):
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    edges = [k * block + e for k in (1, 3) for e in (-1, 0, 1)]
+    for profile in (circle_4k, divisor_4k):
+        ref = partial_sums(profile.table)
+        ranges = [(lo, hi) for lo in (0, 1, 5, *edges) for hi in (lo + 1, *edges, 200) if hi > lo]
+        for lo, hi in ranges + [(5, profile.limit)]:
+            blocks = list(lattice._block_sums(profile, lo, hi, arith._BLOCK))
+            assert [a for a, _ in blocks] == list(range(lo, hi, block)), (lo, hi)
+            for a, S in blocks:   # S(a), ..., S(b): the block [a, b) and its right edge
+                b = min(a + block, hi)
+                assert S.dtype == np.float64 and np.array_equal(S, ref[a : b + 1]), (lo, hi, a)
+        for x in (k * block + e for k in (1, 3) for e in (0.0, 0.5, 1.0)):
+            k = math.floor(x)
+            s = ref[k] - (profile.table[k] / 2 if x == k else 0)
+            main = (math.pi * x - 1 if profile.kind == CIRCLE
+                    else x * (math.log(x) + 2 * EULER_GAMMA - 1) + 0.25)
+            assert error_term(profile, x) == pytest.approx(s - main, abs=1e-9), (profile.kind, x)
 
 
 def test_folded_report_equals_whole_range_maxima_at_scale(circle_1m, divisor_1m):
@@ -311,14 +344,16 @@ def test_profile_and_report_scratch_memory_is_bounded(tables_1m, circle_1m):
     N = tables_1m.limit
     tables_1m.r, tables_1m.d   # sieved already: only the profile's own allocation is traced
     for kind in (CIRCLE, DIVISOR):
-        assert traced_peak(lambda: step_profile(tables_1m, kind)) <= 8 * N + 0.1 * 2**20, kind
+        assert traced_peak(lambda: step_profile(tables_1m, kind)) <= 0.1 * 2**20, kind
     assert traced_peak(lambda: pointwise_report(circle_1m, N, samples=64)) <= 8 * 2**20
 
 
 def test_step_profile_structure(tables_4k):
     prof = step_profile(tables_4k, CIRCLE)
-    assert prof.partial[0] == 0
-    assert (np.diff(prof.partial) >= 0).all()
+    assert prof.table is tables_4k.r and not prof.table.flags.writeable   # no copy
+    sums = partial_sums(prof.table)
+    assert sums[0] == 0
+    assert (np.diff(sums) >= 0).all()
     assert prof.jump(5) == 8
     with pytest.raises(ValueError):
         step_profile(tables_4k, "unknown")
