@@ -17,6 +17,7 @@ are safe to share across threads; all query helpers are read-only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -27,6 +28,19 @@ from .errors import CapacityError
 
 _BLOCK = 1 << 16  # entries per scratch buffer and per fold block over a table; of all
                   # results it fixes only mean_square_p's last bit, as block_size(T) a transform's
+
+
+def _series_sum(table: np.ndarray, N: int, term) -> float:
+    """math.fsum of term(n, f(n)) over the 1 <= n <= N with f(n) = table[n] != 0, one _BLOCK
+    of n at a time: term maps a block's kept n and f(n), ascending float64 arrays, never empty,
+    to a float64 array that fsum reads through a memoryview, with no list of floats.  fsum is
+    exactly rounded (Shewchuk, DCG 18 (1997)): no bit depends on the blocks or skipped zeros."""
+    def block_terms(lo: int):
+        f = table[lo:min(lo + _BLOCK, N + 1)]
+        keep = f != 0
+        n = np.arange(lo, lo + f.size, dtype=np.float64).compress(keep)
+        return memoryview(term(n, f.compress(keep).astype(np.float64))) if n.size else ()
+    return math.fsum(itertools.chain.from_iterable(map(block_terms, range(1, N + 1, _BLOCK))))
 
 
 def chi(n: int) -> int:

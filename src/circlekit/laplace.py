@@ -44,7 +44,6 @@ are bit-reproducible in a given build.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -96,20 +95,14 @@ class LaplaceEstimate:
 
 
 def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
-    """Partial sum of sum_{n<=terms} f(n)^2 n^(-3/2), f = r for CIRCLE and d for DIVISOR,
-    exactly rounded (one math.fsum), so no bit of it depends on how terms are grouped."""
+    """Partial sum of sum_{n<=terms} f(n)^2 n^(-3/2), f = r for CIRCLE and d for DIVISOR, one
+    math.fsum over 2^16-entry blocks, f(n) = 0 skipped: exactly rounded whatever the grouping."""
     values = _values(tables, kind)
     if terms < 1 or terms > tables.limit:
         raise ValueError(f"terms={terms} outside table range [1, {tables.limit}]")
     if tables.limit < 2:
         raise ValueError(f"C_hat needs tables.limit >= 2, got {tables.limit}")
-
-    def block_terms(lo: int) -> list[float]:   # f(n)^2 n^(-3/2) for one block of n
-        hi = min(lo + arith._BLOCK, terms + 1)
-        f2 = values[lo:hi].astype(np.float64) ** 2
-        return (f2 * np.arange(lo, hi, dtype=np.float64) ** -1.5).tolist()
-    blocks = map(block_terms, range(1, terms + 1, arith._BLOCK))
-    value = math.fsum(itertools.chain.from_iterable(blocks))
+    value = arith._series_sum(values, terms, lambda n, f: f**2 * n**-1.5)
 
     # Envelope constant over the full sieve range (not just `terms`):
     # C_hat = 2 * max_{2<=n<=limit} F(n) / (n log n), F = cumsum f^2, folded over

@@ -20,8 +20,9 @@ let the phase error grow like sqrt(x n): 2.9e-11 at x n ~ 1e10 and 1.0e-8 at
 each J1 from the same reduced phase and only the amplitude from
 2 pi sqrt(x n) as a double, so the argument rounding described above does
 not reach it: at x = 100000.5 with 1e5 terms its error against a 30-digit
-sum is 3.6e-14, not 6.0e-11.  Both sums accumulate their slowly decaying,
-heavily cancelling terms exactly (fsum).
+sum is 3.6e-14, not 6.0e-11.  Both sums add their slowly decaying, heavily
+cancelling terms in one exactly rounded fsum, one 2^16-entry block of n at a
+time with r(n) = 0 skipped (`arith._series_sum`): O(block) scratch at any N.
 
 All operations are pure.
 """
@@ -33,7 +34,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import ArithTables
+from .arith import ArithTables, _series_sum
 
 BESSEL_SWITCH = 18.0   # both branches agree to ~1.5e-13 here
 _SERIES_TERMS = 60
@@ -191,14 +192,6 @@ def _reduced_phase(x: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (s0 - np.floor(s0)) + corr, s0
 
 
-def _nonzero_r_terms(tables: ArithTables, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, r(n)) as float64 over 1 <= n <= N with r(n) != 0, ascending in n."""
-    n = np.arange(1, N + 1, dtype=np.float64)
-    rn = tables.r[1 : N + 1].astype(np.float64)
-    keep = rn != 0
-    return n[keep], rn[keep]
-
-
 def hardy_partial(tables: ArithTables, x: float, N: int) -> float:
     """N-th partial sum of the Bessel series for P(x):
 
@@ -207,18 +200,17 @@ def hardy_partial(tables: ArithTables, x: float, N: int) -> float:
     The full series converges to P(x) boundedly but not absolutely, so
     partial sums oscillate; callers monitor the residual against error_term
     rather than asserting a rate.  Each J1 oscillates at the compensated
-    `_reduced_phase` of sqrt(x n), which needs x N < 2^53.
+    `_reduced_phase` of sqrt(x n): x n < 2^53 at the last n <= N with r(n) != 0.
     """
     if not x >= 1:   # nan fails too
         raise ValueError(f"x must be >= 1, got {x}")
     if N < 0 or N > tables.limit:
         raise ValueError(f"N={N} outside table range [0, {tables.limit}]")
-    if N == 0:
-        return 0.0
-    n, rn = _nonzero_r_terms(tables, N)
-    frac, root = _reduced_phase(x, n)
-    terms = rn / np.sqrt(n) * _bessel_j(1, 2.0 * np.pi * root, 2.0 * np.pi * frac)
-    return math.sqrt(x) * math.fsum(terms)
+
+    def terms(n, rn):
+        frac, root = _reduced_phase(x, n)
+        return rn / np.sqrt(n) * _bessel_j(1, 2.0 * np.pi * root, 2.0 * np.pi * frac)
+    return math.sqrt(x) * _series_sum(tables.r, N, terms)
 
 
 def truncated_p(tables: ArithTables, x: float, N: int) -> float:
@@ -228,14 +220,15 @@ def truncated_p(tables: ArithTables, x: float, N: int) -> float:
 
     valid for x >= 2 and 2 <= N; the caller interprets the difference from
     error_term(x) as the truncation error, whose envelope decays like
-    x^(1/2+eps) N^(-1/2).  Terms are accumulated in ascending n with exact
-    (fsum) summation; phases use the compensated reduction above.
+    x^(1/2+eps) N^(-1/2).  Phases use the compensated reduction above; the terms go to one
+    exactly rounded fsum, a 2^16-entry block of n at a time, r(n) = 0 skipped (O(block) scratch).
     """
     if not x >= 2:   # nan fails too
         raise ValueError(f"x must be >= 2, got {x}")
     if N < 2 or N > tables.limit:
         raise ValueError(f"N={N} outside allowed range [2, {tables.limit}]")
-    n, rn = _nonzero_r_terms(tables, N)
-    frac, _ = _reduced_phase(x, n)
-    terms = rn * n**-0.75 * np.cos(2.0 * np.pi * frac + math.pi / 4.0)
-    return -(x**0.25 / math.pi) * math.fsum(terms)
+
+    def terms(n, rn):
+        frac, _ = _reduced_phase(x, n)
+        return rn * n**-0.75 * np.cos(2.0 * np.pi * frac + math.pi / 4.0)
+    return -(x**0.25 / math.pi) * _series_sum(tables.r, N, terms)

@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from circlekit import arith, lattice
 
 LIMIT_1M = 1_001_024
+
+property_test = settings(deadline=None, derandomize=True)   # the same examples on every run
 
 
 @pytest.fixture(scope="session")

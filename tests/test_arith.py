@@ -3,15 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from circlekit import arith
 from circlekit.errors import CapacityError
 
 from conftest import (LIMIT_1M, brute_divisors, brute_r, hyperbola_count, lattice_count,
-                      sigma_count, traced_peak)
-
-property_test = settings(deadline=None, derandomize=True)   # the same examples on every run
+                      property_test, sigma_count, traced_peak)
 
 
 def test_chi_values():

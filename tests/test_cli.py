@@ -276,6 +276,7 @@ def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, s
     (["error-term", "circle", "--x-max", "1e6", "--samples", "64"], 4, 6),   # r; the blocks
     (["constants", "r_squared", "--terms", "1000000"], 4, 4),   # r; the series' blocks
     (["voronoi", "--x", "1000000.5", "--n-terms", "2"], 4, 1),   # r, for one P(x)
+    (["voronoi", "--x", "100000.5", "--n-terms", "1000000"], 4, 5),   # r; the series' blocks
 ])
 def test_command_peak_memory_per_entry(tmp_path, capsys, argv, bytes_per_entry, slack_mib):
     if argv[0] == "error-term":

@@ -4,9 +4,11 @@ from math import gcd
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from circlekit import special
-from circlekit.lattice import CIRCLE, error_term, step_profile
+from circlekit import arith, special
+from circlekit.laplace import series_constant
+from circlekit.lattice import CIRCLE, DIVISOR, error_term, step_profile
 from circlekit.special import (
     BESSEL_SWITCH,
     bessel_j,
@@ -15,6 +17,8 @@ from circlekit.special import (
     hardy_partial,
     truncated_p,
 )
+
+from conftest import property_test
 
 
 def test_bessel_at_zero():
@@ -185,3 +189,33 @@ def test_phase_reduction_against_mpmath():
         assert np.max(np.abs(got - ref)) <= 1e-14, x
     with pytest.raises(ValueError, match="2\\^53"):
         special._reduced_phase(2.0**40, np.array([1.0, 2.0**13]))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_series_sums_never_depend_on_the_block(monkeypatch, tables_4k, block):
+    # r(3) = r(7) = 0: at a block of 1 the folds meet blocks that keep no n
+    def sums():
+        return ([f(tables_4k, x, N) for f in (truncated_p, hardy_partial)
+                 for x in (10.5, 1000.3, 100000.5) for N in (2, 3, 7, 64, 65, 4000)]
+                + [series_constant(tables_4k, kind, terms).value
+                   for kind in (CIRCLE, DIVISOR) for terms in (1, 5, 4000)])
+    expected = sums()
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    assert sums() == expected
+
+
+@property_test
+@given(st.integers(2, 4000), st.integers(-3, 3))
+def test_phase_guard_raises_exactly_when_x_times_the_last_kept_n_reaches_2_53(tables_4k, N, ulps):
+    m = int(np.flatnonzero(tables_4k.r[:N + 1])[-1])   # the largest n <= N with r(n) != 0
+    x = 2.0**53 / m
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    with pytest.MonkeyPatch.context() as patch:   # hypothesis rejects function-scoped fixtures
+        patch.setattr(arith, "_BLOCK", 7)
+        for f in (truncated_p, hardy_partial):
+            if x * m >= 2.0**53:
+                with pytest.raises(ValueError, match="2\\^53"):
+                    f(tables_4k, x, N)
+            else:
+                assert math.isfinite(f(tables_4k, x, N))
