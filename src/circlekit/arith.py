@@ -28,6 +28,8 @@ from .errors import CapacityError
 
 _BLOCK = 1 << 16  # entries per scratch buffer and per fold block over a table; of all
                   # results it fixes only mean_square_p's last bit, as block_size(T) a transform's
+_SEGMENT = 1 << 19  # table entries per segment of the d and sigma sieves (see _divisor_sieve);
+                    # it fixes no entry of any table, only the time
 
 
 def _series_sum(table: np.ndarray, N: int, term) -> float:
@@ -129,16 +131,31 @@ def _r_sieve(N: int) -> np.ndarray:
     return r
 
 
+def _segment_runs(N: int):
+    """Yield (delta, k0, k1): the runs of cofactors k0 <= k < k1 of each delta whose products
+    delta k lie in one segment [lo, hi) of _SEGMENT table entries, segment by segment in
+    ascending order.  A segment yields each delta <= sqrt(hi - 1) once, with k from
+    max(delta + 1, ceil(lo / delta)), so every pair delta < k with delta k <= N is
+    yielded exactly once; a run is never empty."""
+    for lo in range(0, N + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, N + 1)
+        for delta in range(1, math.isqrt(hi - 1) + 1):
+            k0, k1 = max(delta + 1, -(-lo // delta)), (hi - 1) // delta + 1
+            if k0 < k1:
+                yield delta, k0, k1
+
+
 def _d_sieve(N: int) -> np.ndarray:
     """d(n) for n <= N: the pair sieve of `_divisor_sieve` with every weight 1.
 
-    A pair adds 1 + 1, so each delta <= sqrt(N) adds 2 at n = delta k, k > delta,
-    and 1 at delta^2: in-place strided adds, with no weights array or pair buffer.
+    A pair adds 1 + 1, so each run of cofactors k of delta adds 2 at n = delta k, and
+    each delta <= sqrt(N) adds 1 at delta^2: in-place strided adds in the segment order
+    of `_divisor_sieve`, with no weights array or pair buffer.
     """
     d = np.zeros(N + 1, dtype=np.int32)
-    for delta in range(1, math.isqrt(N) + 1):
-        d[delta * (delta + 1)::delta] += 2
-        d[delta * delta] += 1
+    for delta, k0, k1 in _segment_runs(N):
+        d[delta * k0:delta * (k1 - 1) + 1:delta] += 2
+    d[np.arange(1, math.isqrt(N) + 1) ** 2] += 1
     return d
 
 
@@ -147,23 +164,30 @@ def _divisor_sieve(weights: np.ndarray) -> np.ndarray:
 
     Pairs each divisor delta < sqrt(n) with its cofactor (Bays & Hudson,
     BIT 17, 1977): sum_{delta | n} f(delta) = sum_{delta | n, delta < sqrt(n)}
-    (f(delta) + f(n/delta)) + [n = delta^2] f(delta).  Each delta <= sqrt(N)
-    is one strided add over n = delta k, k > delta, plus the square term:
-    ~N (ln N / 2) element updates over sqrt(N) Python iterations.  The pair
-    sums go through one preallocated buffer of at most _BLOCK entries, one
-    block of cofactors k at a time: a fresh temporary per delta leaves freed
-    heap behind that raised the peak RSS of later commands.
+    (f(delta) + f(n/delta)) + [n = delta^2] f(delta): ~N (ln N / 2) element
+    updates, each square term added once at the end.  The pair updates run
+    segment by segment (`_segment_runs`): for each [lo, hi) of _SEGMENT table
+    entries, one strided add per delta <= sqrt(hi - 1) over the n = delta k in
+    it, ~(N / _SEGMENT) sqrt(N) Python iterations.  A whole-table add per delta
+    touches a new cache line per update from delta ~ 16 and a new page from
+    ~1000; 2^19 entries, 2 MiB of int32 d, stay in a 2 MiB L2.  On such a
+    2-vCPU x86 VM at N = 1e7 this took d from ~0.6 to ~0.26 s and sigma from
+    ~0.9 to ~0.5 s; 2^18 and 2^20 were slower than 2^19, and 2^16 slower than
+    no segments.  The adds are integer, so their order changes no entry.  The
+    pair sums go through one preallocated buffer of at most _BLOCK entries, one
+    block of cofactors at a time: a fresh temporary per run leaves freed heap
+    behind that raised the peak RSS of later commands.
     """
     N = len(weights) - 1
     out = np.zeros(N + 1, dtype=weights.dtype)
     pair = np.empty(min(N, _BLOCK), dtype=weights.dtype)
-    for delta in range(1, math.isqrt(N) + 1):
-        k_end = N // delta + 1
-        for lo in range(delta + 1, k_end, _BLOCK):   # cofactors k = lo..hi-1
-            hi = min(lo + _BLOCK, k_end)
+    for delta, k0, k1 in _segment_runs(N):
+        for lo in range(k0, k1, _BLOCK):   # cofactors k = lo..hi-1
+            hi = min(lo + _BLOCK, k1)
             out[delta * lo:delta * (hi - 1) + 1:delta] += np.add(weights[lo:hi], weights[delta],
                                                                  out=pair[:hi - lo])
-        out[delta * delta] += weights[delta]
+    squares = np.arange(1, math.isqrt(N) + 1)
+    out[squares ** 2] += weights[squares]
     return out
 
 

@@ -107,15 +107,20 @@ def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
     # Envelope constant over the full sieve range (not just `terms`):
     # C_hat = 2 * max_{2<=n<=limit} F(n) / (n log n), F = cumsum f^2, folded over
     # blocks with F carried; every F is an integer, exact below 2^53 in any order.
+    # Three block-sized buffers serve every block: F, n (advanced a block at a time) and
+    # w.  One (2, block) array for F and w left 1 MiB of heap behind, in RSS, after the call.
+    size = min(arith._BLOCK, tables.limit - 1)
+    F, w, n = np.empty(size), np.empty(size), np.arange(2, 2 + size, dtype=np.float64)
     carry, ratio_max = float(values[1]) ** 2, 0.0
     for lo in range(2, tables.limit + 1, arith._BLOCK):
-        hi = min(lo + arith._BLOCK, tables.limit + 1)
-        F = values[lo:hi].astype(np.float64) ** 2
+        m = min(arith._BLOCK, tables.limit + 1 - lo)
+        np.square(values[lo:lo + m], out=F[:m], dtype=np.float64)
         F[0] += carry
-        np.cumsum(F, out=F)
-        carry = float(F[-1])
-        n = np.arange(lo, hi, dtype=np.float64)
-        ratio_max = max(ratio_max, float(np.max(F / (n * np.log(n)))))
+        np.cumsum(F[:m], out=F[:m])
+        carry = float(F[m - 1])
+        np.multiply(n[:m], np.log(n[:m], out=w[:m]), out=w[:m])
+        ratio_max = max(ratio_max, float(np.divide(F[:m], w[:m], out=w[:m]).max()))
+        n += arith._BLOCK
     if carry >= 2.0**53:   # f^2 >= 0: the last sum is the largest; all are exact below it
         raise CapacityError(f"{kind} sums of f^2 reach {carry:.6g} at limit "
                             f"{tables.limit}; C_hat is exact only below 2^53")

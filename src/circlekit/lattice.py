@@ -87,9 +87,14 @@ def error_term(profile: StepProfile, x: float) -> float:
     if x < 1 or x > profile.limit:
         raise ValueError(f"x={x} outside profile domain [1, {profile.limit}]")
     k = int(math.floor(x))
-    s = float(next(_block_sums(profile, k - 1, k, 1))[1][-1])   # S(k)
-    if x == k:
-        s -= profile.jump(k) / 2.0
+    return _error_from_sum(profile, x, int(profile.table[:k + 1].sum(dtype=np.int64)))
+
+
+def _error_from_sum(profile: StepProfile, x: float, S: int) -> float:
+    """`error_term` at x from S = S(floor(x)), the exact integer sum."""
+    s = float(S)
+    if x == math.floor(x):
+        s -= profile.jump(int(x)) / 2.0
     if profile.kind == CIRCLE:
         return s - math.pi * x + 1.0
     return s - x * (math.log(x) + 2.0 * EULER_GAMMA - 1.0) - 0.25
@@ -205,10 +210,13 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
         max_ratio_quarter = max(max_ratio_quarter, float((absval / n**0.25).max()))
         max_ratio_huxley = max(max_ratio_huxley, float((absval / n ** (23.0 / 73.0)).max()))
     # the sampled rows join the fold: at a non-integer x_max the last sample lies
-    # past the last jump, where |error| can exceed every one-sided limit
-    rows = []
+    # past the last jump, where |error| can exceed every one-sided limit; S(floor(x))
+    # is carried across the ascending samples, each entry of the table read once
+    rows, S, k = [], 0, 0   # S = S(k)
     for x in np.geomspace(1.0, float(x_max), samples):
-        value = error_term(profile, float(x))
+        S += int(profile.table[k + 1:int(x) + 1].sum(dtype=np.int64))   # 0 if the floor repeats
+        k = int(x)
+        value = _error_from_sum(profile, float(x), S)
         row = PointwiseRow(
             x=float(x),
             value=value,

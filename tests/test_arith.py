@@ -107,6 +107,17 @@ def _weights(N: int) -> dict:
             "arange": np.arange(N + 1, dtype=np.int64), "alternating": alternating}
 
 
+def _check_sieves_against_naive(sizes, *labels):
+    for N in sizes:
+        for name, w in _weights(N).items():
+            expected = _naive_divisor_sums(w)
+            got = arith._divisor_sieve(w)
+            assert got.dtype == w.dtype and np.array_equal(got, expected), (*labels, N, name)
+            if name == "ones":
+                d = arith._d_sieve(N)
+                assert d.dtype == np.int32 and np.array_equal(d, expected), (*labels, N)
+
+
 @pytest.mark.parametrize("block, sizes", [
     (1, (1, 2, 3, 4, 50, 301)),
     (7, (1, 6, 7, 8, 49, 56, 57, 1000)),
@@ -114,14 +125,32 @@ def _weights(N: int) -> dict:
 ])
 def test_divisor_sieves_match_naive_sums(monkeypatch, block, sizes):
     monkeypatch.setattr(arith, "_BLOCK", block)
-    for N in sizes:
-        for name, w in _weights(N).items():
-            expected = _naive_divisor_sums(w)
-            got = arith._divisor_sieve(w)
-            assert got.dtype == w.dtype and np.array_equal(got, expected), (block, N, name)
-            if name == "ones":
-                d = arith._d_sieve(N)
-                assert d.dtype == np.int32 and np.array_equal(d, expected), (block, N)
+    _check_sieves_against_naive(sizes, block)
+
+
+@pytest.mark.parametrize("segment, block, sizes", [
+    (1, arith._BLOCK, (1, 2, 3, 4, 50, 301)),   # one table entry per segment
+    (7, 3, (6, 7, 8, 13, 14, 15, 48, 49, 50, 56, 57, 1000)),   # N at k segments and +- 1
+    (64, 7, (63, 64, 65, 127, 128, 129, 4095, 4096, 4097)),
+])
+def test_segmented_divisor_sieves_match_naive_sums(monkeypatch, segment, block, sizes):
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    _check_sieves_against_naive(sizes, segment, block)
+
+
+def test_segmented_sieves_match_one_segment(monkeypatch):
+    # the real segment length, with N crossing two segment edges, against the same
+    # sieve run as one segment, the whole-table loop
+    N = 2**20 + 3
+    sieves = [(name, lambda w=w: arith._divisor_sieve(w)) for name, w in _weights(N).items()]
+    sieves.append(("d", lambda: arith._d_sieve(N)))
+    for name, sieve in sieves:
+        got = sieve()
+        with monkeypatch.context() as m:
+            m.setattr(arith, "_SEGMENT", N + 1)
+            expected = sieve()
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), name
 
 
 def test_sieve_scratch_memory_is_bounded():
