@@ -33,7 +33,6 @@ from .laplace import (
     LaplaceEstimate,
     SeriesConstant,
     fit_a1,
-    fit_log_quadratic,
     laplace_d2,
     laplace_main,
     laplace_p2,

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import arith
 from .errors import CapacityError
-from .lattice import CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, _block_sums, _values, divisor_main
+from .lattice import CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, _values, divisor_main
 
 DEFAULT_REL_TOL = 1e-6
 _QUAD_SELF_CHECK = 1e-12
@@ -97,32 +97,24 @@ class LaplaceEstimate:
 def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
     """Partial sum of sum_{n<=terms} f(n)^2 n^(-3/2), f = r for CIRCLE and d for DIVISOR, one
     math.fsum over 2^16-entry blocks, f(n) = 0 skipped: exactly rounded whatever the grouping."""
-    values = _values(tables, kind)
     if terms < 1 or terms > tables.limit:
         raise ValueError(f"terms={terms} outside table range [1, {tables.limit}]")
     if tables.limit < 2:
         raise ValueError(f"C_hat needs tables.limit >= 2, got {tables.limit}")
+    values = _values(tables, kind)
     value = arith._series_sum(values, terms, lambda n, f: f**2 * n**-1.5)
 
     # Envelope constant over the full sieve range (not just `terms`):
-    # C_hat = 2 * max_{2<=n<=limit} F(n) / (n log n), F = cumsum f^2, folded over
-    # blocks with F carried; every F is an integer, exact below 2^53 in any order.
-    # Three block-sized buffers serve every block: F, n (advanced a block at a time) and
-    # w.  One (2, block) array for F and w left 1 MiB of heap behind, in RSS, after the call.
-    size = min(arith._BLOCK, tables.limit - 1)
-    F, w, n = np.empty(size), np.empty(size), np.arange(2, 2 + size, dtype=np.float64)
-    carry, ratio_max = float(values[1]) ** 2, 0.0
-    for lo in range(2, tables.limit + 1, arith._BLOCK):
-        m = min(arith._BLOCK, tables.limit + 1 - lo)
-        np.square(values[lo:lo + m], out=F[:m], dtype=np.float64)
-        F[0] += carry
-        np.cumsum(F[:m], out=F[:m])
-        carry = float(F[m - 1])
-        np.multiply(n[:m], np.log(n[:m], out=w[:m]), out=w[:m])
-        ratio_max = max(ratio_max, float(np.divide(F[:m], w[:m], out=w[:m]).max()))
-        n += arith._BLOCK
-    if carry >= 2.0**53:   # f^2 >= 0: the last sum is the largest; all are exact below it
-        raise CapacityError(f"{kind} sums of f^2 reach {carry:.6g} at limit "
+    # C_hat = 2 * max_{2<=n<=limit} F(n) / (n log n), F(n) = sum_{m<=n} f(m)^2.  The
+    # blocks of [1, limit) overlap by one entry, so n[1:] covers n = 2..limit once.  w, for
+    # n log n, is one reused buffer: fresh temporaries per block doubled C_hat's time at 1e7.
+    w, ratio_max = np.empty(min(arith._BLOCK, tables.limit - 1)), 0.0
+    for n, F in arith._block_sums(values, 1, tables.limit, arith._BLOCK, square=True):
+        m = n.size - 1
+        np.multiply(n[1:], np.log(n[1:], out=w[:m]), out=w[:m])
+        ratio_max = max(ratio_max, float(np.divide(F[1:], w[:m], out=w[:m]).max()))
+    if F[-1] >= 2.0**53:   # f^2 >= 0: the last sum is the largest; all are exact below it
+        raise CapacityError(f"{kind} sums of f^2 reach {F[-1]:.6g} at limit "
                             f"{tables.limit}; C_hat is exact only below 2^53")
     c_hat = 2.0 * ratio_max
     # tail <= int_X^inf t^(-3/2) dF <= 3 C_hat (log X + 2) / sqrt(X); the
@@ -240,9 +232,9 @@ def stop_edge(kind: str, T: float, rel_tol: float, total: float) -> int:
 
 
 def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, block_fn):
-    """Accumulate block_fn(lo, S) over whole blocks [lo, hi) of unit intervals, S
-    the block's sums S(lo), ..., S(hi), up to the first block edge at which
-    `stop_edge` stops the running total.
+    """Accumulate block_fn(n, S) over whole blocks [lo, hi) of unit intervals, n = lo..hi
+    and S = S(lo), ..., S(hi) as `arith._block_sums` yields them, up to the first block
+    edge at which `stop_edge` stops the running total.
 
     block_fn returns the block's integral as a float.  Returns (total,
     truncation_bound).  A profile that ends before the stop raises
@@ -255,9 +247,9 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
     block = block_size(T)
     pieces: list[float] = []
     x, total = 0, 0.0   # a profile of limit 0 has no block
-    for lo, S in _block_sums(profile, 0, profile.limit, block):
-        pieces.append(block_fn(lo, S))
-        x, total = lo + block, math.fsum(pieces)
+    for n, S in arith._block_sums(profile.table, 0, profile.limit, block):
+        pieces.append(block_fn(n, S))
+        x, total = int(n[0]) + block, math.fsum(pieces)
         if x > profile.limit:   # the profile cut this block short
             break
         if stop_edge(profile.kind, T, rel_tol, total) <= x:
@@ -283,10 +275,9 @@ def laplace_p2(
         raise ValueError("laplace_p2 needs a CIRCLE profile")
     m0, m1, m2 = _moments(T, 2, 0.0)
 
-    def block(lo: int, S: np.ndarray) -> float:
-        n = np.arange(lo, lo + S.size - 1, dtype=np.float64)
-        b = S[:-1] + 1.0 - np.pi * n
-        vals = (b * b * m0 - 2.0 * np.pi * b * m1 + (np.pi * np.pi) * m2) * np.exp(-n / T)
+    def block(n: np.ndarray, S: np.ndarray) -> float:
+        b = S[:-1] + 1.0 - np.pi * n[:-1]
+        vals = (b * b * m0 - 2.0 * np.pi * b * m1 + (np.pi * np.pi) * m2) * np.exp(-n[:-1] / T)
         return float(np.sum(vals))
 
     return _integrate_to_tolerance(profile, T, rel_tol, block)
@@ -314,7 +305,7 @@ class ResidualScan:
 
 
 def residual_scan(profile: StepProfile, T_list, rel_tol: float = DEFAULT_REL_TOL) -> ResidualScan:
-    """Residuals of the profile's transform over ascending T plus their log-log slope.
+    """Residuals of the profile's transform over strictly ascending T plus their log-log slope.
 
     A CIRCLE profile is scanned with `laplace_p2`, a DIVISOR profile with
     `laplace_d2`, each against the kind's `laplace_main`: the scan pairs
@@ -322,10 +313,8 @@ def residual_scan(profile: StepProfile, T_list, rel_tol: float = DEFAULT_REL_TOL
     once.  Each transform is computed once per T.
     """
     Ts = list(T_list)
-    if Ts != sorted(Ts):
-        raise ValueError("T_list must be ascending")
-    if not Ts:
-        raise ValueError("T_list must be non-empty")
+    if not Ts or any(a >= b for a, b in zip(Ts, Ts[1:])):
+        raise ValueError(f"T_list must be non-empty and strictly ascending, got {Ts}")
     transform = laplace_p2 if profile.kind == CIRCLE else laplace_d2
     c = series_limit(profile.kind)
     rows = []
@@ -415,15 +404,13 @@ def laplace_d2(
     H = np.array(mu)[np.add.outer(range(k_max + 1), range(k_max + 1))]   # H[i][j] = mu_{i+j}
     errors = []
 
-    def block(a: int, S: np.ndarray) -> float:
-        value, lo, hi = 0.0, a, a + S.size - 1
-        if lo == 0:
-            value = _first_interval(T)
-            lo = 1
+    def block(n_all: np.ndarray, S: np.ndarray) -> float:
+        a, hi = int(n_all[0]), int(n_all[-1])
+        value, lo = (_first_interval(T), 1) if a == 0 else (0.0, a)
         while lo < hi:
             top = min(hi, 1 << lo.bit_length())   # one order per octave [2^m, 2^(m+1))
             K = _taylor_order(lo)
-            n = np.arange(lo, top, dtype=np.float64)
+            n = n_all[lo - a : top - a]
             p = _taylor_coefficients(n, S[lo - a : top - a], K)
             value += float(np.sum(np.exp(-n / T) * np.sum((p @ H[: K + 1, : K + 1]) * p, axis=1)))
             errors.append(float(np.sum(_taylor_certificate(n, p, T))))
@@ -440,7 +427,7 @@ def laplace_d2(
     return total, trunc
 
 
-def fit_log_quadratic(x_values, y_values) -> tuple[float, float, float]:
+def _fit_log_quadratic(x_values, y_values) -> tuple[float, float, float]:
     """Least-squares coefficients (a, b, c) of y ~ a log^2 x + b log x + c."""
     xs = np.asarray(list(x_values), dtype=np.float64)
     ys = np.asarray(list(y_values), dtype=np.float64)
@@ -474,7 +461,7 @@ def fit_a1(scan: ResidualScan) -> A1Fit:
     """
     if scan.kind != DIVISOR:
         raise ValueError(f"fit_a1 needs a {DIVISOR} scan, got {scan.kind!r}")
-    a1, a2, a3 = fit_log_quadratic(
+    a1, a2, a3 = _fit_log_quadratic(
         [row.T for row in scan.rows], [row.residual / row.T for row in scan.rows]
     )
     return A1Fit(a1=a1, a2=a2, a3=a3)

@@ -11,8 +11,9 @@ one-sided limits of integers.  The mean square of P over [0, X] is computed
 exactly (to rounding) from the closed-form integral of the quadratic
 polynomial on each unit interval.
 
-All operations are read-only over an immutable `StepProfile` and are safe
-to call concurrently.
+Folds over a range of n read the partial sums from `arith._block_sums`.  All
+operations are read-only over an immutable `StepProfile` and are safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ DIVISOR = "divisor"
 @dataclass(frozen=True)
 class StepProfile:
     """An arithmetic function f in {r, d} as its table, with no copy: each reader
-    forms the sums S(n) = sum_{m<=n} f(m) it needs block by block (`_block_sums`),
+    forms the sums S(n) = sum_{m<=n} f(m) it needs block by block (`arith._block_sums`),
     exact as `step_profile` checks S(limit) < 2^53.  Immutable and shareable across threads.
     """
 
@@ -68,16 +69,6 @@ def step_profile(tables: arith.ArithTables, kind: str) -> StepProfile:
         raise CapacityError(f"{kind} partial sums reach {total:.6g} at limit "
                             f"{tables.limit}; float64 sums are exact only below 2^53")
     return StepProfile(kind=kind, limit=tables.limit, table=values)
-
-
-def _block_sums(profile: StepProfile, lo: int, hi: int, block: int):
-    """Yield (a, [S(a), ..., S(b)]) for the blocks [a, b) of [lo, hi), hi <= limit: exact
-    int64 cumsums carried from S(lo - 1), one O(lo) prefix sum, cast to float64 (exact < 2^53)."""
-    carry = int(profile.table[:lo].sum(dtype=np.int64))
-    for a in range(lo, hi, block):
-        s = np.cumsum(profile.table[a : min(a + block, hi) + 1], dtype=np.int64) + carry
-        carry = int(s[-2])   # S(b - 1), the next block's carry
-        yield a, s.astype(np.float64)
 
 
 def error_term(profile: StepProfile, x: float) -> float:
@@ -138,8 +129,8 @@ def mean_square_p(profile: StepProfile, X: float) -> float:
         raise ValueError(f"X={X} outside profile domain [0, {profile.limit}]")
     nf = int(math.floor(X))
     pieces, S = [nf * math.pi**2 / 3.0], np.zeros(1)   # S(0) = 0 when X < 1
-    for lo, S in _block_sums(profile, 0, nf, arith._BLOCK):
-        b = S[:-1] + 1.0 - np.pi * np.arange(lo, lo + S.size - 1, dtype=np.float64)
+    for n, S in arith._block_sums(profile.table, 0, nf, arith._BLOCK):
+        b = S[:-1] + 1.0 - np.pi * n[:-1]
         pieces.append(float(np.sum(b * (b - np.pi))))
     b, u = S[-1] + 1.0 - math.pi * nf, X - nf
     pieces.append(u * (b * b - math.pi * b * u + math.pi**2 * u * u / 3.0))
@@ -174,9 +165,8 @@ class PointwiseReport:
     max_ratio_huxley: float
 
 
-def _jump_maxima(kind: str, lo: int, S: np.ndarray):
-    """`error_at_jumps` from the sums S = S(lo-1), ..., S(hi)."""
-    n = np.arange(lo, lo + S.size - 1, dtype=np.float64)
+def _jump_maxima(kind: str, n: np.ndarray, S: np.ndarray):
+    """`error_at_jumps` at n = lo..hi from the sums S = S(lo-1), ..., S(hi)."""
     main = np.pi * n - 1.0 if kind == CIRCLE else divisor_main(n)
     return n, np.maximum(np.abs(S[:-1] - main), np.abs(S[1:] - main))
 
@@ -190,7 +180,8 @@ def error_at_jumps(profile: StepProfile, lo: int, hi: int):
     """
     if not 1 <= lo <= hi <= profile.limit:
         raise ValueError(f"[{lo}, {hi}] outside profile domain [1, {profile.limit}]")
-    return _jump_maxima(profile.kind, lo, next(_block_sums(profile, lo - 1, hi, hi - lo + 1))[1])
+    n, S = next(arith._block_sums(profile.table, lo - 1, hi, hi - lo + 1))
+    return _jump_maxima(profile.kind, n[1:], S)
 
 
 def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> PointwiseReport:
@@ -202,8 +193,8 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
     # fold error_at_jumps over blocks of n, one carried pass; a block takes the maximum
     # only when strictly larger, so argmax is the first maximiser, as over the whole range
     max_abs = argmax = max_ratio_quarter = max_ratio_huxley = -1.0
-    for a, S in _block_sums(profile, 0, int(math.floor(x_max)), arith._BLOCK):
-        n, absval = _jump_maxima(profile.kind, a + 1, S)
+    for n, S in arith._block_sums(profile.table, 0, int(math.floor(x_max)), arith._BLOCK):
+        n, absval = _jump_maxima(profile.kind, n[1:], S)
         i = int(np.argmax(absval))
         if absval[i] > max_abs:
             max_abs, argmax = float(absval[i]), float(n[i])

@@ -91,7 +91,7 @@ def _bessel_asymptotic(order: int, z: np.ndarray, theta: np.ndarray) -> np.ndarr
 
 
 def bessel_j(order: int, z):
-    """J_order(z) for order in {0, 1}, z >= 0 scalar or array.
+    """J_order(z) for order in {0, 1}, finite z >= 0 scalar or array.
 
     Absolute error <= 1e-10 for z <= 1e6 (see module docstring for the
     behaviour beyond).
@@ -100,8 +100,8 @@ def bessel_j(order: int, z):
         raise ValueError(f"order must be 0 or 1, got {order}")
     scalar = np.isscalar(z)
     zz = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    if not (zz >= 0).all():   # nan fails too
-        raise ValueError("bessel_j requires z >= 0")
+    if not (np.isfinite(zz) & (zz >= 0)).all():
+        raise ValueError("bessel_j requires finite z >= 0")
     out = _bessel_j(order, zz, zz)
     return float(out[0]) if scalar else out
 

@@ -11,8 +11,8 @@ from circlekit.laplace import (
     A1_EXPECTED,
     LaplaceEstimate,
     ResidualScan,
+    _fit_log_quadratic,
     fit_a1,
-    fit_log_quadratic,
     laplace_d2,
     laplace_main,
     laplace_p2,
@@ -247,6 +247,8 @@ def test_residual_scan_rows_and_validation(circle_1m, divisor_1m):
     with pytest.raises(ValueError):
         residual_scan(circle_1m, [256.0, 128.0])
     with pytest.raises(ValueError):
+        residual_scan(circle_1m, [128.0, 128.0])
+    with pytest.raises(ValueError):
         residual_scan(circle_1m, [])
 
     scan = residual_scan(divisor_1m, [128.0, 256.0])
@@ -390,7 +392,7 @@ def test_fit_log_quadratic_recovers_synthetic_exactly():
     a, b, c = -0.025, 0.37, -1.2
     Ts = [2.0**k for k in range(7, 14)]
     ys = [a * math.log(T) ** 2 + b * math.log(T) + c for T in Ts]
-    fa, fb, fc = fit_log_quadratic(Ts, ys)
+    fa, fb, fc = _fit_log_quadratic(Ts, ys)
     assert fa == pytest.approx(a, abs=1e-10)
     assert fb == pytest.approx(b, abs=1e-10)
     assert fc == pytest.approx(c, abs=1e-10)
@@ -398,7 +400,7 @@ def test_fit_log_quadratic_recovers_synthetic_exactly():
 
 def test_fit_underdetermined():
     with pytest.raises(ValueError):
-        fit_log_quadratic([10.0, 20.0], [1.0, 2.0])
+        _fit_log_quadratic([10.0, 20.0], [1.0, 2.0])
     rows = [LaplaceEstimate(T, 1.0, 0.0, 0.5, 0.5) for T in (128.0, 256.0, 512.0)]
     with pytest.raises(ValueError):
         fit_a1(ResidualScan(kind=DIVISOR, constant=0.5, rows=rows[:2], slope=0.0))

@@ -174,7 +174,7 @@ def test_step_profile_checks_float64_exactness():
 
     prof = step_profile(tables([0, 2**52, 2**52 - 1]), DIVISOR)
     assert int(prof.table.sum(dtype=np.int64)) == 2**53 - 1
-    assert next(lattice._block_sums(prof, 0, 2, 2))[1][-1] == 2**53 - 1   # the cast is exact
+    assert next(arith._block_sums(prof.table, 0, 2, 2))[1][-1] == 2**53 - 1   # the cast is exact
     with pytest.raises(CapacityError, match=r"2\^53"):
         step_profile(tables([0, 2**52, 2**52]), DIVISOR)
 
@@ -318,12 +318,20 @@ def test_block_sums_and_error_term_across_block_edges(monkeypatch, circle_4k, di
     for profile in (circle_4k, divisor_4k):
         ref = partial_sums(profile.table)
         ranges = [(lo, hi) for lo in (0, 1, 5, *edges) for hi in (lo + 1, *edges, 200) if hi > lo]
-        for lo, hi in ranges + [(5, profile.limit)]:
-            blocks = list(lattice._block_sums(profile, lo, hi, arith._BLOCK))
-            assert [a for a, _ in blocks] == list(range(lo, hi, block)), (lo, hi)
-            for a, S in blocks:   # S(a), ..., S(b): the block [a, b) and its right edge
-                b = min(a + block, hi)
-                assert S.dtype == np.float64 and np.array_equal(S, ref[a : b + 1]), (lo, hi, a)
+        ranges += [(profile.limit - 2, profile.limit), (5, profile.limit)]   # a head near the end
+        squares = partial_sums(profile.table.astype(np.int64) ** 2)
+        for square, sums in ((False, ref), (True, squares)):
+            for lo, hi in ranges:
+                # the fold reuses its buffers, so each block is copied before the next
+                blocks = [(n.copy(), S.copy()) for n, S in
+                          arith._block_sums(profile.table, lo, hi, arith._BLOCK, square)]
+                assert [n[0] for n, _ in blocks] == list(range(lo, hi, block)), (lo, hi)
+                for n, S in blocks:   # S(a), ..., S(b): the block [a, b) and its right edge
+                    a = int(n[0])
+                    b = min(a + block, hi)
+                    assert n.dtype == S.dtype == np.float64, (lo, hi, a)
+                    assert np.array_equal(n, np.arange(a, b + 1)), (lo, hi, a)
+                    assert np.array_equal(S, sums[a : b + 1]), (lo, hi, a, square)
         for x in (k * block + e for k in (1, 3) for e in (0.0, 0.5, 1.0)):
             k = math.floor(x)
             s = ref[k] - (profile.table[k] / 2 if x == k else 0)

@@ -65,7 +65,7 @@ def test_bessel_bounded_by_one():
 def test_bessel_rejects_bad_args():
     with pytest.raises(ValueError):
         bessel_j(2, 1.0)
-    for z in (-1.0, math.nan, np.array([1.0, math.nan])):
+    for z in (-1.0, math.nan, math.inf, np.array([1.0, math.nan])):
         with pytest.raises(ValueError):
             bessel_j(0, z)
 
