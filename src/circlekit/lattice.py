@@ -75,7 +75,7 @@ def error_term(profile: StepProfile, x: float) -> float:
     """The profile's error term at x: P(x) = sum'_{n<=x} r(n) - pi x + 1 for
     CIRCLE, Delta(x) = sum'_{n<=x} d(n) - x(log x + 2 gamma - 1) - 1/4 for DIVISOR.
     sum' halves the final term when x is an integer."""
-    if x < 1 or x > profile.limit:
+    if not 1 <= x <= profile.limit:   # nan fails too
         raise ValueError(f"x={x} outside profile domain [1, {profile.limit}]")
     k = int(math.floor(x))
     return _error_from_sum(profile, x, int(profile.table[:k + 1].sum(dtype=np.int64)))
@@ -125,7 +125,7 @@ def mean_square_p(profile: StepProfile, X: float) -> float:
     """
     if profile.kind != CIRCLE:
         raise ValueError("mean_square_p needs a CIRCLE profile")
-    if X < 0 or X > profile.limit:
+    if not 0 <= X <= profile.limit:   # nan fails too
         raise ValueError(f"X={X} outside profile domain [0, {profile.limit}]")
     nf = int(math.floor(X))
     pieces, S = [nf * math.pi**2 / 3.0], np.zeros(1)   # S(0) = 0 when X < 1
@@ -188,7 +188,7 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
     """Sample the error term and report the extremal ratios up to x_max."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if x_max < 1 or x_max > profile.limit:
+    if not 1 <= x_max <= profile.limit:   # nan fails too
         raise ValueError(f"x_max={x_max} outside profile domain [1, {profile.limit}]")
     # fold error_at_jumps over blocks of n, one carried pass; a block takes the maximum
     # only when strictly larger, so argmax is the first maximiser, as over the whole range

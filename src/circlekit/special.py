@@ -141,7 +141,7 @@ def bessel_oracle(order: int, z: float) -> float:
 
 
 def gauss_sum_sq(k: int, h: int) -> complex:
-    """Square of the quadratic Gauss sum: (sum_{x=1}^{k} e(h x^2 / k))^2.
+    """Squared quadratic Gauss sum (sum_{x=1}^{k} e(h x^2 / k))^2: the per-(k, h) oracle.
 
     Direct O(k) evaluation; the residues h x^2 mod k are reduced in integer
     arithmetic before touching floating point, so each phase is exact to an
@@ -156,6 +156,15 @@ def gauss_sum_sq(k: int, h: int) -> complex:
     residues = (h * (x * x % k)) % k
     inner = np.exp(2j * np.pi * residues / k).sum()
     return complex(inner * inner)
+
+
+def _gauss_sums_sq(k: int) -> np.ndarray:
+    """G(h, k)^2 (`gauss_sum_sq` at coprime h) for h = 1..k at index h - 1, from one FFT (Cooley
+    & Tukey, Math. Comp. 19 (1965)): with c(j) = #{x : x^2 = j (mod k)}, G(h, k) = sum_j c(j)
+    e(h j / k) is the conjugate of entry h mod k of the DFT of c.  O(k log k), not O(k) per h."""
+    x = np.arange(1, k + 1, dtype=np.int64)
+    g = np.roll(np.fft.fft(np.bincount(x * x % k, minlength=k)), -1).conj()
+    return g * g
 
 
 def _veltkamp_split(a):

@@ -1,11 +1,12 @@
 import argparse
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import circlekit
-from circlekit import arith, cli, laplace, lattice
+from circlekit import arith, cli, laplace, lattice, special
 from circlekit.errors import CapacityError
 from conftest import traced_peak
 
@@ -277,9 +278,10 @@ def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, s
     (["constants", "r_squared", "--terms", "1000000"], 4, 4),   # r; the series' blocks
     (["voronoi", "--x", "1000000.5", "--n-terms", "2"], 4, 1),   # r, for one P(x)
     (["voronoi", "--x", "100000.5", "--n-terms", "1000000"], 4, 5),   # r; the series' blocks
+    (["correlate", "--n", "1000000", "--h-max", "100"], 4, 1),   # r; one block buffer, no copy
 ])
 def test_command_peak_memory_per_entry(tmp_path, capsys, argv, bytes_per_entry, slack_mib):
-    if argv[0] == "error-term":
+    if argv[0] in {"error-term", "correlate"}:
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     assert traced_peak(lambda: run(argv)) <= bytes_per_entry * 10**6 + slack_mib * 2**20
     assert "error" not in capsys.readouterr().err
@@ -455,6 +457,25 @@ def test_gauss_command(capsys):
     assert run(["gauss", "--k-max", "30"]) == 0
     out = capsys.readouterr().out
     assert "0 outside" in out
+
+
+def test_gauss_command_counts_match_the_direct_sums(capsys):
+    within, outside = {1: 0, 2: 0}, {1: 0, 2: 0}
+    for k in range(1, 101):
+        cls = k % 4
+        if cls not in (1, 2):
+            continue
+        target = arith.chi(k) * k if cls == 1 else 0.0
+        for h in range(1, k + 1):
+            if gcd(h, k) == 1:
+                if abs(special.gauss_sum_sq(k, h) - target) <= 1e-6 * k:
+                    within[cls] += 1
+                else:
+                    outside[cls] += 1
+    assert run(["gauss", "--k-max", "100"]) == 0
+    assert capsys.readouterr().out == (
+        f"k=4m+2: {within[2]} within 1e-6*k of 0, {outside[2]} outside\n"
+        f"k=4m+1: {within[1]} within 1e-6*k of chi(k)*k, {outside[1]} outside\n")
 
 
 def test_voronoi_command(capsys):

@@ -81,6 +81,31 @@ def test_corr_grid_empty_and_domain(tables_4k):
             corr_grid(tables_4k, -3, H_max)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_corr_grid_never_depends_on_the_block(tables_4k, monkeypatch, block):
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    for N in sorted({block - 1, block, block + 1, 3 * block - 1, 3 * block, 3 * block + 1, 130}):
+        for H_max in (1, 9, N + 2):   # the last overlaps past N
+            raws = [rec.raw for rec in corr_grid(tables_4k, N, H_max)]
+            assert raws == [corr_sum(tables_4k, N, h) for h in range(1, H_max + 1)], (N, H_max)
+            assert all(type(raw) is int for raw in raws)
+
+
+def test_corr_grid_float64_dots_are_exact_up_to_their_bound():
+    limit = arith._BLOCK + 100   # two blocks of n
+    top = math.isqrt((2**53 - 1) // arith._BLOCK)   # the largest |r| with block * r^2 < 2^53
+    r = np.random.default_rng(5).integers(top - 1000, top + 1, size=limit + 1)
+    r[1::3] *= -1
+    tables = arith.ArithTables(limit, r=r)
+    for rec in corr_grid(tables, limit - 10, 10):
+        assert rec.raw == corr_sum(tables, rec.N, rec.h)
+    r[limit // 2] = top + 1
+    with pytest.raises(ValueError, match="2\\^53"):
+        corr_grid(tables, limit - 10, 10)
+    with pytest.raises(ValueError, match="2\\^53"):
+        corr_grid(arith.ArithTables(100, r=np.full(101, 2**24, dtype=np.int32)), 90, 10)
+
+
 def test_main_term_two_forms_interchangeable():
     # g in closed form equals the alternating divisor-sum form as exact
     # rationals, so either main term normalisation gives the same E

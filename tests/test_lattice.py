@@ -51,10 +51,14 @@ def test_p_matches_oracle_at_random_noninteger_x(circle_4k):
 
 
 def test_p_domain_error(circle_4k):
-    with pytest.raises(ValueError):
-        error_term(circle_4k, 4001.0)
-    with pytest.raises(ValueError):
-        error_term(circle_4k, 0.5)
+    for x in (4001.0, 0.5, math.nan):   # nan fails every comparison, so it must fail the check
+        with pytest.raises(ValueError, match="outside profile domain"):
+            error_term(circle_4k, x)
+        with pytest.raises(ValueError, match="outside profile domain"):
+            pointwise_report(circle_4k, x, samples=4)
+    for X in (4001.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="outside profile domain"):
+            mean_square_p(circle_4k, X)
 
 
 def test_p_affine_between_jumps(circle_4k):

@@ -93,6 +93,15 @@ def test_gauss_sum_congruence_classes_small():
                 assert abs(g - chi_k * k) <= 1e-6 * k, (k, h)
 
 
+def test_gauss_sums_from_one_fft_match_the_direct_sums():
+    for k in range(1, 151):
+        g = special._gauss_sums_sq(k)
+        assert g.shape == (k,)
+        for h in range(1, k + 1):
+            if gcd(h, k) == 1:
+                assert abs(g[h - 1] - gauss_sum_sq(k, h)) <= 1e-12 * k, (k, h)
+
+
 def test_hardy_partial_empty(tables_120k):
     assert hardy_partial(tables_120k, 10.5, 0) == 0.0
 
