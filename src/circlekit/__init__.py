@@ -25,7 +25,6 @@ from .correlate import (
     corr_sum,
     e_term,
     pointwise_bound_report,
-    weighted_bound_report,
 )
 from .errors import CapacityError, CircleKitError
 from .laplace import (
@@ -39,8 +38,6 @@ from .laplace import (
     residual_scan,
     series_constant,
     series_limit,
-    weight_f,
-    weight_u,
 )
 from .lattice import (
     CIRCLE,

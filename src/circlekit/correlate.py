@@ -4,9 +4,8 @@ The main term of the correlation sum is linear, g(h) * N, with g(h) the
 exact rational from `arith.g_closed`.  E(N, h) = raw - g(h) N is kept as
 (exact integer raw, exact rational main); floating point enters only in
 reports.  Empirically E obeys the pointwise envelope
-N^(2/3) h^(5/42) (for h <= N) and dyadic weighted sums obey
-||alpha||_2 (N^(2/3) M^(1/2) + N^(1/3) M^(5/6)); both are probed here as
-fitted-constant ratio reports, never as absolute claims.
+N^(2/3) h^(5/42) (for h <= N); `pointwise_bound_report` probes it as a
+fitted-constant ratio report, never as an absolute claim.
 
 Grids cap h at sqrt(N): that is the range in which the linear main term
 is known to hold uniformly.
@@ -116,63 +115,3 @@ def pointwise_bound_report(records: list[CorrelationRecord]) -> PointwiseBoundRe
         if ratio > best[0]:
             best = (ratio, (rec.N, rec.h))
     return PointwiseBoundReport(max_ratio=best[0], argmax=best[1])
-
-
-@dataclass(frozen=True)
-class WeightedTrialRow:
-    trial: int
-    weighted_abs: float   # |sum_m alpha_m E(N, m)| for unit-norm alpha
-    envelope: float       # N^(2/3) M^(1/2) + N^(1/3) M^(5/6)
-    ratio: float
-
-
-@dataclass(frozen=True)
-class WeightedBoundReport:
-    N: int
-    M: int
-    seed: int
-    rows: list[WeightedTrialRow]
-    max_ratio: float
-
-
-def weighted_bound_report(
-    records: list[CorrelationRecord], trials: int, seed: int
-) -> WeightedBoundReport:
-    """Random-coefficient probes of the dyadic weighted bound.
-
-    ``records`` must cover exactly one dyadic block M < m <= 2M at a fixed N.
-    Each trial draws alpha_m uniformly from the complex unit disc, rescales
-    to unit l2 norm, and reports |sum alpha_m E(N, m)| against the envelope
-    N^(2/3) M^(1/2) + N^(1/3) M^(5/6).  Deterministic under ``seed``.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not records:
-        raise ValueError("weighted_bound_report needs a dyadic block of records")
-    N = records[0].N
-    if any(rec.N != N for rec in records):
-        raise ValueError("weighted_bound_report needs records at a single N")
-    hs = sorted(rec.h for rec in records)
-    M, top = hs[0] - 1, hs[-1]
-    if M < 1 or top != 2 * M or hs != list(range(M + 1, 2 * M + 1)):
-        raise ValueError(
-            f"records must cover a dyadic block M < m <= 2M with M >= 1, got h in [{hs[0]}, {top}]"
-        )
-    e = np.array([rec.e_value for rec in sorted(records, key=lambda rec: rec.h)])
-    envelope = N ** (2.0 / 3.0) * M**0.5 + N ** (1.0 / 3.0) * M ** (5.0 / 6.0)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for t in range(trials):
-        radius = np.sqrt(rng.uniform(size=M))
-        angle = rng.uniform(0.0, 2.0 * np.pi, size=M)
-        alpha = radius * np.exp(1j * angle)
-        alpha /= np.linalg.norm(alpha)
-        weighted = abs(np.dot(alpha, e))
-        rows.append(
-            WeightedTrialRow(
-                trial=t, weighted_abs=weighted, envelope=envelope, ratio=weighted / envelope
-            )
-        )
-    return WeightedBoundReport(
-        N=N, M=M, seed=seed, rows=rows, max_ratio=max(r.ratio for r in rows)
-    )

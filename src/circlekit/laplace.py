@@ -465,89 +465,3 @@ def fit_a1(scan: ResidualScan) -> A1Fit:
         [row.T for row in scan.rows], [row.residual / row.T for row in scan.rows]
     )
     return A1Fit(a1=a1, a2=a2, a3=a3)
-
-
-# ---------------------------------------------------------------------------
-# Weight functions of the correlation-to-transform argument
-
-
-def _sqrt_gap_sq(t: float, h: float) -> float:
-    """(sqrt(t+h) - sqrt(t))^2 without cancellation: h^2 / (sqrt(t+h) + sqrt(t))^2."""
-    return (h / (math.sqrt(t + h) + math.sqrt(t))) ** 2 if h else 0.0
-
-
-def _weight_f_raw(t: float, h: float, T: float) -> float:
-    root = math.sqrt(t * (t + h))
-    brace = -_sqrt_gap_sq(t, h) + (3.0 * (2.0 * t + h) + 2.0 * root) / (
-        16.0 * math.pi**2 * root * T
-    )
-    return brace * t**-0.75 * (t + h) ** -0.75
-
-
-def _check_weight_domain(t: float, h: float, T: float) -> None:
-    if h < 0:
-        raise ValueError(f"h must be >= 0, got {h}")
-    if not h * h <= t:
-        raise ValueError(f"weight functions need h^2 <= t, got h={h}, t={t}")
-    if t > float(T) ** 10:
-        raise ValueError(f"weight functions need t <= T^10, got t={t}, T={T}")
-
-
-def weight_f(t: float, h: float, T: float) -> float:
-    """Smoothing weight pairing the correlation sums with the transform:
-
-        f(t, h) = ( -(sqrt(t+h) - sqrt(t))^2
-                    + (3 (2t+h) + 2 sqrt(t(t+h))) / (16 pi^2 sqrt(t(t+h)) T) )
-                  * t^(-3/4) (t+h)^(-3/4)
-
-    on the domain h^2 <= t <= T^10.
-    """
-    _check_weight_domain(t, h, T)
-    return _weight_f_raw(t, h, T)
-
-
-def _u_parts(t: float, h: float, T: float) -> tuple[float, float]:
-    """(E, f' - E' f) for E = pi^2 T G, G = (sqrt(t+h) - sqrt(t))^2, in closed form.
-
-    With rho = sqrt(t(t+h)): E' = -E/rho, the brace of f has derivative
-    G/rho - 3 h^2 / (32 pi^2 T rho^3), and t^(-3/4) (t+h)^(-3/4) has
-    logarithmic derivative -3 (2t+h) / (4 rho^2).
-    """
-    rho = math.sqrt(t * (t + h))
-    gap = _sqrt_gap_sq(t, h)
-    E, f = math.pi**2 * T * gap, _weight_f_raw(t, h, T)
-    brace_prime = gap / rho - 3.0 * h * h / (32.0 * math.pi**2 * T * rho**3)
-    f_prime = t**-0.75 * (t + h) ** -0.75 * brace_prime - f * 3.0 * (2.0 * t + h) / (4.0 * rho**2)
-    return E, f_prime + E / rho * f
-
-
-def weight_u(t: float, h: float, T: float) -> float:
-    """u(t, h) = d/dt [ exp(-pi^2 T (sqrt(t+h) - sqrt(t))^2) f(t, h) ].
-
-    Differentiated as exp(-E) (f' - E' f) with f' and E' both in closed
-    form; the exponential factor may underflow to zero for strongly damped
-    arguments (use `weight_u_log_ratio` in that regime).
-    """
-    _check_weight_domain(t, h, T)
-    E, inner = _u_parts(t, h, T)
-    return math.exp(-E) * inner
-
-
-def _envelope_log(t: float, h: float, T: float) -> float:
-    """log of exp(-2 T h^2 / t) (h^2 t^(-7/2) + T^-1 t^(-5/2) + T h^4 t^(-9/2))."""
-    poly = h * h * t**-3.5 + t**-2.5 / T + T * h**4 * t**-4.5
-    return -2.0 * T * h * h / t + math.log(poly)
-
-
-def weight_u_log_ratio(t: float, h: float, T: float) -> float:
-    """log( |u(t, h)| / envelope ), computed without under/overflow.
-
-    The comparison envelope is exp(-2 T h^2/t) (h^2 t^(-7/2) + T^(-1)
-    t^(-5/2) + T h^4 t^(-9/2)); a bounded log-ratio across a grid is the
-    numeric content of the integration-by-parts estimate.
-    """
-    _check_weight_domain(t, h, T)
-    E, inner = _u_parts(t, h, T)
-    if inner == 0.0:
-        return float("-inf")
-    return -E + math.log(abs(inner)) - _envelope_log(t, h, T)

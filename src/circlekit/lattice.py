@@ -100,11 +100,11 @@ def p_gauss_oracle(x: float) -> float:
     integers is deliberately not replicated) and for x small enough that
     the O(sqrt(x)) loop is cheap.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    if not 0 <= x < math.inf:   # nan fails too
+        raise ValueError(f"x must be finite and >= 0, got {x}")
     m = math.floor(x)          # a^2 + b^2 <= x iff a^2 + b^2 <= floor(x)
     count = -1                 # excludes the origin
-    a_max = math.isqrt(m) if m >= 0 else -1
+    a_max = math.isqrt(m)
     for a in range(-a_max, a_max + 1):
         count += 2 * math.isqrt(m - a * a) + 1
     return count - math.pi * x + 1.0
@@ -185,7 +185,8 @@ def error_at_jumps(profile: StepProfile, lo: int, hi: int):
 
 
 def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> PointwiseReport:
-    """Sample the error term and report the extremal ratios up to x_max."""
+    """Sample the error term at `samples` points log-spaced over [1, x_max], or at x_max
+    alone for one sample, and report the extremal ratios up to x_max."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 1 <= x_max <= profile.limit:   # nan fails too
@@ -204,7 +205,7 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
     # past the last jump, where |error| can exceed every one-sided limit; S(floor(x))
     # is carried across the ascending samples, each entry of the table read once
     rows, S, k = [], 0, 0   # S = S(k)
-    for x in np.geomspace(1.0, float(x_max), samples):
+    for x in np.geomspace(1.0 if samples > 1 else float(x_max), float(x_max), samples):
         S += int(profile.table[k + 1:int(x) + 1].sum(dtype=np.int64))   # 0 if the floor repeats
         k = int(x)
         value = _error_from_sum(profile, float(x), S)

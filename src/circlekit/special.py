@@ -128,8 +128,8 @@ def bessel_oracle(order: int, z: float) -> float:
     """
     if order not in (0, 1):
         raise ValueError(f"order must be 0 or 1, got {order}")
-    if z < 0:
-        raise ValueError("bessel_oracle requires z >= 0")
+    if not 0 <= z < math.inf:   # nan fails too
+        raise ValueError("bessel_oracle requires finite z >= 0")
     panels = max(8, int(math.ceil(z / 2.0)) + 4)
     nodes, weights = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(0.0, math.pi, panels + 1)

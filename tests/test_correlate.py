@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 
 from circlekit import arith, correlate
 from circlekit.correlate import (
+    CorrelationRecord,
     corr_grid,
     corr_sum,
     e_term,
     pointwise_bound_report,
-    weighted_bound_report,
 )
 
 
@@ -122,6 +123,68 @@ def test_pointwise_bound_report(tables_4k):
         pointwise_bound_report([])
     with pytest.raises(ValueError):
         pointwise_bound_report([e_term(tables_4k, 3, 5)])  # needs h <= N
+
+
+# The random-coefficient dyadic report lives here, next to its only checks: no
+# command reads it.
+@dataclass(frozen=True)
+class WeightedTrialRow:
+    trial: int
+    weighted_abs: float   # |sum_m alpha_m E(N, m)| for unit-norm alpha
+    envelope: float       # N^(2/3) M^(1/2) + N^(1/3) M^(5/6)
+    ratio: float
+
+
+@dataclass(frozen=True)
+class WeightedBoundReport:
+    N: int
+    M: int
+    seed: int
+    rows: list[WeightedTrialRow]
+    max_ratio: float
+
+
+def weighted_bound_report(
+    records: list[CorrelationRecord], trials: int, seed: int
+) -> WeightedBoundReport:
+    """Random-coefficient probes of the dyadic weighted bound.
+
+    ``records`` must cover exactly one dyadic block M < m <= 2M at a fixed N.
+    Each trial draws alpha_m uniformly from the complex unit disc, rescales
+    to unit l2 norm, and reports |sum alpha_m E(N, m)| against the envelope
+    N^(2/3) M^(1/2) + N^(1/3) M^(5/6).  Deterministic under ``seed``.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not records:
+        raise ValueError("weighted_bound_report needs a dyadic block of records")
+    N = records[0].N
+    if any(rec.N != N for rec in records):
+        raise ValueError("weighted_bound_report needs records at a single N")
+    hs = sorted(rec.h for rec in records)
+    M, top = hs[0] - 1, hs[-1]
+    if M < 1 or top != 2 * M or hs != list(range(M + 1, 2 * M + 1)):
+        raise ValueError(
+            f"records must cover a dyadic block M < m <= 2M with M >= 1, got h in [{hs[0]}, {top}]"
+        )
+    e = np.array([rec.e_value for rec in sorted(records, key=lambda rec: rec.h)])
+    envelope = N ** (2.0 / 3.0) * M**0.5 + N ** (1.0 / 3.0) * M ** (5.0 / 6.0)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for t in range(trials):
+        radius = np.sqrt(rng.uniform(size=M))
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=M)
+        alpha = radius * np.exp(1j * angle)
+        alpha /= np.linalg.norm(alpha)
+        weighted = abs(np.dot(alpha, e))
+        rows.append(
+            WeightedTrialRow(
+                trial=t, weighted_abs=weighted, envelope=envelope, ratio=weighted / envelope
+            )
+        )
+    return WeightedBoundReport(
+        N=N, M=M, seed=seed, rows=rows, max_ratio=max(r.ratio for r in rows)
+    )
 
 
 def test_weighted_bound_report_determinism(tables_4k):

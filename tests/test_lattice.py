@@ -40,6 +40,9 @@ def test_p_right_limit_at_10_is_unhalved_count(circle_4k):
 def test_p_oracle_examples():
     assert p_gauss_oracle(0.5) == pytest.approx(1 - 0.5 * math.pi, abs=1e-14)
     assert p_gauss_oracle(2.5) == pytest.approx(9 - 2.5 * math.pi, abs=1e-14)
+    for x in (-0.5, math.nan, math.inf):   # nan fails every comparison; inf has no integer floor
+        with pytest.raises(ValueError, match="x must be finite and >= 0"):
+            p_gauss_oracle(x)
 
 
 def test_p_matches_oracle_at_random_noninteger_x(circle_4k):
@@ -267,18 +270,20 @@ def _report_maxima(profile, x_max):
     return rep.max_abs, rep.argmax, rep.max_ratio_quarter, rep.max_ratio_huxley
 
 
-@pytest.mark.parametrize("kind, x_max", [(CIRCLE, 3960.07), (DIVISOR, 179.98)])
+@pytest.mark.parametrize("kind, x_max", [(CIRCLE, 3960.07), (DIVISOR, 179.98), (CIRCLE, 3.999)])
 def test_report_maxima_cover_the_sampled_rows(tables_4k, kind, x_max):
     # the last sample lies past the last jump, where |error| exceeds every one-sided
-    # limit: 39.93 against 39.71 for the circle, 9.65 against 9.02 for the divisor
+    # limit: 39.93 against 39.71 for the circle, 9.65 against 9.02 for the divisor,
+    # 3.56 against 2.72 at 3.999; a single sample is x_max itself
     profile = step_profile(tables_4k, kind)
-    rep = pointwise_report(profile, x_max, samples=3)
-    last = rep.rows[-1]
-    assert last.x == x_max
-    assert abs(last.value) > lattice.error_at_jumps(profile, 1, int(x_max))[1].max()
-    assert (rep.max_abs, rep.argmax) == (abs(last.value), x_max)
-    assert rep.max_ratio_quarter >= max(r.ratio_quarter for r in rep.rows)
-    assert rep.max_ratio_huxley >= max(r.ratio_huxley for r in rep.rows)
+    for samples in (3, 1):
+        rep = pointwise_report(profile, x_max, samples=samples)
+        last = rep.rows[-1]
+        assert len(rep.rows) == samples and last.x == x_max
+        assert abs(last.value) > lattice.error_at_jumps(profile, 1, int(x_max))[1].max()
+        assert (rep.max_abs, rep.argmax) == (abs(last.value), x_max)
+        assert rep.max_ratio_quarter >= max(r.ratio_quarter for r in rep.rows)
+        assert rep.max_ratio_huxley >= max(r.ratio_huxley for r in rep.rows)
 
 
 def _tied_profile(monkeypatch, d):

@@ -68,6 +68,11 @@ def test_bessel_rejects_bad_args():
     for z in (-1.0, math.nan, math.inf, np.array([1.0, math.nan])):
         with pytest.raises(ValueError):
             bessel_j(0, z)
+    with pytest.raises(ValueError):
+        bessel_oracle(2, 1.0)
+    for z in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bessel_oracle requires finite z >= 0"):
+            bessel_oracle(0, z)
 
 
 def test_gauss_sum_examples():
