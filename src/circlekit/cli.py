@@ -184,9 +184,9 @@ def cmd_laplace(args) -> int:
         rows = [row + (r.ratio_t23,) for row, r in zip(rows, scan.rows)]
     write_csv(args.out, header, rows)
     print(f"series constant (closed form) {scan.constant:.12f}")
-    if circle:
+    if circle and len(scan.rows) >= 2:   # a slope needs 2 points, the A1 fit 3
         print(f"slope log|residual| vs log T: {scan.slope:.4f}")
-    elif len(scan.rows) >= 3:
+    elif not circle and len(scan.rows) >= 3:
         fit = laplace.fit_a1(scan)
         print(
             f"fitted A1 {fit.a1:.7f} (expected {laplace.A1_EXPECTED:.7f}), "

@@ -19,8 +19,8 @@ sum d^2(n) n^(-3/2).
 Both transforms integrate one way: on each unit interval [n, n+1) the
 error term is a polynomial p in local coordinates, so the interval
 contributes exp(-n/T) p^T H p with H[i][j] = mu_{i+j}, the moments
-int_0^1 (s - shift)^k exp(-s/T) ds (`_moments`) formed once per T in high
-precision -- the naive antiderivative difference cancels catastrophically
+int_0^1 (s - shift)^k exp(-s/T) ds (`_moments`) formed once per T to 40
+digits -- the naive antiderivative difference cancels catastrophically
 when T >> 1.  P is affine, so p is exact.  Delta's p is its Taylor
 polynomial about n + 1/2, with a certified remainder; on [0, 1), where
 Delta = -main has a log singularity, Delta^2 is integrated in closed form.
@@ -39,15 +39,17 @@ rel_tol, and the `laplace` command derives it from `stop_edge` rather than
 asking.
 
 Interval sums are chunked and reduced in a fixed ascending order, so runs
-are bit-reproducible in a given build.
+are bit-reproducible in a given build.  The functions may run in several
+threads at once: each 40-digit step enters its own `decimal` context, and
+decimal contexts are per thread.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
-import mpmath as mp
 import numpy as np
 
 from . import arith
@@ -57,6 +59,9 @@ from .lattice import CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, _values, divisor
 DEFAULT_REL_TOL = 1e-6
 _QUAD_SELF_CHECK = 1e-12
 _LAST_BLOCK = 747         # blocks span >= T, so x >= 747 T here, where exp(-x/T) is 0.0
+_DIGITS = Context(prec=40)   # the moments' precision, entered per call (a context is per thread)
+_EULER_GAMMA = Decimal("0.5772156649015328606065120900824024310422")   # float: lattice.EULER_GAMMA
+_SERIES_LIMITS = {CIRCLE: 50.15605614263944, DIVISOR: 38.74514414390132}   # see series_limit
 
 
 @dataclass(frozen=True)
@@ -125,45 +130,39 @@ def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
 
 def series_limit(kind: str) -> float:
     """Full value of sum f(n)^2 n^(-3/2) (f = r for CIRCLE, d for DIVISOR) from
-    the Euler product of its generating Dirichlet series, in high precision:
+    the Euler product of its generating Dirichlet series, evaluated at 30 digits
+    and kept as the nearest double (0x1.913f9a5ce7cf8p+5 and 0x1.35f60e2206e59p+5):
 
         sum r^2(n) n^(-s) = 16 zeta(s)^2 L(s, chi4)^2 / ((1 + 2^(-s)) zeta(2s))
         sum d^2(n) n^(-s) = zeta(s)^4 / zeta(2s)
 
     at s = 3/2.  Both identities follow by matching Euler factors of the
-    multiplicative functions (r/4)^2 and d^2; the toolkit cross-validates
-    these values against the sieved partial sums plus their tail bounds.
+    multiplicative functions (r/4)^2 and d^2; tests re-evaluate the products and
+    check these values against the sieved partial sums plus their tail bounds.
     Needed wherever the remainder under study (O(T^(2/3)) scale) is far
     smaller than the partial-sum truncation bias of any sievable range.
     """
-    with mp.workdps(30):
-        s = mp.mpf(3) / 2
-        if kind == CIRCLE:
-            beta = 4**-s * (mp.zeta(s, mp.mpf(1) / 4) - mp.zeta(s, mp.mpf(3) / 4))
-            val = 16 * mp.zeta(s) ** 2 * beta**2 / ((1 + 2**-s) * mp.zeta(2 * s))
-        elif kind == DIVISOR:
-            val = mp.zeta(s) ** 4 / mp.zeta(2 * s)
-        else:
-            raise ValueError(f"unknown profile kind {kind!r}")
-        return float(val)
+    if kind not in _SERIES_LIMITS:
+        raise ValueError(f"unknown profile kind {kind!r}")
+    return _SERIES_LIMITS[kind]
 
 
-def _exp_coefficients(T: float) -> list[mp.mpf]:
+def _exp_coefficients(T: float) -> list[Decimal]:
     """c_j = (-1/T)^j/j!, exp(-s/T) as a series in s, at 40 digits while (1/T)^j/j!
     >= 10^-40: T >= 1 bounds the omitted tail against terms |t_j| <= 1 by that,
     and the stop never depends on the terms, which can be exactly 0."""
-    with mp.workdps(40):
-        c, coefficients = mp.mpf(1), []
-        while abs(c) >= mp.mpf(10) ** -40:
+    with localcontext(_DIGITS):
+        c, coefficients = Decimal(1), []
+        while abs(c) >= Decimal("1e-40"):
             coefficients.append(c)
-            c /= -mp.mpf(T) * len(coefficients)
+            c /= -Decimal(T) * len(coefficients)
         return coefficients
 
 
-def _exp_sum(T: float, term) -> mp.mpf:
+def _exp_sum(T: float, term) -> Decimal:
     """sum_j c_j term(j) at 40 digits over `_exp_coefficients(T)`, every |term(j)| <= 1."""
-    with mp.workdps(40):
-        return mp.fsum(c * term(j) for j, c in enumerate(_exp_coefficients(T)))
+    with localcontext(_DIGITS):
+        return sum(c * term(j) for j, c in enumerate(_exp_coefficients(T)))
 
 
 def _moments(T: float, k_max: int, shift: float) -> list[float]:
@@ -171,14 +170,14 @@ def _moments(T: float, k_max: int, shift: float) -> list[float]:
     exp(-shift/T) sum_j c_j I_(k+j), with c_j the `_exp_coefficients` and each
     I_i = int u^i du = (b^(i+1) - a^(i+1))/(i+1) over [a, b] = [-shift, 1 - shift]
     formed once.  In closed form these are tiny differences of near-equal
-    exponentials when T >> 1, so they are formed in mpmath."""
+    exponentials when T >> 1, so they are formed in 40-digit decimal."""
     if not 1 <= T < math.inf:
         raise ValueError(f"T must be finite and >= 1, got {T}")
-    with mp.workdps(40):
-        a, b, scale = -mp.mpf(shift), 1 - mp.mpf(shift), mp.exp(-mp.mpf(shift) / T)
+    with localcontext(_DIGITS):
+        a, b, scale = -Decimal(shift), 1 - Decimal(shift), (-Decimal(shift) / Decimal(T)).exp()
         c = _exp_coefficients(T)
         integrals = [(b**e - a**e) / e for e in range(1, k_max + len(c) + 1)]   # I_0, I_1, ...
-        return [float(scale * mp.fsum(c_j * integrals[k + j] for j, c_j in enumerate(c)))
+        return [float(scale * sum(c_j * integrals[k + j] for j, c_j in enumerate(c)))
                 for k in range(k_max + 1)]
 
 
@@ -343,11 +342,11 @@ def _first_interval(T: float) -> float:
     """int_0^1 main(x)^2 exp(-x/T) dx (Delta = -main on [0, 1)) at 40 digits:
     main^2 = x^2 (L + a)^2 + x (L + a)/2 + 1/16, L = log x, a = 2 gamma - 1,
     and int_0^1 x^k L^b dx = (-1)^b b!/(k+1)^(b+1)."""
-    with mp.workdps(40):
-        a = 2 * mp.euler - 1
+    with localcontext(_DIGITS):
+        a = 2 * _EULER_GAMMA - 1
 
         def J(k, b):
-            return (-1) ** b * mp.factorial(b) / mp.mpf(k + 1) ** (b + 1)
+            return (-1) ** b * math.factorial(b) / Decimal(k + 1) ** (b + 1)
 
         return float(_exp_sum(T, lambda j: J(j + 2, 2) + 2 * a * J(j + 2, 1) + a * a * J(j + 2, 0)
                               + (J(j + 1, 1) + a * J(j + 1, 0)) / 2 + J(j, 0) / 16))

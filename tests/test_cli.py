@@ -1,7 +1,11 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -353,6 +357,12 @@ def test_laplace_circle_scan(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "slope" in printed
 
+    # one T has no slope to fit: the line is left out, not printed as nan
+    rc = run(["laplace", "circle", "--t-list", "64", "--out", str(out)])
+    assert rc == 0
+    assert [r[0] for r in read_csv(str(out))[1]] == [64.0]
+    assert capsys.readouterr().out == "series constant (closed form) 50.156056142639\n"
+
 
 def test_laplace_divisor_scan(tmp_path, capsys, divisor_4k):
     out = tmp_path / "lapd.csv"
@@ -436,6 +446,30 @@ def test_public_names():
         "residual_scan", "series_constant", "series_limit", "special", "step_profile",
         "truncated_p", "v2",
     ]
+
+
+_WITHOUT_MPMATH = """
+import sys
+sys.modules["mpmath"] = None   # from here on, every import of mpmath raises ImportError
+from circlekit import cli
+assert sys.modules["mpmath"] is None, "import circlekit.cli put mpmath in sys.modules"
+for argv in (["laplace", "circle", "--t-list", "64..256", "--out", "lap.csv"],
+             ["laplace", "divisor", "--t-list", "128..512", "--out", "lapd.csv"],
+             ["constants", "r_squared", "--terms", "1000"],
+             ["constants", "d_squared", "--terms", "1000"]):
+    assert cli.main(argv) == 0, argv
+"""
+
+
+def test_commands_run_with_numpy_as_the_only_third_party_package(tmp_path):
+    # mpmath is a test dependency only: the oracles in tests/ use it, no command does
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(circlekit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    check = "import sys, circlekit.cli; assert 'mpmath' not in sys.modules"
+    for code in (check, _WITHOUT_MPMATH):
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("kind", ["circle", "divisor"])

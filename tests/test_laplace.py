@@ -1,5 +1,7 @@
+import decimal
 import itertools
 import math
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -118,10 +120,25 @@ def test_series_limits_bracketed_by_partial_sums(tables_120k):
         assert sc.value <= closed <= sc.value + sc.tail_bound, kind
 
 
+def _euler_product(kind, dps):
+    """sum f(n)^2 n^(-3/2) from the Euler products in `series_limit`'s docstring, at dps
+    digits: the evaluation series_limit ran at 30 digits before its values were pinned."""
+    with mp.workdps(dps):
+        s = mp.mpf(3) / 2
+        if kind == CIRCLE:
+            beta = 4**-s * (mp.zeta(s, mp.mpf(1) / 4) - mp.zeta(s, mp.mpf(3) / 4))
+            val = 16 * mp.zeta(s) ** 2 * beta**2 / ((1 + 2**-s) * mp.zeta(2 * s))
+        elif kind == DIVISOR:
+            val = mp.zeta(s) ** 4 / mp.zeta(2 * s)
+        else:
+            raise ValueError(f"unknown profile kind {kind!r}")
+        return float(val)
+
+
 def test_series_limit_values():
-    # frozen from the 30-digit evaluation of the closed forms
-    assert series_limit(CIRCLE) == pytest.approx(50.156056142639436, rel=1e-14)
-    assert series_limit(DIVISOR) == pytest.approx(38.745144143901322, rel=1e-14)
+    # each pinned double is its Euler product rounded once, at 30 digits and at 50
+    for kind, dps in itertools.product((CIRCLE, DIVISOR), (30, 50)):
+        assert series_limit(kind) == _euler_product(kind, dps), (kind, dps)
     with pytest.raises(ValueError):
         series_limit("bogus")
 
@@ -350,6 +367,33 @@ def test_moments_against_quadrature(T, shift):
             ref = mp.quad(lambda s: (s - shift) ** k * mp.exp(-s / T), edges)
             scale = mp.quad(lambda s: abs(s - shift) ** k * mp.exp(-s / T), edges)
             assert abs(mu[k] - ref) <= 1e-15 * scale, k
+
+
+def test_moments_ignore_other_decimal_contexts():
+    # the 40 digits are entered per call: neither another thread's context nor the
+    # caller's own changes a value, so transforms may run in several threads at once
+    def values():
+        return laplace._moments(64.0, 64, 0.5), laplace._first_interval(64.0)
+
+    expected = values()
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with decimal.localcontext(decimal.Context(prec=3)):
+            held.set()
+            release.wait(timeout=60)
+
+    thread = threading.Thread(target=hold)
+    thread.start()
+    try:
+        assert held.wait(timeout=60)
+        assert values() == expected
+        with decimal.localcontext(decimal.Context(prec=3)):
+            assert values() == expected
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
 
 
 def _long_double_order24(profile, T, x_max):
