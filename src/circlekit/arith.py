@@ -11,8 +11,11 @@ Everything here is exact integer (or rational) arithmetic:
                    provably equal forms (`g_direct`, `g_closed`).
 
 The tables are read-only numpy arrays, each sieved on the first access to
-it, so a command that reads only r never sieves d or sigma.  Built tables
-are safe to share across threads; all query helpers are read-only.
+it, so a command that reads only r never sieves d or sigma.  Each sieve works
+one cache-sized segment of the table at a time, with scratch that does not
+grow with the limit: r by counting lattice points, d and sigma by pairing
+divisors with cofactors.  Built tables are safe to share across threads; all
+query helpers are read-only.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ _BLOCK = 1 << 16  # entries per scratch buffer and per fold block over a table; 
                   # results it fixes only mean_square_p's last bit, as block_size(T) a transform's
 _SEGMENT = 1 << 19  # table entries per segment of the d and sigma sieves (see _divisor_sieve);
                     # it fixes no entry of any table, only the time
+_R_SEGMENT = 1 << 15  # table entries per segment of the r sieve (see _r_sieve); likewise
+_INT32_LIMIT = 2**31  # scratch integers stay int32 while every value they hold is below this
 
 
 def _series_sum(table: np.ndarray, N: int, term) -> float:
@@ -110,8 +115,7 @@ class ArithTables:
 
     @cached_property
     def sigma(self) -> np.ndarray:   # int64, sigma(n) <= n (1 + ln n)
-        return _sieved(self.limit, np.int64,
-                       lambda N: _divisor_sieve(np.arange(N + 1, dtype=np.int64)))
+        return _sieved(self.limit, np.int64, _sigma_sieve)
 
 
 def _sieved(N: int, dtype, sieve) -> np.ndarray:
@@ -135,36 +139,70 @@ def _capacity_error(N: int, dtype) -> CapacityError:
                          f"(~{need >> 20} MiB needed)", required_limit=N)
 
 
-def _r_sieve(N: int) -> np.ndarray:
-    """r(n) = 4 sum_{delta|n} chi(delta), n <= N, by a divisor/cofactor pair sieve.
+def _isqrt(m: np.ndarray) -> np.ndarray:
+    """floor(sqrt(m)) of each int64 0 <= m < 2^62, exactly.  The truncated float64 root is
+    off by at most one (past 2^53, m itself rounds to float64), and one integer step each
+    way corrects it; (s + 1)^2 stays below 2^63."""
+    s = np.sqrt(m).astype(np.int64)
+    s -= s * s > m
+    s += (s + 1) * (s + 1) <= m
+    return s
 
-    chi is completely multiplicative, so for odd n a pair adds chi(delta) (1 + chi(n)):
-    2 chi(delta) at n = 1 (mod 4), 0 at n = 3 (mod 4).  Each odd delta <= sqrt(N) thus
-    adds 8 chi(delta) at n = delta (delta + 4j), j >= 1, and 4 chi(delta) at delta^2; the
-    even entries follow from r(2^k m) = r(m) by one slice copy per k <= log2(N).
+
+def _r_sieve(N: int) -> np.ndarray:
+    """r(n) for n <= N from its definition, r(n) = 4 #{(a, b) : a >= 1, b >= 0, a^2 + b^2 = n},
+    one segment [lo, hi) of _R_SEGMENT table entries at a time.
+
+    Each pair a > b >= 1 stands for (a, b) and (b, a), so it counts twice; the squares a^2
+    (b = 0) and the n = 2 a^2 (b = a) count once each.  A segment takes the b-range of every
+    a <= sqrt(hi - 2) from `_isqrt` and counts a^2 + b^2 - lo over all its pairs with one
+    np.bincount: O(sqrt(hi)) per-a values and ~(pi / 8) _R_SEGMENT pairs, int32 while
+    N < _INT32_LIMIT, and no entry outside the segment.  The squares and the 2 a^2,
+    O(sqrt(N)) entries, are added at the end.  At N = 1e7 on a 2-vCPU x86 VM this took
+    ~0.07 s, against ~0.16 s for the divisor form r(n) = 4 sum_{delta | n} chi(delta) over
+    the whole table; 2^16 entries took ~0.06 s but ~1.8 MiB of scratch, 2^15 stays under 1 MiB.
     """
+    pairs = np.int32 if N < _INT32_LIMIT else np.int64   # holds every b, b^2 and a^2 + b^2 - lo
     r = np.zeros(N + 1, dtype=np.int32)
-    for delta in range(1, math.isqrt(N) + 1, 2):
-        c = 4 if delta % 4 == 1 else -4
-        r[delta * (delta + 4)::4 * delta] += 2 * c
-        r[delta * delta] += c
-    for k in range(1, N.bit_length()):
-        r[1 << k::2 << k] = r[1:(N >> k) + 1:2]
+    for lo in range(0, N + 1, _R_SEGMENT):
+        hi = min(lo + _R_SEGMENT, N + 1)
+        # a < sqrt(lo / 2) has a^2 + b^2 < 2 a^2 < lo; a^2 + 1 <= hi - 1 for b >= 1
+        a = np.arange(max(2, math.isqrt(lo // 2)), math.isqrt(max(hi - 2, 0)) + 1,
+                      dtype=np.int64)
+        a2 = a * a
+        b0 = _isqrt(np.maximum(lo - 1 - a2, 0)) + 1   # the least b >= 1 with a^2 + b^2 >= lo
+        count = np.maximum(np.minimum(a - 1, _isqrt(hi - 1 - a2)) - b0 + 1, 0)
+        b = np.arange(int(count.sum()), dtype=pairs)   # pair j of a's run is b0 + j - start
+        b -= np.repeat((np.cumsum(count) - count - b0).astype(pairs), count)
+        b *= b
+        b += np.repeat((a2 - lo).astype(pairs), count)
+        np.multiply(np.bincount(b, minlength=hi - lo), 8, out=r[lo:hi], casting="unsafe")
+    a = np.arange(1, math.isqrt(N) + 1)
+    r[a * a] += 4
+    a = a[:math.isqrt(N // 2)]
+    r[2 * a * a] += 4
     return r
 
 
 def _segment_runs(N: int):
-    """Yield (delta, k0, k1): the runs of cofactors k0 <= k < k1 of each delta whose products
-    delta k lie in one segment [lo, hi) of _SEGMENT table entries, segment by segment in
-    ascending order.  A segment yields each delta <= sqrt(hi - 1) once, with k from
-    max(delta + 1, ceil(lo / delta)), so every pair delta < k with delta k <= N is
-    yielded exactly once; a run is never empty."""
-    for lo in range(0, N + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, N + 1)
+    """Yield (lo, hi, runs) for each segment [lo, hi) of _SEGMENT table entries, in ascending
+    order; runs yields (delta, k0, k1), the runs of at most _BLOCK cofactors k0 <= k < k1 of
+    each delta whose products delta k lie in the segment.  A segment yields each
+    delta <= sqrt(hi - 1), with k from max(delta + 1, ceil(lo / delta)), so every pair
+    delta < k with delta k <= N is yielded exactly once; a run is never empty."""
+    def runs(lo: int, hi: int):
         for delta in range(1, math.isqrt(hi - 1) + 1):
-            k0, k1 = max(delta + 1, -(-lo // delta)), (hi - 1) // delta + 1
+            k0, k1 = -(-lo // delta), (hi - 1) // delta + 1
+            if k0 <= delta:
+                k0 = delta + 1
+            while k1 - k0 > _BLOCK:   # only the deltas below _SEGMENT / _BLOCK
+                yield delta, k0, k0 + _BLOCK
+                k0 += _BLOCK
             if k0 < k1:
                 yield delta, k0, k1
+    for lo in range(0, N + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, N + 1)
+        yield lo, hi, runs(lo, hi)
 
 
 def _d_sieve(N: int) -> np.ndarray:
@@ -175,10 +213,46 @@ def _d_sieve(N: int) -> np.ndarray:
     of `_divisor_sieve`, with no weights array or pair buffer.
     """
     d = np.zeros(N + 1, dtype=np.int32)
-    for delta, k0, k1 in _segment_runs(N):
-        d[delta * k0:delta * (k1 - 1) + 1:delta] += 2
+    for _, _, runs in _segment_runs(N):
+        for delta, k0, k1 in runs:
+            d[delta * k0:delta * (k1 - 1) + 1:delta] += 2
     d[np.arange(1, math.isqrt(N) + 1) ** 2] += 1
     return d
+
+
+def _sigma_dtype(n: int):
+    """The dtype of sigma's segment buffer for entries up to n >= 1: int32 while
+    n (1 + ln n) < _INT32_LIMIT, as sigma(m) / m = sum_{delta | m} 1 / delta <= H_m <= 1 + ln m.
+    Near the limit, 1 + ln m exceeds H_m by ~1 - gamma ~ 0.42, so the ~1e-16 relative
+    rounding of the float product cannot matter."""
+    return np.int32 if n * (1 + math.log(n)) < _INT32_LIMIT else np.int64
+
+
+def _sigma_sieve(N: int) -> np.ndarray:
+    """sigma(n) for n <= N: the pair sieve of `_divisor_sieve` with weight delta, each
+    segment accumulated in one reused buffer and then copied once into the int64 table.
+
+    A pair adds delta + k at n = delta k, so a run of cofactors k0 <= k < k1 adds
+    ramp[:k1 - k0] + (k0 + delta), formed in a pair buffer from a _BLOCK-entry ramp, with
+    no weights array.  The buffer is int32 while `_sigma_dtype` allows (N up to ~1.1e8):
+    2 MiB at 2^19 entries, where an int64 segment took 4 MiB.  At N = 1e7 on a 2-vCPU x86
+    VM this took ~0.43 s, against ~0.63 s for `_divisor_sieve` over an int64 arange.
+    """
+    dtype = _sigma_dtype(N)
+    sigma = np.empty(N + 1, dtype=np.int64)
+    segment = np.empty(min(N + 1, _SEGMENT), dtype=dtype)
+    ramp = np.arange(min(N, _BLOCK), dtype=dtype)
+    pair = np.empty_like(ramp)
+    for lo, hi, runs in _segment_runs(N):
+        buf = segment[:hi - lo]
+        buf.fill(0)
+        for delta, k0, k1 in runs:
+            buf[delta * k0 - lo:delta * (k1 - 1) - lo + 1:delta] += np.add(
+                ramp[:k1 - k0], k0 + delta, out=pair[:k1 - k0])
+        sigma[lo:hi] = buf
+    squares = np.arange(1, math.isqrt(N) + 1)
+    sigma[squares ** 2] += squares
+    return sigma
 
 
 def _divisor_sieve(weights: np.ndarray) -> np.ndarray:
@@ -189,25 +263,26 @@ def _divisor_sieve(weights: np.ndarray) -> np.ndarray:
     (f(delta) + f(n/delta)) + [n = delta^2] f(delta): ~N (ln N / 2) element
     updates, each square term added once at the end.  The pair updates run
     segment by segment (`_segment_runs`): for each [lo, hi) of _SEGMENT table
-    entries, one strided add per delta <= sqrt(hi - 1) over the n = delta k in
-    it, ~(N / _SEGMENT) sqrt(N) Python iterations.  A whole-table add per delta
-    touches a new cache line per update from delta ~ 16 and a new page from
-    ~1000; 2^19 entries, 2 MiB of int32 d, stay in a 2 MiB L2.  On such a
-    2-vCPU x86 VM at N = 1e7 this took d from ~0.6 to ~0.26 s and sigma from
-    ~0.9 to ~0.5 s; 2^18 and 2^20 were slower than 2^19, and 2^16 slower than
+    entries, one strided add per run of cofactors of each delta <= sqrt(hi - 1)
+    over the n = delta k in it, ~(N / _SEGMENT) sqrt(N) Python iterations.  A
+    whole-table add per delta touches a new cache line per update from delta ~ 16
+    and a new page from ~1000; 2^19 entries, 2 MiB of int32 d, stay in a 2 MiB L2.
+    On such a 2-vCPU x86 VM at N = 1e7 this took d from ~0.6 to ~0.26 s and sigma
+    from ~0.9 to ~0.5 s; 2^18 and 2^20 were slower than 2^19, and 2^16 slower than
     no segments.  The adds are integer, so their order changes no entry.  The
     pair sums go through one preallocated buffer of at most _BLOCK entries, one
-    block of cofactors at a time: a fresh temporary per run leaves freed heap
-    behind that raised the peak RSS of later commands.
+    run at a time: a fresh temporary per run leaves freed heap behind that raised
+    the peak RSS of later commands.  This weights form serves
+    `g_identity_first_failure`; `_d_sieve` and `_sigma_sieve` run the same runs
+    with no weights array.
     """
     N = len(weights) - 1
     out = np.zeros(N + 1, dtype=weights.dtype)
     pair = np.empty(min(N, _BLOCK), dtype=weights.dtype)
-    for delta, k0, k1 in _segment_runs(N):
-        for lo in range(k0, k1, _BLOCK):   # cofactors k = lo..hi-1
-            hi = min(lo + _BLOCK, k1)
-            out[delta * lo:delta * (hi - 1) + 1:delta] += np.add(weights[lo:hi], weights[delta],
-                                                                 out=pair[:hi - lo])
+    for _, _, runs in _segment_runs(N):
+        for delta, k0, k1 in runs:
+            out[delta * k0:delta * (k1 - 1) + 1:delta] += np.add(weights[k0:k1], weights[delta],
+                                                                 out=pair[:k1 - k0])
     squares = np.arange(1, math.isqrt(N) + 1)
     out[squares ** 2] += weights[squares]
     return out
@@ -314,7 +389,7 @@ def g_identity_first_failure(limit: int) -> int | None:
     w = np.arange(0, limit + 1, dtype=np.int64)
     w[1::2] *= -1
     t_alt = _divisor_sieve(w)  # sum_{d|h} (-1)^d d
-    sigma = _divisor_sieve(np.arange(0, limit + 1, dtype=np.int64))
+    sigma = _sigma_sieve(limit)
     h = np.arange(1, limit + 1, dtype=np.int64)
     lowbit = h & -h
     k = np.log2(lowbit.astype(np.float64)).astype(np.int64)  # exact: lowbit is a power of 2

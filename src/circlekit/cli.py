@@ -115,16 +115,18 @@ def _parse_t_list(text: str) -> list[float]:
 
 def cmd_sieve(args) -> int:
     tables = arith.build_tables(args.limit)
-    # sigma's sieve holds a weights array as large as its table: run it while no other table is held
-    s_sum = int(tables.sigma.sum(dtype="int64"))
-    d_sum = int(tables.d.sum(dtype="int64"))
-    r_sum = int(tables.r.sum(dtype="int64"))
+    # each table is released before the next is sieved, so the peak is the largest one, sigma
+    s_sum, s_bytes = int(tables.sigma.sum(dtype="int64")), tables.sigma.itemsize
+    del tables.sigma
+    d_sum, d_bytes = int(tables.d.sum(dtype="int64")), tables.d.itemsize
+    del tables.d
+    r = tables.r
     print(f"sieve limit      {tables.limit}")
-    print(f"sum r(n)         {r_sum}")
+    print(f"sum r(n)         {int(r.sum(dtype='int64'))}")
     print(f"sum d(n)         {d_sum}")
     print(f"sum sigma(n)     {s_sum}")
-    print(f"max r(n)         {int(tables.r.max())}")
-    print(f"bytes per entry  {tables.r.itemsize + tables.d.itemsize + tables.sigma.itemsize}")
+    print(f"max r(n)         {int(r.max())}")
+    print(f"bytes per entry  {r.itemsize + d_bytes + s_bytes}")
     return 0
 
 

@@ -72,9 +72,7 @@ def test_lazy_tables_equal_eager_sieves():
     # the eager path ran these three sieves at once; each lazy table is sieved
     # only when read, whatever the order, and is the same array with the same dtype
     for N in [*range(1, 301), 10**6]:
-        eager = {"r": arith._r_sieve(N),
-                 "d": arith._divisor_sieve(np.ones(N + 1, dtype=np.int32)),
-                 "sigma": arith._divisor_sieve(np.arange(N + 1, dtype=np.int64))}
+        eager = {"r": arith._r_sieve(N), "d": arith._d_sieve(N), "sigma": arith._sigma_sieve(N)}
         for order in (("r", "d", "sigma"), ("sigma", "d", "r")):
             t = arith.build_tables(N)
             for i, name in enumerate(order):
@@ -86,11 +84,31 @@ def test_lazy_tables_equal_eager_sieves():
 
 
 def test_prebuilt_arrays_are_not_sieved(monkeypatch):
-    for name in ("_d_sieve", "_divisor_sieve"):   # any sieve of d or sigma would fail
+    for name in ("_d_sieve", "_sigma_sieve"):   # any sieve of d or sigma would fail
         monkeypatch.setattr(arith, name, None)
     d = np.array([0, 1, 2])
     t = arith.ArithTables(limit=2, d=d)
     assert t.d is d and t.r.tolist() == [0, 4, 4]
+
+
+# The independent oracle for r: the divisor form of the whole-table sieve that the
+# lattice-point sieve replaced, kept here as its only caller's reference.
+def _r_divisor_sieve(N: int) -> np.ndarray:
+    """r(n) = 4 sum_{delta|n} chi(delta), n <= N, by a divisor/cofactor pair sieve.
+
+    chi is completely multiplicative, so for odd n a pair adds chi(delta) (1 + chi(n)):
+    2 chi(delta) at n = 1 (mod 4), 0 at n = 3 (mod 4).  Each odd delta <= sqrt(N) thus
+    adds 8 chi(delta) at n = delta (delta + 4j), j >= 1, and 4 chi(delta) at delta^2; the
+    even entries follow from r(2^k m) = r(m) by one slice copy per k <= log2(N).
+    """
+    r = np.zeros(N + 1, dtype=np.int32)
+    for delta in range(1, math.isqrt(N) + 1, 2):
+        c = 4 if delta % 4 == 1 else -4
+        r[delta * (delta + 4)::4 * delta] += 2 * c
+        r[delta * delta] += c
+    for k in range(1, N.bit_length()):
+        r[1 << k::2 << k] = r[1:(N >> k) + 1:2]
+    return r
 
 
 def _naive_divisor_sums(weights: np.ndarray) -> np.ndarray:
@@ -116,6 +134,9 @@ def _check_sieves_against_naive(sizes, *labels):
             if name == "ones":
                 d = arith._d_sieve(N)
                 assert d.dtype == np.int32 and np.array_equal(d, expected), (*labels, N)
+            if name == "arange":
+                sigma = arith._sigma_sieve(N)
+                assert sigma.dtype == np.int64 and np.array_equal(sigma, expected), (*labels, N)
 
 
 @pytest.mark.parametrize("block, sizes", [
@@ -144,7 +165,7 @@ def test_segmented_sieves_match_one_segment(monkeypatch):
     # sieve run as one segment, the whole-table loop
     N = 2**20 + 3
     sieves = [(name, lambda w=w: arith._divisor_sieve(w)) for name, w in _weights(N).items()]
-    sieves.append(("d", lambda: arith._d_sieve(N)))
+    sieves += [("d", lambda: arith._d_sieve(N)), ("sigma", lambda: arith._sigma_sieve(N))]
     for name, sieve in sieves:
         got = sieve()
         with monkeypatch.context() as m:
@@ -153,11 +174,94 @@ def test_segmented_sieves_match_one_segment(monkeypatch):
         assert got.dtype == expected.dtype and np.array_equal(got, expected), name
 
 
+@pytest.mark.parametrize("segment", [1, 7, 64])
+def test_r_and_sigma_sieves_match_oracles_on_small_segments(monkeypatch, segment):
+    # every N <= 300 puts N at, and one off, many segment edges
+    monkeypatch.setattr(arith, "_R_SEGMENT", segment)
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    for N in range(1, 301):
+        r = arith._r_sieve(N)
+        assert r.dtype == np.int32 and np.array_equal(r, _r_divisor_sieve(N)), (segment, N)
+        w = np.arange(N + 1, dtype=np.int64)
+        sigma = arith._sigma_sieve(N)
+        assert sigma.dtype == np.int64, (segment, N)
+        assert np.array_equal(sigma, _naive_divisor_sums(w)), (segment, N)
+        assert np.array_equal(sigma, arith._divisor_sieve(w)), (segment, N)
+
+
+@pytest.mark.parametrize("name", ["r", "sigma"])
+def test_r_and_sigma_sieves_match_oracles_at_segment_edges(name):
+    # N one below, at and one above the first and the second edge of the real segments
+    edge = arith._R_SEGMENT if name == "r" else arith._SEGMENT
+    for N in (edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge, 2 * edge + 1, 10**6 + 7):
+        if name == "r":
+            got, expected = arith._r_sieve(N), _r_divisor_sieve(N)
+        else:
+            got, expected = arith._sigma_sieve(N), arith._divisor_sieve(np.arange(N + 1))
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), N
+
+
+def test_int64_scratch_equals_int32(monkeypatch):
+    # the int64 paths serve N past ~1.1e8 (sigma) and 2^31 (r); a lowered limit takes them here
+    N = 2 * arith._R_SEGMENT + 5
+    seen = set()   # the dtypes of the pair values that r's bincount reads
+    bincount = np.bincount
+
+    def spy(x, **kwargs):
+        seen.add(x.dtype)
+        return bincount(x, **kwargs)
+    monkeypatch.setattr(np, "bincount", spy)
+    assert arith._sigma_dtype(N) == np.int32
+    r, sigma = arith._r_sieve(N), arith._sigma_sieve(N)
+    assert seen == {np.dtype(np.int32)}
+    monkeypatch.setattr(arith, "_INT32_LIMIT", 2)
+    seen.clear()
+    assert arith._sigma_dtype(N) == np.int64
+    assert np.array_equal(arith._r_sieve(N), r) and seen == {np.dtype(np.int64)}
+    assert np.array_equal(arith._sigma_sieve(N), sigma)
+
+
+def test_isqrt_exact_next_to_every_square_below_2_31():
+    k = np.arange(1, math.isqrt(2**31 - 1) + 1, dtype=np.int64)
+    for offset, root in ((-1, k - 1), (0, k), (1, k)):
+        assert np.array_equal(arith._isqrt(k * k + offset), root), offset
+
+
+@property_test
+@given(st.integers(0, math.isqrt(2**62 - 1)))   # past k ~ 2^26.5, k^2 - 1 rounds up in float64
+def test_isqrt_exact_next_to_squares(k):
+    m = [max(k * k - 1, 0), k * k, k * k + 1]
+    assert arith._isqrt(np.array(m, dtype=np.int64)).tolist() == [math.isqrt(x) for x in m]
+
+
+@property_test
+@given(st.integers(1, 10**12))
+def test_sigma_buffer_is_int32_exactly_when_the_bound_holds(n):
+    bound_holds = n * (1 + math.log(n)) < 2**31
+    assert (arith._sigma_dtype(n) == np.int32) == bound_holds
+    if bound_holds:   # then sigma(m) <= m H_m <= n (ln n + gamma + 1/(2n)) fits in int32
+        assert n * (math.log(n) + 0.5773 + 1 / (2 * n)) < 2**31
+
+
+def test_sigma_bound_on_the_table_and_its_int32_crossing(tables_1m):
+    # sigma(n) / n <= 1 + ln n on the sieved table; the buffer turns int64 at n ~ 1.1e8
+    n = np.arange(1, tables_1m.limit + 1)
+    assert (tables_1m.sigma[1:] <= n * (1 + np.log(n))).all()
+    lo, hi = 1, 10**12   # arith._sigma_dtype(lo) is int32, of hi int64
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if arith._sigma_dtype(mid) == np.int32 else (lo, mid)
+    assert 1.0e8 < lo < 1.2e8
+    assert lo * (1 + math.log(lo)) < 2**31 <= hi * (1 + math.log(hi))
+
+
 def test_sieve_scratch_memory_is_bounded():
-    # d needs its own table only; sigma its table and its weights, plus the bounded pair buffer
+    # d needs its own table only; sigma its table, its int32 segment buffer and two
+    # _BLOCK-entry buffers; r its table and one segment's pair arrays and counts
     N = 10**6
     assert traced_peak(lambda: arith.build_tables(N).d) <= 4 * N + 0.1 * 2**20
-    assert traced_peak(lambda: arith.build_tables(N).sigma) <= 16 * N + 2**20
+    assert traced_peak(lambda: arith.build_tables(N).sigma) <= 8 * N + 3 * 2**20
+    assert traced_peak(lambda: arith.build_tables(N).r) <= 4 * N + 2**20
 
 
 def test_table_sums_match_integer_counts(tables_1m):

@@ -220,7 +220,7 @@ def test_removed_options_exit_2(tmp_path, capsys, argv):
 def test_capacity_exit_code(monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("sieved past the capacity check")
-    for name in ("_r_sieve", "_divisor_sieve"):
+    for name in ("_r_sieve", "_d_sieve", "_sigma_sieve"):
         monkeypatch.setattr(arith, name, unreachable)
     assert run(["constants", "r_squared", "--terms", str(10**19)]) == 3
     assert "capacity error: cannot allocate sieve tables for N=10000000000000000000" \
@@ -229,7 +229,7 @@ def test_capacity_exit_code(monkeypatch, capsys):
 
 @pytest.mark.parametrize("failing, argv", [
     ("_r_sieve", ["sieve", "--limit", "1000"]),
-    ("_divisor_sieve", ["sieve", "--limit", "1000"]),
+    ("_sigma_sieve", ["sieve", "--limit", "1000"]),
     ("_r_sieve", ["error-term", "circle", "--x-max", "1000"]),   # r is first read in step_profile
     ("_r_sieve", ["error-term", "circle", "--x-max", "1e7"]),
 ])
@@ -259,7 +259,7 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
     (["sieve", "--limit", "100"], (1, 1, 1)),
 ])
 def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, sieves):
-    calls = {"_r_sieve": 0, "_d_sieve": 0, "_divisor_sieve": 0}
+    calls = {"_r_sieve": 0, "_d_sieve": 0, "_sigma_sieve": 0}
 
     def counted(name):
         sieve = getattr(arith, name)
@@ -273,11 +273,11 @@ def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, s
     if argv[0] in {"error-term", "correlate", "laplace"}:
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     assert run(argv) == 0
-    assert (calls["_r_sieve"], calls["_d_sieve"], calls["_divisor_sieve"]) == sieves
+    assert (calls["_r_sieve"], calls["_d_sieve"], calls["_sigma_sieve"]) == sieves
 
 
 @pytest.mark.parametrize("argv, bytes_per_entry, slack_mib", [
-    (["sieve", "--limit", "1000000"], 16, 1),   # the three tables; sigma's sieve runs first
+    (["sieve", "--limit", "1000000"], 8, 3),   # one table at a time: sigma, its segment buffer
     (["error-term", "circle", "--x-max", "1e6", "--samples", "64"], 4, 6),   # r; the blocks
     (["constants", "r_squared", "--terms", "1000000"], 4, 4),   # r; the series' blocks
     (["voronoi", "--x", "1000000.5", "--n-terms", "2"], 4, 1),   # r, for one P(x)
