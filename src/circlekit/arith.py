@@ -50,21 +50,20 @@ def _series_sum(table: np.ndarray, N: int, term) -> float:
     return math.fsum(itertools.chain.from_iterable(map(block_terms, range(1, N + 1, _BLOCK))))
 
 
-def _block_sums(table: np.ndarray, lo: int, hi: int, block: int, square: bool = False):
+def _block_sums(table: np.ndarray, lo: int, hi: int, block: int):
     """Yield float64 (n, S) for the blocks [a, b) of [lo, hi), hi < len(table): n = a..b and
-    S(a)..S(b), S(n) = sum_{m<=n} f(m) (of f(m)^2 if square), f = table, carried across blocks:
-    integer sums, so each float64 add is exact while S < 2^53 (an int64 cumsum cast into S made
-    C_hat 7% slower).  n and S are buffers the next block overwrites: fresh ones per block made
-    a 1e7 fold ~1.8x slower (2-vCPU VM).  block has no default, so a patched _BLOCK reaches it."""
-    h = table[:lo]   # the head sum S(lo - 1) accumulates in int64, with no O(lo) array
-    carry = int(np.einsum("i,i", h, h, dtype=np.int64) if square else h.sum(dtype=np.int64))
+    S(a)..S(b), S(n) = sum_{m<=n} f(m), f = table, carried across blocks: integer sums, so each
+    float64 add is exact while S < 2^53.  n and S are buffers the next block overwrites: fresh
+    ones per block made a 1e7 fold ~1.8x slower (2-vCPU VM).  block has no default, so a patched
+    _BLOCK reaches it."""
+    carry = int(table[:lo].sum(dtype=np.int64))   # S(lo - 1) in int64, with no O(lo) array
     size = min(block, hi - lo) + 1
     S = np.empty(size)
     n = np.arange(lo - block, lo - block + size, dtype=np.float64)   # advanced before each block
     for a in range(lo, hi, block):
         f = table[a:min(a + block, hi) + 1]
         s = S[:f.size]
-        np.square(f, out=s, dtype=np.float64) if square else np.copyto(s, f)
+        np.copyto(s, f)
         s[0] += carry
         np.cumsum(s, out=s)
         carry = int(s[-2])   # S(b - 1), the next block's carry

@@ -198,7 +198,7 @@ def cmd_laplace(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    tables = arith.build_tables(max(args.terms, 2))   # C_hat needs 2
+    tables = arith.build_tables(args.terms)
     kind = _SERIES_KINDS[args.kind]
     sc = laplace.series_constant(tables, kind, args.terms)
     closed = laplace.series_limit(kind)

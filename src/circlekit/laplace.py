@@ -68,13 +68,8 @@ _SERIES_LIMITS = {CIRCLE: 50.15605614263944, DIVISOR: 38.74514414390132}   # see
 class SeriesConstant:
     """Partial sum of sum f(n)^2 n^(-3/2) for f in {r, d} with a tail bound.
 
-    ``value`` is the partial sum over n <= terms_used; ``tail_bound`` is an
-    upper estimate of the omitted tail obtained by partial summation against
-    the measured envelope sum_{n<=x} f^2(n) <= C_hat x log x (C_hat is the
-    observed maximum over the sieve range times a safety factor of 2; its
-    use beyond the sieve range is the one extrapolation step, stated here
-    rather than hidden).  For a fixed table, increasing terms_used never
-    increases the bound.
+    ``value`` is the partial sum over n <= terms_used; ``tail_bound`` bounds the rest,
+    proven, in closed form in kind and terms_used alone (`_series_tail`).
     """
 
     kind: str          # CIRCLE (f = r) or DIVISOR (f = d)
@@ -101,31 +96,12 @@ class LaplaceEstimate:
 
 def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
     """Partial sum of sum_{n<=terms} f(n)^2 n^(-3/2), f = r for CIRCLE and d for DIVISOR, one
-    math.fsum over 2^16-entry blocks, f(n) = 0 skipped: exactly rounded whatever the grouping."""
+    math.fsum over 2^16-entry blocks, f(n) = 0 skipped: exactly rounded whatever the grouping.
+    The tail bound is proven and reads kind and terms alone (`_series_tail`)."""
     if terms < 1 or terms > tables.limit:
         raise ValueError(f"terms={terms} outside table range [1, {tables.limit}]")
-    if tables.limit < 2:
-        raise ValueError(f"C_hat needs tables.limit >= 2, got {tables.limit}")
-    values = _values(tables, kind)
-    value = arith._series_sum(values, terms, lambda n, f: f**2 * n**-1.5)
-
-    # Envelope constant over the full sieve range (not just `terms`):
-    # C_hat = 2 * max_{2<=n<=limit} F(n) / (n log n), F(n) = sum_{m<=n} f(m)^2.  The
-    # blocks of [1, limit) overlap by one entry, so n[1:] covers n = 2..limit once.  w, for
-    # n log n, is one reused buffer: fresh temporaries per block doubled C_hat's time at 1e7.
-    w, ratio_max = np.empty(min(arith._BLOCK, tables.limit - 1)), 0.0
-    for n, F in arith._block_sums(values, 1, tables.limit, arith._BLOCK, square=True):
-        m = n.size - 1
-        np.multiply(n[1:], np.log(n[1:], out=w[:m]), out=w[:m])
-        ratio_max = max(ratio_max, float(np.divide(F[1:], w[:m], out=w[:m]).max()))
-    if F[-1] >= 2.0**53:   # f^2 >= 0: the last sum is the largest; all are exact below it
-        raise CapacityError(f"{kind} sums of f^2 reach {F[-1]:.6g} at limit "
-                            f"{tables.limit}; C_hat is exact only below 2^53")
-    c_hat = 2.0 * ratio_max
-    # tail <= int_X^inf t^(-3/2) dF <= 3 C_hat (log X + 2) / sqrt(X); the
-    # looser form without the -F(X) X^(-3/2) sharpening is monotone in X.
-    tail_bound = 3.0 * c_hat * (math.log(terms) + 2.0) / math.sqrt(terms)
-    return SeriesConstant(kind=kind, terms_used=terms, value=value, tail_bound=tail_bound)
+    value = arith._series_sum(_values(tables, kind), terms, lambda n, f: f**2 * n**-1.5)
+    return SeriesConstant(kind, terms, value, _series_tail(kind, terms))
 
 
 def series_limit(kind: str) -> float:
@@ -197,6 +173,30 @@ def _tail_bound(kind: str, T: float, x: float) -> float:
     since (c sqrt(t) + c0)^2 <= (c + c0/sqrt(x))^2 t for t >= x."""
     c, c0 = _ENVELOPES[kind]
     return (c + c0 / math.sqrt(x)) ** 2 * T * (x + T) * math.exp(-x / T)
+
+
+def _series_tail(kind: str, X: int) -> float:
+    """(3/2) int_X^infty E(t) t^(-5/2) dt, a bound on sum_{n>X} f(n)^2 n^(-3/2) by partial
+    summation for any E >= F = sum_{n<=t} f(n)^2 on t >= 1; the dropped -F(X) X^(-3/2) means
+    it reads no table and falls strictly in X.  Both E rest on (a+1)^2 <= C(a+3, 3) at p^a.
+    Circle: g = r/4 has g^2 <= g*g (that at p = 1 mod 4, else g^2 <= 1 <= g*g or g = 0), and
+    Gauss (`_ENVELOPES`) gives A(y) = sum_{k<=y} g(k) <= al y + be sqrt(y) + ga with (al, be,
+    ga) = (pi, c, c0 - 1)/4.  The hyperbola split less its -A(sqrt x)^2, then partial summation of
+    sum g(a)/a and sum g(a)/sqrt(a) over a <= sqrt(x), give F <= 16 B, where
+      B(x) = al^2 x ln x + 2 al (al + 2 be + ga) x + 2 al be x^(3/4) + (be^2/2) sqrt(x) ln x
+             + 2 (be^2 - al be + be ga + al ga) sqrt(x) + 2 be ga x^(1/4) + 2 ga^2.
+    Divisor: d^2 <= d_4, and sum_{n<=x} d_4(n) <= x sum_{abc<=x} 1/(abc) <= x (1 + 3 l +
+    3 l^2/2 + l^3/6), l = ln x: each factor a >= 2 has 1/a <= int_{a-1}^a dt/t, so the terms
+    with j factors >= 2 sum to at most l^j/j!."""
+    ell, root = math.log(X), math.sqrt(X)
+    if kind == DIVISOR:
+        return 3.0 * (ell**3 / 6 + 2.5 * ell**2 + 13.0 * ell + 27.0) / root
+    c, c0 = _ENVELOPES[CIRCLE]
+    al, be, ga = math.pi / 4, c / 4, (c0 - 1) / 4
+    # (3/2) int_X^infty B(t) t^(-5/2) dt, term by term
+    return 16.0 * ((3 * al**2 * (ell + 2) + 6 * al * (al + 2 * be + ga)) / root
+                   + (0.75 * be**2 * (ell + 1) + 3 * (be**2 - al * be + be * ga + al * ga)) / X
+                   + 4 * al * be / X**0.75 + 2.4 * be * ga / X**1.25 + 2 * ga**2 / X**1.5)
 
 
 def block_size(T: float) -> int:

@@ -279,7 +279,7 @@ def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, s
 @pytest.mark.parametrize("argv, bytes_per_entry, slack_mib", [
     (["sieve", "--limit", "1000000"], 8, 3),   # one table at a time: sigma, its segment buffer
     (["error-term", "circle", "--x-max", "1e6", "--samples", "64"], 4, 6),   # r; the blocks
-    (["constants", "r_squared", "--terms", "1000000"], 4, 4),   # r; the series' blocks
+    (["constants", "r_squared", "--terms", "1000000"], 4, 2),   # r; the series' blocks
     (["voronoi", "--x", "1000000.5", "--n-terms", "2"], 4, 1),   # r, for one P(x)
     (["voronoi", "--x", "100000.5", "--n-terms", "1000000"], 4, 5),   # r; the series' blocks
     (["correlate", "--n", "1000000", "--h-max", "100"], 4, 1),   # r; one block buffer, no copy

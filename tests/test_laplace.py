@@ -52,65 +52,85 @@ def test_series_constant_domain(tables_4k):
         series_constant(tables_4k, CIRCLE, tables_4k.limit + 1)
     with pytest.raises(ValueError):
         series_constant(tables_4k, "bogus", 10)
-    with pytest.raises(ValueError, match="limit >= 2"):
-        series_constant(arith.build_tables(1), CIRCLE, 1)
+    assert series_constant(arith.build_tables(1), CIRCLE, 1).value == 16.0
 
 
-def _whole_range_series(tables, kind, terms):
-    """value from one fsum of every term, and tail_bound with C_hat from one
-    cumsum of f^2, each over the whole range at once."""
-    values = lattice._values(tables, kind)
-    f2 = values[1:terms + 1].astype(np.float64) ** 2
-    value = math.fsum(f2 * np.arange(1, terms + 1, dtype=np.float64) ** -1.5)
-    n_all = np.arange(2, tables.limit + 1, dtype=np.float64)
-    F = np.cumsum(values[1:].astype(np.float64) ** 2)
-    c_hat = 2.0 * float(np.max(F[1:] / (n_all * np.log(n_all))))
-    return value, 3.0 * c_hat * (math.log(terms) + 2.0) / math.sqrt(terms)
+def _whole_range_value(tables, kind, terms):
+    """The partial sum as one fsum of every term over the whole range at once."""
+    f2 = lattice._values(tables, kind)[1:terms + 1].astype(np.float64) ** 2
+    return math.fsum(f2 * np.arange(1, terms + 1, dtype=np.float64) ** -1.5)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
-def test_folded_c_hat_equals_whole_range_cumsum(monkeypatch, tables_4k, block):
+def test_folded_value_equals_whole_range_fsum(monkeypatch, tables_4k, block):
     monkeypatch.setattr(arith, "_BLOCK", block)
-    # C_hat's blocks start at n = 2, so a table of limit 1 + k block ends on a block edge
-    limits = sorted({2, 3, *(k * block + e for k in (1, 3) for e in (0, 1, 2))} - {1})
+    # the blocks start at n = 1, so a table of limit k block ends on a block edge
+    limits = sorted({1, 2, 3, *(k * block + e for k in (1, 3) for e in (0, 1, 2))})
     for tables in [*(arith.build_tables(L) for L in limits), tables_4k]:
         for kind in (CIRCLE, DIVISOR):
             for terms in sorted({1, 2, block, tables.limit} & set(range(1, tables.limit + 1))):
                 sc = series_constant(tables, kind, terms)
-                assert (sc.value, sc.tail_bound) == _whole_range_series(tables, kind, terms), \
+                assert sc.value == _whole_range_value(tables, kind, terms), \
                     (tables.limit, kind, terms)
+                assert sc.tail_bound == laplace._series_tail(kind, terms)   # reads no table
 
 
-def test_folded_c_hat_equals_whole_range_cumsum_at_scale(tables_1m):
+def test_folded_value_equals_whole_range_fsum_at_scale(tables_1m):
     for kind in (CIRCLE, DIVISOR):
         for terms in (arith._BLOCK + 1, tables_1m.limit):
             sc = series_constant(tables_1m, kind, terms)
-            assert (sc.value, sc.tail_bound) == _whole_range_series(tables_1m, kind, terms), \
-                (kind, terms)
+            assert sc.value == _whole_range_value(tables_1m, kind, terms), (kind, terms)
 
 
-def test_c_hat_checks_float64_exactness():
-    # C_hat's sums F(n) = sum_{m<=n} r(m)^2 are exact only below 2^53, as the profile's are
-    def tables(r):
-        zeros = np.zeros(3, dtype=np.int64)
-        return arith.ArithTables(limit=2, r=np.array(r, dtype=np.int64), d=zeros, sigma=zeros)
+def test_series_value_squares_in_float64():
+    # f^2 is formed in float64, where r(1)^2 = 2^52 is exact
+    zeros = np.zeros(3, dtype=np.int64)
+    r = np.array([0, 2**26, 2**26 - 1], dtype=np.int64)
+    tables = arith.ArithTables(limit=2, r=r, d=zeros, sigma=zeros)
+    assert series_constant(tables, CIRCLE, 1).value == 2.0**52
 
-    assert series_constant(tables([0, 2**26, 2**26 - 1]), CIRCLE, 1).value == 2.0**52
-    for r, reach in (([0, 2**26, 2**26], r"9\.0072e\+15"), ([0, 2**27, 2**27], r"3\.60288e\+16")):
-        with pytest.raises(CapacityError,
-                           match=rf"circle sums of f\^2 reach {reach} at limit 2; .*2\^53"):
-            series_constant(tables(r), CIRCLE, 1)
+
+def _envelopes(n, log=np.log):
+    """The envelopes E >= F = sum_{m<=n} f(m)^2 that `laplace._series_tail` integrates,
+    written out from its docstring: 16 B for r, n P(log n) for d."""
+    c, c0 = laplace._ENVELOPES[CIRCLE]
+    al, be, ga = math.pi / 4, c / 4, (c0 - 1) / 4
+    ell = log(n)
+    B = (al**2 * n * ell + 2 * al * (al + 2 * be + ga) * n + 2 * al * be * n**0.75
+         + be**2 / 2 * n**0.5 * ell + 2 * (be**2 - al * be + be * ga + al * ga) * n**0.5
+         + 2 * be * ga * n**0.25 + 2 * ga**2)
+    return {CIRCLE: 16 * B, DIVISOR: n * (1 + 3 * ell + 1.5 * ell**2 + ell**3 / 6)}
+
+
+def test_series_envelopes_hold_on_the_table(tables_1m):
+    # F is constant on [n, n+1) and both envelopes increase, so integers n suffice
+    n = np.arange(1, tables_1m.limit + 1, dtype=np.float64)
+    for kind, envelope in _envelopes(n).items():
+        F = np.cumsum(lattice._values(tables_1m, kind)[1:].astype(np.int64) ** 2)   # < 2^53
+        assert np.all(F <= envelope), kind
+
+
+@pytest.mark.parametrize("X", [1, 2, 10, 10**3, 10**6, 10**7])
+def test_series_tail_is_the_envelope_integral(X):
+    with mp.workdps(30):
+        for kind in (CIRCLE, DIVISOR):
+            ref = 1.5 * mp.quad(lambda t: _envelopes(t, mp.log)[kind] * t**-2.5,
+                                [X * 100**k for k in range(4)] + [mp.inf])
+            assert laplace._series_tail(kind, X) == pytest.approx(float(ref), rel=1e-11), \
+                (kind, X)
 
 
 def test_series_constant_monotone_with_bracketing_tail(tables_120k):
-    prev = None
-    for terms in (10**2, 10**3, 10**4, 10**5):
-        sc = series_constant(tables_120k, CIRCLE, terms)
-        if prev is not None:
-            assert sc.value >= prev.value                 # non-negative summands
-            assert sc.tail_bound <= prev.tail_bound       # bound shrinks with terms
-            assert sc.value - prev.value <= prev.tail_bound
-        prev = sc
+    for kind in (CIRCLE, DIVISOR):
+        closed, prev = series_limit(kind), None
+        for terms in (1, 2, 10**2, 10**3, 10**4, 10**5):
+            sc = series_constant(tables_120k, kind, terms)
+            assert sc.value <= closed <= sc.value + sc.tail_bound, (kind, terms)
+            if prev is not None:
+                assert sc.value >= prev.value                 # non-negative summands
+                assert sc.tail_bound < prev.tail_bound        # bound falls strictly with terms
+                assert sc.value - prev.value <= prev.tail_bound
+            prev = sc
 
 
 def test_series_limits_bracketed_by_partial_sums(tables_120k):
