@@ -115,18 +115,20 @@ def _parse_t_list(text: str) -> list[float]:
 
 def cmd_sieve(args) -> int:
     tables = arith.build_tables(args.limit)
-    # each table is released before the next is sieved, so the peak is the largest one, sigma
-    s_sum, s_bytes = int(tables.sigma.sum(dtype="int64")), tables.sigma.itemsize
-    del tables.sigma
-    d_sum, d_bytes = int(tables.d.sum(dtype="int64")), tables.d.itemsize
-    del tables.d
-    r = tables.r
-    print(f"sieve limit      {tables.limit}")
-    print(f"sum r(n)         {int(r.sum(dtype='int64'))}")
+    N = tables.limit
+    # each table is folded segment by segment as it is sieved, so no N-entry table is held;
+    # bytes per entry is what ArithTables would hold: the sizes of its three dtypes
+    r_sum = r_max = 0
+    for _, r in tables._stream("r", N):
+        r_sum, r_max = r_sum + int(r.sum(dtype="int64")), max(r_max, int(r.max()))
+    d_sum = sum(int(d.sum(dtype="int64")) for _, d in tables._stream("d", N))
+    s_sum = sum(int(s.sum(dtype="int64")) for _, s in tables._stream("sigma", N))
+    print(f"sieve limit      {N}")
+    print(f"sum r(n)         {r_sum}")
     print(f"sum d(n)         {d_sum}")
     print(f"sum sigma(n)     {s_sum}")
-    print(f"max r(n)         {int(r.max())}")
-    print(f"bytes per entry  {r.itemsize + d_bytes + s_bytes}")
+    print(f"max r(n)         {r_max}")
+    print(f"bytes per entry  {sum(dtype.itemsize for dtype in arith._DTYPES.values())}")
     return 0
 
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import arith
 from .errors import CapacityError
-from .lattice import CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, _values, divisor_main
+from .lattice import CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, _table_name, divisor_main
 
 DEFAULT_REL_TOL = 1e-6
 _QUAD_SELF_CHECK = 1e-12
@@ -97,10 +97,13 @@ class LaplaceEstimate:
 def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
     """Partial sum of sum_{n<=terms} f(n)^2 n^(-3/2), f = r for CIRCLE and d for DIVISOR, one
     math.fsum over 2^16-entry blocks, f(n) = 0 skipped: exactly rounded whatever the grouping.
-    The tail bound is proven and reads kind and terms alone (`_series_tail`)."""
+    f is read from its table when tables has built it, else streamed segment by segment with
+    no table kept (`ArithTables._stream`).  The tail bound is proven and reads kind and terms
+    alone (`_series_tail`)."""
     if terms < 1 or terms > tables.limit:
         raise ValueError(f"terms={terms} outside table range [1, {tables.limit}]")
-    value = arith._series_sum(_values(tables, kind), terms, lambda n, f: f**2 * n**-1.5)
+    value = arith._series_sum(tables._stream(_table_name(kind), terms),
+                              lambda n, f: f**2 * n**-1.5)
     return SeriesConstant(kind, terms, value, _series_tail(kind, terms))
 
 

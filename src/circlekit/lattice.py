@@ -51,13 +51,18 @@ class StepProfile:
         return int(self.table[n])
 
 
-def _values(tables: arith.ArithTables, kind: str) -> np.ndarray:
-    """The table of kind's f: r for CIRCLE, d for DIVISOR (only that one is sieved)."""
+def _table_name(kind: str) -> str:
+    """The `arith.ArithTables` table of kind's f: r for CIRCLE, d for DIVISOR."""
     if kind == CIRCLE:
-        return tables.r
+        return "r"
     if kind == DIVISOR:
-        return tables.d
+        return "d"
     raise ValueError(f"unknown profile kind {kind!r}")
+
+
+def _values(tables: arith.ArithTables, kind: str) -> np.ndarray:
+    """The table of kind's f (only that one is sieved)."""
+    return getattr(tables, _table_name(kind))
 
 
 def step_profile(tables: arith.ArithTables, kind: str) -> StepProfile:

@@ -83,6 +83,28 @@ def test_lazy_tables_equal_eager_sieves():
                 assert getattr(t, name) is table
 
 
+def _streamed(name: str, N: int) -> np.ndarray:
+    """The named table as `arith._segments` streams it, each reused buffer copied out; the
+    segments start at 0 and each begins where the last ended."""
+    starts, parts = [], []
+    for lo, f in arith._segments(name, N):
+        starts.append(lo)
+        parts.append(f.copy())
+    assert starts == np.cumsum([0] + [p.size for p in parts[:-1]]).tolist(), (name, N)
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("name", ["r", "d", "sigma"])
+def test_streamed_segments_equal_the_table(name):
+    # every N <= 300; N one below, at and one above the first and the second edge of r's
+    # 2^15-entry and of the 2^19-entry segments; and 1e6 + 7
+    edges = [k * size + e for size in (arith._R_SEGMENT, arith._SEGMENT)
+             for k in (1, 2) for e in (-1, 0, 1)]
+    for N in [*range(1, 301), *edges, 10**6 + 7]:
+        table = getattr(arith.build_tables(N), name)
+        assert np.array_equal(_streamed(name, N), table), (name, N)
+
+
 def test_prebuilt_arrays_are_not_sieved(monkeypatch):
     for name in ("_d_sieve", "_sigma_sieve"):   # any sieve of d or sigma would fail
         monkeypatch.setattr(arith, name, None)

@@ -12,7 +12,7 @@ import pytest
 import circlekit
 from circlekit import arith, cli, laplace, lattice, special
 from circlekit.errors import CapacityError
-from conftest import traced_peak
+from conftest import hyperbola_count, lattice_count, sigma_count, traced_peak
 
 
 def run(args):
@@ -220,7 +220,7 @@ def test_removed_options_exit_2(tmp_path, capsys, argv):
 def test_capacity_exit_code(monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("sieved past the capacity check")
-    for name in ("_r_sieve", "_d_sieve", "_sigma_sieve"):
+    for name in ("_r_segment", "_d_segment", "_sigma_segment"):   # every table and stream
         monkeypatch.setattr(arith, name, unreachable)
     assert run(["constants", "r_squared", "--terms", str(10**19)]) == 3
     assert "capacity error: cannot allocate sieve tables for N=10000000000000000000" \
@@ -228,10 +228,12 @@ def test_capacity_exit_code(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("failing, argv", [
-    ("_r_sieve", ["sieve", "--limit", "1000"]),
-    ("_sigma_sieve", ["sieve", "--limit", "1000"]),
+    ("_r_segment", ["sieve", "--limit", "1000"]),   # sieve streams each table from its kernel
+    ("_sigma_segment", ["sieve", "--limit", "1000"]),
     ("_r_sieve", ["error-term", "circle", "--x-max", "1000"]),   # r is first read in step_profile
     ("_r_sieve", ["error-term", "circle", "--x-max", "1e7"]),
+    ("_d_segment", ["constants", "d_squared", "--terms", "1000"]),
+    ("_r_segment", ["error-term", "circle", "--x-max", "1000"]),   # the table's fill, one kernel
 ])
 def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, failing, argv):
     def out_of_memory(*args):
@@ -259,36 +261,71 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
     (["sieve", "--limit", "100"], (1, 1, 1)),
 ])
 def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, sieves):
-    calls = {"_r_sieve": 0, "_d_sieve": 0, "_sigma_sieve": 0}
+    # a run of a table's kernel, filling the table or streaming it, starts at segment lo = 0
+    calls = {"_r_segment": 0, "_d_segment": 0, "_sigma_segment": 0}
 
     def counted(name):
-        sieve = getattr(arith, name)
+        kernel = getattr(arith, name)
 
-        def count(*args):
-            calls[name] += 1
-            return sieve(*args)
+        def count(lo, *args):
+            calls[name] += lo == 0
+            return kernel(lo, *args)
         return count
     for name in calls:
         monkeypatch.setattr(arith, name, counted(name))
     if argv[0] in {"error-term", "correlate", "laplace"}:
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     assert run(argv) == 0
-    assert (calls["_r_sieve"], calls["_d_sieve"], calls["_sigma_sieve"]) == sieves
+    assert (calls["_r_segment"], calls["_d_segment"], calls["_sigma_segment"]) == sieves
+
+
+@pytest.mark.parametrize("kernel, argv", [
+    ("_r_segment", ["sieve", "--limit", "1000"]),
+    ("_d_segment", ["sieve", "--limit", "1000"]),
+    ("_d_segment", ["constants", "d_squared", "--terms", "1000"]),
+])
+def test_int32_guard_on_streamed_segments_exits_3(monkeypatch, capsys, kernel, argv):
+    sieve = getattr(arith, kernel)
+
+    def overflowing(lo, hi, out):   # a segment holding 2^31 - 1, which int32 cannot exceed
+        sieve(lo, hi, out)
+        if lo <= 700 < hi:
+            out[700 - lo] = 2**31 - 1
+    monkeypatch.setattr(arith, kernel, overflowing)
+    assert run(argv) == 3
+    assert "capacity error: int32 table overflow at N=1000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, bytes_per_entry, slack_mib", [
-    (["sieve", "--limit", "1000000"], 8, 3),   # one table at a time: sigma, its segment buffer
+    (["sieve", "--limit", "1000000"], 0, 6),   # no table: one segment buffer at a time
     (["error-term", "circle", "--x-max", "1e6", "--samples", "64"], 4, 6),   # r; the blocks
-    (["constants", "r_squared", "--terms", "1000000"], 4, 2),   # r; the series' blocks
+    (["constants", "r_squared", "--terms", "1000000"], 0, 1),   # r's segments; the blocks
     (["voronoi", "--x", "1000000.5", "--n-terms", "2"], 4, 1),   # r, for one P(x)
     (["voronoi", "--x", "100000.5", "--n-terms", "1000000"], 4, 5),   # r; the series' blocks
     (["correlate", "--n", "1000000", "--h-max", "100"], 4, 1),   # r; one block buffer, no copy
+    (["constants", "d_squared", "--terms", "1000000"], 0, 5),   # d's 2 MiB segment; the blocks
 ])
 def test_command_peak_memory_per_entry(tmp_path, capsys, argv, bytes_per_entry, slack_mib):
     if argv[0] in {"error-term", "correlate"}:
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     assert traced_peak(lambda: run(argv)) <= bytes_per_entry * 10**6 + slack_mib * 2**20
     assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", [10**5, 10**6])
+def test_sieve_peak_memory_does_not_grow_with_the_limit(capsys, limit):
+    assert traced_peak(lambda: run(["sieve", "--limit", str(limit)])) <= 6 * 2**20
+    assert "error" not in capsys.readouterr().err
+
+
+def test_streamed_sieve_sums_equal_the_exact_counts(capsys):
+    N = 10**6
+    assert run(["sieve", "--limit", str(N)]) == 0
+    out = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert int(out["sum r(n)"]) == lattice_count(N)
+    assert int(out["sum d(n)"]) == hyperbola_count(N)
+    assert int(out["sum sigma(n)"]) == sigma_count(N)
+    assert out["bytes per entry"] == "16"   # int32 r and d, int64 sigma
 
 
 def test_correlate_round_trip(tmp_path):

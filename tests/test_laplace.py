@@ -64,8 +64,8 @@ def _whole_range_value(tables, kind, terms):
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_folded_value_equals_whole_range_fsum(monkeypatch, tables_4k, block):
     monkeypatch.setattr(arith, "_BLOCK", block)
-    # the blocks start at n = 1, so a table of limit k block ends on a block edge
-    limits = sorted({1, 2, 3, *(k * block + e for k in (1, 3) for e in (0, 1, 2))})
+    # the blocks start at n = 0, so a table of limit k block - 1 ends on a block edge
+    limits = sorted({1, 2, 3, *(k * block + e for k in (1, 3) for e in (-1, 0, 1, 2))} - {0})
     for tables in [*(arith.build_tables(L) for L in limits), tables_4k]:
         for kind in (CIRCLE, DIVISOR):
             for terms in sorted({1, 2, block, tables.limit} & set(range(1, tables.limit + 1))):
@@ -80,6 +80,20 @@ def test_folded_value_equals_whole_range_fsum_at_scale(tables_1m):
         for terms in (arith._BLOCK + 1, tables_1m.limit):
             sc = series_constant(tables_1m, kind, terms)
             assert sc.value == _whole_range_value(tables_1m, kind, terms), (kind, terms)
+
+
+def test_streamed_series_value_equals_the_table_fold(tables_1m):
+    # tables that have not built f stream it and keep no table; the fold is bit-equal to
+    # the one over the built table
+    for kind in (CIRCLE, DIVISOR):
+        table = lattice._values(tables_1m, kind)
+        for terms in (1, 2, 10**3, 10**6):
+            tables = arith.build_tables(terms)
+            streamed = series_constant(tables, kind, terms).value
+            assert set(vars(tables)) == {"limit"}, (kind, terms)
+            assert streamed == arith._series_sum([(0, table[:terms + 1])],
+                                                 lambda n, f: f**2 * n**-1.5), (kind, terms)
+            assert streamed == series_constant(tables_1m, kind, terms).value, (kind, terms)
 
 
 def test_series_value_squares_in_float64():
