@@ -14,11 +14,12 @@ Each of r, d and sigma has one kernel that sieves one cache-sized segment
 [lo, hi) of it, with scratch that does not grow with the limit: r by counting
 lattice points, d and sigma by pairing divisors with cofactors.  `_segments`
 runs a kernel over 0..N in ascending order.  A fold that reads its values once,
-in order (`sieve`'s sums, the series constants), takes the segments from one
-reused buffer and holds no table; `ArithTables` fills a whole table from the
-same segments for the readers that need one.  The tables are read-only numpy
-arrays, each sieved on the first access to it, so a command that reads only r
-never sieves d or sigma.  Built tables are safe to share across threads; all
+in order (`sieve`'s sums, the series constants, the partial sums of
+`_block_sums` behind `error-term`), takes the segments from one reused buffer
+and holds no table; `ArithTables` fills a whole table from the same segments
+for the readers that need one.  The tables are read-only numpy arrays, each
+sieved on the first access to it, so a command that reads only r never
+sieves d or sigma.  Built tables are safe to share across threads; all
 query helpers are read-only.
 """
 
@@ -55,25 +56,47 @@ def _series_sum(segments, term) -> float:
     return math.fsum(itertools.chain.from_iterable(itertools.starmap(block_terms, blocks)))
 
 
-def _block_sums(table: np.ndarray, lo: int, hi: int, block: int):
-    """Yield float64 (n, S) for the blocks [a, b) of [lo, hi), hi < len(table): n = a..b and
-    S(a)..S(b), S(n) = sum_{m<=n} f(m), f = table, carried across blocks: integer sums, so each
-    float64 add is exact while S < 2^53.  n and S are buffers the next block overwrites: fresh
-    ones per block made a 1e7 fold ~1.8x slower (2-vCPU VM).  block has no default, so a patched
+def _block_sums(segments, lo: int, hi: int, block: int):
+    """Yield float64 (n, S) for the blocks [a, b) of [lo, hi): n = a..b and S(a)..S(b),
+    S(n) = sum_{m<=n} f(m) >= 0, f read from segments, the ascending (seg_lo, f[seg_lo:])
+    pieces of f(0..hi) (a built table is the one segment (0, table)).  Blocks start at
+    lo + k block whatever the segments are, and each block's f is copied out of them, so no
+    sum depends on the segments.  S(lo - 1) is summed in int64 and carried into the first
+    block, each later block starts from the last one's S(b): integer sums, so each float64
+    add is exact while S < 2^53.  A block whose S(b) reaches 2^53 raises CapacityError
+    before it is yielded; rounding is monotone and 2^53 is a double, so that is exactly
+    when the true S(b) does.  n and S are buffers the next block overwrites: fresh ones per
+    block made a 1e7 fold ~1.8x slower (2-vCPU VM).  block has no default, so a patched
     _BLOCK reaches it."""
-    carry = int(table[:lo].sum(dtype=np.int64))   # S(lo - 1) in int64, with no O(lo) array
+    if hi <= lo:
+        return
     size = min(block, hi - lo) + 1
     S = np.empty(size)
     n = np.arange(lo - block, lo - block + size, dtype=np.float64)   # advanced before each block
-    for a in range(lo, hi, block):
-        f = table[a:min(a + block, hi) + 1]
-        s = S[:f.size]
-        np.copyto(s, f)
-        s[0] += carry
-        np.cumsum(s, out=s)
-        carry = int(s[-2])   # S(b - 1), the next block's carry
-        n += block
-        yield n[:f.size], s
+    carry, a, k = 0, lo, 0   # S(lo - 1); the block [a, b] being filled, with S[:k] filled
+    for seg_lo, f in segments:
+        i = lo - seg_lo
+        if i > 0:
+            carry += int(f[:i].sum(dtype=np.int64))   # the head, with no O(lo) array
+        i = max(i, 0)   # f[i] is f(a + k)
+        while i < f.size:
+            b = min(a + block, hi)
+            take = min(b - a + 1 - k, f.size - i)
+            S[k:k + take] = f[i:i + take]
+            k, i = k + take, i + take
+            if k <= b - a:   # the block goes on in the next segment
+                break
+            s = S[:k]
+            s[0] += carry
+            np.cumsum(s, out=s)
+            if s[-1] >= 2.0**53:
+                raise CapacityError(f"partial sums reach {s[-1]:.6g} by n={b}; float64 "
+                                    "sums are exact only below 2^53")
+            n += block
+            yield n[:k], s
+            if b == hi:
+                return
+            S[0], carry, a, k = s[-1], 0, b, 1   # S(b) opens the next block
 
 
 def chi(n: int) -> int:

@@ -238,10 +238,11 @@ def cmd_voronoi(args) -> int:
         raise UsageError(f"--x {args.x:g} times --n-terms {args.n_terms} must be below 2^53, "
                          "the range where the phases 2 pi sqrt(x n) are reduced exactly")
     tables = arith.build_tables(max(int(args.x) + 1, args.n_terms))
-    profile = lattice.step_profile(tables, lattice.CIRCLE)
-    exact = lattice.error_term(profile, args.x)
+    # the series build r's table first, so P(x) reads it: streamed, a too-large --x would
+    # sieve for hours where the table fails its allocation at once (exit 3)
     trunc = special.truncated_p(tables, args.x, args.n_terms)
     hardy = special.hardy_partial(tables, args.x, args.n_terms)
+    exact = lattice.error_term(lattice.step_profile(tables, lattice.CIRCLE), args.x)
     print(f"P(x) exact            {exact:.12f}")
     print(f"cosine sum (N terms)  {trunc:.12f}   residual {exact - trunc:.6e}")
     print(f"Bessel sum (N terms)  {hardy:.12f}   residual {exact - hardy:.6e}")

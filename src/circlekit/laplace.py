@@ -249,7 +249,7 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
     block = block_size(T)
     pieces: list[float] = []
     x, total = 0, 0.0   # a profile of limit 0 has no block
-    for n, S in arith._block_sums(profile.table, 0, profile.limit, block):
+    for n, S in arith._block_sums([(0, profile.table)], 0, profile.limit, block):
         pieces.append(block_fn(n, S))
         x, total = int(n[0]) + block, math.fsum(pieces)
         if x > profile.limit:   # the profile cut this block short

@@ -11,7 +11,10 @@ one-sided limits of integers.  The mean square of P over [0, X] is computed
 exactly (to rounding) from the closed-form integral of the quadratic
 polynomial on each unit interval.
 
-Folds over a range of n read the partial sums from `arith._block_sums`.  All
+Folds over a range of n read the partial sums from `arith._block_sums`.  The
+readers of one range (`error_term`, `mean_square_p`, `error_at_jumps`,
+`pointwise_report`) fold the profile's segments: a slice of a table already
+built, else the sieve's own segments, so `error-term` holds no table.  All
 operations are read-only over an immutable `StepProfile` and are safe to
 call concurrently.
 """
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .errors import CapacityError
 
 # Euler's constant to 30 significant digits (double rounds it at 16).
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -35,14 +37,28 @@ DIVISOR = "divisor"
 
 @dataclass(frozen=True)
 class StepProfile:
-    """An arithmetic function f in {r, d} as its table, with no copy: each reader
+    """An arithmetic function f in {r, d} of `arith.ArithTables`, with no copy: each reader
     forms the sums S(n) = sum_{m<=n} f(m) it needs block by block (`arith._block_sums`),
-    exact as `step_profile` checks S(limit) < 2^53.  Immutable and shareable across threads.
+    which checks every sum it reaches to be below 2^53, so exact in float64.  Readers of
+    one range fold `_segments`; `table` is for random access and many passes.  Immutable and
+    shareable across threads.
     """
 
-    kind: str           # CIRCLE (f = r) or DIVISOR (f = d)
-    limit: int
-    table: np.ndarray   # read-only f(0..limit), f(0) = 0
+    kind: str                   # CIRCLE (f = r) or DIVISOR (f = d)
+    tables: arith.ArithTables   # f(0..limit), f(0) = 0
+
+    @property
+    def limit(self) -> int:
+        return self.tables.limit
+
+    @property
+    def table(self) -> np.ndarray:
+        """The read-only table of f(0..limit), sieved on first access."""
+        return _values(self.tables, self.kind)
+
+    def _segments(self, N: int):
+        """The ascending (lo, f) segments of f(0..N): a slice of a built table, else streamed."""
+        return self.tables._stream(_table_name(self.kind), N)
 
     def jump(self, n: int) -> int:
         """f(n) = S(n) - S(n-1) for 1 <= n <= limit."""
@@ -66,32 +82,30 @@ def _values(tables: arith.ArithTables, kind: str) -> np.ndarray:
 
 
 def step_profile(tables: arith.ArithTables, kind: str) -> StepProfile:
-    """The summatory profile of r (kind=CIRCLE) or d (kind=DIVISOR): its table,
-    once S(limit) is checked to be below 2^53, so every sum is exact in float64."""
-    values = _values(tables, kind)
-    total = int(values.sum(dtype=np.int64))   # f >= 0: the last sum is the largest
-    if total >= 2**53:
-        raise CapacityError(f"{kind} partial sums reach {total:.6g} at limit "
-                            f"{tables.limit}; float64 sums are exact only below 2^53")
-    return StepProfile(kind=kind, limit=tables.limit, table=values)
+    """The summatory profile of r (kind=CIRCLE) or d (kind=DIVISOR); nothing is sieved
+    until a reader folds it."""
+    _table_name(kind)   # an unknown kind fails here
+    return StepProfile(kind=kind, tables=tables)
 
 
 def error_term(profile: StepProfile, x: float) -> float:
     """The profile's error term at x: P(x) = sum'_{n<=x} r(n) - pi x + 1 for
     CIRCLE, Delta(x) = sum'_{n<=x} d(n) - x(log x + 2 gamma - 1) - 1/4 for DIVISOR.
-    sum' halves the final term when x is an integer."""
+    sum' halves the final term when x is an integer.  One prefix sum of f(0..floor(x))."""
     if not 1 <= x <= profile.limit:   # nan fails too
         raise ValueError(f"x={x} outside profile domain [1, {profile.limit}]")
     k = int(math.floor(x))
-    return _error_from_sum(profile, x, int(profile.table[:k + 1].sum(dtype=np.int64)))
+    _, S = next(arith._block_sums(profile._segments(k), k - 1, k, 1))   # S(k - 1), S(k)
+    return _error_from_sums(profile.kind, x, S, 1)
 
 
-def _error_from_sum(profile: StepProfile, x: float, S: int) -> float:
-    """`error_term` at x from S = S(floor(x)), the exact integer sum."""
-    s = float(S)
+def _error_from_sums(kind: str, x: float, S: np.ndarray, i: int) -> float:
+    """The error term at x from the exact float64 sums S[i] = S(floor(x)) and
+    S[i - 1] = S(floor(x) - 1), whose difference is the final term f(floor(x))."""
+    s = float(S[i])
     if x == math.floor(x):
-        s -= profile.jump(int(x)) / 2.0
-    if profile.kind == CIRCLE:
+        s -= float(S[i] - S[i - 1]) / 2.0
+    if kind == CIRCLE:
         return s - math.pi * x + 1.0
     return s - x * (math.log(x) + 2.0 * EULER_GAMMA - 1.0) - 0.25
 
@@ -134,7 +148,7 @@ def mean_square_p(profile: StepProfile, X: float) -> float:
         raise ValueError(f"X={X} outside profile domain [0, {profile.limit}]")
     nf = int(math.floor(X))
     pieces, S = [nf * math.pi**2 / 3.0], np.zeros(1)   # S(0) = 0 when X < 1
-    for n, S in arith._block_sums(profile.table, 0, nf, arith._BLOCK):
+    for n, S in arith._block_sums(profile._segments(nf), 0, nf, arith._BLOCK):
         b = S[:-1] + 1.0 - np.pi * n[:-1]
         pieces.append(float(np.sum(b * (b - np.pi))))
     b, u = S[-1] + 1.0 - math.pi * nf, X - nf
@@ -185,7 +199,7 @@ def error_at_jumps(profile: StepProfile, lo: int, hi: int):
     """
     if not 1 <= lo <= hi <= profile.limit:
         raise ValueError(f"[{lo}, {hi}] outside profile domain [1, {profile.limit}]")
-    n, S = next(arith._block_sums(profile.table, lo - 1, hi, hi - lo + 1))
+    n, S = next(arith._block_sums(profile._segments(hi), lo - 1, hi, hi - lo + 1))
     return _jump_maxima(profile.kind, n[1:], S)
 
 
@@ -196,24 +210,29 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 1 <= x_max <= profile.limit:   # nan fails too
         raise ValueError(f"x_max={x_max} outside profile domain [1, {profile.limit}]")
-    # fold error_at_jumps over blocks of n, one carried pass; a block takes the maximum
-    # only when strictly larger, so argmax is the first maximiser, as over the whole range
+    # fold error_at_jumps over blocks of n, one carried pass over the profile's segments; a
+    # block takes the maximum only when strictly larger, so argmax is the first maximiser,
+    # as over the whole range.  Each ascending sample x is read from the block [a, b] with
+    # a < floor(x) <= b, which holds S(floor(x)) and S(floor(x) - 1)
+    xs = np.geomspace(1.0 if samples > 1 else float(x_max), float(x_max), samples)
     max_abs = argmax = max_ratio_quarter = max_ratio_huxley = -1.0
-    for n, S in arith._block_sums(profile.table, 0, int(math.floor(x_max)), arith._BLOCK):
+    values = []
+    nf = int(math.floor(x_max))
+    for n, S in arith._block_sums(profile._segments(nf), 0, nf, arith._BLOCK):
+        a, b = int(n[0]), int(n[-1])
+        while len(values) < samples and int(xs[len(values)]) <= b:
+            x = float(xs[len(values)])
+            values.append(_error_from_sums(profile.kind, x, S, int(x) - a))
         n, absval = _jump_maxima(profile.kind, n[1:], S)
         i = int(np.argmax(absval))
         if absval[i] > max_abs:
             max_abs, argmax = float(absval[i]), float(n[i])
         max_ratio_quarter = max(max_ratio_quarter, float((absval / n**0.25).max()))
         max_ratio_huxley = max(max_ratio_huxley, float((absval / n ** (23.0 / 73.0)).max()))
-    # the sampled rows join the fold: at a non-integer x_max the last sample lies
-    # past the last jump, where |error| can exceed every one-sided limit; S(floor(x))
-    # is carried across the ascending samples, each entry of the table read once
-    rows, S, k = [], 0, 0   # S = S(k)
-    for x in np.geomspace(1.0 if samples > 1 else float(x_max), float(x_max), samples):
-        S += int(profile.table[k + 1:int(x) + 1].sum(dtype=np.int64))   # 0 if the floor repeats
-        k = int(x)
-        value = _error_from_sum(profile, float(x), S)
+    # the sampled rows join the maxima after the jumps: at a non-integer x_max the last
+    # sample lies past the last jump, where |error| can exceed every one-sided limit
+    rows = []
+    for x, value in zip(xs, values):
         row = PointwiseRow(
             x=float(x),
             value=value,

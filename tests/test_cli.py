@@ -230,10 +230,10 @@ def test_capacity_exit_code(monkeypatch, capsys):
 @pytest.mark.parametrize("failing, argv", [
     ("_r_segment", ["sieve", "--limit", "1000"]),   # sieve streams each table from its kernel
     ("_sigma_segment", ["sieve", "--limit", "1000"]),
-    ("_r_sieve", ["error-term", "circle", "--x-max", "1000"]),   # r is first read in step_profile
-    ("_r_sieve", ["error-term", "circle", "--x-max", "1e7"]),
+    ("_r_sieve", ["voronoi", "--x", "999.5", "--n-terms", "1000"]),   # a table reader's fill
+    ("_r_segment", ["error-term", "circle", "--x-max", "1e7"]),   # error-term streams r
     ("_d_segment", ["constants", "d_squared", "--terms", "1000"]),
-    ("_r_segment", ["error-term", "circle", "--x-max", "1000"]),   # the table's fill, one kernel
+    ("_r_segment", ["error-term", "circle", "--x-max", "1000"]),
 ])
 def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, failing, argv):
     def out_of_memory(*args):
@@ -298,12 +298,13 @@ def test_int32_guard_on_streamed_segments_exits_3(monkeypatch, capsys, kernel, a
 
 @pytest.mark.parametrize("argv, bytes_per_entry, slack_mib", [
     (["sieve", "--limit", "1000000"], 0, 6),   # no table: one segment buffer at a time
-    (["error-term", "circle", "--x-max", "1e6", "--samples", "64"], 4, 6),   # r; the blocks
+    (["error-term", "circle", "--x-max", "1e6", "--samples", "64"], 0, 6),   # r's segments; the blocks
     (["constants", "r_squared", "--terms", "1000000"], 0, 1),   # r's segments; the blocks
     (["voronoi", "--x", "1000000.5", "--n-terms", "2"], 4, 1),   # r, for one P(x)
     (["voronoi", "--x", "100000.5", "--n-terms", "1000000"], 4, 5),   # r; the series' blocks
     (["correlate", "--n", "1000000", "--h-max", "100"], 4, 1),   # r; one block buffer, no copy
     (["constants", "d_squared", "--terms", "1000000"], 0, 5),   # d's 2 MiB segment; the blocks
+    (["error-term", "divisor", "--x-max", "1e6", "--samples", "64"], 0, 6),   # likewise
 ])
 def test_command_peak_memory_per_entry(tmp_path, capsys, argv, bytes_per_entry, slack_mib):
     if argv[0] in {"error-term", "correlate"}:

@@ -232,7 +232,8 @@ def test_transform_never_depends_on_the_profile_size(tables_120k, kind, transfor
     profile = step_profile(tables_120k, kind)
 
     def cut(limit):
-        return lattice.StepProfile(kind, limit, profile.table[: limit + 1])
+        table = {lattice._table_name(kind): profile.table[: limit + 1]}
+        return lattice.StepProfile(kind, arith.ArithTables(limit, **table))
 
     for T in (1.0, 10.0, 100.0, 150.5):
         block = laplace.block_size(T)

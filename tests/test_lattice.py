@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -173,17 +174,33 @@ def test_mean_square_sieve_scale_oracle(monkeypatch, tables_1m, circle_1m):
             assert abs((mean_square_p(circle_1m, X) - ref) / ref) <= 1e-14, (X, block)
 
 
-def test_step_profile_checks_float64_exactness():
-    def tables(d):
+def test_step_profile_checks_float64_exactness(monkeypatch):
+    # step_profile reads nothing; the first fold raises once a sum it reaches is 2^53, for a
+    # given table and for a streamed one (one entry per segment), and 2^53 - 1 passes
+    def given(d):
         zeros = np.zeros(len(d), dtype=np.int64)
         return arith.ArithTables(limit=len(d) - 1, r=zeros, d=np.array(d, dtype=np.int64),
                                  sigma=zeros)
 
-    prof = step_profile(tables([0, 2**52, 2**52 - 1]), DIVISOR)
-    assert int(prof.table.sum(dtype=np.int64)) == 2**53 - 1
-    assert next(arith._block_sums(prof.table, 0, 2, 2))[1][-1] == 2**53 - 1   # the cast is exact
-    with pytest.raises(CapacityError, match=r"2\^53"):
-        step_profile(tables([0, 2**52, 2**52]), DIVISOR)
+    def streamed(d):
+        values = np.array(d, dtype=np.int64)
+        monkeypatch.setattr(arith, "_segments",
+                            lambda name, N: ((lo, values[lo:lo + 1]) for lo in range(N + 1)))
+        return arith.ArithTables(limit=len(d) - 1)
+
+    main = 2 * (math.log(2) + 2 * EULER_GAMMA - 1) + 0.25
+    for tables in (given, streamed):
+        prof = step_profile(tables([0, 2**52, 2**52 - 1]), DIVISOR)
+        assert next(arith._block_sums(prof._segments(2), 0, 2, 2))[1][-1] == 2**53 - 1   # exact
+        expect = 2**53 - 1 - (2**52 - 1) / 2 - main   # the final term halved at x = 2
+        assert error_term(prof, 2.0) == pointwise_report(prof, 2.0, samples=1).rows[0].value \
+            == expect
+        prof = step_profile(tables([0, 2**52, 2**52]), DIVISOR)   # no fold yet, so no raise
+        assert error_term(prof, 1.5) == 2**52 - 1.5 * (math.log(1.5) + 2 * EULER_GAMMA - 1) - 0.25
+        for fold in (lambda: pointwise_report(prof, 2.0, samples=1), lambda: error_term(prof, 2.0)):
+            with pytest.raises(CapacityError, match=r"2\^53"):
+                fold()
+        assert ("d" in vars(prof.tables)) == (tables is given)   # the stream kept no table
 
 
 def test_mean_square_monotone_and_additive(circle_4k):
@@ -302,7 +319,7 @@ def _tied_profile(monkeypatch, d):
             main[n == m] = sums[m] - 20.0
         return main
     monkeypatch.setattr(lattice, "divisor_main", tied_main)
-    return lattice.StepProfile(kind=DIVISOR, limit=200, table=d[:201])
+    return lattice.StepProfile(kind=DIVISOR, tables=arith.ArithTables(200, d=d[:201]))
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -328,10 +345,11 @@ def test_block_sums_and_error_term_across_block_edges(monkeypatch, circle_4k, di
         ref = partial_sums(profile.table)
         ranges = [(lo, hi) for lo in (0, 1, 5, *edges) for hi in (lo + 1, *edges, 200) if hi > lo]
         ranges += [(profile.limit - 2, profile.limit), (5, profile.limit)]   # a head near the end
-        for lo, hi in ranges:
+        pieces = [(a, profile.table[a:a + 5]) for a in range(0, profile.limit + 1, 5)]
+        for (lo, hi), segments in itertools.product(ranges, ([(0, profile.table)], pieces)):
             # the fold reuses its buffers, so each block is copied before the next
             blocks = [(n.copy(), S.copy()) for n, S in
-                      arith._block_sums(profile.table, lo, hi, arith._BLOCK)]
+                      arith._block_sums(segments, lo, hi, arith._BLOCK)]
             assert [n[0] for n, _ in blocks] == list(range(lo, hi, block)), (lo, hi)
             for n, S in blocks:   # S(a), ..., S(b): the block [a, b) and its right edge
                 a = int(n[0])
@@ -372,3 +390,47 @@ def test_step_profile_structure(tables_4k):
     assert prof.jump(5) == 8
     with pytest.raises(ValueError):
         step_profile(tables_4k, "unknown")
+
+
+def _same_readers(streamed, table, x_maxes):
+    """pointwise_report, mean_square_p, error_term and error_at_jumps of two profiles of one
+    f, compared with ==, at each x_max, with samples 1 and 64, integer and fractional x."""
+    for x_max in x_maxes:
+        for samples in (1, 64):
+            assert pointwise_report(streamed, x_max, samples) == \
+                pointwise_report(table, x_max, samples), (x_max, samples)
+        assert error_term(streamed, x_max) == error_term(table, x_max), x_max
+        if streamed.kind == CIRCLE:
+            assert mean_square_p(streamed, x_max) == mean_square_p(table, x_max), x_max
+        hi = int(x_max)
+        for lo in {1, min(2, hi), hi // 2 + 1, hi}:
+            for a, b in zip(lattice.error_at_jumps(streamed, lo, hi),
+                            lattice.error_at_jumps(table, lo, hi)):
+                assert np.array_equal(a, b), (lo, hi)
+
+
+@pytest.mark.parametrize("kind", [CIRCLE, DIVISOR])
+def test_streamed_profile_equals_the_table_profile(monkeypatch, kind):
+    # coprime segment and block sizes, so blocks start inside segments and span several;
+    # x_max at every kind of edge, one either side and halfway past it
+    monkeypatch.setattr(arith, "_R_SEGMENT", 11)
+    monkeypatch.setattr(arith, "_SEGMENT", 13)
+    monkeypatch.setattr(arith, "_BLOCK", 7)
+    N = 400
+    tables = arith.build_tables(N)
+    streamed = step_profile(tables, kind)
+    table = step_profile(arith.ArithTables(N, r=arith._r_sieve(N), d=arith._d_sieve(N)), kind)
+    edges = {k * size + e for size in (7, 11, 13) for k in (1, 2, 5, 23) for e in (-1, 0, 0.5, 1)}
+    _same_readers(streamed, table, sorted(x for x in edges | {1, 1.5, 2, N - 0.5, N} if x <= N))
+    assert "r" not in vars(tables) and "d" not in vars(tables)   # no reader built a table
+
+
+@pytest.mark.parametrize("kind", [CIRCLE, DIVISOR])
+def test_streamed_profile_equals_the_table_profile_at_scale(kind):
+    # the real sizes: r's 2^15-entry segments inside 2^16-entry blocks, d in one segment
+    N = 2 * arith._BLOCK + 3
+    tables = arith.build_tables(N)
+    streamed = step_profile(tables, kind)
+    table = step_profile(arith.ArithTables(N, r=arith._r_sieve(N), d=arith._d_sieve(N)), kind)
+    _same_readers(streamed, table, [arith._BLOCK - 0.5, arith._BLOCK + 1, N - 0.25, N])
+    assert "r" not in vars(tables) and "d" not in vars(tables)
