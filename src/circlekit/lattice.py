@@ -129,9 +129,15 @@ def p_gauss_oracle(x: float) -> float:
     return count - math.pi * x + 1.0
 
 
-def divisor_main(x: np.ndarray) -> np.ndarray:
-    """Vectorised divisor main term x (log x + 2 gamma - 1) + 1/4."""
-    return x * (np.log(x) + 2.0 * EULER_GAMMA - 1.0) + 0.25
+def divisor_main(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorised divisor main term x (log x + 2 gamma - 1) + 1/4, into out when given:
+    the same float operations, in the same order, either way."""
+    out = np.log(x, out=out)
+    out += 2.0 * EULER_GAMMA
+    out -= 1.0
+    out *= x
+    out += 0.25
+    return out
 
 
 def mean_square_p(profile: StepProfile, X: float) -> float:
@@ -184,10 +190,20 @@ class PointwiseReport:
     max_ratio_huxley: float
 
 
-def _jump_maxima(kind: str, n: np.ndarray, S: np.ndarray):
-    """`error_at_jumps` at n = lo..hi from the sums S = S(lo-1), ..., S(hi)."""
-    main = np.pi * n - 1.0 if kind == CIRCLE else divisor_main(n)
-    return n, np.maximum(np.abs(S[:-1] - main), np.abs(S[1:] - main))
+def _jump_maxima(kind: str, n: np.ndarray, S: np.ndarray, main=None, out=None) -> np.ndarray:
+    """`error_at_jumps`' values at n = lo..hi from the sums S = S(lo-1), ..., S(hi), in
+    three array ops after the main term m(n), written into main and out (fresh arrays when
+    not given).  f >= 0, so S(n-1) <= S(n), and max(|S(n-1) - m|, |S(n) - m|) equals
+    max(S(n) - m, m - S(n-1)) bit for bit: fl(m - s) = -fl(s - m), and rounding is monotone,
+    so at most one of the two differences is negative, and the other is the larger |.|."""
+    if kind == CIRCLE:
+        main = np.multiply(n, np.pi, out=main)
+        main -= 1.0
+    else:
+        main = divisor_main(n, out=main)
+    out = np.subtract(S[1:], main, out=out)
+    np.subtract(main, S[:-1], out=main)
+    return np.maximum(out, main, out=out)
 
 
 def error_at_jumps(profile: StepProfile, lo: int, hi: int):
@@ -196,16 +212,47 @@ def error_at_jumps(profile: StepProfile, lo: int, hi: int):
     The left limit is S(n-1) - main(n) and the right S(n) - main(n), with
     main(n) = pi n - 1 for CIRCLE and `divisor_main` for DIVISOR; the extremes
     of the error term live at these limits.  Needs 1 <= lo <= hi <= limit.
+    Both arrays are fresh.  With no table built, each call sieves f from 0 up to hi, so a
+    caller reading many ranges should build the table first (read `profile.table`).
     """
     if not 1 <= lo <= hi <= profile.limit:
         raise ValueError(f"[{lo}, {hi}] outside profile domain [1, {profile.limit}]")
     n, S = next(arith._block_sums(profile._segments(hi), lo - 1, hi, hi - lo + 1))
-    return _jump_maxima(profile.kind, n[1:], S)
+    return n[1:], _jump_maxima(profile.kind, n[1:], S)
+
+
+def _ratio_max(M: float, v: np.ndarray, n: np.ndarray, p: float, scratch: np.ndarray) -> float:
+    """max(M, max(v / n**p)) for v >= 0 at ascending n >= 1, each v / n**p formed as over
+    the whole array but only at the candidates v > t, t = M n[0]**p (1 - 2^-20) in float64;
+    when every entry is one (as with M <= 0, in the first block), in scratch, n's size.
+
+    No other entry can raise M.  With M <= 0, t <= 0: every v > 0 is a candidate, and a
+    ratio 0 does not exceed M.  With M > 0, an entry's computed ratio is
+    v / (n^p (1 + e1)) (1 + e2), e1 the error of pow and e2 of the divide; if it exceeds
+    M, then v > M n^p (1 + e1) / (1 + e2) >= M n[0]^p (1 + e1) / (1 + e2), as n >= n[0].
+    And t = M n[0]^p (1 + e3)(1 + e4)(1 + e5)(1 - 2^-20), e3 the error of pow at n[0] and
+    e4, e5 of the two products.  Each |e| is a few ulps, far below 2^-40, so t is the
+    smaller and the entry a candidate.  Past the first block few entries are: 57 and 7 of
+    the 10^7 jumps of r, for p = 1/4 and 23/73, and 29 and 15 of d's."""
+    c = v > M * float(n[0]) ** p * (1.0 - 2.0**-20)
+    if c.all():
+        ratio = np.divide(v, np.power(n, p, out=scratch), out=scratch)
+    elif c.any():
+        ratio = v[c] / n[c] ** p
+    else:
+        return M
+    return max(M, float(ratio.max()))
 
 
 def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> PointwiseReport:
     """Sample the error term at `samples` points log-spaced over [1, x_max], or at x_max
-    alone for one sample, and report the extremal ratios up to x_max."""
+    alone for one sample, and report the extremal ratios up to x_max.
+
+    The jumps are folded block by block from `arith._block_sums`: `_jump_maxima` writes each
+    block's main term and |error| into two buffers allocated once, and the two ratio maxima
+    divide by a power of n only at `_ratio_max`'s candidates, so a block costs a few array
+    ops and allocates no block-sized array.  Every maximum is the one over the whole
+    range, bit for bit."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 1 <= x_max <= profile.limit:   # nan fails too
@@ -218,17 +265,20 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
     max_abs = argmax = max_ratio_quarter = max_ratio_huxley = -1.0
     values = []
     nf = int(math.floor(x_max))
+    main, absval = np.empty((2, min(nf, arith._BLOCK)))
     for n, S in arith._block_sums(profile._segments(nf), 0, nf, arith._BLOCK):
         a, b = int(n[0]), int(n[-1])
         while len(values) < samples and int(xs[len(values)]) <= b:
             x = float(xs[len(values)])
             values.append(_error_from_sums(profile.kind, x, S, int(x) - a))
-        n, absval = _jump_maxima(profile.kind, n[1:], S)
-        i = int(np.argmax(absval))
-        if absval[i] > max_abs:
-            max_abs, argmax = float(absval[i]), float(n[i])
-        max_ratio_quarter = max(max_ratio_quarter, float((absval / n**0.25).max()))
-        max_ratio_huxley = max(max_ratio_huxley, float((absval / n ** (23.0 / 73.0)).max()))
+        n = n[1:]
+        scratch = main[:n.size]   # the main term, spent once v is formed, then the ratios'
+        v = _jump_maxima(profile.kind, n, S, scratch, absval[:n.size])
+        i = int(np.argmax(v))
+        if v[i] > max_abs:
+            max_abs, argmax = float(v[i]), float(n[i])
+        max_ratio_quarter = _ratio_max(max_ratio_quarter, v, n, 0.25, scratch)
+        max_ratio_huxley = _ratio_max(max_ratio_huxley, v, n, 23.0 / 73.0, scratch)
     # the sampled rows join the maxima after the jumps: at a non-integer x_max the last
     # sample lies past the last jump, where |error| can exceed every one-sided limit
     rows = []

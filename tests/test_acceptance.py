@@ -225,6 +225,7 @@ def test_acc06c_proven_truncation_envelopes_at_1e7(circle_10m, divisor_10m):
     t0 = time.perf_counter()
     (c, c0), (cd, cd0) = (laplace._ENVELOPES[k] for k in (lattice.CIRCLE, lattice.DIVISOR))
     chunks, sums = [], partial_sums(divisor_10m.table)
+    circle_10m.table   # built once: each chunk would otherwise re-sieve r from 0
     for lo in range(1, 10**7, 10**6):   # chunked to bound the temporaries
         n, p_abs = lattice.error_at_jumps(circle_10m, lo, lo + 10**6 - 1)
         root = np.sqrt(n)

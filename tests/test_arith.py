@@ -223,6 +223,30 @@ def test_r_and_sigma_sieves_match_oracles_at_segment_edges(name):
         assert got.dtype == expected.dtype and np.array_equal(got, expected), N
 
 
+def test_sigma_ramp_views_and_pair_runs_match_the_weights_sieve(monkeypatch):
+    # segments of 64 and runs of at most 7, so one segment adds some runs as views of the
+    # ramp and others through the pair buffer, and some N have a run that ends exactly at
+    # the ramp's end (k1 + delta == ramp.size); table and stream against the weights form
+    monkeypatch.setattr(arith, "_SEGMENT", 64)
+    monkeypatch.setattr(arith, "_BLOCK", 7)
+    both, at_end = set(), set()
+    kernel = arith._sigma_segment
+
+    def spy(lo, hi, out, ramp, pair):
+        ends = {k1 + delta - ramp.size for delta, k0, k1 in arith._segment_runs(lo, hi)}
+        if ends and min(ends) <= 0 < max(ends):
+            both.add(N)
+        if 0 in ends:
+            at_end.add(N)
+        kernel(lo, hi, out, ramp, pair)
+    monkeypatch.setattr(arith, "_sigma_segment", spy)
+    for N in range(1, 400):
+        expected = arith._divisor_sieve(np.arange(N + 1))
+        assert np.array_equal(arith._sigma_sieve(N), expected), N
+        assert np.array_equal(_streamed("sigma", N), expected), N
+    assert len(both) > 100 and len(at_end) > 10, (len(both), len(at_end))
+
+
 def test_int64_scratch_equals_int32(monkeypatch):
     # the int64 paths serve N past ~1.1e8 (sigma) and 2^31 (r); a lowered limit takes them here
     N = 2 * arith._R_SEGMENT + 5
@@ -278,8 +302,9 @@ def test_sigma_bound_on_the_table_and_its_int32_crossing(tables_1m):
 
 
 def test_sieve_scratch_memory_is_bounded():
-    # d needs its own table only; sigma its table, its int32 segment buffer and two
-    # _BLOCK-entry buffers; r its table and one segment's pair arrays and counts
+    # d needs its own table only; sigma its table, its int32 segment buffer, a ramp of
+    # _BLOCK + sqrt(N) entries and a _BLOCK-entry pair buffer; r its table and one
+    # segment's pair arrays and counts
     N = 10**6
     assert traced_peak(lambda: arith.build_tables(N).d) <= 4 * N + 0.1 * 2**20
     assert traced_peak(lambda: arith.build_tables(N).sigma) <= 8 * N + 3 * 2**20

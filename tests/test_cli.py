@@ -240,12 +240,17 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
         raise MemoryError
     monkeypatch.setattr(arith, failing, out_of_memory)
     N = int(float(argv[-1]))   # each argv ends with the sieve limit
-    needed = {1000: "~0 MiB", 10**7: "~38 MiB"}[N]   # (N + 1) * 4 B of the int32 r or d alone
+    if failing == "_r_sieve":   # a table fill names the (N + 1) * 4 B of the int32 r table
+        message = f"cannot allocate sieve tables for N={N} (~0 MiB needed)"
+    else:   # a stream names its own buffers: the int32 segment, sigma's ramp and pair too
+        name = failing[1:].removesuffix("_segment")
+        kib = {("r", 1000): 3, ("r", 10**7): 128, ("d", 1000): 3, ("sigma", 1000): 11}[name, N]
+        message = (f"cannot allocate the streamed {name} sieve's buffers for N={N} "
+                   f"(~{kib} KiB needed)")
     if argv[0] == "error-term":
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     assert run(argv) == 3
-    assert (f"capacity error: cannot allocate sieve tables for N={N} ({needed} needed)"
-            in capsys.readouterr().err)
+    assert f"capacity error: {message}\n" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from circlekit import arith, lattice
 from circlekit.errors import CapacityError
-from conftest import partial_sums, traced_peak
+from conftest import LIMIT_1M, partial_sums, traced_peak
 from circlekit.lattice import (
     CIRCLE,
     DIVISOR,
@@ -265,6 +265,54 @@ def test_error_at_jumps_interior_range(tables_4k, kind):
         lattice.error_at_jumps(profile, lo, profile.limit + 1)
 
 
+def _two_abs_jump_maxima(kind, n, S):
+    """max(|S(n-1) - m|, |S(n) - m|) in the five ops that `lattice._jump_maxima` replaced:
+    its oracle."""
+    main = np.pi * n - 1.0 if kind == CIRCLE else lattice.divisor_main(n)
+    return np.maximum(np.abs(S[:-1] - main), np.abs(S[1:] - main))
+
+
+@pytest.mark.parametrize("kind", [CIRCLE, DIVISOR])
+def test_jump_maxima_equal_the_two_abs_form(tables_4k, kind):
+    # bit for bit, through error_at_jumps on a table and on a stream, and straight on sums
+    # with long runs of f = 0 (r has pairs of zeros at 3 mod 4; d none past 0), into fresh
+    # arrays and into reused buffers
+    ref = partial_sums(step_profile(tables_4k, kind).table).astype(np.float64)
+    for profile in (step_profile(tables_4k, kind), step_profile(arith.build_tables(4000), kind)):
+        for lo, hi in [(1, 4000), (1, 1), (6, 7), (1000, 1100), (3999, 4000)]:
+            n, v = lattice.error_at_jumps(profile, lo, hi)
+            assert v.tobytes() == _two_abs_jump_maxima(kind, n, ref[lo - 1:hi + 1]).tobytes()
+    rng = np.random.default_rng(1)
+    f = rng.integers(0, 40, 5000) * (rng.random(5000) < 0.3)   # mostly 0, and 1000 zeros
+    f[1000:2000] = 0
+    for scale in (1, 2**40):   # sums near the main term, and far above it
+        S = np.cumsum(f * scale).astype(np.float64)
+        n = np.arange(1.0, S.size)
+        main, out = np.empty((2, n.size))
+        assert lattice._jump_maxima(kind, n, S).tobytes() == \
+            lattice._jump_maxima(kind, n, S, main, out).tobytes() == \
+            _two_abs_jump_maxima(kind, n, S).tobytes(), scale
+
+
+@pytest.mark.parametrize("p", [0.25, 23.0 / 73.0])
+def test_ratio_max_equals_the_whole_array_maximum(p):
+    # M at and one ulp either side of the block's largest ratios, and random, so candidates
+    # sit on both sides of the threshold; at n0 = 2^40 the powers of n differ from n0's by
+    # far less than the 2^-20 margin; M <= 0 takes every entry
+    rng = np.random.default_rng(2)
+    for n0 in (1.0, 1000.0, 2.0**40):
+        n = n0 + np.arange(64.0)
+        v = rng.random(64) * n**p
+        v[rng.random(64) < 0.2] = 0.0
+        ratios = v / n**p
+        top = np.sort(ratios)[-3:]
+        Ms = [-1.0, 0.0, *top, *rng.random(3)]
+        Ms += [np.nextafter(M, s) for M in top for s in (-np.inf, np.inf)]
+        for M in map(float, Ms):
+            got = lattice._ratio_max(M, v, n, p, np.empty(64))
+            assert got == max(M, float(ratios.max())), (n0, M)
+
+
 def _whole_range_maxima(profile, x_max):
     """The report's four maxima from one error_at_jumps call over 1..floor(x_max),
     then from |error| at the report's 3 sample points, first maximiser kept."""
@@ -313,8 +361,8 @@ def _tied_profile(monkeypatch, d):
     limit is exactly 20 and the left 20 - d(n)."""
     sums, divisor_main = partial_sums(d[:201]), lattice.divisor_main
 
-    def tied_main(n):
-        main = divisor_main(n)
+    def tied_main(n, out=None):
+        main = divisor_main(n, out)
         for m in (100, 150):
             main[n == m] = sums[m] - 20.0
         return main
@@ -367,10 +415,13 @@ def test_block_sums_and_error_term_across_block_edges(monkeypatch, circle_4k, di
 
 def test_folded_report_equals_whole_range_maxima_at_scale(circle_1m, divisor_1m):
     block = arith._BLOCK
-    for profile in (circle_1m, divisor_1m):
+    streamed = arith.build_tables(LIMIT_1M)   # no table: both sides fold the sieve's segments
+    profiles = [step_profile(streamed, kind) for kind in (CIRCLE, DIVISOR)]
+    for profile in (circle_1m, divisor_1m, *profiles):
         for x_max in (block - 0.5, block, block + 1.5, 7 * block + 0.25, 10**6, profile.limit):
             assert _report_maxima(profile, x_max) == _whole_range_maxima(profile, x_max), \
                 (profile.kind, x_max)
+    assert "r" not in vars(streamed) and "d" not in vars(streamed)
 
 
 def test_profile_and_report_scratch_memory_is_bounded(tables_1m, circle_1m):
