@@ -181,7 +181,8 @@ def _segments(name: str, N: int, table: np.ndarray | None = None):
     table, each segment is also left in table[lo:hi] (r and d are sieved straight into it,
     sigma's int32 segment is copied).  Tables and streams take this one path, so both keep
     the int32 guard and name N in the CapacityError of a failed allocation: the table's
-    size when filling one, else the stream's own buffers."""
+    size when filling one, else the size of the stream's segment buffers, which its kernel's
+    per-segment scratch comes on top of."""
     size = _R_SEGMENT if name == "r" else _SEGMENT
     dtype = _sigma_dtype(N) if name == "sigma" else _DTYPES[name]
     ramp_size = pair_size = 0   # sigma's ramp and pair buffer (see _sigma_segment)
@@ -209,9 +210,10 @@ def _segments(name: str, N: int, table: np.ndarray | None = None):
     except MemoryError as exc:
         if table is not None:
             raise _capacity_error(N, _DTYPES[name]) from exc
-        need = (min(N + 1, size) + ramp_size + pair_size) * np.dtype(dtype).itemsize
-        raise CapacityError(f"cannot allocate the streamed {name} sieve's buffers for N={N} "
-                            f"(~{need >> 10} KiB needed)", required_limit=N) from exc
+        kib = (min(N + 1, size) + ramp_size + pair_size) * np.dtype(dtype).itemsize >> 10
+        raise CapacityError(f"cannot allocate the streamed {name} sieve for N={N} (~{kib} KiB "
+                            f"of segment buffers, plus the kernel's scratch)",
+                            required_limit=N) from exc
 
 
 def _filled(name: str, N: int) -> np.ndarray:

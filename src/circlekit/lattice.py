@@ -129,15 +129,9 @@ def p_gauss_oracle(x: float) -> float:
     return count - math.pi * x + 1.0
 
 
-def divisor_main(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Vectorised divisor main term x (log x + 2 gamma - 1) + 1/4, into out when given:
-    the same float operations, in the same order, either way."""
-    out = np.log(x, out=out)
-    out += 2.0 * EULER_GAMMA
-    out -= 1.0
-    out *= x
-    out += 0.25
-    return out
+def divisor_main(x: np.ndarray) -> np.ndarray:
+    """Vectorised divisor main term x (log x + 2 gamma - 1) + 1/4."""
+    return x * (np.log(x) + 2.0 * EULER_GAMMA - 1.0) + 0.25
 
 
 def mean_square_p(profile: StepProfile, X: float) -> float:
@@ -192,15 +186,16 @@ class PointwiseReport:
 
 def _jump_maxima(kind: str, n: np.ndarray, S: np.ndarray, main=None, out=None) -> np.ndarray:
     """`error_at_jumps`' values at n = lo..hi from the sums S = S(lo-1), ..., S(hi), in
-    three array ops after the main term m(n), written into main and out (fresh arrays when
-    not given).  f >= 0, so S(n-1) <= S(n), and max(|S(n-1) - m|, |S(n) - m|) equals
-    max(S(n) - m, m - S(n-1)) bit for bit: fl(m - s) = -fl(s - m), and rounding is monotone,
-    so at most one of the two differences is negative, and the other is the larger |.|."""
+    three array ops after the main term m(n), written into out and, for CIRCLE, main (fresh
+    arrays when not given; DIVISOR's m is `divisor_main`'s fresh array).  f >= 0, so
+    S(n-1) <= S(n), and max(|S(n-1) - m|, |S(n) - m|) equals max(S(n) - m, m - S(n-1)) bit
+    for bit: fl(m - s) = -fl(s - m), and rounding is monotone, so at most one of the two
+    differences is negative, and the other is the larger |.|."""
     if kind == CIRCLE:
         main = np.multiply(n, np.pi, out=main)
         main -= 1.0
     else:
-        main = divisor_main(n, out=main)
+        main = divisor_main(n)
     out = np.subtract(S[1:], main, out=out)
     np.subtract(main, S[:-1], out=main)
     return np.maximum(out, main, out=out)
@@ -249,10 +244,10 @@ def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> Pointw
     alone for one sample, and report the extremal ratios up to x_max.
 
     The jumps are folded block by block from `arith._block_sums`: `_jump_maxima` writes each
-    block's main term and |error| into two buffers allocated once, and the two ratio maxima
-    divide by a power of n only at `_ratio_max`'s candidates, so a block costs a few array
-    ops and allocates no block-sized array.  Every maximum is the one over the whole
-    range, bit for bit."""
+    block's |error| (and CIRCLE's main term) into two buffers allocated once, and the two
+    ratio maxima divide by a power of n only at `_ratio_max`'s candidates, so a CIRCLE block
+    costs a few array ops and allocates no block-sized array; a DIVISOR block allocates the
+    ones `divisor_main` forms.  Every maximum is the one over the whole range, bit for bit."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 1 <= x_max <= profile.limit:   # nan fails too

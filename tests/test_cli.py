@@ -242,11 +242,11 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
     N = int(float(argv[-1]))   # each argv ends with the sieve limit
     if failing == "_r_sieve":   # a table fill names the (N + 1) * 4 B of the int32 r table
         message = f"cannot allocate sieve tables for N={N} (~0 MiB needed)"
-    else:   # a stream names its own buffers: the int32 segment, sigma's ramp and pair too
+    else:   # a stream names its segment buffers: the int32 segment, sigma's ramp and pair too
         name = failing[1:].removesuffix("_segment")
         kib = {("r", 1000): 3, ("r", 10**7): 128, ("d", 1000): 3, ("sigma", 1000): 11}[name, N]
-        message = (f"cannot allocate the streamed {name} sieve's buffers for N={N} "
-                   f"(~{kib} KiB needed)")
+        message = (f"cannot allocate the streamed {name} sieve for N={N} "
+                   f"(~{kib} KiB of segment buffers, plus the kernel's scratch)")
     if argv[0] == "error-term":
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     assert run(argv) == 3

@@ -361,8 +361,8 @@ def _tied_profile(monkeypatch, d):
     limit is exactly 20 and the left 20 - d(n)."""
     sums, divisor_main = partial_sums(d[:201]), lattice.divisor_main
 
-    def tied_main(n, out=None):
-        main = divisor_main(n, out)
+    def tied_main(n):
+        main = divisor_main(n)
         for m in (100, 150):
             main[n == m] = sums[m] - 20.0
         return main
