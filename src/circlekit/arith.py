@@ -167,11 +167,11 @@ def _sieved(N: int, name: str, sieve) -> np.ndarray:
 
 
 def _capacity_error(N: int, dtype) -> CapacityError:
-    """Names the (N + 1) entries of the one dtype table being sieved, in integer MiB
-    (a float overflows past N ~ 1e302)."""
-    need = (N + 1) * np.dtype(dtype).itemsize
+    """Names the (N + 1) entries of the one dtype table being sieved, in KiB rounded up,
+    so a small table never reads 0 (integers: a float overflows past N ~ 1e302)."""
+    kib = -(-(N + 1) * np.dtype(dtype).itemsize // 1024)
     return CapacityError(f"cannot allocate sieve tables for N={N} "
-                         f"(~{need >> 20} MiB needed)", required_limit=N)
+                         f"(~{kib} KiB needed)", required_limit=N)
 
 
 def _segments(name: str, N: int, table: np.ndarray | None = None):
@@ -210,7 +210,7 @@ def _segments(name: str, N: int, table: np.ndarray | None = None):
     except MemoryError as exc:
         if table is not None:
             raise _capacity_error(N, _DTYPES[name]) from exc
-        kib = (min(N + 1, size) + ramp_size + pair_size) * np.dtype(dtype).itemsize >> 10
+        kib = -(-(min(N + 1, size) + ramp_size + pair_size) * np.dtype(dtype).itemsize // 1024)
         raise CapacityError(f"cannot allocate the streamed {name} sieve for N={N} (~{kib} KiB "
                             f"of segment buffers, plus the kernel's scratch)",
                             required_limit=N) from exc

@@ -28,7 +28,8 @@ Float rounding is not bounded yet (ROADMAP item 7).
 
 Truncation policy: integrate whole blocks of `block_size(T)` unit intervals
 until, at a block edge x_max, the tail bound `_tail_bound` drops below
-rel_tol times the running total.  `stop_edge` owns that rule.  The bound
+rel_tol times the running total.  `stop_edge` owns that rule; as the bound
+falls from edge to edge, a scan tests only the edge it has reached.  The bound
 integrates a proven envelope |error(x)| <= c sqrt(x) + c0 (x >= 1, both
 one-sided limits, `_ENVELOPES`) over [x_max, infty), so the reported
 truncation_bound is a theorem, not an extrapolation of checked values.  A
@@ -39,9 +40,13 @@ rel_tol, and the `laplace` command derives it from `stop_edge` rather than
 asking.
 
 Interval sums are chunked and reduced in a fixed ascending order, so runs
-are bit-reproducible in a given build.  The functions may run in several
-threads at once: each 40-digit step enters its own `decimal` context, and
-decimal contexts are per thread.
+are bit-reproducible in a given build, and the order is part of the value.
+`laplace_d2` adds a row's p^T H p left to right, column by column, only while
+the row has at most 7 columns: numpy's axis-1 reduce takes that order for so
+short a row, and its 8-way pairwise order for wider ones, which keep np.sum.
+Each chunk's terms are then summed by one np.sum.  The functions may run in
+several threads at once: each 40-digit step enters its own `decimal` context,
+and decimal contexts are per thread.
 """
 
 from __future__ import annotations
@@ -239,10 +244,13 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
     edge at which `stop_edge` stops the running total.
 
     block_fn returns the block's integral as a float.  Returns (total,
-    truncation_bound).  A profile that ends before the stop raises
-    CapacityError naming a block edge that suffices; the block it cuts
-    short only raises the running total that names the edge, never a
-    returned value.
+    truncation_bound).  Each edge x is tested alone, `_tail_bound` at x against
+    rel_tol times the total: the bound falls strictly from edge to edge until it
+    is 0, so that stops where `stop_edge`'s search from the first edge stops.  A
+    scan that has not stopped by `stop_edge`'s last edge never stops, and raises
+    its CapacityError; so does a profile that ends before the stop, or it names
+    a block edge that suffices.  The block a profile cuts short only raises the
+    running total that names the edge, never a returned value.
     """
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
@@ -254,8 +262,11 @@ def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, bloc
         x, total = int(n[0]) + block, math.fsum(pieces)
         if x > profile.limit:   # the profile cut this block short
             break
-        if stop_edge(profile.kind, T, rel_tol, total) <= x:
-            return total, _tail_bound(profile.kind, T, x)
+        bound = _tail_bound(profile.kind, T, x)
+        if bound < rel_tol * total:
+            return total, bound
+        if x >= _LAST_BLOCK * block:   # exp(-n/T) is 0.0 from here: no later block adds to the total
+            break
     need = max(x, stop_edge(profile.kind, T, rel_tol, total))
     raise CapacityError(
         f"profile limit {profile.limit} too small for T={T} at rel_tol={rel_tol}; "
@@ -355,15 +366,28 @@ def _first_interval(T: float) -> float:
                               + (J(j + 1, 1) + a * J(j + 1, 0)) / 2 + J(j, 0) / 16))
 
 
-def _taylor_coefficients(n, D, K: int) -> np.ndarray:
+def _taylor_coefficients(n, D, p: np.ndarray) -> np.ndarray:
     """p, one row per n, with Delta(c + u) = sum_{k<=K} p_k u^k on [n, n+1) to
     within `_taylor_remainder`: about c = n + 1/2, main^(k) = (-1)^k (k-2)!/x^(k-1)
     for k >= 2 gives Delta(c + u) = (D - main(c)) - u (log c + 2 gamma)
-    - sum_{k>=2} (-1)^k u^k / (k (k-1) c^(k-1)), D the step value on [n, n+1)."""
+    - sum_{k>=2} (-1)^k u^k / (k (k-1) c^(k-1)), D the step value on [n, n+1).
+    Written into p, whose width is K + 1, one column at a time: each is formed in
+    one contiguous scratch array by exactly the operations of `divisor_main` and
+    of the expressions above, log c + 2 gamma once for p_0 and p_1, so its bits
+    are theirs, with no per-column arrays."""
     c = n + 0.5
-    cols = [D - divisor_main(c), -(np.log(c) + 2.0 * EULER_GAMMA)]
-    cols += [-((-1.0) ** k) / (k * (k - 1) * c ** (k - 1)) for k in range(2, K + 1)]
-    return np.stack(cols, axis=-1)
+    t = np.empty_like(c)
+    L = np.log(c) + 2.0 * EULER_GAMMA
+    np.negative(L, out=p[..., 1])
+    np.subtract(L, 1.0, out=t)   # divisor_main(c) = c (L - 1) + 1/4
+    t *= c
+    t += 0.25
+    np.subtract(D, t, out=p[..., 0])
+    for k in range(2, p.shape[-1]):
+        np.power(c, k - 1, out=t)
+        t *= k * (k - 1)
+        np.divide(-((-1.0) ** k), t, out=p[..., k])
+    return p
 
 
 def _taylor_remainder(n, K: int):
@@ -379,11 +403,28 @@ def _taylor_order(n: int) -> int:
     return next(K for K in range(1, 64) if _taylor_remainder(n, K) <= 2.0**-60)
 
 
-def _taylor_certificate(n, p: np.ndarray, T: float):
-    """exp(-n/T) R (2 sum |p_k| 2^-k + R) >= int |Delta^2 - Delta_K^2| exp(-x/T)
-    over [n, n+1), as |Delta - Delta_K| <= R and |Delta_K| <= sum |p_k| 2^-k."""
-    R = _taylor_remainder(n, p.shape[-1] - 1)
-    return np.exp(-n / T) * R * (2.0 * (np.abs(p) @ 0.5 ** np.arange(p.shape[-1])) + R)
+def _taylor_certificate(n, abs_p: np.ndarray, decay):
+    """decay R (2 sum |p_k| 2^-k + R) >= int |Delta^2 - Delta_K^2| exp(-x/T) over
+    [n, n+1), abs_p = |p| and decay = exp(-n/T), as |Delta - Delta_K| <= R and
+    |Delta_K| <= sum |p_k| 2^-k."""
+    R = _taylor_remainder(n, abs_p.shape[-1] - 1)
+    return decay * R * (2.0 * (abs_p @ 0.5 ** np.arange(abs_p.shape[-1])) + R)
+
+
+def _quadratic_forms(p: np.ndarray, H: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p_i^T H p_i for each row p_i, bit for bit np.sum((p @ H) * p, axis=1), with q,
+    shaped like p, overwritten by (p @ H) * p.  numpy reduces a row of fewer than 8
+    doubles left to right, so rows of up to 7 columns are added that way, column by
+    column, which skips the ~24 ns per row of an axis-1 reduce; wider rows keep
+    np.sum, whose 8-way pairwise order column adds would not reproduce."""
+    np.matmul(p, H, out=q)
+    q *= p
+    if q.shape[1] > 7:
+        return np.sum(q, axis=1)
+    s = q[:, 0] + q[:, 1]
+    for j in range(2, q.shape[1]):
+        s += q[:, j]
+    return s
 
 
 def laplace_d2(
@@ -394,10 +435,18 @@ def laplace_d2(
     Integrated like `laplace_p2`: on [n, n+1), n >= 1, Delta is its Taylor
     polynomial p about n + 1/2, of one order per octave [2^m, 2^(m+1)), so
     the interval contributes exp(-n/T) p^T H p with H[i][j] = mu_{i+j} at
-    shift 1/2; [0, 1) is `_first_interval`.  When the certified remainder,
-    `_taylor_certificate` summed over every interval integrated, exceeds
-    _QUAD_SELF_CHECK * max(1, |integral|), it aborts rather than return a
-    silently degraded value.  Float rounding is not covered.
+    shift 1/2; [0, 1) is `_first_interval`.  Each octave's share of a block is
+    one chunk: its p, every row's p^T H p from one matmul (`_quadratic_forms`)
+    and one exp(-n/T) for the value and the certificate.  p and (p @ H) * p are
+    written into two buffers of block (K(block) + 1) doubles, allocated once per
+    call: past the first block a chunk has at most block rows at an order <=
+    K(block), and the first block's octaves fit too (checked for every block up
+    to 2^21).  Fresh ~1 MiB arrays per chunk had glibc hand the heap back and
+    fault it in again, ~18k page faults and ~40% of a T = 32768 scan (2-vCPU
+    VM).  When the certified remainder, `_taylor_certificate` summed over every
+    interval integrated, exceeds _QUAD_SELF_CHECK * max(1, |integral|), it
+    aborts rather than return a silently degraded value.  Float rounding is not
+    covered.
     """
     if profile.kind != DIVISOR:
         raise ValueError("laplace_d2 needs a DIVISOR profile")
@@ -405,6 +454,8 @@ def laplace_d2(
     mu = _moments(T, 2 * k_max, 0.5)
     H = np.array(mu)[np.add.outer(range(k_max + 1), range(k_max + 1))]   # H[i][j] = mu_{i+j}
     errors = []
+    size = block_size(T) * (_taylor_order(block_size(T)) + 1)   # the largest chunk's p
+    buffers = np.empty(size), np.empty(size)   # p and (p @ H) * p of the current chunk
 
     def block(n_all: np.ndarray, S: np.ndarray) -> float:
         a, hi = int(n_all[0]), int(n_all[-1])
@@ -413,9 +464,11 @@ def laplace_d2(
             top = min(hi, 1 << lo.bit_length())   # one order per octave [2^m, 2^(m+1))
             K = _taylor_order(lo)
             n = n_all[lo - a : top - a]
-            p = _taylor_coefficients(n, S[lo - a : top - a], K)
-            value += float(np.sum(np.exp(-n / T) * np.sum((p @ H[: K + 1, : K + 1]) * p, axis=1)))
-            errors.append(float(np.sum(_taylor_certificate(n, p, T))))
+            p, q = (b[: n.size * (K + 1)].reshape(n.size, K + 1) for b in buffers)
+            decay = np.exp(-n / T)
+            _taylor_coefficients(n, S[lo - a : top - a], p)
+            value += float(np.sum(decay * _quadratic_forms(p, H[: K + 1, : K + 1], q)))
+            errors.append(float(np.sum(_taylor_certificate(n, np.abs(p, out=p), decay))))
             lo = top
         return value
 

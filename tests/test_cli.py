@@ -241,10 +241,10 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
     monkeypatch.setattr(arith, failing, out_of_memory)
     N = int(float(argv[-1]))   # each argv ends with the sieve limit
     if failing == "_r_sieve":   # a table fill names the (N + 1) * 4 B of the int32 r table
-        message = f"cannot allocate sieve tables for N={N} (~0 MiB needed)"
+        message = f"cannot allocate sieve tables for N={N} (~4 KiB needed)"   # 4004 B, rounded up
     else:   # a stream names its segment buffers: the int32 segment, sigma's ramp and pair too
         name = failing[1:].removesuffix("_segment")
-        kib = {("r", 1000): 3, ("r", 10**7): 128, ("d", 1000): 3, ("sigma", 1000): 11}[name, N]
+        kib = {("r", 1000): 4, ("r", 10**7): 128, ("d", 1000): 4, ("sigma", 1000): 12}[name, N]
         message = (f"cannot allocate the streamed {name} sieve for N={N} "
                    f"(~{kib} KiB of segment buffers, plus the kernel's scratch)")
     if argv[0] == "error-term":

@@ -1,3 +1,4 @@
+import bisect
 import decimal
 import itertools
 import math
@@ -253,6 +254,39 @@ def test_transform_never_depends_on_the_profile_size(tables_120k, kind, transfor
                 assert got == full, (T, rel_tol, limit)
 
 
+@pytest.mark.parametrize("T", [1.0, 7.5, 64.0, 100.0, 1000.5, 32768.0])
+@pytest.mark.parametrize("kind", [CIRCLE, DIVISOR])
+def test_tail_bound_falls_strictly_from_edge_to_edge(kind, T):
+    # a scan tests only its current edge x against rel_tol times its total; that stops where
+    # stop_edge's search from the first edge stops only while the bound at the edges falls
+    block = laplace.block_size(T)
+    bounds = [laplace._tail_bound(kind, T, k * float(block))
+              for k in range(1, laplace._LAST_BLOCK + 1)]
+    zero = bounds.index(0.0)   # exp(-x/T) underflows by x = 746 T
+    assert all(a > b for a, b in zip(bounds[:zero], bounds[1:zero + 1])), (kind, T)
+    assert set(bounds[zero:]) == {0.0}, (kind, T)
+
+
+def test_every_d2_chunk_fits_its_buffers():
+    # laplace_d2 writes each chunk's p into block (K(block) + 1) doubles: blocks past the
+    # first have at most block rows at order <= K(block); the first block's octave
+    # [lo, min(2 lo, block)) has to fit too, at the higher order K(lo)
+    blocks = np.arange(64, 2**21)
+    order = np.empty(blocks.size, dtype=np.int64)
+    for K in range(laplace._taylor_order(64), laplace._taylor_order(2**21) - 1, -1):
+        # the first block of order <= K, by bisection: _taylor_order falls with n
+        first = 1 + bisect.bisect_left(range(1, 2**21), True,
+                                       key=lambda n: laplace._taylor_order(n) <= K)
+        order[blocks >= first] = K
+    for b in (64, 999, 1000, 1024, 180000, 2**21 - 1):
+        assert order[b - 64] == laplace._taylor_order(b), b
+    size = blocks * (order + 1)
+    for j in range(21):
+        lo = 1 << j
+        rows = np.clip(blocks - lo, 0, lo)
+        assert np.all(rows * (laplace._taylor_order(lo) + 1) <= size), lo
+
+
 def test_laplace_p2_validates_input(circle_4k, divisor_4k):
     with pytest.raises(ValueError):
         laplace_p2(divisor_4k, 10.0)
@@ -357,6 +391,58 @@ def test_quadrature_self_check_compares_both_orders(monkeypatch, divisor_4k):
         laplace_d2(divisor_4k, 10.0)
 
 
+def _reference_d2(profile, T, rel_tol=laplace.DEFAULT_REL_TOL):
+    """laplace_d2 as first written, kept as its oracle: the Taylor columns through np.stack,
+    each row's p^T H p as np.sum(..., axis=1), the certificate with its own exp(-n/T), and
+    `stop_edge` searched from the first edge at every block edge."""
+    k_max = laplace._taylor_order(1)
+    mu = laplace._moments(T, 2 * k_max, 0.5)
+    H = np.array(mu)[np.add.outer(range(k_max + 1), range(k_max + 1))]
+    block = laplace.block_size(T)
+    pieces, errors = [], []
+    for n_all, S in arith._block_sums([(0, profile.table)], 0, profile.limit, block):
+        a, hi = int(n_all[0]), int(n_all[-1])
+        assert hi == a + block, "the profile must reach the stop"
+        value, lo = (laplace._first_interval(T), 1) if a == 0 else (0.0, a)
+        while lo < hi:
+            top = min(hi, 1 << lo.bit_length())
+            K = laplace._taylor_order(lo)
+            n, D = n_all[lo - a : top - a], S[lo - a : top - a]
+            c = n + 0.5
+            cols = [D - lattice.divisor_main(c), -(np.log(c) + 2.0 * lattice.EULER_GAMMA)]
+            cols += [-((-1.0) ** k) / (k * (k - 1) * c ** (k - 1)) for k in range(2, K + 1)]
+            p = np.stack(cols, axis=-1)
+            value += float(np.sum(np.exp(-n / T) * np.sum((p @ H[: K + 1, : K + 1]) * p, axis=1)))
+            R = laplace._taylor_remainder(n, K)
+            errors.append(float(np.sum(
+                np.exp(-n / T) * R * (2.0 * (np.abs(p) @ 0.5 ** np.arange(K + 1)) + R))))
+            lo = top
+        pieces.append(value)
+        total = math.fsum(pieces)
+        if laplace.stop_edge(DIVISOR, T, rel_tol, total) <= hi:
+            assert math.fsum(errors) <= laplace._QUAD_SELF_CHECK * max(1.0, abs(total))
+            return total, laplace._tail_bound(DIVISOR, T, hi)
+    raise AssertionError("the profile must reach the stop")
+
+
+@pytest.mark.parametrize("T", [1.0, 10.0, 16.0, 32.0, 100.0, 1000.5, 4096.0])
+def test_laplace_d2_equals_its_reference_bit_for_bit(divisor_1m, T):
+    # compared on this machine, not against pinned bits: np.exp and np.log round differently
+    # on other CPUs (ROADMAP item 16)
+    assert laplace_d2(divisor_1m, T) == _reference_d2(divisor_1m, T)
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5, 6, 7, 8, 9, 33])
+def test_quadratic_forms_equal_numpys_row_sums(width):
+    # rows of at most 7 columns are added left to right, numpy's own order for rows that
+    # short; wider rows keep np.sum.  Random rows of mixed scale, where the order shows
+    rng = np.random.default_rng(width)
+    p = rng.standard_normal((4099, width)) * 10.0 ** rng.integers(-8, 9, (4099, width))
+    H = rng.standard_normal((width, width))
+    expected = np.sum((p @ H) * p, axis=1)
+    assert np.array_equal(laplace._quadratic_forms(p, H, np.empty_like(p)), expected)
+
+
 @pytest.mark.parametrize("n, D", [(1, 1), (10, 27), (1000, 7069)])
 def test_taylor_remainder_is_an_upper_bound(n, D):
     # D is the divisor partial sum on [n, n+1): D_1, D_10, D_1000
@@ -373,8 +459,9 @@ def test_taylor_remainder_is_an_upper_bound(n, D):
                     return delta(c) - u * (mp.log(c) + 2 * gamma) - mp.fsum(
                         (-1) ** k * u**k / (k * (k - 1) * c ** (k - 1)) for k in range(2, K + 1))
 
-                p = laplace._taylor_coefficients(float(n), float(D), K)
-                bound = float(laplace._taylor_certificate(float(n), p, T))
+                p = laplace._taylor_coefficients(float(n), float(D), np.empty(K + 1))
+                decay = np.exp(-float(n) / T)
+                bound = float(laplace._taylor_certificate(float(n), np.abs(p), decay))
                 if bound == 0.0:    # exp(-n/T) underflows: nothing to compare
                     continue
                 gap = mp.quad(lambda x: (delta(x)**2 - delta_k(x)**2) * mp.exp(-x / T), [n, n + 1])
