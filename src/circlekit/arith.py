@@ -16,11 +16,11 @@ lattice points, d and sigma by pairing divisors with cofactors.  `_segments`
 runs a kernel over 0..N in ascending order.  A fold that reads its values once,
 in order (`sieve`'s sums, the series constants, the partial sums of
 `_block_sums` behind `error-term`), takes the segments from one reused buffer
-and holds no table; `ArithTables` fills a whole table from the same segments
-for the readers that need one.  The tables are read-only numpy arrays, each
-sieved on the first access to it, so a command that reads only r never
-sieves d or sigma.  Built tables are safe to share across threads; all
-query helpers are read-only.
+and holds no table; `_filled`, the one table builder, fills a whole table from
+the same segments for the readers of `ArithTables` that need one.  The tables
+are read-only numpy arrays, each sieved on the first access to it, so a
+command that reads only r never sieves d or sigma.  Built tables are safe to
+share across threads; all query helpers are read-only.
 """
 
 from __future__ import annotations
@@ -138,32 +138,21 @@ class ArithTables:
 
     @cached_property
     def r(self) -> np.ndarray:       # int32, r(n) <= 4 d(n) < 2**31 for any feasible limit
-        return _sieved(self.limit, "r", _r_sieve)
+        return _filled("r", self.limit)
 
     @cached_property
     def d(self) -> np.ndarray:
-        return _sieved(self.limit, "d", _d_sieve)
+        return _filled("d", self.limit)
 
     @cached_property
     def sigma(self) -> np.ndarray:   # int64, sigma(n) <= n (1 + ln n)
-        return _sieved(self.limit, "sigma", _sigma_sieve)
+        return _filled("sigma", self.limit)
 
     def _stream(self, name: str, N: int):
         """(lo, f) segments of the named table's f(0..N), N <= limit, in ascending order: one
         slice when that table is built or given, else `_segments`, which keeps no table."""
         table = self.__dict__.get(name)
         return _segments(name, N) if table is None else [(0, table[:N + 1])]
-
-
-def _sieved(N: int, name: str, sieve) -> np.ndarray:
-    """sieve(N), the named table, made read-only; a failed allocation is a CapacityError
-    naming N."""
-    try:
-        table = sieve(N)
-    except MemoryError as exc:
-        raise _capacity_error(N, _DTYPES[name]) from exc
-    table.flags.writeable = False
-    return table
 
 
 def _capacity_error(N: int, dtype) -> CapacityError:
@@ -217,23 +206,16 @@ def _segments(name: str, N: int, table: np.ndarray | None = None):
 
 
 def _filled(name: str, N: int) -> np.ndarray:
-    """The named table f(0..N), every segment of `_segments` left in it."""
-    table = np.empty(N + 1, dtype=_DTYPES[name])
+    """The named table f(0..N), read-only, every segment of `_segments` left in it.  A failed
+    allocation, of the table here or of scratch in the fill, is the CapacityError naming N."""
+    try:
+        table = np.empty(N + 1, dtype=_DTYPES[name])
+    except MemoryError as exc:
+        raise _capacity_error(N, _DTYPES[name]) from exc
     for _ in _segments(name, N, table):
         pass
+    table.flags.writeable = False
     return table
-
-
-def _r_sieve(N: int) -> np.ndarray:
-    return _filled("r", N)
-
-
-def _d_sieve(N: int) -> np.ndarray:
-    return _filled("d", N)
-
-
-def _sigma_sieve(N: int) -> np.ndarray:
-    return _filled("sigma", N)
 
 
 def _isqrt(m: np.ndarray) -> np.ndarray:
@@ -478,7 +460,7 @@ def g_identity_first_failure(limit: int) -> int | None:
     w = np.arange(0, limit + 1, dtype=np.int64)
     w[1::2] *= -1
     t_alt = _divisor_sieve(w)  # sum_{d|h} (-1)^d d
-    sigma = _sigma_sieve(limit)
+    sigma = _filled("sigma", limit)
     h = np.arange(1, limit + 1, dtype=np.int64)
     lowbit = h & -h
     k = np.log2(lowbit.astype(np.float64)).astype(np.int64)  # exact: lowbit is a power of 2

@@ -162,25 +162,8 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_laplace(args) -> int:
-    t_list = _parse_t_list(args.t_list)
+    scan, args.limit = laplace._sized_scan(args.kind, _parse_t_list(args.t_list), args.rel_tol)
     circle = args.kind == lattice.CIRCLE
-    # Sieve to where the largest T's main term predicts its stop, plus one
-    # block; a scan that still runs out names the block edge it needs.
-    T = t_list[-1]
-    try:
-        estimate = laplace.laplace_main(args.kind, T)
-    except OverflowError:   # T^1.5 past the largest float: no block edge can stop the scan
-        estimate = inf
-    args.limit = laplace.stop_edge(args.kind, T, args.rel_tol, estimate) + laplace.block_size(T)
-    while True:
-        profile = lattice.step_profile(arith.build_tables(args.limit), args.kind)
-        try:
-            scan = laplace.residual_scan(profile, t_list, args.rel_tol)
-            break
-        except CapacityError as exc:
-            if not exc.required_limit > args.limit:   # the limit only grows, so this ends
-                raise
-            args.limit = exc.required_limit
     header = ["T", "integral", "truncation_bound", "main_term", "residual"]
     rows = [(r.T, r.integral, r.truncation_bound, r.main_term, r.residual) for r in scan.rows]
     if circle:   # the T^(2/3) remainder scale is the circle problem's
@@ -202,7 +185,7 @@ def cmd_laplace(args) -> int:
 def cmd_constants(args) -> int:
     tables = arith.build_tables(args.terms)
     kind = _SERIES_KINDS[args.kind]
-    sc = laplace.series_constant(tables, kind, args.terms)
+    sc = laplace.series_constant(lattice.step_profile(tables, kind), args.terms)
     closed = laplace.series_limit(kind)
     print(f"kind              {args.kind}")
     print(f"terms             {sc.terms_used}")

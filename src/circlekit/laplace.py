@@ -36,8 +36,8 @@ truncation_bound is a theorem, not an extrapolation of checked values.  A
 scan stops only at block edges, so no value depends on the profile's
 length: a profile that ends before the stop raises CapacityError naming a
 block edge that suffices.  The sieve a scan needs is thus fixed by T and
-rel_tol, and the `laplace` command derives it from `stop_edge` rather than
-asking.
+rel_tol, and `_scan_limit` owns that sizing: `_sized_scan`, which the `laplace`
+command runs, sieves to it and rebuilds at a larger limit a scan names.
 
 Interval sums are chunked and reduced in a fixed ascending order, so runs
 are bit-reproducible in a given build, and the order is part of the value.
@@ -57,9 +57,9 @@ from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
-from . import arith
+from . import arith, lattice
 from .errors import CapacityError
-from .lattice import CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, _table_name, divisor_main
+from .lattice import CIRCLE, DIVISOR, EULER_GAMMA, StepProfile, divisor_main
 
 DEFAULT_REL_TOL = 1e-6
 _QUAD_SELF_CHECK = 1e-12
@@ -99,17 +99,16 @@ class LaplaceEstimate:
         return abs(self.residual) / self.T ** (2.0 / 3.0)
 
 
-def series_constant(tables, kind: str, terms: int) -> SeriesConstant:
-    """Partial sum of sum_{n<=terms} f(n)^2 n^(-3/2), f = r for CIRCLE and d for DIVISOR, one
-    math.fsum over 2^16-entry blocks, f(n) = 0 skipped: exactly rounded whatever the grouping.
-    f is read from its table when tables has built it, else streamed segment by segment with
-    no table kept (`ArithTables._stream`).  The tail bound is proven and reads kind and terms
-    alone (`_series_tail`)."""
-    if terms < 1 or terms > tables.limit:
-        raise ValueError(f"terms={terms} outside table range [1, {tables.limit}]")
-    value = arith._series_sum(tables._stream(_table_name(kind), terms),
-                              lambda n, f: f**2 * n**-1.5)
-    return SeriesConstant(kind, terms, value, _series_tail(kind, terms))
+def series_constant(profile: StepProfile, terms: int) -> SeriesConstant:
+    """Partial sum of sum_{n<=terms} f(n)^2 n^(-3/2), f the profile's r (CIRCLE) or d
+    (DIVISOR), one math.fsum over 2^16-entry blocks, f(n) = 0 skipped: exactly rounded
+    whatever the grouping.  f is read from the profile's segments: its table when built, else
+    streamed with no table kept.  The tail bound is proven and reads the kind and terms alone
+    (`_series_tail`)."""
+    if terms < 1 or terms > profile.limit:
+        raise ValueError(f"terms={terms} outside table range [1, {profile.limit}]")
+    value = arith._series_sum(profile._segments(terms), lambda n, f: f**2 * n**-1.5)
+    return SeriesConstant(profile.kind, terms, value, _series_tail(profile.kind, terms))
 
 
 def series_limit(kind: str) -> float:
@@ -282,31 +281,43 @@ def laplace_p2(
 
     Returns (integral, truncation_bound).  On [n, n+1) with b = P(n+) the
     integrand is (b - pi s)^2 exp(-n/T) exp(-s/T) in local coordinates, so
-    each interval contributes exp(-n/T) (b^2 m0 - 2 pi b m1 + pi^2 m2).
+    each interval contributes exp(-n/T) (b^2 m0 - 2 pi b m1 + pi^2 m2), formed
+    left to right as written: a block writes b, the products and exp(-n/T) into
+    three buffers of block_size(T) doubles, allocated once per call, where about a
+    dozen fresh arrays per block had the heap handed back and faulted in again.
     """
     if profile.kind != CIRCLE:
         raise ValueError("laplace_p2 needs a CIRCLE profile")
     m0, m1, m2 = _moments(T, 2, 0.0)
+    buffers = [np.empty(block_size(T)) for _ in range(3)]   # b, the products, exp(-n/T)
 
     def block(n: np.ndarray, S: np.ndarray) -> float:
-        b = S[:-1] + 1.0 - np.pi * n[:-1]
-        vals = (b * b * m0 - 2.0 * np.pi * b * m1 + (np.pi * np.pi) * m2) * np.exp(-n[:-1] / T)
-        return float(np.sum(vals))
+        n, S = n[:-1], S[:-1]
+        b, u, e = (buf[:n.size] for buf in buffers)
+        np.add(S, 1.0, out=b)
+        b -= np.multiply(np.pi, n, out=u)   # b = S + 1 - pi n
+        np.multiply(b, b, out=u)
+        u *= m0
+        np.multiply(2.0 * np.pi, b, out=e)
+        e *= m1
+        u -= e
+        u += (np.pi * np.pi) * m2
+        np.negative(n, out=e)
+        e /= T
+        u *= np.exp(e, out=e)
+        return float(np.sum(u))
 
     return _integrate_to_tolerance(profile, T, rel_tol, block)
-
-
-def _main_term(kind: str, T: float, c: float) -> float:
-    if kind == CIRCLE:
-        return 0.25 * (T / math.pi) ** 1.5 * c - T
-    return 0.125 * (T / math.pi) ** 1.5 * c
 
 
 def laplace_main(kind: str, T: float) -> float:
     """Main term of the ``kind`` transform at T, with c = `series_limit(kind)`:
     (1/4) (T/pi)^(3/2) c - T for CIRCLE (c = sum r^2(n) n^(-3/2)),
     (1/8) (T/pi)^(3/2) c for DIVISOR (c = sum d^2(n) n^(-3/2))."""
-    return _main_term(kind, T, series_limit(kind))
+    c = series_limit(kind)
+    if kind == CIRCLE:
+        return 0.25 * (T / math.pi) ** 1.5 * c - T
+    return 0.125 * (T / math.pi) ** 1.5 * c
 
 
 @dataclass(frozen=True)
@@ -322,8 +333,8 @@ def residual_scan(profile: StepProfile, T_list, rel_tol: float = DEFAULT_REL_TOL
 
     A CIRCLE profile is scanned with `laplace_p2`, a DIVISOR profile with
     `laplace_d2`, each against the kind's `laplace_main`: the scan pairs
-    the closed-form constant with the profile's kind itself, reading it
-    once.  Each transform is computed once per T.
+    the closed-form constant with the profile's kind itself.  Each transform
+    is computed once per T.
     """
     Ts = list(T_list)
     if not Ts or any(a >= b for a, b in zip(Ts, Ts[1:])):
@@ -333,7 +344,7 @@ def residual_scan(profile: StepProfile, T_list, rel_tol: float = DEFAULT_REL_TOL
     rows = []
     for T in Ts:
         integral, trunc = transform(profile, T, rel_tol)
-        main = _main_term(profile.kind, T, c)
+        main = laplace_main(profile.kind, T)
         rows.append(
             LaplaceEstimate(
                 T=float(T),
@@ -350,6 +361,32 @@ def residual_scan(profile: StepProfile, T_list, rel_tol: float = DEFAULT_REL_TOL
     else:
         slope = float("nan")
     return ResidualScan(kind=profile.kind, constant=c, rows=rows, slope=slope)
+
+
+def _scan_limit(kind: str, T: float, rel_tol: float) -> int:
+    """The sieve limit a ``kind`` scan at T is sized to: the block edge where `stop_edge`
+    stops the main term's estimate of the integral, plus one block.  A main term past the
+    largest float reads as inf, which no block edge stops."""
+    try:
+        estimate = laplace_main(kind, T)
+    except OverflowError:   # T^1.5 overflows
+        estimate = math.inf
+    return stop_edge(kind, T, rel_tol, estimate) + block_size(T)
+
+
+def _sized_scan(kind: str, T_list, rel_tol: float) -> tuple[ResidualScan, int]:
+    """`residual_scan` of the ``kind`` profile sieved to `_scan_limit` at the largest T, and
+    the limit finally sieved: a scan that still runs out is rebuilt at the block edge its
+    CapacityError names, and one that names no larger limit raises."""
+    limit = _scan_limit(kind, T_list[-1], rel_tol)
+    while True:
+        profile = lattice.step_profile(arith.build_tables(limit), kind)
+        try:
+            return residual_scan(profile, T_list, rel_tol), limit
+        except CapacityError as exc:
+            if not exc.required_limit > limit:   # the limit only grows, so this ends
+                raise
+            limit = exc.required_limit
 
 
 def _first_interval(T: float) -> float:
@@ -433,20 +470,23 @@ def laplace_d2(
     """int_0^infty Delta^2(x) exp(-x/T) dx; returns (integral, truncation_bound).
 
     Integrated like `laplace_p2`: on [n, n+1), n >= 1, Delta is its Taylor
-    polynomial p about n + 1/2, of one order per octave [2^m, 2^(m+1)), so
-    the interval contributes exp(-n/T) p^T H p with H[i][j] = mu_{i+j} at
-    shift 1/2; [0, 1) is `_first_interval`.  Each octave's share of a block is
-    one chunk: its p, every row's p^T H p from one matmul (`_quadratic_forms`)
-    and one exp(-n/T) for the value and the certificate.  p and (p @ H) * p are
-    written into two buffers of block (K(block) + 1) doubles, allocated once per
-    call: past the first block a chunk has at most block rows at an order <=
-    K(block), and the first block's octaves fit too (checked for every block up
-    to 2^21).  Fresh ~1 MiB arrays per chunk had glibc hand the heap back and
-    fault it in again, ~18k page faults and ~40% of a T = 32768 scan (2-vCPU
-    VM).  When the certified remainder, `_taylor_certificate` summed over every
-    interval integrated, exceeds _QUAD_SELF_CHECK * max(1, |integral|), it
-    aborts rather than return a silently degraded value.  Float rounding is not
-    covered.
+    polynomial p about n + 1/2, so the interval contributes exp(-n/T) p^T H p
+    with H[i][j] = mu_{i+j} at shift 1/2; [0, 1) is `_first_interval`.  Each
+    octave's [2^m, 2^(m+1)) share of a block is one chunk: its p, of the order
+    K = `_taylor_order(lo)` at the chunk's first n = lo, every row's p^T H p from
+    one matmul (`_quadratic_forms`) and one exp(-n/T) for the value and the
+    certificate.  K falls within some octaves (at n = 97, 245, 903, 6515 and
+    181761), so a block shorter than an octave can split it into chunks of
+    different orders: an interval's order depends on T through the block edges.
+    p and (p @ H) * p are written into two buffers of block (K(block) + 1)
+    doubles, allocated once per call: past the first block a chunk has at most
+    block rows at an order <= K(block), and the first block's octaves fit too
+    (checked for every block up to 2^21).  Fresh ~1 MiB arrays per chunk had
+    glibc hand the heap back and fault it in again, ~18k page faults and ~40% of
+    a T = 32768 scan (2-vCPU VM).  When the certified remainder,
+    `_taylor_certificate` summed over every interval integrated, exceeds
+    _QUAD_SELF_CHECK * max(1, |integral|), it aborts rather than return a
+    silently degraded value.  Float rounding is not covered.
     """
     if profile.kind != DIVISOR:
         raise ValueError("laplace_d2 needs a DIVISOR profile")
@@ -461,7 +501,7 @@ def laplace_d2(
         a, hi = int(n_all[0]), int(n_all[-1])
         value, lo = (_first_interval(T), 1) if a == 0 else (0.0, a)
         while lo < hi:
-            top = min(hi, 1 << lo.bit_length())   # one order per octave [2^m, 2^(m+1))
+            top = min(hi, 1 << lo.bit_length())   # the chunk ends with the octave or the block
             K = _taylor_order(lo)
             n = n_all[lo - a : top - a]
             p, q = (b[: n.size * (K + 1)].reshape(n.size, K + 1) for b in buffers)

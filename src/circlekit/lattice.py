@@ -53,18 +53,12 @@ class StepProfile:
 
     @property
     def table(self) -> np.ndarray:
-        """The read-only table of f(0..limit), sieved on first access."""
-        return _values(self.tables, self.kind)
+        """The read-only table of f(0..limit), sieved on first access (only that one)."""
+        return getattr(self.tables, _table_name(self.kind))
 
     def _segments(self, N: int):
         """The ascending (lo, f) segments of f(0..N): a slice of a built table, else streamed."""
         return self.tables._stream(_table_name(self.kind), N)
-
-    def jump(self, n: int) -> int:
-        """f(n) = S(n) - S(n-1) for 1 <= n <= limit."""
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside profile domain [1, {self.limit}]")
-        return int(self.table[n])
 
 
 def _table_name(kind: str) -> str:
@@ -74,11 +68,6 @@ def _table_name(kind: str) -> str:
     if kind == DIVISOR:
         return "d"
     raise ValueError(f"unknown profile kind {kind!r}")
-
-
-def _values(tables: arith.ArithTables, kind: str) -> np.ndarray:
-    """The table of kind's f (only that one is sieved)."""
-    return getattr(tables, _table_name(kind))
 
 
 def step_profile(tables: arith.ArithTables, kind: str) -> StepProfile:

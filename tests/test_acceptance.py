@@ -197,7 +197,8 @@ def test_acc05b_truncated_formula_full_cutoff(tables_1m, circle_1m):
 def test_acc06_mean_square_remainder_bound(tables_10m, circle_10m):
     t0 = time.perf_counter()
     # Q(X) = int_0^X P^2 - c32 X^(3/2), classically O(X log^2 X)
-    c32 = laplace.series_constant(tables_10m, lattice.CIRCLE, 10**7).value / (3 * math.pi**2)
+    c32 = laplace.series_constant(lattice.step_profile(tables_10m, lattice.CIRCLE),
+                                  10**7).value / (3 * math.pi**2)
     worst = 0.0
     for X in (10**4, 10**5, 10**6, 10**7):
         q = lattice.mean_square_p(circle_10m, float(X)) - c32 * float(X)**1.5

@@ -72,7 +72,7 @@ def test_lazy_tables_equal_eager_sieves():
     # the eager path ran these three sieves at once; each lazy table is sieved
     # only when read, whatever the order, and is the same array with the same dtype
     for N in [*range(1, 301), 10**6]:
-        eager = {"r": arith._r_sieve(N), "d": arith._d_sieve(N), "sigma": arith._sigma_sieve(N)}
+        eager = {name: arith._filled(name, N) for name in ("r", "d", "sigma")}
         for order in (("r", "d", "sigma"), ("sigma", "d", "r")):
             t = arith.build_tables(N)
             for i, name in enumerate(order):
@@ -106,7 +106,7 @@ def test_streamed_segments_equal_the_table(name):
 
 
 def test_prebuilt_arrays_are_not_sieved(monkeypatch):
-    for name in ("_d_sieve", "_sigma_sieve"):   # any sieve of d or sigma would fail
+    for name in ("_d_segment", "_sigma_segment"):   # any sieve of d or sigma would fail
         monkeypatch.setattr(arith, name, None)
     d = np.array([0, 1, 2])
     t = arith.ArithTables(limit=2, d=d)
@@ -154,10 +154,10 @@ def _check_sieves_against_naive(sizes, *labels):
             got = arith._divisor_sieve(w)
             assert got.dtype == w.dtype and np.array_equal(got, expected), (*labels, N, name)
             if name == "ones":
-                d = arith._d_sieve(N)
+                d = arith._filled("d", N)
                 assert d.dtype == np.int32 and np.array_equal(d, expected), (*labels, N)
             if name == "arange":
-                sigma = arith._sigma_sieve(N)
+                sigma = arith._filled("sigma", N)
                 assert sigma.dtype == np.int64 and np.array_equal(sigma, expected), (*labels, N)
 
 
@@ -187,7 +187,7 @@ def test_segmented_sieves_match_one_segment(monkeypatch):
     # sieve run as one segment, the whole-table loop
     N = 2**20 + 3
     sieves = [(name, lambda w=w: arith._divisor_sieve(w)) for name, w in _weights(N).items()]
-    sieves += [("d", lambda: arith._d_sieve(N)), ("sigma", lambda: arith._sigma_sieve(N))]
+    sieves += [(name, lambda name=name: arith._filled(name, N)) for name in ("d", "sigma")]
     for name, sieve in sieves:
         got = sieve()
         with monkeypatch.context() as m:
@@ -202,10 +202,10 @@ def test_r_and_sigma_sieves_match_oracles_on_small_segments(monkeypatch, segment
     monkeypatch.setattr(arith, "_R_SEGMENT", segment)
     monkeypatch.setattr(arith, "_SEGMENT", segment)
     for N in range(1, 301):
-        r = arith._r_sieve(N)
+        r = arith._filled("r", N)
         assert r.dtype == np.int32 and np.array_equal(r, _r_divisor_sieve(N)), (segment, N)
         w = np.arange(N + 1, dtype=np.int64)
-        sigma = arith._sigma_sieve(N)
+        sigma = arith._filled("sigma", N)
         assert sigma.dtype == np.int64, (segment, N)
         assert np.array_equal(sigma, _naive_divisor_sums(w)), (segment, N)
         assert np.array_equal(sigma, arith._divisor_sieve(w)), (segment, N)
@@ -217,9 +217,9 @@ def test_r_and_sigma_sieves_match_oracles_at_segment_edges(name):
     edge = arith._R_SEGMENT if name == "r" else arith._SEGMENT
     for N in (edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge, 2 * edge + 1, 10**6 + 7):
         if name == "r":
-            got, expected = arith._r_sieve(N), _r_divisor_sieve(N)
+            got, expected = arith._filled("r", N), _r_divisor_sieve(N)
         else:
-            got, expected = arith._sigma_sieve(N), arith._divisor_sieve(np.arange(N + 1))
+            got, expected = arith._filled("sigma", N), arith._divisor_sieve(np.arange(N + 1))
         assert got.dtype == expected.dtype and np.array_equal(got, expected), N
 
 
@@ -242,7 +242,7 @@ def test_sigma_ramp_views_and_pair_runs_match_the_weights_sieve(monkeypatch):
     monkeypatch.setattr(arith, "_sigma_segment", spy)
     for N in range(1, 400):
         expected = arith._divisor_sieve(np.arange(N + 1))
-        assert np.array_equal(arith._sigma_sieve(N), expected), N
+        assert np.array_equal(arith._filled("sigma", N), expected), N
         assert np.array_equal(_streamed("sigma", N), expected), N
     assert len(both) > 100 and len(at_end) > 10, (len(both), len(at_end))
 
@@ -258,13 +258,13 @@ def test_int64_scratch_equals_int32(monkeypatch):
         return bincount(x, **kwargs)
     monkeypatch.setattr(np, "bincount", spy)
     assert arith._sigma_dtype(N) == np.int32
-    r, sigma = arith._r_sieve(N), arith._sigma_sieve(N)
+    r, sigma = arith._filled("r", N), arith._filled("sigma", N)
     assert seen == {np.dtype(np.int32)}
     monkeypatch.setattr(arith, "_INT32_LIMIT", 2)
     seen.clear()
     assert arith._sigma_dtype(N) == np.int64
-    assert np.array_equal(arith._r_sieve(N), r) and seen == {np.dtype(np.int64)}
-    assert np.array_equal(arith._sigma_sieve(N), sigma)
+    assert np.array_equal(arith._filled("r", N), r) and seen == {np.dtype(np.int64)}
+    assert np.array_equal(arith._filled("sigma", N), sigma)
 
 
 def test_isqrt_exact_next_to_every_square_below_2_31():
@@ -368,6 +368,7 @@ def test_tables_immutable(tables_4k):
 def test_r_table_against_lattice_enumeration(tables_4k):
     for n in list(range(1, 200)) + [977, 2025, 3999]:
         assert tables_4k.r[n] == brute_r(n), n
+    assert tables_4k.r[1] == 4 and tables_4k.r[4000] == 16   # 4000 = 2^5 5^3: r = 4 (3 + 1)
 
 
 def test_r_invariants(tables_4k):

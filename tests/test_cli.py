@@ -230,7 +230,7 @@ def test_capacity_exit_code(monkeypatch, capsys):
 @pytest.mark.parametrize("failing, argv", [
     ("_r_segment", ["sieve", "--limit", "1000"]),   # sieve streams each table from its kernel
     ("_sigma_segment", ["sieve", "--limit", "1000"]),
-    ("_r_sieve", ["voronoi", "--x", "999.5", "--n-terms", "1000"]),   # a table reader's fill
+    ("_r_segment", ["voronoi", "--x", "999.5", "--n-terms", "1000"]),   # a table reader's fill
     ("_r_segment", ["error-term", "circle", "--x-max", "1e7"]),   # error-term streams r
     ("_d_segment", ["constants", "d_squared", "--terms", "1000"]),
     ("_r_segment", ["error-term", "circle", "--x-max", "1000"]),
@@ -240,7 +240,7 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
         raise MemoryError
     monkeypatch.setattr(arith, failing, out_of_memory)
     N = int(float(argv[-1]))   # each argv ends with the sieve limit
-    if failing == "_r_sieve":   # a table fill names the (N + 1) * 4 B of the int32 r table
+    if argv[0] == "voronoi":   # a table fill names the (N + 1) * 4 B of the int32 r table
         message = f"cannot allocate sieve tables for N={N} (~4 KiB needed)"   # 4004 B, rounded up
     else:   # a stream names its segment buffers: the int32 segment, sigma's ramp and pair too
         name = failing[1:].removesuffix("_segment")

@@ -31,34 +31,34 @@ from conftest import partial_sums
 
 
 def test_series_constant_single_term(tables_4k):
-    sc = series_constant(tables_4k, CIRCLE, 1)
+    sc = series_constant(step_profile(tables_4k, CIRCLE), 1)
     assert sc.value == 16.0
     assert sc.kind == CIRCLE and sc.terms_used == 1
 
 
 def test_series_constant_five_terms(tables_4k):
-    sc = series_constant(tables_4k, CIRCLE, 5)
+    sc = series_constant(step_profile(tables_4k, CIRCLE), 5)
     expect = 16 + 16 / 2**1.5 + 16 / 4**1.5 + 64 / 5**1.5   # r(3) = 0 drops out
     assert sc.value == pytest.approx(expect, rel=1e-15)
 
 
 def test_series_constant_divisor(tables_4k):
-    sc = series_constant(tables_4k, DIVISOR, 2)
+    sc = series_constant(step_profile(tables_4k, DIVISOR), 2)
     assert sc.value == pytest.approx(1 + 4 / 2**1.5, rel=1e-15)
     assert sc.value == pytest.approx(2.414213562373095, rel=1e-12)
 
 
 def test_series_constant_domain(tables_4k):
     with pytest.raises(ValueError):
-        series_constant(tables_4k, CIRCLE, tables_4k.limit + 1)
+        series_constant(step_profile(tables_4k, CIRCLE), tables_4k.limit + 1)
     with pytest.raises(ValueError):
-        series_constant(tables_4k, "bogus", 10)
-    assert series_constant(arith.build_tables(1), CIRCLE, 1).value == 16.0
+        series_constant(step_profile(tables_4k, "bogus"), 10)
+    assert series_constant(step_profile(arith.build_tables(1), CIRCLE), 1).value == 16.0
 
 
 def _whole_range_value(tables, kind, terms):
     """The partial sum as one fsum of every term over the whole range at once."""
-    f2 = lattice._values(tables, kind)[1:terms + 1].astype(np.float64) ** 2
+    f2 = step_profile(tables, kind).table[1:terms + 1].astype(np.float64) ** 2
     return math.fsum(f2 * np.arange(1, terms + 1, dtype=np.float64) ** -1.5)
 
 
@@ -70,7 +70,7 @@ def test_folded_value_equals_whole_range_fsum(monkeypatch, tables_4k, block):
     for tables in [*(arith.build_tables(L) for L in limits), tables_4k]:
         for kind in (CIRCLE, DIVISOR):
             for terms in sorted({1, 2, block, tables.limit} & set(range(1, tables.limit + 1))):
-                sc = series_constant(tables, kind, terms)
+                sc = series_constant(step_profile(tables, kind), terms)
                 assert sc.value == _whole_range_value(tables, kind, terms), \
                     (tables.limit, kind, terms)
                 assert sc.tail_bound == laplace._series_tail(kind, terms)   # reads no table
@@ -79,7 +79,7 @@ def test_folded_value_equals_whole_range_fsum(monkeypatch, tables_4k, block):
 def test_folded_value_equals_whole_range_fsum_at_scale(tables_1m):
     for kind in (CIRCLE, DIVISOR):
         for terms in (arith._BLOCK + 1, tables_1m.limit):
-            sc = series_constant(tables_1m, kind, terms)
+            sc = series_constant(step_profile(tables_1m, kind), terms)
             assert sc.value == _whole_range_value(tables_1m, kind, terms), (kind, terms)
 
 
@@ -87,14 +87,15 @@ def test_streamed_series_value_equals_the_table_fold(tables_1m):
     # tables that have not built f stream it and keep no table; the fold is bit-equal to
     # the one over the built table
     for kind in (CIRCLE, DIVISOR):
-        table = lattice._values(tables_1m, kind)
+        table = step_profile(tables_1m, kind).table
         for terms in (1, 2, 10**3, 10**6):
             tables = arith.build_tables(terms)
-            streamed = series_constant(tables, kind, terms).value
+            streamed = series_constant(step_profile(tables, kind), terms).value
             assert set(vars(tables)) == {"limit"}, (kind, terms)
             assert streamed == arith._series_sum([(0, table[:terms + 1])],
                                                  lambda n, f: f**2 * n**-1.5), (kind, terms)
-            assert streamed == series_constant(tables_1m, kind, terms).value, (kind, terms)
+            assert streamed == series_constant(step_profile(tables_1m, kind), terms).value, \
+                (kind, terms)
 
 
 def test_series_value_squares_in_float64():
@@ -102,7 +103,7 @@ def test_series_value_squares_in_float64():
     zeros = np.zeros(3, dtype=np.int64)
     r = np.array([0, 2**26, 2**26 - 1], dtype=np.int64)
     tables = arith.ArithTables(limit=2, r=r, d=zeros, sigma=zeros)
-    assert series_constant(tables, CIRCLE, 1).value == 2.0**52
+    assert series_constant(step_profile(tables, CIRCLE), 1).value == 2.0**52
 
 
 def _envelopes(n, log=np.log):
@@ -121,7 +122,7 @@ def test_series_envelopes_hold_on_the_table(tables_1m):
     # F is constant on [n, n+1) and both envelopes increase, so integers n suffice
     n = np.arange(1, tables_1m.limit + 1, dtype=np.float64)
     for kind, envelope in _envelopes(n).items():
-        F = np.cumsum(lattice._values(tables_1m, kind)[1:].astype(np.int64) ** 2)   # < 2^53
+        F = np.cumsum(step_profile(tables_1m, kind).table[1:].astype(np.int64) ** 2)   # < 2^53
         assert np.all(F <= envelope), kind
 
 
@@ -139,7 +140,7 @@ def test_series_constant_monotone_with_bracketing_tail(tables_120k):
     for kind in (CIRCLE, DIVISOR):
         closed, prev = series_limit(kind), None
         for terms in (1, 2, 10**2, 10**3, 10**4, 10**5):
-            sc = series_constant(tables_120k, kind, terms)
+            sc = series_constant(step_profile(tables_120k, kind), terms)
             assert sc.value <= closed <= sc.value + sc.tail_bound, (kind, terms)
             if prev is not None:
                 assert sc.value >= prev.value                 # non-negative summands
@@ -151,7 +152,7 @@ def test_series_constant_monotone_with_bracketing_tail(tables_120k):
 def test_series_limits_bracketed_by_partial_sums(tables_120k):
     for kind in (CIRCLE, DIVISOR):
         closed = series_limit(kind)
-        sc = series_constant(tables_120k, kind, tables_120k.limit)
+        sc = series_constant(step_profile(tables_120k, kind), tables_120k.limit)
         assert sc.value <= closed <= sc.value + sc.tail_bound, kind
 
 
@@ -252,6 +253,14 @@ def test_transform_never_depends_on_the_profile_size(tables_120k, kind, transfor
                     assert need > limit and need % block == 0, (T, rel_tol, limit, need)
                     got = transform(cut(need), T, rel_tol)
                 assert got == full, (T, rel_tol, limit)
+
+
+@pytest.mark.parametrize("kind", [CIRCLE, DIVISOR])
+def test_scan_limit_at_the_default_tolerance(kind):
+    # the limits the laplace command sieves for the transform benchmark's largest T and
+    # for the README's
+    assert laplace._scan_limit(kind, 32768.0, 1e-6) == 851968
+    assert laplace._scan_limit(kind, 8192.0, 1e-6) == 204800
 
 
 @pytest.mark.parametrize("T", [1.0, 7.5, 64.0, 100.0, 1000.5, 32768.0])

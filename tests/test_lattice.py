@@ -83,13 +83,6 @@ def test_p_jump_size(circle_4k, tables_4k):
         assert error_term(circle_4k, float(n)) == pytest.approx((below + above) / 2, abs=1e-5)
 
 
-def test_jump_rejects_n_outside_domain(circle_4k):
-    assert circle_4k.jump(1) == 4 and circle_4k.jump(4000) == 16   # 4000 = 2^5 5^3: r = 4 (3 + 1)
-    for n in (0, -1, 4001):
-        with pytest.raises(ValueError, match="outside profile domain"):
-            circle_4k.jump(n)
-
-
 def test_delta_values(divisor_4k):
     # d(1) = 1, d(2) = 2 halved at the integer endpoint
     expect_2 = 1 + 2 / 2 - 2 * (math.log(2) + 2 * EULER_GAMMA - 1) - 0.25
@@ -438,7 +431,7 @@ def test_step_profile_structure(tables_4k):
     sums = partial_sums(prof.table)
     assert sums[0] == 0
     assert (np.diff(sums) >= 0).all()
-    assert prof.jump(5) == 8
+    assert prof.table[5] == 8
     with pytest.raises(ValueError):
         step_profile(tables_4k, "unknown")
 
@@ -470,7 +463,8 @@ def test_streamed_profile_equals_the_table_profile(monkeypatch, kind):
     N = 400
     tables = arith.build_tables(N)
     streamed = step_profile(tables, kind)
-    table = step_profile(arith.ArithTables(N, r=arith._r_sieve(N), d=arith._d_sieve(N)), kind)
+    table = step_profile(arith.ArithTables(N, r=arith._filled("r", N), d=arith._filled("d", N)),
+                         kind)
     edges = {k * size + e for size in (7, 11, 13) for k in (1, 2, 5, 23) for e in (-1, 0, 0.5, 1)}
     _same_readers(streamed, table, sorted(x for x in edges | {1, 1.5, 2, N - 0.5, N} if x <= N))
     assert "r" not in vars(tables) and "d" not in vars(tables)   # no reader built a table
@@ -482,6 +476,7 @@ def test_streamed_profile_equals_the_table_profile_at_scale(kind):
     N = 2 * arith._BLOCK + 3
     tables = arith.build_tables(N)
     streamed = step_profile(tables, kind)
-    table = step_profile(arith.ArithTables(N, r=arith._r_sieve(N), d=arith._d_sieve(N)), kind)
+    table = step_profile(arith.ArithTables(N, r=arith._filled("r", N), d=arith._filled("d", N)),
+                         kind)
     _same_readers(streamed, table, [arith._BLOCK - 0.5, arith._BLOCK + 1, N - 0.25, N])
     assert "r" not in vars(tables) and "d" not in vars(tables)
