@@ -9,8 +9,8 @@ Identical parameters produce byte-identical CSV in a fixed build.
 
 Only ``sieve`` takes ``--limit``, because there the limit is the result.
 ``error-term``, ``correlate``, ``constants`` and ``voronoi`` sieve exactly
-what their inputs need, and ``laplace`` sieves to where its transforms'
-tail bound predicts they stop.
+what their inputs need, and ``laplace`` streams the sieve until its transforms'
+tail bound stops the last T.
 
 Exit codes: 0 success, 2 usage error, 3 capacity error (the message names
 the sieve limit that would have sufficed), 1 internal failure.  Usage errors
@@ -162,7 +162,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_laplace(args) -> int:
-    scan, args.limit = laplace._sized_scan(args.kind, _parse_t_list(args.t_list), args.rel_tol)
+    scan, args.limit = laplace._streamed_scan(args.kind, _parse_t_list(args.t_list), args.rel_tol)
     circle = args.kind == lattice.CIRCLE
     header = ["T", "integral", "truncation_bound", "main_term", "residual"]
     rows = [(r.T, r.integral, r.truncation_bound, r.main_term, r.residual) for r in scan.rows]

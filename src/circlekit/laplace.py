@@ -35,9 +35,10 @@ one-sided limits, `_ENVELOPES`) over [x_max, infty), so the reported
 truncation_bound is a theorem, not an extrapolation of checked values.  A
 scan stops only at block edges, so no value depends on the profile's
 length: a profile that ends before the stop raises CapacityError naming a
-block edge that suffices.  The sieve a scan needs is thus fixed by T and
-rel_tol, and `_scan_limit` owns that sizing: `_sized_scan`, which the `laplace`
-command runs, sieves to it and rebuilds at a larger limit a scan names.
+block edge that suffices.  One pass over the profile's segments (`_fold`)
+carries every T of a scan and ends when the last T stops, so the sieve a scan
+reads is fixed by the T and rel_tol and needs no sizing: the `laplace` command
+streams it (`_streamed_scan`) and holds no table.
 
 Interval sums are chunked and reduced in a fixed ascending order, so runs
 are bit-reproducible in a given build, and the order is part of the value.
@@ -237,41 +238,201 @@ def stop_edge(kind: str, T: float, rel_tol: float, total: float) -> int:
     )
 
 
-def _integrate_to_tolerance(profile: StepProfile, T: float, rel_tol: float, block_fn):
-    """Accumulate block_fn(n, S) over whole blocks [lo, hi) of unit intervals, n = lo..hi
-    and S = S(lo), ..., S(hi) as `arith._block_sums` yields them, up to the first block
-    edge at which `stop_edge` stops the running total.
+def _chunk_top(kind: str, lo: int, hi: int) -> int:
+    """The end of a chunk from lo in a block ending at hi: a DIVISOR one ends with its octave."""
+    return min(hi, 1 << lo.bit_length()) if kind == DIVISOR else hi
 
-    block_fn returns the block's integral as a float.  Returns (total,
-    truncation_bound).  Each edge x is tested alone, `_tail_bound` at x against
-    rel_tol times the total: the bound falls strictly from edge to edge until it
-    is 0, so that stops where `stop_edge`'s search from the first edge stops.  A
-    scan that has not stopped by `stop_edge`'s last edge never stops, and raises
-    its CapacityError; so does a profile that ends before the stop, or it names
-    a block edge that suffices.  The block a profile cuts short only raises the
-    running total that names the edge, never a returned value.
-    """
-    if not 0 < rel_tol < 1:
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    block = block_size(T)
-    pieces: list[float] = []
-    x, total = 0, 0.0   # a profile of limit 0 has no block
-    for n, S in arith._block_sums([(0, profile.table)], 0, profile.limit, block):
-        pieces.append(block_fn(n, S))
-        x, total = int(n[0]) + block, math.fsum(pieces)
-        if x > profile.limit:   # the profile cut this block short
-            break
-        bound = _tail_bound(profile.kind, T, x)
+
+class _Run:
+    """One T of a fold: its open block [a, a + block), its next chunk's start lo, the open
+    block's value, the closed blocks' values (pieces), each chunk's certificate (errors) and,
+    once stopped, (integral, truncation_bound) and its stop edge."""
+
+    def __init__(self, kind: str, T: float):
+        self.T, self.block, self.a = T, block_size(T), 0
+        if kind == CIRCLE:   # (m0, m1, m2)
+            self.weights, self.lo, self.value = _moments(T, 2, 0.0), 0, 0.0
+        else:   # H[i][j] = mu_{i+j} at shift 1/2; Delta^2 on [0, 1) is _first_interval
+            k_max = _taylor_order(1)
+            mu = np.array(_moments(T, 2 * k_max, 0.5))
+            self.weights = mu[np.add.outer(range(k_max + 1), range(k_max + 1))]
+            self.lo, self.value = 1, _first_interval(T)
+        self.pieces: list[float] = []
+        self.errors: list[float] = []
+        self.result, self.edge = None, 0
+
+    def chunk(self, kind: str, top: int):
+        """The next chunk (lo, b) if the T still runs and b <= top, else None."""
+        b = _chunk_top(kind, self.lo, self.a + self.block)
+        return (self.lo, b) if self.result is None and b <= top else None
+
+    def close(self, kind: str, rel_tol: float, limit: int) -> None:
+        """Adds the open block to the total; stops at its edge x if the tail bound there is
+        below rel_tol times the total, after the certificate's self-check, else goes on."""
+        self.pieces.append(self.value)
+        x, total = self.a + self.block, math.fsum(self.pieces)
+        bound = _tail_bound(kind, self.T, x)
         if bound < rel_tol * total:
-            return total, bound
-        if x >= _LAST_BLOCK * block:   # exp(-n/T) is 0.0 from here: no later block adds to the total
-            break
-    need = max(x, stop_edge(profile.kind, T, rel_tol, total))
-    raise CapacityError(
-        f"profile limit {profile.limit} too small for T={T} at rel_tol={rel_tol}; "
-        f"required limit {need}",
+            error = math.fsum(self.errors)
+            if not error <= _QUAD_SELF_CHECK * max(1.0, abs(total)):
+                raise RuntimeError(
+                    f"quadrature self-check failed for T={self.T}: the certified Taylor "
+                    f"remainder bound {error:.3e} exceeds {_QUAD_SELF_CHECK} rel"
+                )
+            self.result, self.edge = (total, bound), x
+        elif x >= _LAST_BLOCK * self.block:   # exp(-n/T) is 0.0 from here: the total is final
+            need = max(x, stop_edge(kind, self.T, rel_tol, total))
+            raise _too_short(limit, self.T, rel_tol, need)
+        else:
+            self.a, self.value = x, 0.0
+
+
+def _too_short(limit: int, T: float, rel_tol: float, need: int) -> CapacityError:
+    return CapacityError(
+        f"profile limit {limit} too small for T={T} at rel_tol={rel_tol}; required limit {need}",
         required_limit=need,
     )
+
+
+def _carried(Ts: list) -> int:
+    """The rows a fold keeps from its previous block: the largest block of a T that does not
+    divide the fold block, as only such a T's open block can begin there; 0 for doubling T."""
+    W = block_size(Ts[-1])
+    return max((B for B in map(block_size, Ts) if W % B), default=0)
+
+
+def _scratch(kind: str, Ts: list, rel_tol: float) -> list[list[np.ndarray]]:
+    """Every buffer of a fold over Ts, once Ts and rel_tol are checked, shared by its T: n and
+    S over the fold block and the `_carried` rows before it; a chunk's rows (CIRCLE: b b and
+    2 pi b; DIVISOR: p, R and t); and a T's products (CIRCLE: u, e; DIVISOR: |p| or (p @ H) p,
+    exp(-n/T) and one row), as three lists.  A chunk's p fits in B (K(B) + 1) doubles for the
+    block B of its T or of the fold (test_every_d2_chunk_fits_its_buffers), not monotone in B."""
+    if not Ts or any(a >= b for a, b in zip(Ts, Ts[1:])):
+        raise ValueError(f"T_list must be non-empty and strictly ascending, got {Ts}")
+    for T in Ts:
+        if not 1 <= T < math.inf:   # nan fails too
+            raise ValueError(f"T must be finite and >= 1, got {T}")
+    if not 0 < rel_tol < 1:
+        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    W, L = block_size(Ts[-1]), _carried(Ts)
+    if kind == CIRCLE:
+        rows = [W, W]
+    else:
+        rows = [max(B * (_taylor_order(B) + 1) for B in map(block_size, Ts)), W, W]
+    sizes = [[L + W + 1 if L else 0] * 2, rows, rows]
+    size = sum(map(sum, sizes))
+    if size * 8 > np.iinfo(np.intp).max:   # no numpy array holds it
+        raise _scratch_error(kind, Ts[-1], rel_tol, size)
+    try:
+        return [[np.empty(n) for n in part] for part in sizes]
+    except MemoryError as exc:
+        raise _scratch_error(kind, Ts[-1], rel_tol, size) from exc
+
+
+def _scratch_error(kind: str, T: float, rel_tol: float, size: int) -> CapacityError:
+    """The CapacityError of a scan to T whose size doubles of scratch cannot be allocated: it
+    names where `stop_edge` stops T's main term (inf past the largest float), or raises
+    `stop_edge`'s own when no edge does."""
+    try:
+        estimate = laplace_main(kind, T)
+    except OverflowError:   # T^1.5 overflows
+        estimate = math.inf
+    need = stop_edge(kind, T, rel_tol, estimate)
+    return CapacityError(
+        f"cannot allocate a scan's scratch for blocks of {block_size(T)} intervals (T={T:g}), "
+        f"~{-(-size * 8 // 2**30)} GiB; at rel_tol={rel_tol:g} the scan needs sieve limit "
+        f"~{need}, where the tail bound falls below rel_tol times T's main term",
+        required_limit=need,
+    )
+
+
+def _fold(profile: StepProfile, Ts: list, rel_tol: float) -> tuple[list, int]:
+    """(integral, truncation_bound) of the profile's transform at each T of Ts, from one pass
+    over its segments, and the last stop edge read.
+
+    The pass reads S in fold blocks of W = block_size(Ts[-1]) and cuts them into chunks (a
+    DIVISOR one also at octaves, at the order K of its first n), whose T-independent rows it
+    forms once.  Each running T then integrates its own chunks that end there, in order, as a
+    fold of that T alone would: from the shared rows while its chunk lies in the fold's at the
+    same order, then, after every T has read those, from rows formed for its chunk alone in the
+    same buffers (a chunk begun in the previous fold block or past a step-down of K).  Its
+    matmul and sums run on its own chunk's rows, a slice with the bits of a fresh array, so
+    `laplace_p2` and `laplace_d2` at T are this fold with Ts = [T].  Only the certificate's
+    t = 2 (|p| @ w) + R comes from rows of the fold's chunk, where a BLAS gemv row can take
+    other bits than alone (8 or more columns, or one row, on OpenBLAS 0.3.31); the
+    self-check alone reads it.  A T stops at the first block edge where `_tail_bound` is below
+    rel_tol times its total, which is where `stop_edge` stops as the bound falls strictly from
+    edge to edge.  The pass ends when the last T stops.
+
+    A T unstopped at its _LAST_BLOCK-th edge never stops: `stop_edge` raises.  A profile that
+    ends first raises for the least T still running, as a scan of one T at a time would, naming
+    an edge that suffices: where `stop_edge` stops its total so far, or before its first edge,
+    its last one."""
+    kind = profile.kind
+    (wn, wS), buffers, temps = _scratch(kind, Ts, rel_tol)
+    W, L = block_size(Ts[-1]), _carried(Ts)
+    rows, integrate = (_p2_rows, _p2_block) if kind == CIRCLE else (_taylor_rows, _d2_chunk)
+    order = _taylor_order if kind == DIVISOR else (lambda lo: 0)
+    runs = [_Run(kind, T) for T in Ts]
+    running, first = runs, runs[0].lo   # every T's first chunk starts at 0, or at 1 past [0, 1)
+
+    def step(run, a, b, chunk_rows):
+        integrate(run, n[a - base:b - base], chunk_rows, temps)
+        run.lo = b
+        if b == run.a + run.block:
+            run.close(kind, rel_tol, profile.limit)
+
+    for n, S in arith._block_sums(profile._segments(profile.limit), 0, profile.limit, W):
+        A, end = int(n[0]), int(n[-1])
+        if L:   # n[x - base] = x from base = A - L on
+            wn[:L], wS[:L] = wn[W:W + L], wS[W:W + L]
+            wn[L:L + n.size], wS[L:L + n.size] = n, S
+            n, S = wn, wS
+        base, lo = A - L, max(A, first)
+        while lo < end:
+            top, K = _chunk_top(kind, lo, end), order(lo)
+            formed = rows(n[lo - base:top - base], S[lo - base:top - base], K, buffers, temps)
+            for run in running:
+                while (ab := run.chunk(kind, top)) and ab[0] >= lo and order(ab[0]) == K:
+                    step(run, *ab, [r[ab[0] - lo:ab[1] - lo] for r in formed])
+            for run in running:   # the rest, each with rows of its own in the same buffers
+                while ab := run.chunk(kind, top):
+                    a, b = ab
+                    step(run, a, b, rows(n[a - base:b - base], S[a - base:b - base], order(a),
+                                         buffers, temps))
+            lo = top
+        running = [run for run in running if run.result is None]
+        if not running:
+            return [run.result for run in runs], max(run.edge for run in runs)
+    run = running[0]
+    need = (stop_edge(kind, run.T, rel_tol, math.fsum(run.pieces)) if run.pieces
+            else _LAST_BLOCK * run.block)
+    raise _too_short(profile.limit, run.T, rel_tol, need)
+
+
+def _p2_rows(n, S, K, buffers, temps):
+    """b b and 2 pi b, b = S + 1 - pi n = P(n+): the T-independent rows of `laplace_p2`."""
+    bb, tb = (buf[:n.size] for buf in buffers)
+    np.add(S, 1.0, out=tb)
+    tb -= np.multiply(np.pi, n, out=bb)   # b
+    np.multiply(tb, tb, out=bb)
+    tb *= 2.0 * np.pi
+    return bb, tb
+
+
+def _p2_block(run: _Run, n, rows, temps) -> None:
+    """Adds exp(-n/T) (b^2 m0 - 2 pi b m1 + pi^2 m2) over the rows n, formed left to right as
+    written, by one np.sum to run's block."""
+    bb, tb = rows
+    u, e = (buf[:n.size] for buf in temps)
+    m0, m1, m2 = run.weights
+    np.multiply(bb, m0, out=u)
+    u -= np.multiply(tb, m1, out=e)
+    u += (np.pi * np.pi) * m2
+    np.negative(n, out=e)
+    e /= run.T
+    u *= np.exp(e, out=e)
+    run.value += float(np.sum(u))
 
 
 def laplace_p2(
@@ -282,32 +443,12 @@ def laplace_p2(
     Returns (integral, truncation_bound).  On [n, n+1) with b = P(n+) the
     integrand is (b - pi s)^2 exp(-n/T) exp(-s/T) in local coordinates, so
     each interval contributes exp(-n/T) (b^2 m0 - 2 pi b m1 + pi^2 m2), formed
-    left to right as written: a block writes b, the products and exp(-n/T) into
-    three buffers of block_size(T) doubles, allocated once per call, where about a
-    dozen fresh arrays per block had the heap handed back and faulted in again.
+    left to right as written: b b and 2 pi b once per n for every T of a scan
+    (`_p2_rows`), the rest per T (`_p2_block`).  This is `_fold` with T alone.
     """
     if profile.kind != CIRCLE:
         raise ValueError("laplace_p2 needs a CIRCLE profile")
-    m0, m1, m2 = _moments(T, 2, 0.0)
-    buffers = [np.empty(block_size(T)) for _ in range(3)]   # b, the products, exp(-n/T)
-
-    def block(n: np.ndarray, S: np.ndarray) -> float:
-        n, S = n[:-1], S[:-1]
-        b, u, e = (buf[:n.size] for buf in buffers)
-        np.add(S, 1.0, out=b)
-        b -= np.multiply(np.pi, n, out=u)   # b = S + 1 - pi n
-        np.multiply(b, b, out=u)
-        u *= m0
-        np.multiply(2.0 * np.pi, b, out=e)
-        e *= m1
-        u -= e
-        u += (np.pi * np.pi) * m2
-        np.negative(n, out=e)
-        e /= T
-        u *= np.exp(e, out=e)
-        return float(np.sum(u))
-
-    return _integrate_to_tolerance(profile, T, rel_tol, block)
+    return _fold(profile, [T], rel_tol)[0][0]
 
 
 def laplace_main(kind: str, T: float) -> float:
@@ -331,19 +472,19 @@ class ResidualScan:
 def residual_scan(profile: StepProfile, T_list, rel_tol: float = DEFAULT_REL_TOL) -> ResidualScan:
     """Residuals of the profile's transform over strictly ascending T plus their log-log slope.
 
-    A CIRCLE profile is scanned with `laplace_p2`, a DIVISOR profile with
-    `laplace_d2`, each against the kind's `laplace_main`: the scan pairs
-    the closed-form constant with the profile's kind itself.  Each transform
-    is computed once per T.
+    A CIRCLE profile is scanned as `laplace_p2`, a DIVISOR profile as `laplace_d2`, each
+    against the kind's `laplace_main`: the scan pairs the closed-form constant with the
+    profile's kind itself.  Every T is integrated in one pass over the profile's segments
+    (`_fold`), with the bits of its transform computed alone.
     """
-    Ts = list(T_list)
-    if not Ts or any(a >= b for a, b in zip(Ts, Ts[1:])):
-        raise ValueError(f"T_list must be non-empty and strictly ascending, got {Ts}")
-    transform = laplace_p2 if profile.kind == CIRCLE else laplace_d2
-    c = series_limit(profile.kind)
+    return _scan(profile, list(T_list), rel_tol)[0]
+
+
+def _scan(profile: StepProfile, Ts: list, rel_tol: float) -> tuple[ResidualScan, int]:
+    """`residual_scan` from `_fold`'s rows, and the last stop edge the fold read."""
+    results, edge = _fold(profile, Ts, rel_tol)
     rows = []
-    for T in Ts:
-        integral, trunc = transform(profile, T, rel_tol)
+    for T, (integral, trunc) in zip(Ts, results):
         main = laplace_main(profile.kind, T)
         rows.append(
             LaplaceEstimate(
@@ -360,33 +501,18 @@ def residual_scan(profile: StepProfile, T_list, rel_tol: float = DEFAULT_REL_TOL
         slope = float(np.polyfit(lt, lr, 1)[0])
     else:
         slope = float("nan")
-    return ResidualScan(kind=profile.kind, constant=c, rows=rows, slope=slope)
+    constant = series_limit(profile.kind)
+    return ResidualScan(kind=profile.kind, constant=constant, rows=rows, slope=slope), edge
 
 
-def _scan_limit(kind: str, T: float, rel_tol: float) -> int:
-    """The sieve limit a ``kind`` scan at T is sized to: the block edge where `stop_edge`
-    stops the main term's estimate of the integral, plus one block.  A main term past the
-    largest float reads as inf, which no block edge stops."""
-    try:
-        estimate = laplace_main(kind, T)
-    except OverflowError:   # T^1.5 overflows
-        estimate = math.inf
-    return stop_edge(kind, T, rel_tol, estimate) + block_size(T)
-
-
-def _sized_scan(kind: str, T_list, rel_tol: float) -> tuple[ResidualScan, int]:
-    """`residual_scan` of the ``kind`` profile sieved to `_scan_limit` at the largest T, and
-    the limit finally sieved: a scan that still runs out is rebuilt at the block edge its
-    CapacityError names, and one that names no larger limit raises."""
-    limit = _scan_limit(kind, T_list[-1], rel_tol)
-    while True:
-        profile = lattice.step_profile(arith.build_tables(limit), kind)
-        try:
-            return residual_scan(profile, T_list, rel_tol), limit
-        except CapacityError as exc:
-            if not exc.required_limit > limit:   # the limit only grows, so this ends
-                raise
-            limit = exc.required_limit
+def _streamed_scan(kind: str, Ts: list, rel_tol: float) -> tuple[ResidualScan, int]:
+    """`residual_scan` of the ``kind`` profile streamed from the sieve, and the last stop edge
+    it read: the sieve limit the scan needed.  Ts are ascending, each finite and >= 1, as the
+    `laplace` command parses them.  The stream source is an `arith.ArithTables` with no table
+    built, which reaches the largest T's _LAST_BLOCK-th edge, past which no T runs, and is
+    sieved only as far as the pass reads."""
+    tables = arith.ArithTables(_LAST_BLOCK * block_size(Ts[-1]))
+    return _scan(lattice.step_profile(tables, kind), Ts, rel_tol)
 
 
 def _first_interval(T: float) -> float:
@@ -440,28 +566,63 @@ def _taylor_order(n: int) -> int:
     return next(K for K in range(1, 64) if _taylor_remainder(n, K) <= 2.0**-60)
 
 
-def _taylor_certificate(n, abs_p: np.ndarray, decay):
-    """decay R (2 sum |p_k| 2^-k + R) >= int |Delta^2 - Delta_K^2| exp(-x/T) over
-    [n, n+1), abs_p = |p| and decay = exp(-n/T), as |Delta - Delta_K| <= R and
-    |Delta_K| <= sum |p_k| 2^-k."""
-    R = _taylor_remainder(n, abs_p.shape[-1] - 1)
-    return decay * R * (2.0 * (abs_p @ 0.5 ** np.arange(abs_p.shape[-1])) + R)
+_POWERS = 0.5 ** np.arange(64)   # w_k = 2^-k >= |u|^k on [n, n+1)
 
 
-def _quadratic_forms(p: np.ndarray, H: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p_i^T H p_i for each row p_i, bit for bit np.sum((p @ H) * p, axis=1), with q,
-    shaped like p, overwritten by (p @ H) * p.  numpy reduces a row of fewer than 8
-    doubles left to right, so rows of up to 7 columns are added that way, column by
-    column, which skips the ~24 ns per row of an axis-1 reduce; wider rows keep
-    np.sum, whose 8-way pairwise order column adds would not reproduce."""
+def _taylor_rows(n, S, K, buffers, temps):
+    """p at order K (`_taylor_coefficients`), R = `_taylor_remainder(n, K)` and
+    t = 2 (|p| @ w) + R, w_k = 2^-k, for the rows n with sums S: the part of `laplace_d2` and
+    of its certificate that does not depend on T.  p, R and t go into the buffers, |p| into
+    temps[0]; temps[2] is scratch.  The certificate exp(-n/T) R t >= int |Delta^2 - Delta_K^2|
+    exp(-x/T) over [n, n+1), as |Delta - Delta_K| <= R and |Delta_K| <= sum |p_k| 2^-k."""
+    P, R, t = buffers
+    p = P[:n.size * (K + 1)].reshape(n.size, K + 1)
+    _taylor_coefficients(n, S, p)
+    R, t, x = R[:n.size], t[:n.size], temps[2][:n.size]
+    np.multiply(2.0, n, out=R)   # _taylor_remainder(n, K), operation for operation
+    R += 1.0
+    np.divide(1.0, R, out=R)   # rho
+    np.subtract(1.0, R, out=t)
+    t *= K * (K + 1)
+    np.power(R, K + 1, out=R)
+    R *= np.add(n, 0.5, out=x)
+    R /= t
+    np.matmul(np.abs(p, out=temps[0][:p.size].reshape(p.shape)), _POWERS[:K + 1], out=t)
+    t *= 2.0
+    t += R
+    return p, R, t
+
+
+def _quadratic_forms(p: np.ndarray, H: np.ndarray, q: np.ndarray, out=None) -> np.ndarray:
+    """p_i^T H p_i for each row p_i, bit for bit np.sum((p @ H) * p, axis=1), into out (a
+    fresh array when not given), with q, shaped like p, overwritten by (p @ H) * p.  numpy
+    reduces a row of fewer than 8 doubles left to right, so rows of up to 7 columns are
+    added that way, column by column, which skips the ~24 ns per row of an axis-1 reduce;
+    wider rows keep np.sum, whose 8-way pairwise order column adds would not reproduce."""
     np.matmul(p, H, out=q)
     q *= p
     if q.shape[1] > 7:
-        return np.sum(q, axis=1)
-    s = q[:, 0] + q[:, 1]
+        return np.sum(q, axis=1, out=out)
+    s = np.add(q[:, 0], q[:, 1], out=out)
     for j in range(2, q.shape[1]):
         s += q[:, j]
     return s
+
+
+def _d2_chunk(run: _Run, n, rows, temps) -> None:
+    """Adds to run's block the sum over the rows n of exp(-n/T) p^T H p (one
+    `_quadratic_forms`, one np.sum), and appends the chunk's certificate, the sum of
+    (exp(-n/T) R) t."""
+    p, R, t = rows
+    q, decay, x = temps
+    k = p.shape[1]
+    decay, x = decay[:n.size], x[:n.size]
+    np.negative(n, out=decay)
+    decay /= run.T
+    np.exp(decay, out=decay)
+    s = _quadratic_forms(p, run.weights[:k, :k], q[:p.size].reshape(p.shape), out=x)
+    run.value += float(np.sum(np.multiply(decay, s, out=s)))
+    run.errors.append(float(np.sum(np.multiply(np.multiply(decay, R, out=x), t, out=x))))
 
 
 def laplace_d2(
@@ -478,48 +639,17 @@ def laplace_d2(
     certificate.  K falls within some octaves (at n = 97, 245, 903, 6515 and
     181761), so a block shorter than an octave can split it into chunks of
     different orders: an interval's order depends on T through the block edges.
-    p and (p @ H) * p are written into two buffers of block (K(block) + 1)
-    doubles, allocated once per call: past the first block a chunk has at most
-    block rows at an order <= K(block), and the first block's octaves fit too
-    (checked for every block up to 2^21).  Fresh ~1 MiB arrays per chunk had
-    glibc hand the heap back and fault it in again, ~18k page faults and ~40% of
-    a T = 32768 scan (2-vCPU VM).  When the certified remainder,
-    `_taylor_certificate` summed over every interval integrated, exceeds
-    _QUAD_SELF_CHECK * max(1, |integral|), it aborts rather than return a
-    silently degraded value.  Float rounding is not covered.
+    p, R and 2 (|p| @ w) + R do not depend on T: a scan forms them once per n for
+    every T whose chunk has the fold chunk's order (`_taylor_rows`), and each T
+    runs its own exp(-n/T), matmul and sums on its own chunk's rows (`_d2_chunk`),
+    in buffers allocated once per scan (`_scratch`).  This is `_fold` with T alone.
+    When the certified remainder, exp(-n/T) R (2 (|p| @ w) + R) summed over every
+    interval integrated, exceeds _QUAD_SELF_CHECK * max(1, |integral|), it aborts
+    rather than return a silently degraded value.  Float rounding is not covered.
     """
     if profile.kind != DIVISOR:
         raise ValueError("laplace_d2 needs a DIVISOR profile")
-    k_max = _taylor_order(1)
-    mu = _moments(T, 2 * k_max, 0.5)
-    H = np.array(mu)[np.add.outer(range(k_max + 1), range(k_max + 1))]   # H[i][j] = mu_{i+j}
-    errors = []
-    size = block_size(T) * (_taylor_order(block_size(T)) + 1)   # the largest chunk's p
-    buffers = np.empty(size), np.empty(size)   # p and (p @ H) * p of the current chunk
-
-    def block(n_all: np.ndarray, S: np.ndarray) -> float:
-        a, hi = int(n_all[0]), int(n_all[-1])
-        value, lo = (_first_interval(T), 1) if a == 0 else (0.0, a)
-        while lo < hi:
-            top = min(hi, 1 << lo.bit_length())   # the chunk ends with the octave or the block
-            K = _taylor_order(lo)
-            n = n_all[lo - a : top - a]
-            p, q = (b[: n.size * (K + 1)].reshape(n.size, K + 1) for b in buffers)
-            decay = np.exp(-n / T)
-            _taylor_coefficients(n, S[lo - a : top - a], p)
-            value += float(np.sum(decay * _quadratic_forms(p, H[: K + 1, : K + 1], q)))
-            errors.append(float(np.sum(_taylor_certificate(n, np.abs(p, out=p), decay))))
-            lo = top
-        return value
-
-    total, trunc = _integrate_to_tolerance(profile, T, rel_tol, block)
-    bound = math.fsum(errors)
-    if not bound <= _QUAD_SELF_CHECK * max(1.0, abs(total)):
-        raise RuntimeError(
-            f"quadrature self-check failed for T={T}: the certified Taylor remainder "
-            f"bound {bound:.3e} exceeds {_QUAD_SELF_CHECK} rel"
-        )
-    return total, trunc
+    return _fold(profile, [T], rel_tol)[0][0]
 
 
 def _fit_log_quadratic(x_values, y_values) -> tuple[float, float, float]:

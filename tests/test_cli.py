@@ -436,22 +436,28 @@ def test_laplace_sieves_what_a_tight_tolerance_needs(tmp_path):
     assert manifest["sieve_limit"] % 4096 == 0 and manifest["sieve_limit"] > 40 * 4096
 
 
-def test_laplace_rebuilds_at_the_limit_a_scan_names(tmp_path, monkeypatch):
-    argv = ["laplace", "divisor", "--t-list", "100,150,1000.5", "--rel-tol", "1e-3", "--out"]
-    sized, retried = tmp_path / "sized.csv", tmp_path / "retried.csv"
-    assert run(argv + [str(sized)]) == 0
-    built = []
-    build_tables, stop_edge = arith.build_tables, laplace.stop_edge
-    monkeypatch.setattr(arith, "build_tables", lambda limit: built.append(limit) or build_tables(limit))
-    # the first call, before any table is built, is the command's prediction:
-    # undershoot it to one block, so the first sieve spans two
-    monkeypatch.setattr(laplace, "stop_edge", lambda kind, T, rel_tol, total: (
-        stop_edge(kind, T, rel_tol, total) if built else laplace.block_size(T)))
-    assert run(argv + [str(retried)]) == 0
-    assert retried.read_bytes() == sized.read_bytes()
-    assert built[0] == 2 * 1001 and len(built) > 1 and built == sorted(set(built))
-    manifest = json.loads((tmp_path / "retried.csv.manifest.json").read_text())
-    assert manifest["sieve_limit"] == built[-1]
+@pytest.mark.parametrize("kind, t_list", [("circle", "64..32768"), ("divisor", "128..32768"),
+                                          ("circle", "64..8192"), ("divisor", "128..8192")])
+def test_laplace_manifest_names_the_last_stop_edge(tmp_path, kind, t_list):
+    # the transform benchmark's scans and the README's: the scan streams its profile as far
+    # as its last T stops, and the manifest's sieve_limit is that stop edge
+    out = tmp_path / "lap.csv"
+    assert run(["laplace", kind, "--t-list", t_list, "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "lap.csv.manifest.json").read_text())
+    assert manifest["sieve_limit"] == {"32768": 819200, "8192": 196608}[t_list.split("..")[1]]
+
+
+@pytest.mark.parametrize("kind", ["circle", "divisor"])
+def test_laplace_scratch_that_cannot_be_allocated_exits_3(tmp_path, capsys, kind):
+    # blocks of 1e15 intervals need petabytes of scratch on any machine: it was a
+    # MemoryError, exit 1, before the scan read any table
+    out = tmp_path / "x.csv"
+    assert run(["laplace", kind, "--t-list", "1e15", "--rel-tol", "0.5", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: cannot allocate a scan's scratch for blocks of "
+                          "1000000000000000 intervals (T=1e+15), ~")
+    assert "the scan needs sieve limit ~24000000000000000, " in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_laplace_scan_that_cannot_stop_exits_3(tmp_path, capsys):

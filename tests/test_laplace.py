@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from circlekit import arith, laplace, lattice
+from circlekit import arith, cli, laplace, lattice
 from circlekit.errors import CapacityError
 from circlekit.laplace import (
     A1_EXPECTED,
@@ -255,14 +255,6 @@ def test_transform_never_depends_on_the_profile_size(tables_120k, kind, transfor
                 assert got == full, (T, rel_tol, limit)
 
 
-@pytest.mark.parametrize("kind", [CIRCLE, DIVISOR])
-def test_scan_limit_at_the_default_tolerance(kind):
-    # the limits the laplace command sieves for the transform benchmark's largest T and
-    # for the README's
-    assert laplace._scan_limit(kind, 32768.0, 1e-6) == 851968
-    assert laplace._scan_limit(kind, 8192.0, 1e-6) == 204800
-
-
 @pytest.mark.parametrize("T", [1.0, 7.5, 64.0, 100.0, 1000.5, 32768.0])
 @pytest.mark.parametrize("kind", [CIRCLE, DIVISOR])
 def test_tail_bound_falls_strictly_from_edge_to_edge(kind, T):
@@ -277,9 +269,10 @@ def test_tail_bound_falls_strictly_from_edge_to_edge(kind, T):
 
 
 def test_every_d2_chunk_fits_its_buffers():
-    # laplace_d2 writes each chunk's p into block (K(block) + 1) doubles: blocks past the
-    # first have at most block rows at order <= K(block); the first block's octave
-    # [lo, min(2 lo, block)) has to fit too, at the higher order K(lo)
+    # a fold writes each chunk's p into block (K(block) + 1) doubles, for the block of the T
+    # (or of the fold) whose chunk it is: blocks past the first have at most block rows at
+    # order <= K(block); the first block's octave [lo, min(2 lo, block)) has to fit too, at
+    # the higher order K(lo)
     blocks = np.arange(64, 2**21)
     order = np.empty(blocks.size, dtype=np.int64)
     for K in range(laplace._taylor_order(64), laplace._taylor_order(2**21) - 1, -1):
@@ -434,11 +427,130 @@ def _reference_d2(profile, T, rel_tol=laplace.DEFAULT_REL_TOL):
     raise AssertionError("the profile must reach the stop")
 
 
+def _reference_p2(profile, T, rel_tol=laplace.DEFAULT_REL_TOL):
+    """laplace_p2 as a scan of T alone over a built table, kept as its oracle: each block's
+    exp(-n/T) (b^2 m0 - 2 pi b m1 + pi^2 m2), b = S + 1 - pi n, formed left to right in fresh
+    arrays and summed by one np.sum, and `stop_edge` searched from the first edge at every
+    block edge."""
+    m0, m1, m2 = laplace._moments(T, 2, 0.0)
+    block = laplace.block_size(T)
+    pieces = []
+    for n_all, S in arith._block_sums([(0, profile.table)], 0, profile.limit, block):
+        a, hi = int(n_all[0]), int(n_all[-1])
+        assert hi == a + block, "the profile must reach the stop"
+        n, S = n_all[:-1], S[:-1]
+        b = S + 1.0 - np.pi * n
+        u = (b * b * m0 - 2.0 * np.pi * b * m1 + np.pi * np.pi * m2) * np.exp(-n / T)
+        pieces.append(float(np.sum(u)))
+        total = math.fsum(pieces)
+        if laplace.stop_edge(CIRCLE, T, rel_tol, total) <= hi:
+            return total, laplace._tail_bound(CIRCLE, T, hi)
+    raise AssertionError("the profile must reach the stop")
+
+
 @pytest.mark.parametrize("T", [1.0, 10.0, 16.0, 32.0, 100.0, 1000.5, 4096.0])
 def test_laplace_d2_equals_its_reference_bit_for_bit(divisor_1m, T):
     # compared on this machine, not against pinned bits: np.exp and np.log round differently
     # on other CPUs (ROADMAP item 16)
     assert laplace_d2(divisor_1m, T) == _reference_d2(divisor_1m, T)
+
+
+@pytest.mark.parametrize("kind, t_list, rel_tol", [
+    (CIRCLE, "64..32768", 1e-6), (DIVISOR, "128..32768", 1e-6),   # the transform benchmark's
+    *((kind, t_list, rel_tol) for kind in (CIRCLE, DIVISOR)
+      for t_list in ("7.5,33.3,1000.5", "1,2,3,5,10,16,32,64,100", "4096")
+      for rel_tol in (1e-3, 1e-6, 1e-9)),
+])
+def test_one_pass_equals_each_T_alone(tables_1m, kind, t_list, rel_tol):
+    # one fold over a streamed profile carries every T: each row has the bits of that T's
+    # transform scanned alone over a built table.  7.5, 33.3, 1000.5 has blocks of 64 that
+    # do not divide the fold's 1001, so chunks begin in the previous fold block
+    Ts = cli._parse_t_list(t_list)
+    streamed = step_profile(arith.build_tables(tables_1m.limit), kind)
+    scan = residual_scan(streamed, Ts, rel_tol)
+    assert set(vars(streamed.tables)) == {"limit"}   # no table was built
+    reference = _reference_p2 if kind == CIRCLE else _reference_d2
+    built = step_profile(tables_1m, kind)
+    assert [row.T for row in scan.rows] == Ts
+    for row in scan.rows:
+        assert (row.integral, row.truncation_bound) == reference(built, row.T, rel_tol), row.T
+        assert row.main_term == laplace_main(kind, row.T)
+
+
+@pytest.mark.parametrize("t_list", ["128..32768", "7.5,33.3,1000.5", "100,150,1000.5"])
+def test_each_T_integrates_its_own_chunks(monkeypatch, divisor_1m, t_list):
+    # every T integrates the chunks a fold of that T alone has, at the same order: the
+    # doubling list has T whose chunks begin past a step-down of K inside the fold's chunk
+    # (T = 512 at n = 6656, T = 8192 at 188416), the others T whose blocks straddle the fold's
+    seen = []
+    integrate = laplace._d2_chunk
+
+    def recorded(run, n, rows, temps):
+        seen.append((run.T, int(n[0]), n.size, rows[0].shape[1]))
+        integrate(run, n, rows, temps)
+    monkeypatch.setattr(laplace, "_d2_chunk", recorded)
+    Ts = cli._parse_t_list(t_list)
+    laplace.residual_scan(divisor_1m, Ts)
+    together = sorted(seen)
+    seen.clear()
+    for T in Ts:
+        laplace_d2(divisor_1m, T)
+    assert together == sorted(seen)
+
+
+def test_laplace_command_writes_the_rows_of_each_T_alone(tmp_path, divisor_1m):
+    # these stops lie past the edge where the largest T's main term stops the tail bound:
+    # the command reads the stream as far as its last T needs
+    out = tmp_path / "lapd.csv"
+    assert cli.main(["laplace", "divisor", "--t-list", "100,150,1000.5", "--rel-tol", "1e-3",
+                     "--out", str(out)]) == 0
+    rows = []
+    for T in (100.0, 150.0, 1000.5):
+        integral, bound = _reference_d2(divisor_1m, T, 1e-3)
+        main = laplace_main(DIVISOR, T)
+        rows.append((T, integral, bound, main, integral - main))
+    cli.write_csv(str(tmp_path / "ref.csv"),
+                  ["T", "integral", "truncation_bound", "main_term", "residual"], rows)
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_taylor_columns_do_not_depend_on_the_order():
+    # a fold forms p once per chunk at the chunk's order; a T that needs a lower order reads
+    # columns that, column k a function of c and k alone, are those of any higher order
+    rng = np.random.default_rng(21)
+    n = np.unique(np.concatenate([[1, 2, 97, 245, 903, 6515, 181761, 2**21],
+                                  rng.integers(1, 2**21, 4000)])).astype(np.float64)
+    D = n * np.log(n) + rng.integers(-1000, 1000, n.size)   # sums near divisor_main(n)
+    p32 = laplace._taylor_coefficients(n, D, np.empty((n.size, 33)))
+    for K in range(1, 33):
+        p = laplace._taylor_coefficients(n, D, np.empty((n.size, K + 1)))
+        assert np.array_equal(p, p32[:, :K + 1]), K
+        # the fold's R, formed in its buffers, is _taylor_remainder's, op for op
+        _, R, t = laplace._taylor_rows(n, D, K, [np.empty(p.size), np.empty(n.size),
+                                                 np.empty(n.size)],
+                                       [np.empty(p.size), None, np.empty(n.size)])
+        assert np.array_equal(R, laplace._taylor_remainder(n, K)), K
+        assert np.array_equal(t, 2.0 * (np.abs(p) @ 0.5 ** np.arange(K + 1)) + R), K
+
+
+@pytest.mark.parametrize("width", [4, 5, 6, 7, 8, 33])
+def test_a_chunks_rows_integrate_as_a_fresh_array(width):
+    # a T's chunk is rows i:j of the fold chunk's p; its p @ H and |p| @ w run on that slice,
+    # which must give the bits of the same rows in an array of their own, as a scan of that
+    # T alone has them.  (Rows i:j of the whole chunk's products need not: on OpenBLAS
+    # 0.3.31 a gemv row differs in a longer matrix at 8 columns and more, and any one-row
+    # product in the row of a longer one.)
+    rng = np.random.default_rng(width)
+    p = rng.standard_normal((4200, width)) * 10.0 ** rng.integers(-8, 9, (4200, width))
+    H = rng.standard_normal((width, width))
+    w = 0.5 ** np.arange(width)
+    for rows in (1, 7, 8, 63, 64, 65, 4097):
+        for i in (0, 1, 7, 64):
+            view, fresh = p[i:i + rows], p[i:i + rows].copy()
+            q = np.empty_like(fresh)
+            assert np.array_equal(laplace._quadratic_forms(view, H, q),
+                                  laplace._quadratic_forms(fresh, H, q)), (rows, i)
+            assert np.array_equal(np.abs(view) @ w, np.abs(fresh) @ w), (rows, i)
 
 
 @pytest.mark.parametrize("width", [2, 3, 4, 5, 6, 7, 8, 9, 33])
@@ -468,9 +580,11 @@ def test_taylor_remainder_is_an_upper_bound(n, D):
                     return delta(c) - u * (mp.log(c) + 2 * gamma) - mp.fsum(
                         (-1) ** k * u**k / (k * (k - 1) * c ** (k - 1)) for k in range(2, K + 1))
 
-                p = laplace._taylor_coefficients(float(n), float(D), np.empty(K + 1))
-                decay = np.exp(-float(n) / T)
-                bound = float(laplace._taylor_certificate(float(n), np.abs(p), decay))
+                # the certificate of `laplace._d2_chunk`, (exp(-n/T) R) t, on the one row n
+                _, R, t = laplace._taylor_rows(np.array([float(n)]), np.array([float(D)]), K,
+                                               [np.empty(K + 1), np.empty(1), np.empty(1)],
+                                               [np.empty(K + 1), None, np.empty(1)])
+                bound = float(np.exp(-float(n) / T) * R[0] * t[0])
                 if bound == 0.0:    # exp(-n/T) underflows: nothing to compare
                     continue
                 gap = mp.quad(lambda x: (delta(x)**2 - delta_k(x)**2) * mp.exp(-x / T), [n, n + 1])
