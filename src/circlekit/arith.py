@@ -15,9 +15,11 @@ Each of r, d and sigma has one kernel that sieves one cache-sized segment
 lattice points, d and sigma by pairing divisors with cofactors.  `_segments`
 runs a kernel over 0..N in ascending order.  A fold that reads its values once,
 in order (`sieve`'s sums, the series constants, the partial sums of
-`_block_sums` behind `error-term`), takes the segments from one reused buffer
-and holds no table; `_filled`, the one table builder, fills a whole table from
-the same segments for the readers of `ArithTables` that need one.  The tables
+`_block_sums` behind `error-term` and `laplace`, `correlate.corr_grid`'s
+windows), takes the segments from one reused buffer and holds no table;
+`_filled`, the one table builder, fills a whole table from the same segments
+for the readers of `ArithTables` that need one (`voronoi`'s, the last command
+that does, and oracles such as `correlate.corr_sum`).  The tables
 are read-only numpy arrays, each sieved on the first access to it, so a
 command that reads only r never sieves d or sigma.  Built tables are safe to
 share across threads; all query helpers are read-only.

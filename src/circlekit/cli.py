@@ -10,7 +10,8 @@ Identical parameters produce byte-identical CSV in a fixed build.
 Only ``sieve`` takes ``--limit``, because there the limit is the result.
 ``error-term``, ``correlate``, ``constants`` and ``voronoi`` sieve exactly
 what their inputs need, and ``laplace`` streams the sieve until its transforms'
-tail bound stops the last T.
+tail bound stops the last T.  Every command but ``voronoi`` folds the sieve
+segment by segment and holds no N-entry table.
 
 Exit codes: 0 success, 2 usage error, 3 capacity error (the message names
 the sieve limit that would have sufficed), 1 internal failure.  Usage errors

@@ -6,11 +6,12 @@ import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import circlekit
-from circlekit import arith, cli, laplace, lattice, special
+from circlekit import arith, cli, correlate, laplace, lattice, special
 from circlekit.errors import CapacityError
 from conftest import hyperbola_count, lattice_count, sigma_count, traced_peak
 
@@ -182,7 +183,7 @@ def test_impossible_limit_exits_3(tmp_path, capsys):
     assert run(["sieve", "--limit", str(10**400)]) == 3   # N / 2**20 overflows a float
     assert f"capacity error: cannot allocate sieve tables for N={10**400} (~" \
         in capsys.readouterr().err
-    out = tmp_path / "x.csv"   # T^1.5 overflows float64 when sizing the sieve
+    out = tmp_path / "x.csv"   # no scratch fits T's blocks, and T^1.5 overflows its main term
     assert run(["laplace", "circle", "--t-list", "1e307", "--out", str(out)]) == 3
     assert ("capacity error: T=1e+307 at rel_tol=1e-06 needs sieve limit > 747 T: "
             in capsys.readouterr().err)
@@ -234,12 +235,14 @@ def test_capacity_exit_code(monkeypatch, capsys):
     ("_r_segment", ["error-term", "circle", "--x-max", "1e7"]),   # error-term streams r
     ("_d_segment", ["constants", "d_squared", "--terms", "1000"]),
     ("_r_segment", ["error-term", "circle", "--x-max", "1000"]),
+    ("_r_segment", ["correlate", "--n", "990", "--h-max", "10"]),   # streams r to n + h_max
 ])
 def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, failing, argv):
     def out_of_memory(*args):
         raise MemoryError
     monkeypatch.setattr(arith, failing, out_of_memory)
-    N = int(float(argv[-1]))   # each argv ends with the sieve limit
+    # each argv but correlate's ends with the sieve limit
+    N = int(argv[2]) + int(argv[4]) if argv[0] == "correlate" else int(float(argv[-1]))
     if argv[0] == "voronoi":   # a table fill names the (N + 1) * 4 B of the int32 r table
         message = f"cannot allocate sieve tables for N={N} (~4 KiB needed)"   # 4004 B, rounded up
     else:   # a stream names its segment buffers: the int32 segment, sigma's ramp and pair too
@@ -247,10 +250,22 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
         kib = {("r", 1000): 4, ("r", 10**7): 128, ("d", 1000): 4, ("sigma", 1000): 12}[name, N]
         message = (f"cannot allocate the streamed {name} sieve for N={N} "
                    f"(~{kib} KiB of segment buffers, plus the kernel's scratch)")
-    if argv[0] == "error-term":
+    if argv[0] in {"error-term", "correlate"}:
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     assert run(argv) == 3
     assert f"capacity error: {message}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_correlation_window_that_cannot_be_allocated_exits_3(tmp_path, monkeypatch, capsys):
+    # an h_max whose window and sums no machine holds (h_max = 1e12 needs ~16 TB) was a
+    # MemoryError, exit 1; stubbed here, as a real one could be granted by an overcommitting OS
+    def out_of_memory(size):
+        raise MemoryError
+    monkeypatch.setattr(correlate, "np", SimpleNamespace(empty=out_of_memory))
+    assert run(["correlate", "--n", "990", "--h-max", "10", "--out", str(tmp_path / "x.csv")]) == 3
+    assert ("capacity error: cannot allocate the correlation window and sums for N=1000 "
+            "(~8 KiB for H_max=10)\n") in capsys.readouterr().err   # (990 + 10 + 10) * 8 B
     assert list(tmp_path.iterdir()) == []
 
 
@@ -307,7 +322,7 @@ def test_int32_guard_on_streamed_segments_exits_3(monkeypatch, capsys, kernel, a
     (["constants", "r_squared", "--terms", "1000000"], 0, 1),   # r's segments; the blocks
     (["voronoi", "--x", "1000000.5", "--n-terms", "2"], 4, 1),   # r, for one P(x)
     (["voronoi", "--x", "100000.5", "--n-terms", "1000000"], 4, 5),   # r; the series' blocks
-    (["correlate", "--n", "1000000", "--h-max", "100"], 4, 1),   # r; one block buffer, no copy
+    (["correlate", "--n", "1000000", "--h-max", "100"], 0, 2),   # r's segments; one window
     (["constants", "d_squared", "--terms", "1000000"], 0, 5),   # d's 2 MiB segment; the blocks
     (["error-term", "divisor", "--x-max", "1e6", "--samples", "64"], 0, 6),   # likewise
 ])
@@ -462,7 +477,7 @@ def test_laplace_scratch_that_cannot_be_allocated_exits_3(tmp_path, capsys, kind
 
 def test_laplace_scan_that_cannot_stop_exits_3(tmp_path, capsys):
     # rel_tol times T = 1's integral underflows to 0, which no tail bound is
-    # below; the limit this names is below the sieve T = 1000 sized, so no rebuild
+    # below: the one pass raises at T = 1's last edge, with T = 1000 still running
     out = tmp_path / "x.csv"
     assert run(["laplace", "divisor", "--t-list", "1,1000", "--rel-tol", "5e-324",
                 "--out", str(out)]) == 3

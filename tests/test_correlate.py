@@ -92,6 +92,42 @@ def test_corr_grid_never_depends_on_the_block(tables_4k, monkeypatch, block):
             assert all(type(raw) is int for raw in raws)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("segment", [7, 64])
+def test_corr_grid_streams_r_with_no_table(tables_4k, monkeypatch, segment, block):
+    # no table built: r comes segment by segment, and the window's carry crosses segments
+    monkeypatch.setattr(arith, "_R_SEGMENT", segment)
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    Ns = {k * m + d for m in (segment, block) for k in (1, 3) for d in (-1, 0, 1)} - {0}
+    for N in sorted(Ns):
+        for H_max in (1, 9, segment + 1, N + 2):   # past a whole segment; past N
+            tables = arith.ArithTables(N + H_max)
+            raws = [rec.raw for rec in corr_grid(tables, N, H_max)]
+            assert raws == [corr_sum(tables_4k, N, h) for h in range(1, H_max + 1)], (N, H_max)
+            assert "r" not in tables.__dict__
+
+
+def test_corr_grid_checks_each_streamed_block_against_2_53(monkeypatch):
+    # a |r| too large for exact float64 dots that only a later block reads still raises
+    monkeypatch.setattr(arith, "_R_SEGMENT", 64)
+    monkeypatch.setattr(arith, "_BLOCK", 64)
+    top = math.isqrt((2**53 - 1) // 64)   # the largest |r| with block * r^2 < 2^53
+    sieve, spike = arith._r_segment, [top]
+
+    def spiked(lo, hi, out):   # r(200), past the first block's window 1..74, set to spike[0]
+        sieve(lo, hi, out)
+        if lo <= 200 < hi:
+            out[200 - lo] = spike[0]
+    monkeypatch.setattr(arith, "_r_segment", spiked)
+    built = arith.ArithTables(310)
+    assert built.r[200] == top
+    raws = [rec.raw for rec in corr_grid(arith.ArithTables(310), 300, 10)]
+    assert raws == [corr_sum(built, 300, h) for h in range(1, 11)]
+    spike[0] = top + 1
+    with pytest.raises(ValueError, match="2\\^53"):
+        corr_grid(arith.ArithTables(310), 300, 10)
+
+
 def test_corr_grid_float64_dots_are_exact_up_to_their_bound():
     limit = arith._BLOCK + 100   # two blocks of n
     top = math.isqrt((2**53 - 1) // arith._BLOCK)   # the largest |r| with block * r^2 < 2^53
