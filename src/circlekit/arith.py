@@ -14,15 +14,15 @@ Each of r, d and sigma has one kernel that sieves one cache-sized segment
 [lo, hi) of it, with scratch that does not grow with the limit: r by counting
 lattice points, d and sigma by pairing divisors with cofactors.  `_segments`
 runs a kernel over 0..N in ascending order.  A fold that reads its values once,
-in order (`sieve`'s sums, the series constants, the partial sums of
-`_block_sums` behind `error-term` and `laplace`, `correlate.corr_grid`'s
-windows), takes the segments from one reused buffer and holds no table;
-`_filled`, the one table builder, fills a whole table from the same segments
-for the readers of `ArithTables` that need one (`voronoi`'s, the last command
-that does, and oracles such as `correlate.corr_sum`).  The tables
-are read-only numpy arrays, each sieved on the first access to it, so a
-command that reads only r never sieves d or sigma.  Built tables are safe to
-share across threads; all query helpers are read-only.
+in order (`sieve`'s sums, the series, `_block_sums`' partial sums behind
+`error-term` and `laplace`, `correlate.corr_grid`'s dots), takes the segments
+from one reused buffer, through `_windows` when it needs aligned blocks, and
+holds no table; `_filled`, the one table builder, fills a whole table from the
+same segments for the readers of `ArithTables` that need one (`voronoi`'s, the
+last command that does, and oracles such as `correlate.corr_sum`).  The tables
+are read-only numpy arrays, each sieved on the first access to it, so a command
+that reads only r never sieves d or sigma.  Built tables are safe to share
+across threads; all query helpers are read-only.
 """
 
 from __future__ import annotations
@@ -58,47 +58,65 @@ def _series_sum(segments, term) -> float:
     return math.fsum(itertools.chain.from_iterable(itertools.starmap(block_terms, blocks)))
 
 
-def _block_sums(segments, lo: int, hi: int, block: int):
-    """Yield float64 (n, S) for the blocks [a, b) of [lo, hi): n = a..b and S(a)..S(b),
-    S(n) = sum_{m<=n} f(m) >= 0, f read from segments, the ascending (seg_lo, f[seg_lo:])
-    pieces of f(0..hi) (a built table is the one segment (0, table)).  Blocks start at
-    lo + k block whatever the segments are, and each block's f is copied out of them, so no
-    sum depends on the segments.  S(lo - 1) is summed in int64 and carried into the first
-    block, each later block starts from the last one's S(b): integer sums, so each float64
-    add is exact while S < 2^53.  A block whose S(b) reaches 2^53 raises CapacityError
-    before it is yielded; rounding is monotone and 2^53 is a double, so that is exactly
-    when the true S(b) does.  n and S are buffers the next block overwrites: fresh ones per
-    block made a 1e7 fold ~1.8x slower (2-vCPU VM).  block has no default, so a patched
-    _BLOCK reaches it."""
+def _windows(segments, lo: int, hi: int, buf: np.ndarray, keep: int):
+    """Yield, for each block [a, b) of [lo, hi), a = lo + k block with block = buf.size - keep
+    whatever the segments are, the window buf[:keep + b - a] of f(a - keep..b - 1), f(n) = 0 for
+    n < 0, from segments, the ascending (seg_lo, f[seg_lo:]) pieces of f(0..hi - 1) (a built
+    table is the one segment (0, table)).  A window's first keep entries are the last keep of
+    the one before, as its reader left them: a reader that sums in place carries its sums.  The
+    one place a fold copies segment pieces or carries entries; the next window overwrites it."""
     if hi <= lo:
         return
-    size = min(block, hi - lo) + 1
-    S = np.empty(size)
-    n = np.arange(lo - block, lo - block + size, dtype=np.float64)   # advanced before each block
-    carry, a, k = 0, lo, 0   # S(lo - 1); the block [a, b] being filled, with S[:k] filled
+    block, a, k = buf.size - keep, lo, max(keep - lo, 0)   # the block [a, b), buf[:k] filled
+    buf[:k] = 0
     for seg_lo, f in segments:
-        i = lo - seg_lo
-        if i > 0:
-            carry += int(f[:i].sum(dtype=np.int64))   # the head, with no O(lo) array
-        i = max(i, 0)   # f[i] is f(a + k)
+        i = a - keep + k - seg_lo   # f[i] is f(a - keep + k)
         while i < f.size:
             b = min(a + block, hi)
-            take = min(b - a + 1 - k, f.size - i)
-            S[k:k + take] = f[i:i + take]
+            take = min(keep + b - a - k, f.size - i)
+            buf[k:k + take] = f[i:i + take]
             k, i = k + take, i + take
-            if k <= b - a:   # the block goes on in the next segment
+            if k < keep + b - a:   # the window goes on in the next segment
                 break
-            s = S[:k]
-            s[0] += carry
-            np.cumsum(s, out=s)
-            if s[-1] >= 2.0**53:
-                raise CapacityError(f"partial sums reach {s[-1]:.6g} by n={b}; float64 "
-                                    "sums are exact only below 2^53")
-            n += block
-            yield n[:k], s
+            yield buf[:k]
             if b == hi:
                 return
-            S[0], carry, a, k = s[-1], 0, b, 1   # S(b) opens the next block
+            buf[:keep] = buf[k - keep:k]   # the carry opens the next window
+            a, k = b, keep
+
+
+def _block_sums(segments, lo: int, hi: int, block: int, rows: int = 0, out=None):
+    """Yield float64 (n, S) for the blocks [a, b) of [lo, hi): n = a - rows..b and
+    S(a - rows)..S(b), S(n) = sum_{m<=n} f(m) >= 0, each the `_windows` window over
+    [lo + 1, hi + 1) that keeps the rows and S(a), its f summed in place after them, so no sum
+    depends on the segments; the first starts from the int64 sum of f before it.  Integer sums,
+    so each float64 add is exact while S < 2^53.  A block whose S(b) reaches 2^53 raises
+    CapacityError before it is yielded; rounding is monotone and 2^53 is a double, so that is
+    exactly when the true S(b) does.  n and S are buffers the next block overwrites (out's when
+    given, each rows + block + 1 long or more): fresh ones per block made a 1e7 fold ~1.8x
+    slower (2-vCPU VM).  block has no default, so a patched _BLOCK reaches it."""
+    if hi <= lo:
+        return
+    size = rows + min(block, hi - lo) + 1
+    n, S = (np.empty(size), np.empty(size)) if out is None else (buf[:size] for buf in out)
+    n[:] = np.arange(lo - rows - block, lo - rows - block + size)   # advanced before each block
+    head, j = 0, 0   # the sum of f before the first window; the sums run from S[j]
+
+    def counted(segments):   # the head with no O(lo) array
+        nonlocal head
+        for seg_lo, f in segments:
+            head += int(f[:max(lo - rows - seg_lo, 0)].sum(dtype=np.int64))
+            yield seg_lo, f
+
+    for s in _windows(counted(segments), lo + 1, hi + 1, S, rows + 1):
+        s[j] += head
+        np.cumsum(s[j:], out=s[j:])
+        n += block
+        if s[-1] >= 2.0**53:
+            raise CapacityError(f"partial sums reach {s[-1]:.6g} by n={int(n[s.size - 1])}; "
+                                "float64 sums are exact only below 2^53")
+        yield n[:s.size], s
+        head, j = 0, rows
 
 
 def chi(n: int) -> int:

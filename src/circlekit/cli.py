@@ -62,15 +62,11 @@ _OUT_PATH = _ranged(str, lambda v: Path(v).parent.is_dir() and not Path(v).is_di
 
 
 def format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, float):
-        return f"{v:.17g}"   # 17 digits round-trip every double
-    return str(v)
+    return f"{v:.17g}"   # the other cells are floats: 17 digits round-trip every double
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -222,8 +218,9 @@ def cmd_voronoi(args) -> int:
         raise UsageError(f"--x {args.x:g} times --n-terms {args.n_terms} must be below 2^53, "
                          "the range where the phases 2 pi sqrt(x n) are reduced exactly")
     tables = arith.build_tables(max(int(args.x) + 1, args.n_terms))
-    # the series build r's table first, so P(x) reads it: streamed, a too-large --x would
-    # sieve for hours where the table fails its allocation at once (exit 3)
+    # r's table is built first, so the series and P(x) read it: streamed, a too-large --x
+    # would sieve for hours where the table fails its allocation at once (exit 3)
+    tables.r
     trunc = special.truncated_p(tables, args.x, args.n_terms)
     hardy = special.hardy_partial(tables, args.x, args.n_terms)
     exact = lattice.error_term(lattice.step_profile(tables, lattice.CIRCLE), args.x)

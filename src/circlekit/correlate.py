@@ -52,8 +52,6 @@ def corr_sum(tables: ArithTables, N: int, h: int) -> int:
         raise ValueError(
             f"corr_sum needs tables up to N+h={N + h}, limit is {tables.limit}"
         )
-    if N == 0:
-        return 0
     a = tables.r[1 : N + 1].astype(np.int64)
     b = tables.r[1 + h : N + 1 + h].astype(np.int64)
     return int(np.dot(a, b))
@@ -72,14 +70,12 @@ def e_term(tables: ArithTables, N: int, h: int) -> CorrelationRecord:
 def corr_grid(tables: ArithTables, N: int, H_max: int) -> list[CorrelationRecord]:
     """All records at N for 1 <= h <= H_max.
 
-    One pass over r's segment stream, `tables._stream("r", N + H_max)`: a built or
-    given table is one slice of it, else r is sieved segment by segment and no
-    N-entry table is held.  Each arith._BLOCK of n is copied, with its H_max
-    overlap, into one reused float64 window, and each h adds one BLAS dot over it
-    to an exact int; the window's last H_max entries are carried into the next
-    block, so the overlap may span several segments.  Every product and partial
-    sum in a block is an integer below 2^53, checked against the block's own
-    max |r| before its dots, so each dot is exact in any summation order.
+    One pass over r's segment stream, `tables._stream("r", N + H_max)` (a built or given
+    table is one slice of it, else no N-entry table is held): each arith._BLOCK of n is an
+    `arith._windows` window of float64, led by the H_max values of r before it, and each h
+    adds one BLAS dot over it to an exact int.  Every product and partial sum in a block is
+    an integer below 2^53, checked against the block's own max |r| before its dots, so each
+    dot is exact in any summation order.
     """
     if H_max < 1:
         raise ValueError(f"H_max must be >= 1, got {H_max}")
@@ -89,8 +85,6 @@ def corr_grid(tables: ArithTables, N: int, H_max: int) -> list[CorrelationRecord
         raise ValueError(
             f"corr_grid needs tables up to {N + H_max}, limit is {tables.limit}"
         )
-    if N == 0:   # every sum is empty
-        return [_record(N, h, 0) for h in range(1, H_max + 1)]
     block, window = arith._BLOCK, min(arith._BLOCK, N) + H_max
     try:   # a failed stream raises its own CapacityError in arith
         buf, raws = np.empty(window), [0] * H_max
@@ -99,25 +93,16 @@ def corr_grid(tables: ArithTables, N: int, H_max: int) -> list[CorrelationRecord
         raise CapacityError(f"cannot allocate the correlation window and sums for "
                             f"N={N + H_max} (~{kib} KiB for H_max={H_max})",
                             required_limit=N + H_max) from exc
-    lo, k = 1, 0   # buf[:k] holds r(lo..lo+k-1); the block is n = lo..lo+size-1
-    for seg_lo, f in tables._stream("r", N + H_max):
-        i = lo + k - seg_lo   # f[i] is r(lo + k)
-        while i < f.size:
-            size = min(block, N + 1 - lo)
-            take = min(size + H_max - k, f.size - i)
-            buf[k : k + take] = f[i : i + take]
-            k, i = k + take, i + take
-            if k < size + H_max:   # the window goes on in the next segment
-                break
-            # never fails for a sieved r: r(n) <= 4 d(n) <= 6400 below 2^31, and 2^16 6400^2 < 2^53
-            top = int(max(buf[:k].max(), -buf[:k].min()))
-            if block * top * top >= 2**53:
-                raise ValueError(
-                    f"exact float64 dots need block * max r^2 < 2^53, got {block} * {top}^2"
-                )
-            raws = [raw + int(np.dot(buf[:size], buf[h : h + size])) for h, raw in enumerate(raws, 1)]
-            buf[:H_max] = buf[size:k]   # the overlap opens the next block
-            lo, k = lo + size, H_max
+    # the window over [a, b) holds r(a - H_max..b - 1): the block of n is a - H_max..b - H_max - 1
+    for w in arith._windows(tables._stream("r", N + H_max), 1 + H_max, N + 1 + H_max, buf, H_max):
+        # never fails for a sieved r: r(n) <= 4 d(n) <= 6400 below 2^31, and 2^16 6400^2 < 2^53
+        top = int(max(w.max(), -w.min()))
+        if block * top * top >= 2**53:
+            raise ValueError(
+                f"exact float64 dots need block * max r^2 < 2^53, got {block} * {top}^2"
+            )
+        size = w.size - H_max
+        raws = [raw + int(np.dot(w[:size], w[h : h + size])) for h, raw in enumerate(raws, 1)]
     return [_record(N, h, raw) for h, raw in enumerate(raws, 1)]
 
 

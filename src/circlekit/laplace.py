@@ -302,10 +302,11 @@ def _carried(Ts: list) -> int:
 
 
 def _scratch(kind: str, Ts: list, rel_tol: float) -> list[list[np.ndarray]]:
-    """Every buffer of a fold over Ts, once Ts and rel_tol are checked, shared by its T: n and
-    S over the fold block and the `_carried` rows before it; a chunk's rows (CIRCLE: b b and
-    2 pi b; DIVISOR: p, R and t); and a T's products (CIRCLE: u, e; DIVISOR: |p| or (p @ H) p,
-    exp(-n/T) and one row), as three lists.  A chunk's p fits in B (K(B) + 1) doubles for the
+    """Every buffer of a fold over Ts, once Ts and rel_tol are checked, shared by its T: the n
+    and S that `arith._block_sums` fills, the fold block and the `_carried` rows before it
+    (empty with no rows, as `_block_sums` then allocates its own); a chunk's rows (CIRCLE: b b
+    and 2 pi b; DIVISOR: p, R and t); and a T's products (CIRCLE: u, e; DIVISOR: |p| or
+    (p @ H) p, exp(-n/T) and one row), as three lists.  A chunk's p fits in B (K(B) + 1) doubles for the
     block B of its T or of the fold (test_every_d2_chunk_fits_its_buffers), not monotone in B."""
     if not Ts or any(a >= b for a, b in zip(Ts, Ts[1:])):
         raise ValueError(f"T_list must be non-empty and strictly ascending, got {Ts}")
@@ -350,26 +351,26 @@ def _fold(profile: StepProfile, Ts: list, rel_tol: float) -> tuple[list, int]:
     """(integral, truncation_bound) of the profile's transform at each T of Ts, from one pass
     over its segments, and the last stop edge read.
 
-    The pass reads S in fold blocks of W = block_size(Ts[-1]) and cuts them into chunks (a
-    DIVISOR one also at octaves, at the order K of its first n), whose T-independent rows it
-    forms once.  Each running T then integrates its own chunks that end there, in order, as a
-    fold of that T alone would: from the shared rows while its chunk lies in the fold's at the
-    same order, then, after every T has read those, from rows formed for its chunk alone in the
-    same buffers (a chunk begun in the previous fold block or past a step-down of K).  Its
-    matmul and sums run on its own chunk's rows, a slice with the bits of a fresh array, so
-    `laplace_p2` and `laplace_d2` at T are this fold with Ts = [T].  Only the certificate's
-    t = 2 (|p| @ w) + R comes from rows of the fold's chunk, where a BLAS gemv row can take
-    other bits than alone (8 or more columns, or one row, on OpenBLAS 0.3.31); the
-    self-check alone reads it.  A T stops at the first block edge where `_tail_bound` is below
-    rel_tol times its total, which is where `stop_edge` stops as the bound falls strictly from
-    edge to edge.  The pass ends when the last T stops.
+    The pass reads S in fold blocks of W = block_size(Ts[-1]), each led by the `_carried` rows
+    before it, and cuts them into chunks (a DIVISOR one also at octaves, at the order K of its
+    first n), whose T-independent rows it forms once.  Each running T then integrates its own
+    chunks that end there, in order, as a fold of that T alone would: from the shared rows while
+    its chunk lies in the fold's at the same order, then, after every T has read those, from
+    rows formed for its chunk alone in the same buffers (a chunk begun in the previous fold
+    block or past a step-down of K).  Its matmul and sums run on its own chunk's rows, a slice
+    with the bits of a fresh array, so `laplace_p2` and `laplace_d2` at T are this fold with
+    Ts = [T].  Only the certificate's t = 2 (|p| @ w) + R comes from rows of the fold's chunk,
+    where a BLAS gemv row can take other bits than alone (8 or more columns, or one row, on
+    OpenBLAS 0.3.31); the self-check alone reads it.  A T stops at the first block edge where
+    `_tail_bound` is below rel_tol times its total, which is where `stop_edge` stops as the
+    bound falls strictly from edge to edge.  The pass ends when the last T stops.
 
     A T unstopped at its _LAST_BLOCK-th edge never stops: `stop_edge` raises.  A profile that
     ends first raises for the least T still running, as a scan of one T at a time would, naming
     an edge that suffices: where `stop_edge` stops its total so far, or before its first edge,
     its last one."""
     kind = profile.kind
-    (wn, wS), buffers, temps = _scratch(kind, Ts, rel_tol)
+    window, buffers, temps = _scratch(kind, Ts, rel_tol)
     W, L = block_size(Ts[-1]), _carried(Ts)
     rows, integrate = (_p2_rows, _p2_block) if kind == CIRCLE else (_taylor_rows, _d2_chunk)
     order = _taylor_order if kind == DIVISOR else (lambda lo: 0)
@@ -382,13 +383,10 @@ def _fold(profile: StepProfile, Ts: list, rel_tol: float) -> tuple[list, int]:
         if b == run.a + run.block:
             run.close(kind, rel_tol, profile.limit)
 
-    for n, S in arith._block_sums(profile._segments(profile.limit), 0, profile.limit, W):
-        A, end = int(n[0]), int(n[-1])
-        if L:   # n[x - base] = x from base = A - L on
-            wn[:L], wS[:L] = wn[W:W + L], wS[W:W + L]
-            wn[L:L + n.size], wS[L:L + n.size] = n, S
-            n, S = wn, wS
-        base, lo = A - L, max(A, first)
+    for n, S in arith._block_sums(profile._segments(profile.limit), 0, profile.limit, W, L,
+                                  window if L else None):
+        base, end = int(n[0]), int(n[-1])   # n[x - base] = x, the fold block's L rows before it
+        lo = max(base + L, first)
         while lo < end:
             top, K = _chunk_top(kind, lo, end), order(lo)
             formed = rows(n[lo - base:top - base], S[lo - base:top - base], K, buffers, temps)

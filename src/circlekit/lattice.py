@@ -11,12 +11,12 @@ one-sided limits of integers.  The mean square of P over [0, X] is computed
 exactly (to rounding) from the closed-form integral of the quadratic
 polynomial on each unit interval.
 
-Folds over a range of n read the partial sums from `arith._block_sums`.  The
-readers of one range (`error_term`, `mean_square_p`, `error_at_jumps`,
-`pointwise_report`) fold the profile's segments: a slice of a table already
-built, else the sieve's own segments, so `error-term` holds no table.  All
-operations are read-only over an immutable `StepProfile` and are safe to
-call concurrently.
+Folds over a range of n read the partial sums from `arith._block_sums`, which
+sums the blocks of `arith._windows` in place.  The readers of one range
+(`error_term`, `mean_square_p`, `error_at_jumps`, `pointwise_report`) fold the
+profile's segments: a slice of a table already built, else the sieve's own
+segments, so `error-term` holds no table.  All operations are read-only over an
+immutable `StepProfile` and are safe to call concurrently.
 """
 
 from __future__ import annotations

@@ -219,7 +219,7 @@ def hardy_partial(tables: ArithTables, x: float, N: int) -> float:
     def terms(n, rn):
         frac, root = _reduced_phase(x, n)
         return rn / np.sqrt(n) * _bessel_j(1, 2.0 * np.pi * root, 2.0 * np.pi * frac)
-    return math.sqrt(x) * _series_sum([(0, tables.r[:N + 1])], terms)
+    return math.sqrt(x) * _series_sum(tables._stream("r", N), terms)
 
 
 def truncated_p(tables: ArithTables, x: float, N: int) -> float:
@@ -240,4 +240,4 @@ def truncated_p(tables: ArithTables, x: float, N: int) -> float:
     def terms(n, rn):
         frac, _ = _reduced_phase(x, n)
         return rn * n**-0.75 * np.cos(2.0 * np.pi * frac + math.pi / 4.0)
-    return -(x**0.25 / math.pi) * _series_sum([(0, tables.r[:N + 1])], terms)
+    return -(x**0.25 / math.pi) * _series_sum(tables._stream("r", N), terms)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -451,3 +452,85 @@ def test_g_denominator_divides_h():
 def test_capacity_error_names_limit():
     err = CapacityError("no room", required_limit=123)
     assert err.required_limit == 123
+
+
+@pytest.mark.parametrize("fn", [arith.v2, arith.r_single, arith.g_closed, arith.g_direct,
+                                arith.g_identity_first_failure])
+def test_domain_checks_reject_0(fn):
+    with pytest.raises(ValueError, match=">= 1, got 0"):
+        fn(0)
+
+
+def _cut(table: np.ndarray, rng: random.Random) -> list:
+    """table as ascending (lo, f) segments of 1-7 entries each."""
+    out, lo = [], 0
+    while lo < table.size:
+        out.append((lo, table[lo:lo + rng.randint(1, 7)]))
+        lo += out[-1][1].size
+    return out
+
+
+_SIGMA_40 = arith.build_tables(40).sigma   # a built table, no two neighbours equal
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["one-segment", "segments-of-1-to-7"])
+def test_windows_are_the_table_slices(whole):
+    # keep runs past a block and past a segment; lo below keep reads n < 0 as 0
+    rng, table = random.Random(41), _SIGMA_40
+    hi = table.size
+    for keep in range(13):
+        for block in range(1, 10):
+            for lo in sorted({0, 1, keep // 2, max(keep - 1, 0), 23}):
+                a, buf = lo, np.full(keep + block, np.nan)
+                for w in arith._windows([(0, table)] if whole else _cut(table, rng), lo, hi,
+                                        buf, keep):
+                    b = min(a + block, hi)
+                    assert np.shares_memory(w, buf)
+                    assert w.tolist() == [table[n] if n >= 0 else 0 for n in range(a - keep, b)]
+                    a = b
+                assert a == hi, (keep, block, lo)
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["one-segment", "segments-of-1-to-7"])
+def test_windows_carry_what_their_reader_left(whole):
+    rng, table = random.Random(7), _SIGMA_40
+    for keep, block in [(1, 1), (3, 2), (12, 5), (5, 9)]:
+        left = None
+        for w in arith._windows([(0, table)] if whole else _cut(table, rng), 2, table.size,
+                                np.empty(keep + block), keep):
+            if left is not None:
+                assert w[:keep].tolist() == left
+            w += 0.5   # a reader that overwrites its window in place
+            left = w[w.size - keep:].tolist()
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["one-segment", "segments-of-1-to-7"])
+def test_block_sums_rows_carry_and_head(whole):
+    rng, table = random.Random(3), _SIGMA_40
+    S = np.cumsum(table)
+    hi = table.size - 1
+    for rows in range(13):
+        for block in range(1, 10):
+            for lo in sorted({0, 1, rows // 2, rows, 23}):
+                a, last = lo, None
+                for n, s in arith._block_sums([(0, table)] if whole else _cut(table, rng),
+                                              lo, hi, block, rows):
+                    b = min(a + block, hi)
+                    assert n.tolist() == list(range(a - rows, b + 1))
+                    assert s.tolist() == [S[m] if m >= 0 else 0 for m in range(a - rows, b + 1)]
+                    if last is None and a > rows:   # the head, f's int64 sum before the window
+                        assert s[0] - table[a - rows] == table[:a - rows].sum(dtype=np.int64)
+                    elif last is not None:   # the rows and S(a) are the last block's last sums
+                        assert s[:rows + 1].tolist() == last
+                    last, a = s[s.size - rows - 1:].tolist(), b
+                assert a == hi, (rows, block, lo)
+
+
+def test_block_sums_fill_the_buffers_they_are_given():
+    table, rows, block = _SIGMA_40, 4, 6
+    out = (np.empty(rows + block + 1), np.empty(rows + block + 1))
+    given = list(arith._block_sums([(0, table)], 3, 40, block, rows, out))
+    own = list(arith._block_sums([(0, table)], 3, 40, block, rows))
+    assert all(np.shares_memory(n, out[0]) and np.shares_memory(s, out[1]) for n, s in given)
+    assert [(n.tolist(), s.tolist()) for n, s in given] == \
+        [(n.tolist(), s.tolist()) for n, s in own]

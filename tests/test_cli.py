@@ -8,6 +8,7 @@ from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import circlekit
@@ -255,6 +256,29 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
     assert run(argv) == 3
     assert f"capacity error: {message}\n" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_table_allocation_exits_3(tmp_path, monkeypatch, capsys):
+    # voronoi fills r's table, N = 1000 here: an allocation of it that fails is exit 3
+    empty = np.empty
+
+    def no_table(shape, dtype=float, *args, **kwargs):
+        if shape == 1001 and np.dtype(dtype) == np.int32:
+            raise MemoryError
+        return empty(shape, dtype, *args, **kwargs)
+    monkeypatch.setattr(arith.np, "empty", no_table)
+    assert run(["voronoi", "--x", "999.5", "--n-terms", "1000"]) == 3
+    err = capsys.readouterr().err
+    assert err == "capacity error: cannot allocate sieve tables for N=1000 (~4 KiB needed)\n"
+
+
+def test_internal_failure_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("stubbed layer failure")
+    monkeypatch.setattr(correlate, "corr_grid", broken)
+    assert run(["correlate", "--n", "10", "--h-max", "2", "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "internal error: RuntimeError: stubbed layer failure\n"
+    assert list(tmp_path.iterdir()) == []   # no CSV, no manifest
 
 
 def test_correlation_window_that_cannot_be_allocated_exits_3(tmp_path, monkeypatch, capsys):

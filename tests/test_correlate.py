@@ -80,6 +80,10 @@ def test_corr_grid_empty_and_domain(tables_4k):
     for H_max in (1, 4):   # an empty sum, and one np.dot used to reject by shape
         with pytest.raises(ValueError, match="N must be >= 0"):
             corr_grid(tables_4k, -3, H_max)
+    with pytest.raises(ValueError, match="H_max must be >= 1"):
+        corr_grid(tables_4k, 10, 0)
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        corr_sum(tables_4k, -1, 1)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])

@@ -177,6 +177,19 @@ def test_truncated_p_domain_errors(tables_120k):
         truncated_p(tables_120k, math.nan, 10)
     with pytest.raises(ValueError):
         hardy_partial(tables_120k, math.nan, 10)
+    for N in (-1, tables_120k.limit + 1):
+        with pytest.raises(ValueError, match="outside table range"):
+            hardy_partial(tables_120k, 10.5, N)
+
+
+def test_series_stream_r_and_build_no_table():
+    # a streamed r gives the bits of the built table's, and the stream leaves no table behind
+    streamed, built = arith.build_tables(3000), arith.build_tables(3000)
+    built.r
+    for series in (truncated_p, hardy_partial):
+        assert series(streamed, 1000.5, 3000) == series(built, 1000.5, 3000)
+        assert series(streamed, 7.25, 2) == series(built, 7.25, 2)
+    assert "r" not in streamed.__dict__
 
 
 def test_phase_reduction_matches_direct_cosine(tables_120k):
