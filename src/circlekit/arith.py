@@ -12,9 +12,10 @@ Everything here is exact integer (or rational) arithmetic:
 
 Each of r, d and sigma has one kernel that sieves one cache-sized segment
 [lo, hi) of it, with scratch that does not grow with the limit: r by counting
-lattice points, d and sigma by pairing divisors with cofactors.  `_segments`
-runs a kernel over 0..N in ascending order.  A fold that reads its values once,
-in order (`sieve`'s sums, the series, `_block_sums`' partial sums behind
+lattice points, d and sigma by pairing divisors with cofactors (d's segments in
+int16 below 2^28).  `_segments` runs a kernel over 0..N in ascending order.  A
+fold that reads its values once, in order (`sieve`'s sums, the series, summed
+exactly by one Python int per series, `_block_sums`' partial sums behind
 `error-term` and `laplace`, `correlate.corr_grid`'s dots), takes the segments
 from one reused buffer, through `_windows` when it needs aligned blocks, and
 holds no table; `_filled`, the one table builder, fills a whole table from the
@@ -27,7 +28,6 @@ across threads; all query helpers are read-only.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -38,24 +38,62 @@ from .errors import CapacityError
 
 _BLOCK = 1 << 16  # entries per scratch buffer and per fold block over a table; of all
                   # results it fixes only mean_square_p's last bit, as block_size(T) a transform's
-_SEGMENT = 1 << 19  # table entries per segment of the d and sigma sieves (see _divisor_sieve);
-                    # it fixes no entry of any table, only the time
+_SEGMENT = 1 << 19  # table entries per segment of the d and sigma sieves (see _divisor_sieve),
+                    # 2 _SEGMENT for int16 d (see _d_dtype); it fixes no entry, only the time
 _R_SEGMENT = 1 << 15  # table entries per segment of the r sieve (see _r_segment); likewise
 _INT32_LIMIT = 2**31  # scratch integers stay int32 while every value they hold is below this
+_INT16_LIMIT = 2**15  # and d's segments int16 (see _d_dtype)
 
 
 def _series_sum(segments, term) -> float:
-    """math.fsum of term(n, f(n)) over the n with f(n) != 0, for each (lo, f) of segments,
-    f(n) = f[n - lo] (f(0) = 0), one _BLOCK of n at a time: term maps a block's kept n and
-    f(n), ascending float64 arrays, never empty, to a float64 array that fsum reads through a
-    memoryview, with no list of floats.  fsum is exactly rounded (Shewchuk, DCG 18 (1997)):
-    no bit depends on the segments, the blocks or the skipped zeros."""
-    def block_terms(lo: int, f: np.ndarray):
-        keep = f != 0
-        n = np.arange(lo, lo + f.size, dtype=np.float64).compress(keep)
-        return memoryview(term(n, f.compress(keep).astype(np.float64))) if n.size else ()
-    blocks = ((lo + a, f[a:a + _BLOCK]) for lo, f in segments for a in range(0, f.size, _BLOCK))
-    return math.fsum(itertools.chain.from_iterable(itertools.starmap(block_terms, blocks)))
+    """The exactly rounded sum of term(n, f(n)) over the n with f(n) != 0, for each (lo, f) of
+    segments, f(n) = f[n - lo] (f(0) = 0), one _BLOCK of n at a time: term maps a block's kept n
+    and f(n), ascending float64 arrays, never empty, to a float64 array.  `_scaled_sum` adds
+    each block's terms into one Python int, and one int / int division, correctly rounded with
+    ties to even, makes it a float.  That is math.fsum's value, as fsum is exactly rounded too
+    (Shewchuk, DCG 18 (1997)), so no bit depends on the segments, the blocks or the skipped
+    zeros.  fsum reads one Python float at a time: the divisor series constant to 1e7, its d
+    stream included, took ~0.61 s with it and ~0.36 s this way (2-vCPU x86 VM).  Non-finite
+    terms give fsum's value of them alone: inf, nan, or its ValueError for inf - inf.  A sum
+    of the finite terms past the largest double raises OverflowError, as fsum does."""
+    total, special = 0, []
+    for lo, f in segments:
+        for a in range(0, f.size, _BLOCK):
+            g = f[a:a + _BLOCK]
+            keep = g != 0
+            n = np.arange(lo + a, lo + a + g.size, dtype=np.float64).compress(keep)
+            if n.size:
+                x = term(n, g.compress(keep).astype(np.float64))
+                finite = np.isfinite(x)
+                if not finite.all():
+                    special += x[~finite].tolist()
+                    x = x[finite]
+                total += _scaled_sum(x)
+    value = total / (1 << 1126)   # first: a finite sum past the largest double raises here
+    return math.fsum(special) if special else value
+
+
+def _scaled_sum(x: np.ndarray) -> int:
+    """sum(x) 2^1126, exactly, of at most _BLOCK finite doubles: Neal's small superaccumulator
+    (arXiv:1505.05571), vectorised.  np.frexp writes each x as M 2^(e - 53), M an integer,
+    |M| < 2^53 and e >= -1073 (subnormals included), and M = hi 2^26 + lo exactly, |hi| < 2^27,
+    |lo| < 2^26.  One np.bincount per half sums them by e; each bin adds at most _BLOCK <= 2^25
+    integers, so every partial sum is an integer below 2^52, exact in float64.  The bins then
+    go into one Python int at the fixed scale 2^1126, where every term is an integer."""
+    assert _BLOCK <= 2**25
+    if not x.size:
+        return 0
+    m, e = np.frexp(x)
+    m *= 2.0**27
+    hi = np.trunc(m)
+    lo = np.subtract(m, hi, out=m)
+    lo *= 2.0**26
+    base = int(e.min())
+    e -= base
+    hi, lo = np.bincount(e, hi), np.bincount(e, lo)
+    k = np.flatnonzero(np.logical_or(hi, lo))   # the bins some term reached
+    bins = zip(hi[k].tolist(), lo[k].tolist(), k.tolist())
+    return sum(((int(h) << 26) + int(l)) << j for h, l, j in bins) << (base + 1073)
 
 
 def _windows(segments, lo: int, hi: int, buf: np.ndarray, keep: int):
@@ -186,14 +224,19 @@ def _capacity_error(N: int, dtype) -> CapacityError:
 def _segments(name: str, N: int, table: np.ndarray | None = None):
     """Yield (lo, f) for the segments [lo, hi) of 0..N in ascending order, f the named table's
     f(lo..hi-1) from its kernel: `_r_segment` over _R_SEGMENT entries, `_d_segment` and
-    `_sigma_segment` over _SEGMENT.  f is a buffer that the next segment overwrites; given a
-    table, each segment is also left in table[lo:hi] (r and d are sieved straight into it,
-    sigma's int32 segment is copied).  Tables and streams take this one path, so both keep
-    the int32 guard and name N in the CapacityError of a failed allocation: the table's
-    size when filling one, else the size of the stream's segment buffers, which its kernel's
-    per-segment scratch comes on top of."""
-    size = _R_SEGMENT if name == "r" else _SEGMENT
-    dtype = _sigma_dtype(N) if name == "sigma" else _DTYPES[name]
+    `_sigma_segment` over _SEGMENT, a streamed d over 2 _SEGMENT while `_d_dtype` makes it
+    int16 (the same 2 MiB).  f is a buffer that the next segment overwrites; given a table,
+    each segment is also left in table[lo:hi] (r and d are sieved straight into it, sigma's
+    int32 segment is copied).  Tables and streams take this one path, so both keep
+    the overflow guard of r and d and name N in the CapacityError of a failed allocation: the
+    table's size when filling one, else the size of the stream's segment buffers, which its
+    kernel's per-segment scratch comes on top of."""
+    dtype = _DTYPES[name]
+    if name == "sigma":
+        dtype = _sigma_dtype(N)
+    elif name == "d" and table is None:   # a d table is sieved in its own int32
+        dtype = _d_dtype(N)
+    size = _R_SEGMENT if name == "r" else 2 * _SEGMENT if dtype == np.int16 else _SEGMENT
     ramp_size = pair_size = 0   # sigma's ramp and pair buffer (see _sigma_segment)
     if name == "sigma":
         ramp_size, pair_size = min(N, _BLOCK) + math.isqrt(N) + 1, min(N, _BLOCK)
@@ -210,9 +253,12 @@ def _segments(name: str, N: int, table: np.ndarray | None = None):
             hi = min(lo + size, N + 1)
             f = table[lo:hi] if direct else buf[:hi - lo]
             kernel(lo, hi, f)
-            # Overflow guard: r(n) <= 4 d(n) < 2**31 at any feasible N, but check the built maxima.
-            if _DTYPES[name] == np.int32 and max(int(f.max()), -int(f.min())) >= 2**31 - 1:
-                raise CapacityError(f"int32 table overflow at N={N}", required_limit=N)
+            # Overflow guard: r(n) <= 4 d(n) < 2**31 at any feasible N, and an int16 d(n) < 2**15
+            # (`_d_dtype`), but check the built maxima.
+            if name != "sigma" and max(int(f.max()), -int(f.min())) >= np.iinfo(dtype).max:
+                what = "table" if dtype == _DTYPES[name] else "segment"
+                raise CapacityError(f"{np.dtype(dtype)} {what} overflow at N={N}",
+                                    required_limit=N)
             if table is not None and not direct:
                 table[lo:hi] = f
             yield lo, f
@@ -291,7 +337,7 @@ def _segment_runs(lo: int, hi: int):
         k0, k1 = -(-lo // delta), (hi - 1) // delta + 1
         if k0 <= delta:
             k0 = delta + 1
-        while k1 - k0 > _BLOCK:   # only the deltas below _SEGMENT / _BLOCK
+        while k1 - k0 > _BLOCK:   # only the deltas below (hi - lo) / _BLOCK
             yield delta, k0, k0 + _BLOCK
             k0 += _BLOCK
         if k0 < k1:
@@ -303,12 +349,22 @@ def _d_segment(lo: int, hi: int, out: np.ndarray) -> None:
 
     A pair adds 1 + 1, so each run of cofactors k of delta adds 2 at n = delta k, and each
     square delta^2 in the segment adds 1: in-place strided adds, with no weights array or
-    pair buffer.
+    pair buffer.  A streamed out is int16 while `_d_dtype` allows (N below 2^28): 2 MiB at
+    2^20 entries, so half the segments, and so half the runs, of 2^19 int32 entries.  At
+    N = 1e7 on a 2-vCPU x86 VM the streamed d took ~0.135 s, against ~0.175 s in int32
+    segments.  A table is int32 and sieved in place, with no int16 buffer to copy from.
     """
     out.fill(0)
     for delta, k0, k1 in _segment_runs(lo, hi):
         out[delta * k0 - lo:delta * (k1 - 1) - lo + 1:delta] += 2
     out[_squares(lo, hi) ** 2 - lo] += 1
+
+
+def _d_dtype(n: int):
+    """The dtype of d's streamed segment buffer for entries up to n >= 1: int16 while
+    2 isqrt(n) < _INT16_LIMIT, i.e. n < 2^28, as the divisors of m pair up as delta, m / delta
+    with delta <= sqrt(m), so d(m) <= 2 isqrt(m) <= 2^15 - 2.  Past that, int32, as the table."""
+    return np.int16 if 2 * math.isqrt(n) < _INT16_LIMIT else np.int32
 
 
 def _sigma_dtype(n: int):
@@ -360,10 +416,11 @@ def _divisor_sieve(weights: np.ndarray) -> np.ndarray:
     and a new page from ~1000; 2^19 entries, 2 MiB of int32 d, stay in a 2 MiB L2.
     On such a 2-vCPU x86 VM at N = 1e7 this took d from ~0.6 to ~0.26 s and sigma
     from ~0.9 to ~0.5 s; 2^18 and 2^20 were slower than 2^19, and 2^16 slower than
-    no segments.  The adds are integer, so their order changes no entry.  The
-    pair sums go through one preallocated buffer of at most _BLOCK entries, one
-    run at a time: a fresh temporary per run leaves freed heap behind that raised
-    the peak RSS of later commands.  This weights form serves
+    no segments; a streamed d's int16 segments keep those 2 MiB at 2^20 entries.
+    The adds are integer, so their order changes no entry.  The pair sums go
+    through one preallocated buffer of at most _BLOCK entries, one run at a time:
+    a fresh temporary per run leaves freed heap behind that raised the peak RSS
+    of later commands.  This weights form serves
     `g_identity_first_failure`; `_d_segment` and `_sigma_segment` run the same runs
     with no weights array.
     """

@@ -102,10 +102,10 @@ class LaplaceEstimate:
 
 def series_constant(profile: StepProfile, terms: int) -> SeriesConstant:
     """Partial sum of sum_{n<=terms} f(n)^2 n^(-3/2), f the profile's r (CIRCLE) or d
-    (DIVISOR), one math.fsum over 2^16-entry blocks, f(n) = 0 skipped: exactly rounded
-    whatever the grouping.  f is read from the profile's segments: its table when built, else
-    streamed with no table kept.  The tail bound is proven and reads the kind and terms alone
-    (`_series_tail`)."""
+    (DIVISOR), summed exactly over 2^16-entry blocks, f(n) = 0 skipped, and rounded once
+    (`arith._series_sum`): exactly rounded whatever the grouping.  f is read from the
+    profile's segments: its table when built, else streamed with no table kept.  The tail
+    bound is proven and reads the kind and terms alone (`_series_tail`)."""
     if terms < 1 or terms > profile.limit:
         raise ValueError(f"terms={terms} outside table range [1, {profile.limit}]")
     value = arith._series_sum(profile._segments(terms), lambda n, f: f**2 * n**-1.5)
@@ -266,7 +266,7 @@ class _Run:
         b = _chunk_top(kind, self.lo, self.a + self.block)
         return (self.lo, b) if self.result is None and b <= top else None
 
-    def close(self, kind: str, rel_tol: float, limit: int) -> None:
+    def close(self, kind: str, rel_tol: float) -> None:
         """Adds the open block to the total; stops at its edge x if the tail bound there is
         below rel_tol times the total, after the certificate's self-check, else goes on."""
         self.pieces.append(self.value)
@@ -280,10 +280,13 @@ class _Run:
                     f"remainder bound {error:.3e} exceeds {_QUAD_SELF_CHECK} rel"
                 )
             self.result, self.edge = (total, bound), x
-        elif x >= _LAST_BLOCK * self.block:   # exp(-n/T) is 0.0 from here: the total is final
-            need = max(x, stop_edge(kind, self.T, rel_tol, total))
-            raise _too_short(limit, self.T, rel_tol, need)
         else:
+            if x >= _LAST_BLOCK * self.block:
+                # The _LAST_BLOCK-th edge: exp(-x/T) is 0.0 and T (x + T) is finite (a fold
+                # holds W >= T doubles), so the bound is 0.0.  It failed, so rel_tol * total is
+                # <= 0 (5e-324 times a total below 0.5 underflows) or nan; no edge's bound, never
+                # negative, is below that, so `stop_edge` raises its CapacityError here.
+                stop_edge(kind, self.T, rel_tol, total)
             self.a, self.value = x, 0.0
 
 
@@ -303,10 +306,10 @@ def _carried(Ts: list) -> int:
 
 def _scratch(kind: str, Ts: list, rel_tol: float) -> list[list[np.ndarray]]:
     """Every buffer of a fold over Ts, once Ts and rel_tol are checked, shared by its T: the n
-    and S that `arith._block_sums` fills, the fold block and the `_carried` rows before it
-    (empty with no rows, as `_block_sums` then allocates its own); a chunk's rows (CIRCLE: b b
-    and 2 pi b; DIVISOR: p, R and t); and a T's products (CIRCLE: u, e; DIVISOR: |p| or
-    (p @ H) p, exp(-n/T) and one row), as three lists.  A chunk's p fits in B (K(B) + 1) doubles for the
+    and S that `arith._block_sums` fills, the fold block, the `_carried` rows before it and
+    S(a), counted with or without rows; a chunk's rows (CIRCLE: b b and 2 pi b; DIVISOR: p, R
+    and t); and a T's products (CIRCLE: u, e; DIVISOR: |p| or (p @ H) p, exp(-n/T) and one
+    row), as three lists.  A chunk's p fits in B (K(B) + 1) doubles for the
     block B of its T or of the fold (test_every_d2_chunk_fits_its_buffers), not monotone in B."""
     if not Ts or any(a >= b for a, b in zip(Ts, Ts[1:])):
         raise ValueError(f"T_list must be non-empty and strictly ascending, got {Ts}")
@@ -320,7 +323,7 @@ def _scratch(kind: str, Ts: list, rel_tol: float) -> list[list[np.ndarray]]:
         rows = [W, W]
     else:
         rows = [max(B * (_taylor_order(B) + 1) for B in map(block_size, Ts)), W, W]
-    sizes = [[L + W + 1 if L else 0] * 2, rows, rows]
+    sizes = [[L + W + 1] * 2, rows, rows]
     size = sum(map(sum, sizes))
     if size * 8 > np.iinfo(np.intp).max:   # no numpy array holds it
         raise _scratch_error(kind, Ts[-1], rel_tol, size)
@@ -381,10 +384,10 @@ def _fold(profile: StepProfile, Ts: list, rel_tol: float) -> tuple[list, int]:
         integrate(run, n[a - base:b - base], chunk_rows, temps)
         run.lo = b
         if b == run.a + run.block:
-            run.close(kind, rel_tol, profile.limit)
+            run.close(kind, rel_tol)
 
     for n, S in arith._block_sums(profile._segments(profile.limit), 0, profile.limit, W, L,
-                                  window if L else None):
+                                  window):
         base, end = int(n[0]), int(n[-1])   # n[x - base] = x, the fold block's L rows before it
         lo = max(base + L, first)
         while lo < end:

@@ -21,8 +21,8 @@ each J1 from the same reduced phase and only the amplitude from
 2 pi sqrt(x n) as a double, so the argument rounding described above does
 not reach it: at x = 100000.5 with 1e5 terms its error against a 30-digit
 sum is 3.6e-14, not 6.0e-11.  Both sums add their slowly decaying, heavily
-cancelling terms in one exactly rounded fsum, one 2^16-entry block of n at a
-time with r(n) = 0 skipped (`arith._series_sum`): O(block) scratch at any N.
+cancelling terms exactly, into one Python int rounded once, one 2^16-entry block
+of n at a time with r(n) = 0 skipped (`arith._series_sum`): O(block) scratch at any N.
 
 All operations are pure.
 """
@@ -230,7 +230,7 @@ def truncated_p(tables: ArithTables, x: float, N: int) -> float:
     valid for x >= 2 and 2 <= N; the caller interprets the difference from
     error_term(x) as the truncation error, whose envelope decays like
     x^(1/2+eps) N^(-1/2).  Phases use the compensated reduction above; the terms go to one
-    exactly rounded fsum, a 2^16-entry block of n at a time, r(n) = 0 skipped (O(block) scratch).
+    exactly rounded sum, a 2^16-entry block of n at a time, r(n) = 0 skipped (O(block) scratch).
     """
     if not x >= 2:   # nan fails too
         raise ValueError(f"x must be >= 2, got {x}")

@@ -157,6 +157,7 @@ def _check_sieves_against_naive(sizes, *labels):
             if name == "ones":
                 d = arith._filled("d", N)
                 assert d.dtype == np.int32 and np.array_equal(d, expected), (*labels, N)
+                assert np.array_equal(_streamed("d", N), expected), (*labels, N)   # int16
             if name == "arange":
                 sigma = arith._filled("sigma", N)
                 assert sigma.dtype == np.int64 and np.array_equal(sigma, expected), (*labels, N)
@@ -189,6 +190,7 @@ def test_segmented_sieves_match_one_segment(monkeypatch):
     N = 2**20 + 3
     sieves = [(name, lambda w=w: arith._divisor_sieve(w)) for name, w in _weights(N).items()]
     sieves += [(name, lambda name=name: arith._filled(name, N)) for name in ("d", "sigma")]
+    sieves += [("streamed d", lambda: _streamed("d", N))]   # 2^20-entry int16 segments
     for name, sieve in sieves:
         got = sieve()
         with monkeypatch.context() as m:
@@ -222,6 +224,18 @@ def test_r_and_sigma_sieves_match_oracles_at_segment_edges(name):
         else:
             got, expected = arith._filled("sigma", N), arith._divisor_sieve(np.arange(N + 1))
         assert got.dtype == expected.dtype and np.array_equal(got, expected), N
+
+
+def test_d_stream_matches_the_weights_sieve_at_segment_edges():
+    # N one below, at and one above the first and the second edge of the streamed d's
+    # 2^20-entry int16 segments (2 _SEGMENT; a d table takes _SEGMENT-entry int32 ones)
+    edge = 2 * arith._SEGMENT
+    for N in (edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge, 2 * edge + 1, 10**6 + 7):
+        segments = [(lo, f.copy()) for lo, f in arith._segments("d", N)]
+        assert [lo for lo, _ in segments] == list(range(0, N + 1, edge)), N
+        assert {f.dtype for _, f in segments} == {np.dtype(np.int16)}, N
+        expected = arith._divisor_sieve(np.ones(N + 1, np.int32))
+        assert np.array_equal(np.concatenate([f for _, f in segments]), expected), N
 
 
 def test_sigma_ramp_views_and_pair_runs_match_the_weights_sieve(monkeypatch):
@@ -266,6 +280,37 @@ def test_int64_scratch_equals_int32(monkeypatch):
     assert arith._sigma_dtype(N) == np.int64
     assert np.array_equal(arith._filled("r", N), r) and seen == {np.dtype(np.int64)}
     assert np.array_equal(arith._filled("sigma", N), sigma)
+
+
+def test_int16_d_segments_equal_int32(monkeypatch):
+    # the streamed d is int16 below N = 2^28 and int32 past it; a lowered limit takes the int32
+    # path here, in segments of _SEGMENT entries instead of 2 _SEGMENT
+    N = 4 * arith._SEGMENT + 5
+    seen = []   # the dtype and length of each segment buffer the kernel fills
+    kernel = arith._d_segment
+
+    def spy(lo, hi, out):
+        seen.append((out.dtype, out.size))
+        kernel(lo, hi, out)
+    monkeypatch.setattr(arith, "_d_segment", spy)
+    assert arith._d_dtype(N) == np.int16
+    d = _streamed("d", N)
+    assert seen == [(np.dtype(np.int16), 2 * arith._SEGMENT)] * 2 + [(np.dtype(np.int16), 6)]
+    monkeypatch.setattr(arith, "_INT16_LIMIT", 2 * math.isqrt(N))   # int32 from N on
+    seen.clear()
+    assert arith._d_dtype(math.isqrt(N) ** 2 - 1) == np.int16 and arith._d_dtype(N) == np.int32
+    assert np.array_equal(_streamed("d", N), d)
+    assert seen == [(np.dtype(np.int32), arith._SEGMENT)] * 4 + [(np.dtype(np.int32), 6)]
+    assert np.array_equal(arith._filled("d", N), d)   # a table is int32 at any N
+
+
+def test_d_fits_int16_exactly_below_2_28(tables_1m):
+    # d(n) <= 2 isqrt(n) on the sieved table, and the streamed buffer turns int32 at 2^28,
+    # where 2 isqrt(n) reaches 2^15
+    n = np.arange(1, tables_1m.limit + 1)
+    assert (tables_1m.d[1:] <= 2 * arith._isqrt(n)).all()
+    assert arith._d_dtype(2**28 - 1) == np.int16 and arith._d_dtype(2**28) == np.int32
+    assert 2 * math.isqrt(2**28 - 1) == 2**15 - 2 < np.iinfo(np.int16).max
 
 
 def test_isqrt_exact_next_to_every_square_below_2_31():
@@ -534,3 +579,63 @@ def test_block_sums_fill_the_buffers_they_are_given():
     assert all(np.shares_memory(n, out[0]) and np.shares_memory(s, out[1]) for n, s in given)
     assert [(n.tolist(), s.tolist()) for n, s in given] == \
         [(n.tolist(), s.tolist()) for n, s in own]
+
+
+def _fsum_cases(rng):
+    """Float64 arrays of signed terms: magnitudes 1e+-300, subnormals, near-cancelling pairs,
+    exact ties of the final rounding, sums far below their largest term."""
+    cases = [np.array([1.0, 2.0**-53]), np.array([1.0 + 2.0**-52, 2.0**-53]),   # ties to even
+             np.array([2.0**-1074, 2.0**-1074, -2.0**-1073, 2.0**-1075 * 2]),   # subnormals
+             np.array([1e300, 1.0, -1e300, 2.0**-1074]), np.array([-0.0, 0.0, 5.0]),
+             np.array([1.0, 2.0**-53, 2.0**-1074]), np.array([1.0, -2.0**-54, -2.0**-1074])]
+    for k in range(60):
+        size = int(rng.integers(1, 300))
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 301, size)
+        if k % 3 == 0:   # each with a partner that cancels it to ~1e-15 relative
+            x = np.concatenate([x, -x * (1 + rng.standard_normal(size) * 1e-15)])
+        if k % 4 == 0:
+            x = np.concatenate([x, rng.integers(-2**20, 2**20, 30) * 2.0**-1074])
+        rng.shuffle(x)
+        cases.append(x)
+    return cases
+
+
+def _series_of(x: np.ndarray, segments) -> float:
+    """`arith._series_sum` of the terms x, fed as the term of n = 1..x.size from segments of
+    nonzero f cut at the given lengths."""
+    starts = np.cumsum([1, *segments])
+    pieces = [(int(lo), np.ones(hi - lo)) for lo, hi in zip(starts, starts[1:])]
+    return arith._series_sum(pieces, lambda n, f: x[n.astype(np.int64) - 1])
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 6, 7, arith._BLOCK])
+def test_series_sum_equals_fsum_bit_for_bit(monkeypatch, block):
+    # each case as one segment and as random segments of 1-7 terms
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for x in _fsum_cases(rng):
+        cuts = rng.integers(1, 8, x.size).tolist()
+        cuts = np.diff(np.minimum(np.cumsum([0] + cuts), x.size)).tolist()
+        expected = math.fsum(x.tolist()).hex()
+        for segments in ([x.size], [c for c in cuts if c]):
+            assert _series_of(x, segments).hex() == expected, (block, x.size, segments)
+
+
+def test_series_sum_of_nothing_is_0():
+    assert arith._series_sum([], None) == 0.0
+    got = arith._series_sum([(0, np.zeros(9, np.int16)), (9, np.zeros(0))], None)
+    assert got.hex() == math.fsum([]).hex() == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("x", [[1.0, math.inf], [-math.inf, 1e308, 1e308], [math.nan, 1.0],
+                               [math.inf, math.nan], [2.0, math.inf, -math.inf],
+                               [1e308, 1e308]])
+def test_series_sum_of_non_finite_terms_is_fsums_or_raises(x):
+    try:
+        expected = math.fsum(x)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            _series_of(np.array(x), [len(x)])
+    else:
+        got = _series_of(np.array(x), [len(x)])
+        assert got == expected or math.isnan(got) and math.isnan(expected), x

@@ -246,9 +246,10 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
     N = int(argv[2]) + int(argv[4]) if argv[0] == "correlate" else int(float(argv[-1]))
     if argv[0] == "voronoi":   # a table fill names the (N + 1) * 4 B of the int32 r table
         message = f"cannot allocate sieve tables for N={N} (~4 KiB needed)"   # 4004 B, rounded up
-    else:   # a stream names its segment buffers: the int32 segment, sigma's ramp and pair too
+    else:   # a stream names its segment buffers: r's int32 segment, d's int16 one (1001 * 2 B,
+        # rounded up), sigma's int32 one and its ramp and pair
         name = failing[1:].removesuffix("_segment")
-        kib = {("r", 1000): 4, ("r", 10**7): 128, ("d", 1000): 4, ("sigma", 1000): 12}[name, N]
+        kib = {("r", 1000): 4, ("r", 10**7): 128, ("d", 1000): 2, ("sigma", 1000): 12}[name, N]
         message = (f"cannot allocate the streamed {name} sieve for N={N} "
                    f"(~{kib} KiB of segment buffers, plus the kernel's scratch)")
     if argv[0] in {"error-term", "correlate"}:
@@ -329,15 +330,17 @@ def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, s
     ("_d_segment", ["constants", "d_squared", "--terms", "1000"]),
 ])
 def test_int32_guard_on_streamed_segments_exits_3(monkeypatch, capsys, kernel, argv):
+    # r streams int32 segments, d int16 ones below N = 2^28 (arith._d_dtype): the same guard
     sieve = getattr(arith, kernel)
 
-    def overflowing(lo, hi, out):   # a segment holding 2^31 - 1, which int32 cannot exceed
+    def overflowing(lo, hi, out):   # a segment holding the largest value of its dtype
         sieve(lo, hi, out)
         if lo <= 700 < hi:
-            out[700 - lo] = 2**31 - 1
+            out[700 - lo] = np.iinfo(out.dtype).max
     monkeypatch.setattr(arith, kernel, overflowing)
     assert run(argv) == 3
-    assert "capacity error: int32 table overflow at N=1000" in capsys.readouterr().err
+    overflow = "int32 table" if kernel == "_r_segment" else "int16 segment"
+    assert f"capacity error: {overflow} overflow at N=1000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, bytes_per_entry, slack_mib", [
@@ -493,20 +496,32 @@ def test_laplace_scratch_that_cannot_be_allocated_exits_3(tmp_path, capsys, kind
     out = tmp_path / "x.csv"
     assert run(["laplace", kind, "--t-list", "1e15", "--rel-tol", "0.5", "--out", str(out)]) == 3
     err = capsys.readouterr().err
+    # 4 W (circle) or (K + 3) W (divisor, K = 1 at W = 1e15) doubles, plus the fold's n/S window
+    gib = {"circle": 44703484, "divisor": 89406968}[kind]
     assert err.startswith("capacity error: cannot allocate a scan's scratch for blocks of "
-                          "1000000000000000 intervals (T=1e+15), ~")
+                          f"1000000000000000 intervals (T=1e+15), ~{gib} GiB; ")
     assert "the scan needs sieve limit ~24000000000000000, " in err
     assert list(tmp_path.iterdir()) == []
 
 
-def test_laplace_scan_that_cannot_stop_exits_3(tmp_path, capsys):
+def test_laplace_scan_that_cannot_stop_exits_3(tmp_path, monkeypatch, capsys):
     # rel_tol times T = 1's integral underflows to 0, which no tail bound is
-    # below: the one pass raises at T = 1's last edge, with T = 1000 still running
+    # below: the one pass raises at T = 1's last edge, with T = 1000 still running,
+    # from stop_edge in the fold block of that edge, before the profile ends (no _too_short)
+    monkeypatch.setattr(laplace, "_too_short", None)
+    ends = []
+    integrate = laplace._d2_chunk
+
+    def recorded(run, n, rows, temps):
+        ends.append(int(n[-1]))
+        integrate(run, n, rows, temps)
+    monkeypatch.setattr(laplace, "_d2_chunk", recorded)
     out = tmp_path / "x.csv"
     assert run(["laplace", "divisor", "--t-list", "1,1000", "--rel-tol", "5e-324",
                 "--out", str(out)]) == 3
     assert "capacity error: T=1 at rel_tol=4.94066e-324 needs sieve limit > 747 T: " \
         in capsys.readouterr().err
+    assert max(ends) < laplace._LAST_BLOCK * laplace.block_size(1) + laplace.block_size(1000)
     assert list(tmp_path.iterdir()) == []
 
 

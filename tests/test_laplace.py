@@ -477,6 +477,25 @@ def test_one_pass_equals_each_T_alone(tables_1m, kind, t_list, rel_tol):
         assert row.main_term == laplace_main(kind, row.T)
 
 
+@pytest.mark.parametrize("kind", [CIRCLE, DIVISOR])
+@pytest.mark.parametrize("t_list", ["64..1024", "7.5,33.3,1000.5"])
+def test_the_fold_window_is_in_the_scratch(monkeypatch, circle_1m, divisor_1m, kind, t_list):
+    # with carried rows or none (a doubling list), the fold reads S through the n/S window
+    # that _scratch allocates and counts, L + W + 1 doubles each: _block_sums allocates none
+    Ts = cli._parse_t_list(t_list)
+    W, L = laplace.block_size(Ts[-1]), laplace._carried(Ts)
+    assert (L == 0) == (t_list == "64..1024")
+    windows = []
+    block_sums = arith._block_sums
+
+    def given(segments, lo, hi, block, rows=0, out=None):
+        windows.append(out)
+        return block_sums(segments, lo, hi, block, rows, out)
+    monkeypatch.setattr(arith, "_block_sums", given)
+    laplace.residual_scan(circle_1m if kind == CIRCLE else divisor_1m, Ts, 1e-3)
+    assert [[buf.size for buf in out] for out in windows] == [[L + W + 1] * 2]
+
+
 @pytest.mark.parametrize("t_list", ["128..32768", "7.5,33.3,1000.5", "100,150,1000.5"])
 def test_each_T_integrates_its_own_chunks(monkeypatch, divisor_1m, t_list):
     # every T integrates the chunks a fold of that T alone has, at the same order: the

@@ -71,6 +71,9 @@ COMMANDS = [
     ("correlate-carry-segments", "correlate --n 100000 --h-max 40000 --out corr.csv"),
     ("correlate-block-edge", "correlate --n 65537 --h-max 1000 --out corr.csv"),
     ("correlate-tiny", "correlate --n 7 --h-max 3 --out corr.csv"),
+    # d streamed across several of its 2^20-entry int16 segments
+    ("constants-d-3e6", "constants d_squared --terms 3000000"),
+    ("error-term-divisor-3e6", "error-term divisor --x-max 3e6 --samples 64 --out pd_scan.csv"),
     # usage errors (exit 2)
     ("usage-sieve-limit-0", "sieve --limit 0"),
     ("usage-error-term-inf", "error-term circle --x-max inf --out x.csv"),
