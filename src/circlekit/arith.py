@@ -13,17 +13,17 @@ Everything here is exact integer (or rational) arithmetic:
 Each of r, d and sigma has one kernel that sieves one cache-sized segment
 [lo, hi) of it, with scratch that does not grow with the limit: r by counting
 lattice points, d and sigma by pairing divisors with cofactors (d's segments in
-int16 below 2^28).  `_segments` runs a kernel over 0..N in ascending order.  A
-fold that reads its values once, in order (`sieve`'s sums, the series, summed
-exactly by one Python int per series, `_block_sums`' partial sums behind
-`error-term` and `laplace`, `correlate.corr_grid`'s dots), takes the segments
-from one reused buffer, through `_windows` when it needs aligned blocks, and
-holds no table; `_filled`, the one table builder, fills a whole table from the
-same segments for the readers of `ArithTables` that need one (`voronoi`'s, the
-last command that does, and oracles such as `correlate.corr_sum`).  The tables
-are read-only numpy arrays, each sieved on the first access to it, so a command
-that reads only r never sieves d or sigma.  Built tables are safe to share
-across threads; all query helpers are read-only.
+int16 below 2^28).  `_segments` runs a kernel over 0..N in ascending order.  Every
+command folds them, reading each value once, in order (`sieve`'s sums, the series,
+summed exactly by one Python int per series over `_kept_blocks`, `_block_sums`'
+partial sums behind `error-term` and `laplace`, `correlate.corr_grid`'s dots): it
+takes the segments from one reused buffer, through `_windows` when it needs
+aligned blocks, and holds no table.  `_filled`, the one table builder, fills a
+whole table from the same segments for the readers that need random access, the
+oracles such as `correlate.corr_sum` and the tests.  A command streams only the
+functions it reads, and a table is sieved on the first access to it.  Tables are
+read-only numpy arrays, safe to share across threads; all query helpers are
+read-only.
 """
 
 from __future__ import annotations
@@ -43,37 +43,51 @@ _SEGMENT = 1 << 19  # table entries per segment of the d and sigma sieves (see _
 _R_SEGMENT = 1 << 15  # table entries per segment of the r sieve (see _r_segment); likewise
 _INT32_LIMIT = 2**31  # scratch integers stay int32 while every value they hold is below this
 _INT16_LIMIT = 2**15  # and d's segments int16 (see _d_dtype)
+_SCALE = 1126   # `_scaled_sum`'s sums are of x 2^_SCALE, an integer for every double x
 
 
-def _series_sum(segments, term) -> float:
-    """The exactly rounded sum of term(n, f(n)) over the n with f(n) != 0, for each (lo, f) of
-    segments, f(n) = f[n - lo] (f(0) = 0), one _BLOCK of n at a time: term maps a block's kept n
-    and f(n), ascending float64 arrays, never empty, to a float64 array.  `_scaled_sum` adds
-    each block's terms into one Python int, and one int / int division, correctly rounded with
-    ties to even, makes it a float.  That is math.fsum's value, as fsum is exactly rounded too
-    (Shewchuk, DCG 18 (1997)), so no bit depends on the segments, the blocks or the skipped
-    zeros.  fsum reads one Python float at a time: the divisor series constant to 1e7, its d
-    stream included, took ~0.61 s with it and ~0.36 s this way (2-vCPU x86 VM).  No caller's
-    term is inf or nan; one raises ValueError or OverflowError in `_scaled_sum`, and a sum past
-    the largest double raises OverflowError, as fsum does."""
-    total = 0
+def _kept_blocks(segments):
+    """Yield (n, f(n)) for the n with f(n) != 0, for each (lo, f) of segments, f(n) = f[n - lo]
+    (f(0) = 0), one _BLOCK of n at a time: ascending float64 arrays, never empty."""
     for lo, f in segments:
         for a in range(0, f.size, _BLOCK):
             g = f[a:a + _BLOCK]
             keep = g != 0
             n = np.arange(lo + a, lo + a + g.size, dtype=np.float64).compress(keep)
             if n.size:
-                total += _scaled_sum(term(n, g.compress(keep).astype(np.float64)))
-    return total / (1 << 1126)
+                yield n, g.compress(keep).astype(np.float64)
+
+
+def _exact_sums(blocks, *terms) -> list[float]:
+    """The exactly rounded sum over blocks of each term(*block), a float64 array per block.
+    `_scaled_sum` adds each block's terms into one Python int per term, and one int / int
+    division, correctly rounded with ties to even, makes it a float.  That is math.fsum's value,
+    as fsum is exactly rounded too (Shewchuk, DCG 18 (1997)), so no bit depends on the blocks.
+    fsum reads one Python float at a time: the divisor series constant to 1e7, its d stream
+    included, took ~0.61 s with it and ~0.36 s this way (2-vCPU x86 VM).  No caller's term is
+    inf or nan; one raises ValueError or OverflowError in `_scaled_sum`, and a sum past the
+    largest double raises OverflowError, as fsum does."""
+    totals = [0] * len(terms)
+    for block in blocks:
+        parts = [term(*block) for term in terms]
+        del block   # its arrays are freed before the sums' (held, +0.5 MiB of peak at 1e6)
+        totals = [total + _scaled_sum(part) for total, part in zip(totals, parts)]
+    return [total / (1 << _SCALE) for total in totals]
+
+
+def _series_sum(segments, term) -> float:
+    """The exactly rounded sum of term(n, f(n)) over the `_kept_blocks` of segments, so no bit
+    depends on the segments, the blocks or the skipped zeros (see `_exact_sums`)."""
+    return _exact_sums(_kept_blocks(segments), term)[0]
 
 
 def _scaled_sum(x: np.ndarray) -> int:
-    """sum(x) 2^1126, exactly, of at most _BLOCK doubles: Neal's small superaccumulator
+    """sum(x) 2^_SCALE, exactly, of at most _BLOCK doubles: Neal's small superaccumulator
     (arXiv:1505.05571), vectorised.  np.frexp writes each x as M 2^(e - 53), M an integer,
     |M| < 2^53 and e >= -1073 (subnormals included), and M = hi 2^26 + lo exactly, |hi| < 2^27,
     |lo| < 2^26.  One np.bincount per half sums them by e; each bin adds at most _BLOCK <= 2^25
     integers, so every partial sum is an integer below 2^52, exact in float64.  The bins then
-    go into one Python int at the fixed scale 2^1126, where every term is an integer.  An inf
+    go into one Python int at the fixed scale 2^_SCALE, where every term is an integer.  An inf
     or nan term raises OverflowError or ValueError, from int() of its bin."""
     assert _BLOCK <= 2**25
     if not x.size:
@@ -88,7 +102,7 @@ def _scaled_sum(x: np.ndarray) -> int:
     hi, lo = np.bincount(e, hi), np.bincount(e, lo)
     k = np.flatnonzero(np.logical_or(hi, lo))   # the bins some term reached
     bins = zip(hi[k].tolist(), lo[k].tolist(), k.tolist())
-    return sum(((int(h) << 26) + int(l)) << j for h, l, j in bins) << (base + 1073)
+    return sum(((int(h) << 26) + int(l)) << j for h, l, j in bins) << (base + _SCALE - 53)
 
 
 def _windows(segments, lo: int, hi: int, buf: np.ndarray, keep: int):
@@ -146,10 +160,15 @@ def _block_sums(segments, lo: int, hi: int, block: int, rows: int = 0, out=None)
         np.cumsum(s[j:], out=s[j:])
         n += block
         if s[-1] >= 2.0**53:
-            raise CapacityError(f"partial sums reach {s[-1]:.6g} by n={int(n[s.size - 1])}; "
-                                "float64 sums are exact only below 2^53")
+            raise _inexact_sum(s[-1], int(n[s.size - 1]))
         yield n[:s.size], s
         head, j = 0, rows
+
+
+def _inexact_sum(S, n: int) -> CapacityError:
+    """The error for a partial sum S that reached 2^53 by n, past float64's exact integers."""
+    return CapacityError(f"partial sums reach {S:.6g} by n={n}; "
+                         "float64 sums are exact only below 2^53")
 
 
 def chi(n: int) -> int:
@@ -179,8 +198,9 @@ class ArithTables:
     4 | r(n); r(n) = 0 whenever some prime p = 3 (mod 4) divides n to an
     odd power; d(n) >= 2 and sigma(n) >= n + 1 for n >= 2.
 
-    ``r``, ``d`` and ``sigma`` are cached properties, so a command sieves only
-    the tables it reads; arrays passed in are used as given.  A racing first
+    ``r``, ``d`` and ``sigma`` are cached properties, so a reader sieves only
+    the tables it reads; arrays passed in are used as given.  Commands read none:
+    they stream f through `_stream`.  A racing first
     access from two threads may sieve a table twice; both get equal arrays.
     """
 

@@ -9,9 +9,10 @@ Identical parameters produce byte-identical CSV in a fixed build.
 
 Only ``sieve`` takes ``--limit``, because there the limit is the result.
 ``error-term``, ``correlate``, ``constants`` and ``voronoi`` sieve exactly
-what their inputs need, and ``laplace`` streams the sieve until its transforms'
-tail bound stops the last T.  Every command but ``voronoi`` folds the sieve
-segment by segment and holds no N-entry table.
+what their inputs need (``voronoi`` only its series' terms: its P(x) comes from a
+lattice count), and ``laplace`` streams the sieve until its transforms' tail
+bound stops the last T.  Every command folds the sieve segment by segment and
+holds no N-entry table.
 
 Exit codes: 0 success, 2 usage error, 3 capacity error (the message names
 the sieve limit that would have sufficed), 1 internal failure.  Usage errors
@@ -217,13 +218,10 @@ def cmd_voronoi(args) -> int:
     if args.x * min(args.n_terms, 2**53) >= 2.0**53:
         raise UsageError(f"--x {args.x:g} times --n-terms {args.n_terms} must be below 2^53, "
                          "the range where the phases 2 pi sqrt(x n) are reduced exactly")
-    tables = arith.build_tables(max(int(args.x) + 1, args.n_terms))
-    # r's table is built first, so the series and P(x) read it: streamed, a too-large --x
-    # would sieve for hours where the table fails its allocation at once (exit 3)
-    tables.r
-    trunc = special.truncated_p(tables, args.x, args.n_terms)
-    hardy = special.hardy_partial(tables, args.x, args.n_terms)
-    exact = lattice.error_term(lattice.step_profile(tables, lattice.CIRCLE), args.x)
+    tables = arith.build_tables(args.n_terms)
+    # P(x) from the O(sqrt x) lattice count, so only the series' n_terms entries are sieved
+    exact = lattice._error_from_sums(lattice.CIRCLE, args.x, lattice._circle_sums(int(args.x)), 1)
+    trunc, hardy = special._series(tables, args.x, args.n_terms, special._COSINE, special._BESSEL)
     print(f"P(x) exact            {exact:.12f}")
     print(f"cosine sum (N terms)  {trunc:.12f}   residual {exact - trunc:.6e}")
     print(f"Bessel sum (N terms)  {hardy:.12f}   residual {exact - hardy:.6e}")

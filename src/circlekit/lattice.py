@@ -15,8 +15,10 @@ Folds over a range of n read the partial sums from `arith._block_sums`, which
 sums the blocks of `arith._windows` in place.  The readers of one range
 (`error_term`, `mean_square_p`, `error_at_jumps`, `pointwise_report`) fold the
 profile's segments: a slice of a table already built, else the sieve's own
-segments, so `error-term` holds no table.  All operations are read-only over an
-immutable `StepProfile` and are safe to call concurrently.
+segments, so `error-term` holds no table.  `_circle_sums` counts S(m) for
+``voronoi``'s P(x) from the lattice points in O(sqrt(m)), with no sieve.  All
+operations are read-only over an immutable `StepProfile` and are safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ DIVISOR = "divisor"
 class StepProfile:
     """An arithmetic function f in {r, d} of `arith.ArithTables`, with no copy: each reader
     forms the sums S(n) = sum_{m<=n} f(m) it needs block by block (`arith._block_sums`),
-    which checks every sum it reaches to be below 2^53, so exact in float64.  Readers of
-    one range fold `_segments`; `table` is for random access and many passes.  Immutable and
-    shareable across threads.
+    which checks every sum it reaches to be below 2^53, so exact in float64, from the
+    `_segments` of one range.  Immutable and shareable across threads.
     """
 
     kind: str                   # CIRCLE (f = r) or DIVISOR (f = d)
@@ -50,11 +51,6 @@ class StepProfile:
     @property
     def limit(self) -> int:
         return self.tables.limit
-
-    @property
-    def table(self) -> np.ndarray:
-        """The read-only table of f(0..limit), sieved on first access (only that one)."""
-        return getattr(self.tables, _table_name(self.kind))
 
     def _segments(self, N: int):
         """The ascending (lo, f) segments of f(0..N): a slice of a built table, else streamed."""
@@ -97,6 +93,26 @@ def _error_from_sums(kind: str, x: float, S: np.ndarray, i: int) -> float:
     if kind == CIRCLE:
         return s - math.pi * x + 1.0
     return s - x * (math.log(x) + 2.0 * EULER_GAMMA - 1.0) - 0.25
+
+
+def _circle_sums(m: int) -> np.ndarray:
+    """float64 [S(m - 1), S(m)], S(n) = sum_{k<=n} r(k), for 1 <= m < 2^62, from the lattice
+    points 0 < a^2 + b^2 <= m counted column by column, with no table: S(m) = 4 isqrt(m) +
+    4 sum_{1<=a<=isqrt(m)} isqrt(m - a^2), in int64 blocks of arith._BLOCK columns a
+    (`arith._isqrt`), O(sqrt(m)) time and O(block) scratch.  The same columns give
+    r(m) = 4 #{a >= 1 : m - a^2 is a square}, and S(m - 1) = S(m) - r(m).  A sum that reaches
+    2^53 raises CapacityError, as `arith._block_sums` does; below it both are exact."""
+    s, columns, squares = math.isqrt(m), 0, 0
+    for lo in range(1, s + 1, arith._BLOCK):
+        a = np.arange(lo, min(lo + arith._BLOCK, s + 1), dtype=np.int64)
+        rest = m - a * a
+        b = arith._isqrt(rest)
+        columns += int(b.sum())   # each b < 2^31, so a block's sum stays below 2^47
+        squares += int(np.count_nonzero(b * b == rest))
+    S = 4 * (s + columns)
+    if S >= 2**53:
+        raise arith._inexact_sum(S, m)
+    return np.array([S - 4 * squares, S], dtype=np.float64)
 
 
 def p_gauss_oracle(x: float) -> float:
@@ -197,7 +213,7 @@ def error_at_jumps(profile: StepProfile, lo: int, hi: int):
     main(n) = pi n - 1 for CIRCLE and `divisor_main` for DIVISOR; the extremes
     of the error term live at these limits.  Needs 1 <= lo <= hi <= limit.
     Both arrays are fresh.  With no table built, each call sieves f from 0 up to hi, so a
-    caller reading many ranges should build the table first (read `profile.table`).
+    caller reading many ranges should build the table first.
     """
     if not 1 <= lo <= hi <= profile.limit:
         raise ValueError(f"[{lo}, {hi}] outside profile domain [1, {profile.limit}]")

@@ -22,7 +22,9 @@ each J1 from the same reduced phase and only the amplitude from
 not reach it: at x = 100000.5 with 1e5 terms its error against a 30-digit
 sum is 3.6e-14, not 6.0e-11.  Both sums add their slowly decaying, heavily
 cancelling terms exactly, into one Python int rounded once, one 2^16-entry block
-of n at a time with r(n) = 0 skipped (`arith._series_sum`): O(block) scratch at any N.
+of n at a time with r(n) = 0 skipped (`arith._exact_sums`): O(block) scratch at any N.
+`_series` forms both in one pass over r's segment stream, each block's phase
+reduced once, for the ``voronoi`` command.
 
 All operations are pure.
 """
@@ -34,7 +36,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import ArithTables, _series_sum
+from .arith import ArithTables, _exact_sums, _kept_blocks
 
 BESSEL_SWITCH = 18.0   # both branches agree to ~1.5e-13 here
 _SERIES_TERMS = 60
@@ -201,6 +203,32 @@ def _reduced_phase(x: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (s0 - np.floor(s0)) + corr, s0
 
 
+def _cosine_terms(n, rn, frac, root):
+    """r(n) n^(-3/4) cos(2 pi sqrt(x n) + pi/4), from the reduced phase frac."""
+    return rn * n**-0.75 * np.cos(2.0 * np.pi * frac + math.pi / 4.0)
+
+
+def _bessel_terms(n, rn, frac, root):
+    """r(n) n^(-1/2) J1(2 pi sqrt(x n)): J1 oscillates at the reduced phase frac, and only
+    its amplitude reads the double root = sqrt(x n)."""
+    return rn / np.sqrt(n) * _bessel_j(1, 2.0 * np.pi * root, 2.0 * np.pi * frac)
+
+
+# the two series for P(x), each its factor at x and its terms (see `_series`)
+_COSINE = (lambda x: -(x**0.25 / math.pi), _cosine_terms)
+_BESSEL = (math.sqrt, _bessel_terms)
+
+
+def _series(tables: ArithTables, x: float, N: int, *series) -> list[float]:
+    """Each of series (`_COSINE`, `_BESSEL`) at x to N terms, from one pass over r(0..N):
+    each block of `arith._kept_blocks` forms its `_reduced_phase` once, and each series' terms
+    go to its exactly rounded sum (`arith._exact_sums`), so every value is the one that series
+    has alone, bit for bit.  O(block) scratch, with r streamed unless its table is built."""
+    blocks = ((n, rn, *_reduced_phase(x, n)) for n, rn in _kept_blocks(tables._stream("r", N)))
+    sums = _exact_sums(blocks, *(terms for _, terms in series))
+    return [factor(x) * total for (factor, _), total in zip(series, sums)]
+
+
 def hardy_partial(tables: ArithTables, x: float, N: int) -> float:
     """N-th partial sum of the Bessel series for P(x):
 
@@ -215,11 +243,7 @@ def hardy_partial(tables: ArithTables, x: float, N: int) -> float:
         raise ValueError(f"x must be >= 1, got {x}")
     if N < 0 or N > tables.limit:
         raise ValueError(f"N={N} outside table range [0, {tables.limit}]")
-
-    def terms(n, rn):
-        frac, root = _reduced_phase(x, n)
-        return rn / np.sqrt(n) * _bessel_j(1, 2.0 * np.pi * root, 2.0 * np.pi * frac)
-    return math.sqrt(x) * _series_sum(tables._stream("r", N), terms)
+    return _series(tables, x, N, _BESSEL)[0]
 
 
 def truncated_p(tables: ArithTables, x: float, N: int) -> float:
@@ -236,8 +260,4 @@ def truncated_p(tables: ArithTables, x: float, N: int) -> float:
         raise ValueError(f"x must be >= 2, got {x}")
     if N < 2 or N > tables.limit:
         raise ValueError(f"N={N} outside allowed range [2, {tables.limit}]")
-
-    def terms(n, rn):
-        frac, _ = _reduced_phase(x, n)
-        return rn * n**-0.75 * np.cos(2.0 * np.pi * frac + math.pi / 4.0)
-    return -(x**0.25 / math.pi) * _series_sum(tables._stream("r", N), terms)
+    return _series(tables, x, N, _COSINE)[0]

@@ -62,7 +62,7 @@ def test_acc02_lattice_oracle_equivalence(circle_1m):
         assert lattice.error_term(circle_1m, x) == lattice.p_gauss_oracle(x)
     # the quantity 37 - 10 pi both ways: the unprimed profile count through
     # n = 10 versus the direct lattice enumeration at x = 10
-    profile_path = float(partial_sums(circle_1m.table[:11])[10]) + 1.0 - 10.0 * math.pi
+    profile_path = float(partial_sums(circle_1m.tables.r[:11])[10]) + 1.0 - 10.0 * math.pi
     oracle_path = lattice.p_gauss_oracle(10.0)
     assert abs(profile_path - oracle_path) <= 1e-12
     assert abs(profile_path - (37 - 10 * math.pi)) <= 1e-12
@@ -225,8 +225,8 @@ def test_acc06c_proven_truncation_envelopes_at_1e7(circle_10m, divisor_10m):
     # the theorem behind the divisor's, in its own convention.
     t0 = time.perf_counter()
     (c, c0), (cd, cd0) = (laplace._ENVELOPES[k] for k in (lattice.CIRCLE, lattice.DIVISOR))
-    chunks, sums = [], partial_sums(divisor_10m.table)
-    circle_10m.table   # built once: each chunk would otherwise re-sieve r from 0
+    chunks, sums = [], partial_sums(divisor_10m.tables.d)
+    circle_10m.tables.r   # built once: each chunk would otherwise re-sieve r from 0
     for lo in range(1, 10**7, 10**6):   # chunked to bound the temporaries
         n, p_abs = lattice.error_at_jumps(circle_10m, lo, lo + 10**6 - 1)
         root = np.sqrt(n)

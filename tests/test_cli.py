@@ -232,7 +232,7 @@ def test_capacity_exit_code(monkeypatch, capsys):
 @pytest.mark.parametrize("failing, argv", [
     ("_r_segment", ["sieve", "--limit", "1000"]),   # sieve streams each table from its kernel
     ("_sigma_segment", ["sieve", "--limit", "1000"]),
-    ("_r_segment", ["voronoi", "--x", "999.5", "--n-terms", "1000"]),   # a table reader's fill
+    ("_r_segment", ["voronoi", "--x", "999.5", "--n-terms", "1000"]),   # streams r to n_terms
     ("_r_segment", ["error-term", "circle", "--x-max", "1e7"]),   # error-term streams r
     ("_d_segment", ["constants", "d_squared", "--terms", "1000"]),
     ("_r_segment", ["error-term", "circle", "--x-max", "1000"]),
@@ -244,14 +244,12 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
     monkeypatch.setattr(arith, failing, out_of_memory)
     # each argv but correlate's ends with the sieve limit
     N = int(argv[2]) + int(argv[4]) if argv[0] == "correlate" else int(float(argv[-1]))
-    if argv[0] == "voronoi":   # a table fill names the (N + 1) * 4 B of the int32 r table
-        message = f"cannot allocate sieve tables for N={N} (~4 KiB needed)"   # 4004 B, rounded up
-    else:   # a stream names its segment buffers: r's int32 segment, d's int16 one (1001 * 2 B,
-        # rounded up), sigma's int32 one and its ramp and pair
-        name = failing[1:].removesuffix("_segment")
-        kib = {("r", 1000): 4, ("r", 10**7): 128, ("d", 1000): 2, ("sigma", 1000): 12}[name, N]
-        message = (f"cannot allocate the streamed {name} sieve for N={N} "
-                   f"(~{kib} KiB of segment buffers, plus the kernel's scratch)")
+    # a stream names its segment buffers: r's int32 segment (1001 * 4 B, rounded up), d's
+    # int16 one, sigma's int32 one and its ramp and pair
+    name = failing[1:].removesuffix("_segment")
+    kib = {("r", 1000): 4, ("r", 10**7): 128, ("d", 1000): 2, ("sigma", 1000): 12}[name, N]
+    message = (f"cannot allocate the streamed {name} sieve for N={N} "
+               f"(~{kib} KiB of segment buffers, plus the kernel's scratch)")
     if argv[0] in {"error-term", "correlate"}:
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     assert run(argv) == 3
@@ -259,8 +257,9 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
     assert list(tmp_path.iterdir()) == []
 
 
-def test_failed_table_allocation_exits_3(tmp_path, monkeypatch, capsys):
-    # voronoi fills r's table, N = 1000 here: an allocation of it that fails is exit 3
+def test_failed_table_allocation_exits_3(monkeypatch):
+    # no command fills a table; one read for random access, r's to N = 1000 here, whose
+    # allocation fails is the CapacityError that main turns into exit 3
     empty = np.empty
 
     def no_table(shape, dtype=float, *args, **kwargs):
@@ -268,9 +267,9 @@ def test_failed_table_allocation_exits_3(tmp_path, monkeypatch, capsys):
             raise MemoryError
         return empty(shape, dtype, *args, **kwargs)
     monkeypatch.setattr(arith.np, "empty", no_table)
-    assert run(["voronoi", "--x", "999.5", "--n-terms", "1000"]) == 3
-    err = capsys.readouterr().err
-    assert err == "capacity error: cannot allocate sieve tables for N=1000 (~4 KiB needed)\n"
+    with pytest.raises(CapacityError) as exc:
+        arith.build_tables(1000).r
+    assert str(exc.value) == "cannot allocate sieve tables for N=1000 (~4 KiB needed)"
 
 
 def test_internal_failure_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -347,8 +346,8 @@ def test_int32_guard_on_streamed_segments_exits_3(monkeypatch, capsys, kernel, a
     (["sieve", "--limit", "1000000"], 0, 6),   # no table: one segment buffer at a time
     (["error-term", "circle", "--x-max", "1e6", "--samples", "64"], 0, 6),   # r's segments; the blocks
     (["constants", "r_squared", "--terms", "1000000"], 0, 1),   # r's segments; the blocks
-    (["voronoi", "--x", "1000000.5", "--n-terms", "2"], 4, 1),   # r, for one P(x)
-    (["voronoi", "--x", "100000.5", "--n-terms", "1000000"], 4, 5),   # r; the series' blocks
+    (["voronoi", "--x", "1000000.5", "--n-terms", "2"], 0, 1),   # P(x) counted, no sieve to x
+    (["voronoi", "--x", "100000.5", "--n-terms", "1000000"], 0, 5),   # r's segments; the blocks
     (["correlate", "--n", "1000000", "--h-max", "100"], 0, 2),   # r's segments; one window
     (["constants", "d_squared", "--terms", "1000000"], 0, 5),   # d's 2 MiB segment; the blocks
     (["error-term", "divisor", "--x-max", "1e6", "--samples", "64"], 0, 6),   # likewise
@@ -630,6 +629,29 @@ def test_voronoi_command(capsys):
     assert run(["voronoi", "--x", "1000.5", "--n-terms", "1000"]) == 0
     out = capsys.readouterr().out
     assert "P(x) exact" in out
+
+
+def test_voronoi_far_above_its_terms_counts_p_exactly(capsys):
+    # x = 1e12 + 0.5 with the 9000 terms its phase guard allows: P(x) from the lattice count,
+    # where a sieve to x would need a 4 TB table; the series stream r to 9000 alone
+    x = 1000000000000.5
+    assert run(["voronoi", "--x", str(x), "--n-terms", "9000"]) == 0
+    S = lattice_count(int(x))   # S(m - 1), read only at an integer x, stands in as S(m)
+    exact = lattice._error_from_sums(lattice.CIRCLE, x, np.array([S, S], dtype=float), 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"P(x) exact            {exact:.12f}"
+    trunc, hardy = special._series(arith.build_tables(9000), x, 9000,
+                                   special._COSINE, special._BESSEL)
+    assert lines[1].startswith(f"cosine sum (N terms)  {trunc:.12f}   residual ")
+    assert lines[2].startswith(f"Bessel sum (N terms)  {hardy:.12f}   residual ")
+
+
+def test_voronoi_count_past_2_53_exits_3(capsys):
+    # S(m) ~ pi 2.9e15 reaches 2^53, past which float64 sums are not exact
+    assert run(["voronoi", "--x", "2.9e15", "--n-terms", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: partial sums reach 9.11")
+    assert err.endswith(" by n=2900000000000000; float64 sums are exact only below 2^53\n")
 
 
 def test_determinism_byte_identical(tmp_path):

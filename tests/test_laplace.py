@@ -58,7 +58,7 @@ def test_series_constant_domain(tables_4k):
 
 def _whole_range_value(tables, kind, terms):
     """The partial sum as one fsum of every term over the whole range at once."""
-    f2 = step_profile(tables, kind).table[1:terms + 1].astype(np.float64) ** 2
+    f2 = getattr(tables, lattice._table_name(kind))[1:terms + 1].astype(np.float64) ** 2
     return math.fsum(f2 * np.arange(1, terms + 1, dtype=np.float64) ** -1.5)
 
 
@@ -87,7 +87,7 @@ def test_streamed_series_value_equals_the_table_fold(tables_1m):
     # tables that have not built f stream it and keep no table; the fold is bit-equal to
     # the one over the built table
     for kind in (CIRCLE, DIVISOR):
-        table = step_profile(tables_1m, kind).table
+        table = getattr(tables_1m, lattice._table_name(kind))
         for terms in (1, 2, 10**3, 10**6):
             tables = arith.build_tables(terms)
             streamed = series_constant(step_profile(tables, kind), terms).value
@@ -122,7 +122,8 @@ def test_series_envelopes_hold_on_the_table(tables_1m):
     # F is constant on [n, n+1) and both envelopes increase, so integers n suffice
     n = np.arange(1, tables_1m.limit + 1, dtype=np.float64)
     for kind, envelope in _envelopes(n).items():
-        F = np.cumsum(step_profile(tables_1m, kind).table[1:].astype(np.int64) ** 2)   # < 2^53
+        f = getattr(tables_1m, lattice._table_name(kind))
+        F = np.cumsum(f[1:].astype(np.int64) ** 2)   # < 2^53
         assert np.all(F <= envelope), kind
 
 
@@ -189,7 +190,7 @@ def _midpoint_oracle(values_fn, x_hi: float, step: float) -> float:
 
 
 def _p2_integrand(profile, T):
-    partial = partial_sums(profile.table)
+    partial = partial_sums(profile.tables.r)
 
     def fn(xs):
         n = np.floor(xs).astype(np.int64)
@@ -234,7 +235,8 @@ def test_transform_never_depends_on_the_profile_size(tables_120k, kind, transfor
     profile = step_profile(tables_120k, kind)
 
     def cut(limit):
-        table = {lattice._table_name(kind): profile.table[: limit + 1]}
+        name = lattice._table_name(kind)
+        table = {name: getattr(profile.tables, name)[: limit + 1]}
         return lattice.StepProfile(kind, arith.ArithTables(limit, **table))
 
     for T in (1.0, 10.0, 100.0, 150.5):
@@ -360,7 +362,7 @@ def test_scan_main_term_is_the_kinds_closed_form(circle_4k, divisor_4k):
 
 
 def _d2_integrand(profile, T):
-    partial = partial_sums(profile.table)
+    partial = partial_sums(profile.tables.d)
 
     def fn(xs):
         n = np.floor(xs).astype(np.int64)
@@ -402,7 +404,7 @@ def _reference_d2(profile, T, rel_tol=laplace.DEFAULT_REL_TOL):
     H = np.array(mu)[np.add.outer(range(k_max + 1), range(k_max + 1))]
     block = laplace.block_size(T)
     pieces, errors = [], []
-    for n_all, S in arith._block_sums([(0, profile.table)], 0, profile.limit, block):
+    for n_all, S in arith._block_sums([(0, profile.tables.d)], 0, profile.limit, block):
         a, hi = int(n_all[0]), int(n_all[-1])
         assert hi == a + block, "the profile must reach the stop"
         value, lo = (laplace._first_interval(T), 1) if a == 0 else (0.0, a)
@@ -435,7 +437,7 @@ def _reference_p2(profile, T, rel_tol=laplace.DEFAULT_REL_TOL):
     m0, m1, m2 = laplace._moments(T, 2, 0.0)
     block = laplace.block_size(T)
     pieces = []
-    for n_all, S in arith._block_sums([(0, profile.table)], 0, profile.limit, block):
+    for n_all, S in arith._block_sums([(0, profile.tables.r)], 0, profile.limit, block):
         a, hi = int(n_all[0]), int(n_all[-1])
         assert hi == a + block, "the profile must reach the stop"
         n, S = n_all[:-1], S[:-1]
@@ -671,7 +673,7 @@ def _long_double_order24(profile, T, x_max):
     def main(x):
         return x * (np.log(x) + a) + ld(0.25)
 
-    partial = partial_sums(profile.table)
+    partial = partial_sums(profile.tables.d)
     right = ld(2) ** -np.arange(60, dtype=ld)
     x = right[:, None] * (1 + s[None, :]) / 2          # panels [r/2, r]
     total = np.sum((main(x) ** 2 * np.exp(-x / T)) @ w * (right / 2))

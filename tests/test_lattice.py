@@ -7,7 +7,7 @@ import pytest
 
 from circlekit import arith, lattice
 from circlekit.errors import CapacityError
-from conftest import LIMIT_1M, partial_sums, traced_peak
+from conftest import LIMIT_1M, brute_r, lattice_count, partial_sums, traced_peak
 from circlekit.lattice import (
     CIRCLE,
     DIVISOR,
@@ -33,7 +33,7 @@ def test_p_right_limit_at_10_is_unhalved_count(circle_4k):
     # Straddling the halving convention: the lattice count through n = 10
     # is 36, so just above x = 10 the error term is 37 - 10 pi; the
     # enumeration oracle at x = 10 counts the full circle and agrees.
-    right_limit = float(partial_sums(circle_4k.table)[10]) + 1.0 - math.pi * 10.0
+    right_limit = float(partial_sums(circle_4k.tables.r)[10]) + 1.0 - math.pi * 10.0
     assert right_limit == pytest.approx(37 - 10 * math.pi, abs=1e-13)
     assert abs(p_gauss_oracle(10.0) - right_limit) <= 1e-12
 
@@ -52,6 +52,38 @@ def test_p_matches_oracle_at_random_noninteger_x(circle_4k):
     xs = xs[np.floor(xs) != xs]
     for x in xs:
         assert error_term(circle_4k, float(x)) == p_gauss_oracle(float(x))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_circle_sums_never_depend_on_the_column_block(monkeypatch, block):
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    for m in range(1, 301):
+        S = lattice_count(m)
+        assert lattice._circle_sums(m).tolist() == [S - brute_r(m), S], m
+
+
+def test_circle_sums_equal_the_lattice_count_and_r():
+    # every m <= 5000 (its squares and 2 a^2 among them), squares and 2 a^2 up to 1e10, the
+    # column block edge (isqrt(m) = 2^16 = arith._BLOCK) and random m up to 1e10
+    edge = arith._BLOCK**2
+    rng = np.random.default_rng(43)
+    large = [10**10, 2 * 70_710**2, 2 * 70_710**2 - 1, edge - 1, edge, (arith._BLOCK + 1)**2,
+             *rng.integers(10**6, 10**10, 4).tolist()]
+    for m in [*range(1, 5001), *large]:
+        S = lattice_count(m)
+        assert lattice._circle_sums(m).tolist() == [S - brute_r(m), S], m
+
+
+def test_counted_p_equals_error_term_bit_for_bit(circle_1m):
+    # voronoi's P(x), from the count, against the sieved profile's at integer and
+    # non-integer x, the final term halved at the integers
+    circle_1m.tables.r   # built, so each error_term reads two entries
+    rng = np.random.default_rng(615)
+    xs = [*map(float, range(1, 101)), 2.5, 1024.0, 1024.5, 999_999.0, 1_000_000.5,
+          *map(float, rng.integers(2, LIMIT_1M, 200)), *rng.uniform(1.0, LIMIT_1M, 200)]
+    for x in xs:
+        counted = lattice._error_from_sums(CIRCLE, x, lattice._circle_sums(int(x)), 1)
+        assert counted == error_term(circle_1m, x), x
 
 
 def test_p_domain_error(circle_4k):
@@ -270,7 +302,7 @@ def test_jump_maxima_equal_the_two_abs_form(tables_4k, kind):
     # bit for bit, through error_at_jumps on a table and on a stream, and straight on sums
     # with long runs of f = 0 (r has pairs of zeros at 3 mod 4; d none past 0), into fresh
     # arrays and into reused buffers
-    ref = partial_sums(step_profile(tables_4k, kind).table).astype(np.float64)
+    ref = partial_sums(getattr(tables_4k, lattice._table_name(kind))).astype(np.float64)
     for profile in (step_profile(tables_4k, kind), step_profile(arith.build_tables(4000), kind)):
         for lo, hi in [(1, 4000), (1, 1), (6, 7), (1000, 1100), (3999, 4000)]:
             n, v = lattice.error_at_jumps(profile, lo, hi)
@@ -382,12 +414,12 @@ def test_folded_report_equals_whole_range_maxima(monkeypatch, tables_4k, circle_
 def test_block_sums_and_error_term_across_block_edges(monkeypatch, circle_4k, divisor_4k, block):
     monkeypatch.setattr(arith, "_BLOCK", block)
     edges = [k * block + e for k in (1, 3) for e in (-1, 0, 1)]
-    for profile in (circle_4k, divisor_4k):
-        ref = partial_sums(profile.table)
+    for profile, table in ((circle_4k, circle_4k.tables.r), (divisor_4k, divisor_4k.tables.d)):
+        ref = partial_sums(table)
         ranges = [(lo, hi) for lo in (0, 1, 5, *edges) for hi in (lo + 1, *edges, 200) if hi > lo]
         ranges += [(profile.limit - 2, profile.limit), (5, profile.limit)]   # a head near the end
-        pieces = [(a, profile.table[a:a + 5]) for a in range(0, profile.limit + 1, 5)]
-        for (lo, hi), segments in itertools.product(ranges, ([(0, profile.table)], pieces)):
+        pieces = [(a, table[a:a + 5]) for a in range(0, profile.limit + 1, 5)]
+        for (lo, hi), segments in itertools.product(ranges, ([(0, table)], pieces)):
             # the fold reuses its buffers, so each block is copied before the next
             blocks = [(n.copy(), S.copy()) for n, S in
                       arith._block_sums(segments, lo, hi, arith._BLOCK)]
@@ -400,7 +432,7 @@ def test_block_sums_and_error_term_across_block_edges(monkeypatch, circle_4k, di
                 assert np.array_equal(S, ref[a : b + 1]), (lo, hi, a)
         for x in (k * block + e for k in (1, 3) for e in (0.0, 0.5, 1.0)):
             k = math.floor(x)
-            s = ref[k] - (profile.table[k] / 2 if x == k else 0)
+            s = ref[k] - (table[k] / 2 if x == k else 0)
             main = (math.pi * x - 1 if profile.kind == CIRCLE
                     else x * (math.log(x) + 2 * EULER_GAMMA - 1) + 0.25)
             assert error_term(profile, x) == pytest.approx(s - main, abs=1e-9), (profile.kind, x)
@@ -427,11 +459,11 @@ def test_profile_and_report_scratch_memory_is_bounded(tables_1m, circle_1m):
 
 def test_step_profile_structure(tables_4k):
     prof = step_profile(tables_4k, CIRCLE)
-    assert prof.table is tables_4k.r and not prof.table.flags.writeable   # no copy
-    sums = partial_sums(prof.table)
+    assert prof.tables is tables_4k and not tables_4k.r.flags.writeable   # no copy
+    sums = partial_sums(tables_4k.r)
     assert sums[0] == 0
     assert (np.diff(sums) >= 0).all()
-    assert prof.table[5] == 8
+    assert tables_4k.r[5] == 8
     with pytest.raises(ValueError):
         step_profile(tables_4k, "unknown")
 

@@ -231,6 +231,20 @@ def test_series_sums_never_depend_on_the_block(monkeypatch, tables_4k, block):
     assert sums() == expected
 
 
+@pytest.mark.parametrize("size", range(1, 8))
+def test_one_pass_series_equal_each_series_alone(monkeypatch, size):
+    # voronoi's one pass over r, at r segments and blocks of 1..7 entries, gives the bits of
+    # truncated_p and hardy_partial at the default sizes; r(3) = 0 leaves blocks with no n
+    cases = [(x, N) for x in (2.0, 10.5, 1000.3, 100000.5) for N in (2, 3, 7, 64, 300)]
+    tables = arith.build_tables(300)
+    expected = [[truncated_p(tables, x, N), hardy_partial(tables, x, N)] for x, N in cases]
+    monkeypatch.setattr(arith, "_R_SEGMENT", size)
+    monkeypatch.setattr(arith, "_BLOCK", size)
+    assert [special._series(tables, x, N, special._COSINE, special._BESSEL)
+            for x, N in cases] == expected
+    assert "r" not in tables.__dict__   # streamed, no table built
+
+
 @property_test
 @given(st.integers(2, 4000), st.integers(-3, 3))
 def test_phase_guard_raises_exactly_when_x_times_the_last_kept_n_reaches_2_53(tables_4k, N, ulps):

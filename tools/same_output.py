@@ -74,6 +74,15 @@ COMMANDS = [
     # d streamed across several of its 2^20-entry int16 segments
     ("constants-d-3e6", "constants d_squared --terms 3000000"),
     ("error-term-divisor-3e6", "error-term divisor --x-max 3e6 --samples 64 --out pd_scan.csv"),
+    # voronoi: P(x) at an integer x (its final term halved), at a square, far above the terms
+    # and at the smallest inputs; the terms at r's 2^15-entry segment edge and the 2^16 block's
+    ("voronoi-integer-x", "voronoi --x 1000000 --n-terms 1000"),
+    ("voronoi-square-x", "voronoi --x 1024 --n-terms 2048"),
+    ("voronoi-x-far-above-terms", "voronoi --x 1000000.5 --n-terms 2"),
+    ("voronoi-smallest", "voronoi --x 2 --n-terms 2"),
+    ("voronoi-segment-edge", "voronoi --x 100.5 --n-terms 32768"),
+    ("voronoi-segment-edge-plus-1", "voronoi --x 100.5 --n-terms 32769"),
+    ("voronoi-block-edge-plus-1", "voronoi --x 100.5 --n-terms 65537"),
     # usage errors (exit 2)
     ("usage-sieve-limit-0", "sieve --limit 0"),
     ("usage-error-term-inf", "error-term circle --x-max inf --out x.csv"),
