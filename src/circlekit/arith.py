@@ -13,7 +13,8 @@ Everything here is exact integer (or rational) arithmetic:
 Each of r, d and sigma has one kernel that sieves one cache-sized segment
 [lo, hi) of it, with scratch that does not grow with the limit: r by counting
 lattice points, d and sigma by pairing divisors with cofactors (d's segments in
-int16 below 2^28).  `_segments` runs a kernel over 0..N in ascending order.  Every
+int16 below 2^28; sigma's in int64 words d(n) 2^s + sigma(n), so that one pass
+gives `sieve` both).  `_segments` runs a kernel over 0..N in ascending order.  Every
 command folds them, reading each value once, in order (`sieve`'s sums, the series,
 summed exactly by one Python int per series over `_kept_blocks`, `_block_sums`'
 partial sums behind `error-term` and `laplace`, `correlate.corr_grid`'s dots): it
@@ -38,9 +39,14 @@ from .errors import CapacityError
 
 _BLOCK = 1 << 16  # entries per scratch buffer and per fold block over a table; of all
                   # results it fixes only mean_square_p's last bit, as block_size(T) a transform's
-_SEGMENT = 1 << 19  # table entries per segment of the d and sigma sieves (see _divisor_sieve),
-                    # 2 _SEGMENT for int16 d (see _d_dtype); it fixes no entry, only the time
+_SEGMENT = 1 << 19  # table entries per segment of the d sieve (see _divisor_sieve), 2 _SEGMENT
+                    # for int16 d (see _d_dtype); it fixes no entry, only the time
+_PAIR_SEGMENT = 1 << 18  # int64 words per segment of sigma's packed d and sigma (see
+                         # _pair_segment), the same 2 MiB; likewise
 _R_SEGMENT = 1 << 15  # table entries per segment of the r sieve (see _r_segment); likewise
+_PAIR_RUN = 1 << 15  # the longest run of the packed kernel, the length of its pair buffer and
+                     # of its ramp's first part (see _pair_segment); likewise
+_WORD_BITS = 63   # the value bits of sigma's packed int64 words (see _pack_shift)
 _INT32_LIMIT = 2**31  # scratch integers stay int32 while every value they hold is below this
 _INT16_LIMIT = 2**15  # and d's segments int16 (see _d_dtype)
 _SCALE = 1126   # `_scaled_sum`'s sums are of x 2^_SCALE, an integer for every double x
@@ -48,7 +54,8 @@ _SCALE = 1126   # `_scaled_sum`'s sums are of x 2^_SCALE, an integer for every d
 
 def _kept_blocks(segments):
     """Yield (n, f(n)) for the n with f(n) != 0, for each (lo, f) of segments, f(n) = f[n - lo]
-    (f(0) = 0), one _BLOCK of n at a time: ascending float64 arrays, never empty."""
+    (f(0) = 0), one _BLOCK of n at a time: ascending float64 arrays, never empty, fresh for each
+    block, so a reader may overwrite them."""
     for lo, f in segments:
         for a in range(0, f.size, _BLOCK):
             g = f[a:a + _BLOCK]
@@ -59,10 +66,11 @@ def _kept_blocks(segments):
 
 
 def _exact_sums(blocks, *terms) -> list[float]:
-    """The exactly rounded sum over blocks of each term(*block), a float64 array per block.
-    `_scaled_sum` adds each block's terms into one Python int per term, and one int / int
-    division, correctly rounded with ties to even, makes it a float.  That is math.fsum's value,
-    as fsum is exactly rounded too (Shewchuk, DCG 18 (1997)), so no bit depends on the blocks.
+    """The exactly rounded sum over blocks of each term(*block), a float64 array per block that
+    no other term returns.  `_scaled_sum` adds each block's terms into one Python int per term,
+    overwriting them, and one int / int division, correctly rounded with ties to even, makes
+    it a float.  That is math.fsum's value, as fsum is exactly rounded too (Shewchuk, DCG 18
+    (1997)), so no bit depends on the blocks.
     fsum reads one Python float at a time: the divisor series constant to 1e7, its d stream
     included, took ~0.61 s with it and ~0.36 s this way (2-vCPU x86 VM).  No caller's term is
     inf or nan; one raises ValueError or OverflowError in `_scaled_sum`, and a sum past the
@@ -88,11 +96,14 @@ def _scaled_sum(x: np.ndarray) -> int:
     |lo| < 2^26.  One np.bincount per half sums them by e; each bin adds at most _BLOCK <= 2^25
     integers, so every partial sum is an integer below 2^52, exact in float64.  The bins then
     go into one Python int at the fixed scale 2^_SCALE, where every term is an integer.  An inf
-    or nan term raises OverflowError or ValueError, from int() of its bin."""
+    or nan term raises OverflowError or ValueError, from int() of its bin.  x, a float64 array
+    its caller no longer reads, is overwritten by the M, and e is intp, which bincount reads
+    uncopied: e and hi, 1 MiB at 2^16, are the only other scratch, where a fresh M, an int32 e
+    and bincount's intp copy of it peaked ~1.8 MiB above x."""
     assert _BLOCK <= 2**25
     if not x.size:
         return 0
-    m, e = np.frexp(x)
+    m, e = np.frexp(x, out=(x, np.empty(x.size, np.intp)))
     m *= 2.0**27
     hi = np.trunc(m)
     lo = np.subtract(m, hi, out=m)
@@ -223,7 +234,8 @@ class ArithTables:
 
     def _stream(self, name: str, N: int):
         """(lo, f) segments of the named table's f(0..N), N <= limit, in ascending order: one
-        slice when that table is built or given, else `_segments`, which keeps no table."""
+        slice when that table is built or given, else `_segments`, which keeps no table.  For
+        r and d: sigma's segments are packed words, which `_pair_sums` reads."""
         table = self.__dict__.get(name)
         return _segments(name, N) if table is None else [(0, table[:N + 1])]
 
@@ -237,45 +249,44 @@ def _capacity_error(N: int, dtype) -> CapacityError:
 
 
 def _segments(name: str, N: int, table: np.ndarray | None = None):
-    """Yield (lo, f) for the segments [lo, hi) of 0..N in ascending order, f the named table's
-    f(lo..hi-1) from its kernel: `_r_segment` over _R_SEGMENT entries, `_d_segment` and
-    `_sigma_segment` over _SEGMENT, a streamed d over 2 _SEGMENT while `_d_dtype` makes it
-    int16 (the same 2 MiB).  f is a buffer that the next segment overwrites; given a table,
-    each segment is also left in table[lo:hi] (r and d are sieved straight into it, sigma's
-    int32 segment is copied).  Tables and streams take this one path, so both keep
-    the overflow guard of r and d and name N in the CapacityError of a failed allocation: the
-    table's size when filling one, else the size of the stream's segment buffers, which its
-    kernel's per-segment scratch comes on top of."""
+    """Yield (lo, f) for the segments [lo, hi) of 0..N in ascending order, f the named stream's
+    f(lo..hi-1) from its kernel: `_r_segment` over _R_SEGMENT entries, `_d_segment` over
+    _SEGMENT, a streamed d over 2 _SEGMENT while `_d_dtype` makes it int16 (the same 2 MiB), and
+    sigma's `_pair_segment` over _PAIR_SEGMENT int64 words (2 MiB again).  sigma's stream is
+    those words, d(n) 2^s + sigma(n) with s = `_pack_shift(N)`: `_pair_sums` unpacks them, and
+    `_filled` masks each table segment to sigma.  f is a buffer that the next segment
+    overwrites; given a table, f is table[lo:hi], each segment sieved straight into the table in
+    the table's dtype.  Tables and streams take this one path, so both keep the overflow guard of r and d and name N in the CapacityError of a
+    failed allocation: the table's size when filling one, else the size of the stream's segment
+    buffers, which its kernel's per-segment scratch comes on top of."""
     dtype = _DTYPES[name]
-    if name == "sigma":
-        dtype = _sigma_dtype(N)
-    elif name == "d" and table is None:   # a d table is sieved in its own int32
+    if name == "d" and table is None:   # a d table is sieved in its own int32
         dtype = _d_dtype(N)
-    size = _R_SEGMENT if name == "r" else 2 * _SEGMENT if dtype == np.int16 else _SEGMENT
-    ramp_size = pair_size = 0   # sigma's ramp and pair buffer (see _sigma_segment)
+    size = (_R_SEGMENT if name == "r" else _PAIR_SEGMENT if name == "sigma"
+            else 2 * _SEGMENT if dtype == np.int16 else _SEGMENT)
+    ramp_size = pair_size = 0   # sigma's ramp and pair buffer (see _pair_segment)
     if name == "sigma":
-        ramp_size, pair_size = min(N, _BLOCK) + math.isqrt(N) + 1, min(N, _BLOCK)
+        shift = _pack_shift(N)
+        ramp_size, pair_size = min(N, _PAIR_RUN) + math.isqrt(N) + 1, min(N, _PAIR_RUN)
     try:
         if name == "sigma":
             ramp = np.arange(ramp_size, dtype=dtype)
+            ramp += 2 << shift
             pair = np.empty(pair_size, dtype=dtype)
-            kernel = lambda lo, hi, out: _sigma_segment(lo, hi, out, ramp, pair)
+            kernel = lambda lo, hi, out: _pair_segment(lo, hi, out, ramp, pair, shift)
         else:
             kernel = _r_segment if name == "r" else _d_segment
-        direct = table is not None and table.dtype == dtype
-        buf = None if direct else np.empty(min(N + 1, size), dtype=dtype)
+        buf = None if table is not None else np.empty(min(N + 1, size), dtype=dtype)
         for lo in range(0, N + 1, size):
             hi = min(lo + size, N + 1)
-            f = table[lo:hi] if direct else buf[:hi - lo]
+            f = buf[:hi - lo] if table is None else table[lo:hi]
             kernel(lo, hi, f)
             # Overflow guard: r(n) <= 4 d(n) < 2**31 at any feasible N, and an int16 d(n) < 2**15
-            # (`_d_dtype`), but check the built maxima.
+            # (`_d_dtype`), but check the built maxima.  sigma's words are bounded by `_pack_shift`
             if name != "sigma" and max(int(f.max()), -int(f.min())) >= np.iinfo(dtype).max:
                 what = "table" if dtype == _DTYPES[name] else "segment"
                 raise CapacityError(f"{np.dtype(dtype)} {what} overflow at N={N}",
                                     required_limit=N)
-            if table is not None and not direct:
-                table[lo:hi] = f
             yield lo, f
     except MemoryError as exc:
         if table is not None:
@@ -287,16 +298,35 @@ def _segments(name: str, N: int, table: np.ndarray | None = None):
 
 
 def _filled(name: str, N: int) -> np.ndarray:
-    """The named table f(0..N), read-only, every segment of `_segments` left in it.  A failed
-    allocation, of the table here or of scratch in the fill, is the CapacityError naming N."""
+    """The named table f(0..N), read-only, every segment of `_segments` left in it (sigma's
+    packed words masked to sigma in place).  A failed allocation, of the table here or of
+    scratch in the fill, is the CapacityError naming N."""
+    mask = (1 << _pack_shift(N)) - 1 if name == "sigma" else None
     try:
         table = np.empty(N + 1, dtype=_DTYPES[name])
     except MemoryError as exc:
         raise _capacity_error(N, _DTYPES[name]) from exc
-    for _ in _segments(name, N, table):
-        pass
+    for _, f in _segments(name, N, table):
+        if mask is not None:
+            f &= mask
     table.flags.writeable = False
     return table
+
+
+def _pair_sums(N: int) -> tuple[int, int]:
+    """(sum d(n), sum sigma(n)) over n <= N from one pass over sigma's packed stream, unpacked in
+    place with no other buffer: each segment's words d(n) 2^s + sigma(n) are summed mod 2^64,
+    then shifted down to d(n) and summed, and sigma's sum is the difference mod 2^64, exact as a
+    segment's sigma sum is below its size times 2^s <= 2^64.  A limit past `_pack_shift`'s
+    raises its CapacityError before any sieving."""
+    shift = _pack_shift(N)
+    assert min(N + 1, _PAIR_SEGMENT) << shift <= 2**64
+    d_sum = s_sum = 0
+    for _, words in _segments("sigma", N):
+        total = int(words.view(np.uint64).sum())
+        d = int(np.right_shift(words, shift, out=words).sum())
+        d_sum, s_sum = d_sum + d, s_sum + (total - (d << shift)) % 2**64
+    return d_sum, s_sum
 
 
 def _isqrt(m: np.ndarray) -> np.ndarray:
@@ -343,8 +373,8 @@ def _r_segment(lo: int, hi: int, out: np.ndarray) -> None:
     out[2 * a * a - lo] += 4
 
 
-def _segment_runs(lo: int, hi: int):
-    """Yield (delta, k0, k1), the runs of at most _BLOCK cofactors k0 <= k < k1 of each
+def _segment_runs(lo: int, hi: int, longest: int):
+    """Yield (delta, k0, k1), the runs of at most longest cofactors k0 <= k < k1 of each
     delta whose products delta k lie in the segment [lo, hi): each delta <= sqrt(hi - 1),
     with k from max(delta + 1, ceil(lo / delta)), so over the segments of 0..N every pair
     delta < k with delta k <= N is yielded exactly once; a run is never empty."""
@@ -352,9 +382,9 @@ def _segment_runs(lo: int, hi: int):
         k0, k1 = -(-lo // delta), (hi - 1) // delta + 1
         if k0 <= delta:
             k0 = delta + 1
-        while k1 - k0 > _BLOCK:   # only the deltas below (hi - lo) / _BLOCK
-            yield delta, k0, k0 + _BLOCK
-            k0 += _BLOCK
+        while k1 - k0 > longest:   # only the deltas below (hi - lo) / longest
+            yield delta, k0, k0 + longest
+            k0 += longest
         if k0 < k1:
             yield delta, k0, k1
 
@@ -370,7 +400,7 @@ def _d_segment(lo: int, hi: int, out: np.ndarray) -> None:
     segments.  A table is int32 and sieved in place, with no int16 buffer to copy from.
     """
     out.fill(0)
-    for delta, k0, k1 in _segment_runs(lo, hi):
+    for delta, k0, k1 in _segment_runs(lo, hi, _BLOCK):
         out[delta * k0 - lo:delta * (k1 - 1) - lo + 1:delta] += 2
     out[_squares(lo, hi) ** 2 - lo] += 1
 
@@ -382,39 +412,59 @@ def _d_dtype(n: int):
     return np.int16 if 2 * math.isqrt(n) < _INT16_LIMIT else np.int32
 
 
-def _sigma_dtype(n: int):
-    """The dtype of sigma's segment buffer for entries up to n >= 1: int32 while
-    n (1 + ln n) < _INT32_LIMIT, as sigma(m) / m = sum_{delta | m} 1 / delta <= H_m <= 1 + ln m.
-    Near the limit, 1 + ln m exceeds H_m by ~1 - gamma ~ 0.42, so the ~1e-16 relative
-    rounding of the float product cannot matter."""
-    return np.int32 if n * (1 + math.log(n)) < _INT32_LIMIT else np.int64
+def _pack_shift(N: int) -> int:
+    """The shift s of sigma's packed words d(n) 2^s + sigma(n) for n <= N: the least s with
+    N (1 + ln N) < 2^s, as sigma(n) / n = sum_{delta | n} 1 / delta <= H_n <= 1 + ln n (1 + ln n
+    exceeds H_n by ~1 - gamma ~ 0.42, so the ~1e-16 relative rounding of the float product
+    cannot matter).  No add then carries out of sigma's field, and d(n) <= 2 isqrt(n) must stay
+    below 2^(_WORD_BITS - s), so that no word reaches int64's sign bit.  That holds up to
+    N = 2^38 - 1 (s = 43 there, d(n) < 2^20); a larger N raises the CapacityError naming that
+    largest N, a limit that would take days to stream."""
+    def shift(n):
+        return int(n * (1 + math.log(n))).bit_length()
+
+    def packs(n):
+        return shift(n) < _WORD_BITS and 2 * math.isqrt(n) < 1 << (_WORD_BITS - shift(n))
+    if not packs(N):
+        lo, hi = 1, N   # packs(n) holds up to some n and fails past it, as s and d(n) grow
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if packs(mid) else (lo, mid)
+        raise CapacityError(f"d(n) and sigma(n) pack into one int64 word only for N <= {lo}, "
+                            f"not N={N}", required_limit=lo)
+    return shift(N)
 
 
-def _sigma_segment(lo: int, hi: int, out: np.ndarray, ramp: np.ndarray, pair: np.ndarray) -> None:
-    """out = sigma(lo..hi-1): the pair sieve of `_divisor_sieve` with weight delta.
+def _pair_segment(lo: int, hi: int, out: np.ndarray, ramp: np.ndarray, pair: np.ndarray,
+                  shift: int) -> None:
+    """out = d(n) 2^shift + sigma(n) for n in lo..hi-1, int64: the pair sieve of
+    `_divisor_sieve` with weight 2^shift + delta, d and sigma in one word per entry.
 
-    A pair adds delta + k at n = delta k, so a run of cofactors k0 <= k < k1 adds
-    k0 + delta, ..., k1 - 1 + delta, read from ramp = 0, 1, ..., with no weights array; each
-    square delta^2 adds delta.  A run with k1 + delta <= ramp.size adds the view
-    ramp[k0 + delta:k1 + delta] in one strided add.  `_segments` makes ramp
-    min(N, _BLOCK) + isqrt(N) + 1 long, which takes in every delta >= N / _BLOCK, as then
-    k1 - 1 <= N / delta <= min(N, _BLOCK) and delta <= isqrt(N).  The cofactors of the
-    smaller deltas run up to N / delta, past any ramp that does not grow with N, so their
-    runs form ramp[:k1 - k0] + (k0 + delta) in the pair buffer first (one contiguous add).
-    out is int32 while `_sigma_dtype` allows (N up to ~1.1e8): 2 MiB at 2^19 entries, where
-    an int64 segment took 4 MiB.  At N = 1e7 on a 2-vCPU x86 VM the streamed sigma took
-    ~0.28 s, against ~0.41 s with every run through the pair buffer and ~0.63 s for
-    `_divisor_sieve` over an int64 arange.
+    A pair adds 2 to d and delta + k to sigma at n = delta k, so a run of cofactors
+    k0 <= k < k1 adds 2^(shift+1) + k0 + delta, ..., 2^(shift+1) + k1 - 1 + delta, read from
+    ramp = 2^(shift+1) + (0, 1, ...), with no weights array; each square delta^2 adds
+    2^shift + delta.  A run with k1 + delta <= ramp.size adds the view ramp[k0 + delta:k1 + delta]
+    in one strided add.  `_segments` makes pair min(N, _PAIR_RUN) long, the longest run, and ramp
+    pair.size + isqrt(N) + 1, which takes in every delta >= N / _PAIR_RUN, as then
+    k1 - 1 <= N / delta <= pair.size and delta <= isqrt(N).  The cofactors of the smaller deltas
+    run up to N / delta, past any ramp that does not grow with N, so their runs form
+    ramp[:k1 - k0] + (k0 + delta) in the pair buffer first (one contiguous add).  Both are
+    int64, ~0.5 MiB together at N = 1e7; _PAIR_RUN = 2^16 doubled them and took no less time.
+    `_pack_shift` keeps the two fields apart.  One strided add per run serves both functions:
+    at N = 1e7 on a 2-vCPU x86 VM the d and sigma streams took ~0.34 s as two kernels (int16 d
+    and int32 sigma, 2 MiB segments each) and ~0.27 s as this one, paired median x0.80.
+    A stream of d alone (`error-term`, `laplace`, `constants` divisor) keeps `_d_segment`, whose
+    int16 adds take about half this kernel's time.
     """
     out.fill(0)
-    for delta, k0, k1 in _segment_runs(lo, hi):
+    for delta, k0, k1 in _segment_runs(lo, hi, pair.size):
         run = out[delta * k0 - lo:delta * (k1 - 1) - lo + 1:delta]
         if k1 + delta <= ramp.size:
             run += ramp[k0 + delta:k1 + delta]
         else:
             run += np.add(ramp[:k1 - k0], k0 + delta, out=pair[:k1 - k0])
     a = _squares(lo, hi)
-    out[a * a - lo] += a
+    out[a * a - lo] += a + (1 << shift)
 
 
 def _divisor_sieve(weights: np.ndarray) -> np.ndarray:
@@ -436,14 +486,14 @@ def _divisor_sieve(weights: np.ndarray) -> np.ndarray:
     through one preallocated buffer of at most _BLOCK entries, one run at a time:
     a fresh temporary per run leaves freed heap behind that raised the peak RSS
     of later commands.  This weights form serves
-    `g_identity_first_failure`; `_d_segment` and `_sigma_segment` run the same runs
+    `g_identity_first_failure`; `_d_segment` and `_pair_segment` run the same runs
     with no weights array.
     """
     N = len(weights) - 1
     out = np.zeros(N + 1, dtype=weights.dtype)
     pair = np.empty(min(N, _BLOCK), dtype=weights.dtype)
     for lo in range(0, N + 1, _SEGMENT):
-        for delta, k0, k1 in _segment_runs(lo, min(lo + _SEGMENT, N + 1)):
+        for delta, k0, k1 in _segment_runs(lo, min(lo + _SEGMENT, N + 1), _BLOCK):
             out[delta * k0:delta * (k1 - 1) + 1:delta] += np.add(weights[k0:k1], weights[delta],
                                                                  out=pair[:k1 - k0])
     squares = np.arange(1, math.isqrt(N) + 1)

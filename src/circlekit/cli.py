@@ -114,13 +114,13 @@ def _parse_t_list(text: str) -> list[float]:
 def cmd_sieve(args) -> int:
     tables = arith.build_tables(args.limit)
     N = tables.limit
-    # each table is folded segment by segment as it is sieved, so no N-entry table is held;
-    # bytes per entry is what ArithTables would hold: the sizes of its three dtypes
+    # each function is folded segment by segment as it is sieved, so no N-entry table is held:
+    # d and sigma first, from one pass of packed words, whose limit is checked before any
+    # sieving; bytes per entry is what ArithTables would hold: the sizes of its three dtypes
+    d_sum, s_sum = arith._pair_sums(N)
     r_sum = r_max = 0
     for _, r in tables._stream("r", N):
         r_sum, r_max = r_sum + int(r.sum(dtype="int64")), max(r_max, int(r.max()))
-    d_sum = sum(int(d.sum(dtype="int64")) for _, d in tables._stream("d", N))
-    s_sum = sum(int(s.sum(dtype="int64")) for _, s in tables._stream("sigma", N))
     print(f"sieve limit      {N}")
     print(f"sum r(n)         {r_sum}")
     print(f"sum d(n)         {d_sum}")

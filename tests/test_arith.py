@@ -95,19 +95,26 @@ def _streamed(name: str, N: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _packed(tables) -> np.ndarray:
+    """The words d(n) 2^s + sigma(n) of sigma's stream, from the d and sigma tables."""
+    return (tables.d.astype(np.int64) << arith._pack_shift(tables.limit)) + tables.sigma
+
+
 @pytest.mark.parametrize("name", ["r", "d", "sigma"])
 def test_streamed_segments_equal_the_table(name):
     # every N <= 300; N one below, at and one above the first and the second edge of r's
-    # 2^15-entry and of the 2^19-entry segments; and 1e6 + 7
-    edges = [k * size + e for size in (arith._R_SEGMENT, arith._SEGMENT)
+    # 2^15-entry, the packed 2^18-entry and the 2^19-entry segments; and 1e6 + 7.  sigma's
+    # stream is the packed words of the d and sigma tables
+    edges = [k * size + e for size in (arith._R_SEGMENT, arith._PAIR_SEGMENT, arith._SEGMENT)
              for k in (1, 2) for e in (-1, 0, 1)]
     for N in [*range(1, 301), *edges, 10**6 + 7]:
-        table = getattr(arith.build_tables(N), name)
+        tables = arith.build_tables(N)
+        table = _packed(tables) if name == "sigma" else getattr(tables, name)
         assert np.array_equal(_streamed(name, N), table), (name, N)
 
 
 def test_prebuilt_arrays_are_not_sieved(monkeypatch):
-    for name in ("_d_segment", "_sigma_segment"):   # any sieve of d or sigma would fail
+    for name in ("_d_segment", "_pair_segment"):   # any sieve of d or sigma would fail
         monkeypatch.setattr(arith, name, None)
     d = np.array([0, 1, 2])
     t = arith.ArithTables(limit=2, d=d)
@@ -161,6 +168,9 @@ def _check_sieves_against_naive(sizes, *labels):
             if name == "arange":
                 sigma = arith._filled("sigma", N)
                 assert sigma.dtype == np.int64 and np.array_equal(sigma, expected), (*labels, N)
+                d = _naive_divisor_sums(_weights(N)["ones"]).astype(np.int64)
+                packed = (d << arith._pack_shift(N)) + expected
+                assert np.array_equal(_streamed("sigma", N), packed), (*labels, N)
 
 
 @pytest.mark.parametrize("block, sizes", [
@@ -170,6 +180,7 @@ def _check_sieves_against_naive(sizes, *labels):
 ])
 def test_divisor_sieves_match_naive_sums(monkeypatch, block, sizes):
     monkeypatch.setattr(arith, "_BLOCK", block)
+    monkeypatch.setattr(arith, "_PAIR_RUN", block)
     _check_sieves_against_naive(sizes, block)
 
 
@@ -180,7 +191,9 @@ def test_divisor_sieves_match_naive_sums(monkeypatch, block, sizes):
 ])
 def test_segmented_divisor_sieves_match_naive_sums(monkeypatch, segment, block, sizes):
     monkeypatch.setattr(arith, "_SEGMENT", segment)
+    monkeypatch.setattr(arith, "_PAIR_SEGMENT", segment)
     monkeypatch.setattr(arith, "_BLOCK", block)
+    monkeypatch.setattr(arith, "_PAIR_RUN", block)
     _check_sieves_against_naive(sizes, segment, block)
 
 
@@ -191,10 +204,12 @@ def test_segmented_sieves_match_one_segment(monkeypatch):
     sieves = [(name, lambda w=w: arith._divisor_sieve(w)) for name, w in _weights(N).items()]
     sieves += [(name, lambda name=name: arith._filled(name, N)) for name in ("d", "sigma")]
     sieves += [("streamed d", lambda: _streamed("d", N))]   # 2^20-entry int16 segments
+    sieves += [("packed d and sigma", lambda: _streamed("sigma", N))]   # 2^18-entry int64 ones
     for name, sieve in sieves:
         got = sieve()
         with monkeypatch.context() as m:
             m.setattr(arith, "_SEGMENT", N + 1)
+            m.setattr(arith, "_PAIR_SEGMENT", N + 1)
             expected = sieve()
         assert got.dtype == expected.dtype and np.array_equal(got, expected), name
 
@@ -203,7 +218,7 @@ def test_segmented_sieves_match_one_segment(monkeypatch):
 def test_r_and_sigma_sieves_match_oracles_on_small_segments(monkeypatch, segment):
     # every N <= 300 puts N at, and one off, many segment edges
     monkeypatch.setattr(arith, "_R_SEGMENT", segment)
-    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    monkeypatch.setattr(arith, "_PAIR_SEGMENT", segment)
     for N in range(1, 301):
         r = arith._filled("r", N)
         assert r.dtype == np.int32 and np.array_equal(r, _r_divisor_sieve(N)), (segment, N)
@@ -217,7 +232,7 @@ def test_r_and_sigma_sieves_match_oracles_on_small_segments(monkeypatch, segment
 @pytest.mark.parametrize("name", ["r", "sigma"])
 def test_r_and_sigma_sieves_match_oracles_at_segment_edges(name):
     # N one below, at and one above the first and the second edge of the real segments
-    edge = arith._R_SEGMENT if name == "r" else arith._SEGMENT
+    edge = arith._R_SEGMENT if name == "r" else arith._PAIR_SEGMENT
     for N in (edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge, 2 * edge + 1, 10**6 + 7):
         if name == "r":
             got, expected = arith._filled("r", N), _r_divisor_sieve(N)
@@ -241,29 +256,31 @@ def test_d_stream_matches_the_weights_sieve_at_segment_edges():
 def test_sigma_ramp_views_and_pair_runs_match_the_weights_sieve(monkeypatch):
     # segments of 64 and runs of at most 7, so one segment adds some runs as views of the
     # ramp and others through the pair buffer, and some N have a run that ends exactly at
-    # the ramp's end (k1 + delta == ramp.size); table and stream against the weights form
-    monkeypatch.setattr(arith, "_SEGMENT", 64)
-    monkeypatch.setattr(arith, "_BLOCK", 7)
+    # the ramp's end (k1 + delta == ramp.size); table and packed stream against the weights form
+    monkeypatch.setattr(arith, "_PAIR_SEGMENT", 64)
+    monkeypatch.setattr(arith, "_PAIR_RUN", 7)
     both, at_end = set(), set()
-    kernel = arith._sigma_segment
+    kernel = arith._pair_segment
 
-    def spy(lo, hi, out, ramp, pair):
-        ends = {k1 + delta - ramp.size for delta, k0, k1 in arith._segment_runs(lo, hi)}
+    def spy(lo, hi, out, ramp, pair, shift):
+        ends = {k1 + delta - ramp.size
+                for delta, k0, k1 in arith._segment_runs(lo, hi, pair.size)}
         if ends and min(ends) <= 0 < max(ends):
             both.add(N)
         if 0 in ends:
             at_end.add(N)
-        kernel(lo, hi, out, ramp, pair)
-    monkeypatch.setattr(arith, "_sigma_segment", spy)
+        kernel(lo, hi, out, ramp, pair, shift)
+    monkeypatch.setattr(arith, "_pair_segment", spy)
     for N in range(1, 400):
         expected = arith._divisor_sieve(np.arange(N + 1))
+        d = arith._divisor_sieve(np.ones(N + 1, np.int64))
         assert np.array_equal(arith._filled("sigma", N), expected), N
-        assert np.array_equal(_streamed("sigma", N), expected), N
+        assert np.array_equal(_streamed("sigma", N), (d << arith._pack_shift(N)) + expected), N
     assert len(both) > 100 and len(at_end) > 10, (len(both), len(at_end))
 
 
 def test_int64_scratch_equals_int32(monkeypatch):
-    # the int64 paths serve N past ~1.1e8 (sigma) and 2^31 (r); a lowered limit takes them here
+    # the int64 path serves r past N = 2^31; a lowered limit takes it here
     N = 2 * arith._R_SEGMENT + 5
     seen = set()   # the dtypes of the pair values that r's bincount reads
     bincount = np.bincount
@@ -272,14 +289,11 @@ def test_int64_scratch_equals_int32(monkeypatch):
         seen.add(x.dtype)
         return bincount(x, **kwargs)
     monkeypatch.setattr(np, "bincount", spy)
-    assert arith._sigma_dtype(N) == np.int32
-    r, sigma = arith._filled("r", N), arith._filled("sigma", N)
+    r = arith._filled("r", N)
     assert seen == {np.dtype(np.int32)}
     monkeypatch.setattr(arith, "_INT32_LIMIT", 2)
     seen.clear()
-    assert arith._sigma_dtype(N) == np.int64
     assert np.array_equal(arith._filled("r", N), r) and seen == {np.dtype(np.int64)}
-    assert np.array_equal(arith._filled("sigma", N), sigma)
 
 
 def test_int16_d_segments_equal_int32(monkeypatch):
@@ -326,31 +340,91 @@ def test_isqrt_exact_next_to_squares(k):
     assert arith._isqrt(np.array(m, dtype=np.int64)).tolist() == [math.isqrt(x) for x in m]
 
 
+_PACKED_TOP = 2**38 - 1   # the largest N whose d(n) 2^s + sigma(n) fit one int64 word
+
+
 @property_test
-@given(st.integers(1, 10**12))
-def test_sigma_buffer_is_int32_exactly_when_the_bound_holds(n):
-    bound_holds = n * (1 + math.log(n)) < 2**31
-    assert (arith._sigma_dtype(n) == np.int32) == bound_holds
-    if bound_holds:   # then sigma(m) <= m H_m <= n (ln n + gamma + 1/(2n)) fits in int32
-        assert n * (math.log(n) + 0.5773 + 1 / (2 * n)) < 2**31
+@given(st.integers(1, _PACKED_TOP))
+def test_pack_shift_is_the_least_that_keeps_the_fields_apart(n):
+    # sigma(m) <= m H_m <= n (ln n + gamma + 1/(2n)) < 2^s, the least such s of the bound
+    # n (1 + ln n), and d(m) <= 2 isqrt(n) < 2^(63 - s), so no word reaches the sign bit
+    s = arith._pack_shift(n)
+    assert n * (1 + math.log(n)) < 2**s and n * (math.log(n) + 0.5773 + 1 / (2 * n)) < 2**s
+    assert s == 1 or n * (1 + math.log(n)) >= 2**(s - 1)
+    assert 2 * math.isqrt(n) < 2**(63 - s)
 
 
-def test_sigma_bound_on_the_table_and_its_int32_crossing(tables_1m):
-    # sigma(n) / n <= 1 + ln n on the sieved table; the buffer turns int64 at n ~ 1.1e8
+def test_sigma_bound_on_the_table_and_the_packing_limit(tables_1m):
+    # sigma(n) / n <= 1 + ln n on the sieved table; the words pack up to N = 2^38 - 1, where
+    # s = 43 and d(n) <= 2 isqrt(N) < 2^20, and no further
     n = np.arange(1, tables_1m.limit + 1)
     assert (tables_1m.sigma[1:] <= n * (1 + np.log(n))).all()
-    lo, hi = 1, 10**12   # arith._sigma_dtype(lo) is int32, of hi int64
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if arith._sigma_dtype(mid) == np.int32 else (lo, mid)
-    assert 1.0e8 < lo < 1.2e8
-    assert lo * (1 + math.log(lo)) < 2**31 <= hi * (1 + math.log(hi))
+    top = _PACKED_TOP
+    assert arith._pack_shift(top) == 43 and 2 * math.isqrt(top) < 2**20 <= 2 * math.isqrt(top + 1)
+    for N in (top + 1, 10**19):
+        with pytest.raises(CapacityError, match=f"only for N <= {top}, not N={N}$") as info:
+            arith._pack_shift(N)
+        assert info.value.required_limit == top
+
+
+def _unpacked(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """d(0..N) and sigma(0..N) from sigma's packed stream."""
+    words, shift = _streamed("sigma", N), arith._pack_shift(N)
+    return words >> shift, words & ((1 << shift) - 1)
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3, 4, 5, 6, 7, 2**18])
+def test_packed_stream_equals_the_d_stream_the_sigma_table_and_the_counts(monkeypatch, segment):
+    # N in 1, 2 and 3 segments + 7, and squares on the first entry of a segment: of the
+    # short segments every N up to segment^2 + 7 (3 segments + 7 at least), of the real 2^18
+    # entries 2^18 = 512^2 opening the second, and N = 2^18, whose last segment is that square
+    monkeypatch.setattr(arith, "_PAIR_SEGMENT", segment)
+    sizes = {k * segment + 7 for k in (1, 2, 3)}
+    sizes |= set(range(1, max(3, segment) * segment + 8)) if segment < 8 else {segment}
+    for N in sorted(sizes):
+        d, sigma = _unpacked(N)
+        assert np.array_equal(d, _streamed("d", N)), (segment, N)
+        assert np.array_equal(sigma, arith._filled("sigma", N)), (segment, N)
+        assert arith._pair_sums(N) == (hyperbola_count(N), sigma_count(N)), (segment, N)
+        assert int(d.sum()) == hyperbola_count(N) and int(sigma.sum()) == sigma_count(N)
+    assert any(math.isqrt(lo) ** 2 == lo for lo in range(segment, max(sizes), segment))
+
+
+def test_pair_sums_are_exact_when_a_segments_words_wrap_past_2_64(monkeypatch):
+    # a shift of 45 still keeps the fields apart here (d(n) < 2^11 < 2^18) and takes each
+    # segment's word sum past 2^64, so sigma's part comes back from the wrapped sum mod 2^64
+    N = 3 * arith._PAIR_SEGMENT + 7
+    monkeypatch.setattr(arith, "_pack_shift", lambda n: 45)
+    assert int(_streamed("sigma", N)[:arith._PAIR_SEGMENT].sum(dtype=object)) >= 2**64
+    assert arith._pair_sums(N) == (hyperbola_count(N), sigma_count(N))
+
+
+def test_packing_past_a_patched_carry_bound_raises(monkeypatch):
+    # 24-bit words: the largest N that packs is found, its words fill no more than 24 bits
+    # and equal the tables'; one more raises before any sieving, from the stream, the sums
+    # and the table alike
+    monkeypatch.setattr(arith, "_WORD_BITS", 24)
+    with pytest.raises(CapacityError) as info:
+        arith._pack_shift(10**6)
+    top = info.value.required_limit
+    assert 1000 < top < 10**4
+    shift = arith._pack_shift(top)
+    words = _streamed("sigma", top)
+    assert 0 <= words.min() and words.max() < 2**24
+    assert np.array_equal(words, _packed(arith.build_tables(top)))
+    assert 2 * math.isqrt(top) < 2**(24 - shift) and (words >> shift).max() <= 2 * math.isqrt(top)
+    for name in ("_pair_segment", "_d_segment"):   # any sieve would fail
+        monkeypatch.setattr(arith, name, None)
+    for call in (lambda: next(arith._segments("sigma", top + 1)),
+                 lambda: arith._pair_sums(top + 1), lambda: arith._filled("sigma", top + 1)):
+        with pytest.raises(CapacityError, match=f"only for N <= {top}, not N={top + 1}$"):
+            call()
 
 
 def test_sieve_scratch_memory_is_bounded():
-    # d needs its own table only; sigma its table, its int32 segment buffer, a ramp of
-    # _BLOCK + sqrt(N) entries and a _BLOCK-entry pair buffer; r its table and one
-    # segment's pair arrays and counts
+    # d needs its own table only; sigma its table, into which its packed words are sieved and
+    # masked, an int64 ramp of _PAIR_RUN + sqrt(N) entries and a _PAIR_RUN-entry pair buffer;
+    # r its table and one segment's pair arrays and counts
     N = 10**6
     assert traced_peak(lambda: arith.build_tables(N).d) <= 4 * N + 0.1 * 2**20
     assert traced_peak(lambda: arith.build_tables(N).sigma) <= 8 * N + 3 * 2**20

@@ -222,7 +222,7 @@ def test_removed_options_exit_2(tmp_path, capsys, argv):
 def test_capacity_exit_code(monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("sieved past the capacity check")
-    for name in ("_r_segment", "_d_segment", "_sigma_segment"):   # every table and stream
+    for name in ("_r_segment", "_d_segment", "_pair_segment"):   # every table and stream
         monkeypatch.setattr(arith, name, unreachable)
     assert run(["constants", "r_squared", "--terms", str(10**19)]) == 3
     assert "capacity error: cannot allocate sieve tables for N=10000000000000000000" \
@@ -231,7 +231,7 @@ def test_capacity_exit_code(monkeypatch, capsys):
 
 @pytest.mark.parametrize("failing, argv", [
     ("_r_segment", ["sieve", "--limit", "1000"]),   # sieve streams each table from its kernel
-    ("_sigma_segment", ["sieve", "--limit", "1000"]),
+    ("_pair_segment", ["sieve", "--limit", "1000"]),
     ("_r_segment", ["voronoi", "--x", "999.5", "--n-terms", "1000"]),   # streams r to n_terms
     ("_r_segment", ["error-term", "circle", "--x-max", "1e7"]),   # error-term streams r
     ("_d_segment", ["constants", "d_squared", "--terms", "1000"]),
@@ -245,9 +245,9 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
     # each argv but correlate's ends with the sieve limit
     N = int(argv[2]) + int(argv[4]) if argv[0] == "correlate" else int(float(argv[-1]))
     # a stream names its segment buffers: r's int32 segment (1001 * 4 B, rounded up), d's
-    # int16 one, sigma's int32 one and its ramp and pair
-    name = failing[1:].removesuffix("_segment")
-    kib = {("r", 1000): 4, ("r", 10**7): 128, ("d", 1000): 2, ("sigma", 1000): 12}[name, N]
+    # int16 one, sigma's packed int64 one and its ramp and pair ((1001 + 1032 + 1000) * 8 B)
+    name = {"_pair_segment": "sigma"}.get(failing, failing[1:].removesuffix("_segment"))
+    kib = {("r", 1000): 4, ("r", 10**7): 128, ("d", 1000): 2, ("sigma", 1000): 24}[name, N]
     message = (f"cannot allocate the streamed {name} sieve for N={N} "
                f"(~{kib} KiB of segment buffers, plus the kernel's scratch)")
     if argv[0] in {"error-term", "correlate"}:
@@ -302,11 +302,11 @@ def test_correlation_window_that_cannot_be_allocated_exits_3(tmp_path, monkeypat
     (["error-term", "divisor", "--x-max", "200", "--samples", "4"], (0, 1, 0)),
     (["laplace", "divisor", "--t-list", "16,32"], (0, 1, 0)),
     (["constants", "d_squared", "--terms", "100"], (0, 1, 0)),
-    (["sieve", "--limit", "100"], (1, 1, 1)),
+    (["sieve", "--limit", "100"], (1, 0, 1)),   # d and sigma in one pass of packed words
 ])
 def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, sieves):
     # a run of a table's kernel, filling the table or streaming it, starts at segment lo = 0
-    calls = {"_r_segment": 0, "_d_segment": 0, "_sigma_segment": 0}
+    calls = {"_r_segment": 0, "_d_segment": 0, "_pair_segment": 0}
 
     def counted(name):
         kernel = getattr(arith, name)
@@ -320,16 +320,18 @@ def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, s
     if argv[0] in {"error-term", "correlate", "laplace"}:
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     assert run(argv) == 0
-    assert (calls["_r_segment"], calls["_d_segment"], calls["_sigma_segment"]) == sieves
+    assert (calls["_r_segment"], calls["_d_segment"], calls["_pair_segment"]) == sieves
 
 
 @pytest.mark.parametrize("kernel, argv", [
     ("_r_segment", ["sieve", "--limit", "1000"]),
-    ("_d_segment", ["sieve", "--limit", "1000"]),
+    ("_d_segment", ["error-term", "divisor", "--x-max", "1000"]),   # sieve's d is packed words
     ("_d_segment", ["constants", "d_squared", "--terms", "1000"]),
 ])
-def test_int32_guard_on_streamed_segments_exits_3(monkeypatch, capsys, kernel, argv):
+def test_int32_guard_on_streamed_segments_exits_3(tmp_path, monkeypatch, capsys, kernel, argv):
     # r streams int32 segments, d int16 ones below N = 2^28 (arith._d_dtype): the same guard
+    if argv[0] == "error-term":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
     sieve = getattr(arith, kernel)
 
     def overflowing(lo, hi, out):   # a segment holding the largest value of its dtype
@@ -363,6 +365,16 @@ def test_command_peak_memory_per_entry(tmp_path, capsys, argv, bytes_per_entry, 
 def test_sieve_peak_memory_does_not_grow_with_the_limit(capsys, limit):
     assert traced_peak(lambda: run(["sieve", "--limit", str(limit)])) <= 6 * 2**20
     assert "error" not in capsys.readouterr().err
+
+
+def test_sieve_past_the_packed_words_exits_3_before_sieving(monkeypatch, capsys):
+    # d(n) 2^s + sigma(n) fit one int64 word up to N = 2^38 - 1; past it sieve exits 3 at
+    # once, where it would have sieved for days first
+    for name in ("_r_segment", "_d_segment", "_pair_segment"):
+        monkeypatch.setattr(arith, name, None)
+    assert run(["sieve", "--limit", str(2**38)]) == 3
+    assert capsys.readouterr().err == ("capacity error: d(n) and sigma(n) pack into one int64 "
+                                       "word only for N <= 274877906943, not N=274877906944\n")
 
 
 def test_streamed_sieve_sums_equal_the_exact_counts(capsys):
