@@ -14,16 +14,12 @@ from .arith import (
     build_tables,
     chi,
     g_closed,
-    g_direct,
-    g_identity_first_failure,
     r_single,
     v2,
 )
 from .correlate import (
     CorrelationRecord,
     corr_grid,
-    corr_sum,
-    e_term,
     pointwise_bound_report,
 )
 from .errors import CapacityError, CircleKitError
@@ -46,14 +42,12 @@ from .lattice import (
     StepProfile,
     error_term,
     mean_square_p,
-    p_gauss_oracle,
     pointwise_report,
     step_profile,
 )
 from .special import (
     BESSEL_SWITCH,
     bessel_j,
-    bessel_oracle,
     gauss_sum_sq,
     hardy_partial,
     truncated_p,

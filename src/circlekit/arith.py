@@ -7,8 +7,7 @@ Everything here is exact integer (or rational) arithmetic:
 * ``d(n)``      -- number of divisors.
 * ``sigma(n)``  -- sum of divisors.
 * ``g(h)``      -- the coefficient of the linear term in the correlation sum
-                   sum_{n<=N} r(n) r(n+h) ~ g(h) N, available in two
-                   provably equal forms (`g_direct`, `g_closed`).
+                   sum_{n<=N} r(n) r(n+h) ~ g(h) N, in closed form (`g_closed`).
 
 Each of r, d and sigma has one kernel that sieves one cache-sized segment
 [lo, hi) of it, with scratch that does not grow with the limit: r by counting
@@ -20,11 +19,11 @@ summed exactly by one Python int per series over `_kept_blocks`, `_block_sums`'
 partial sums behind `error-term` and `laplace`, `correlate.corr_grid`'s dots): it
 takes the segments from one reused buffer, through `_windows` when it needs
 aligned blocks, and holds no table.  `_filled`, the one table builder, fills a
-whole table from the same segments for the readers that need random access, the
-oracles such as `correlate.corr_sum` and the tests.  A command streams only the
-functions it reads, and a table is sieved on the first access to it.  Tables are
-read-only numpy arrays, safe to share across threads; all query helpers are
-read-only.
+whole table from the same segments for the readers that need random access: the
+tests, their oracles in tests/conftest.py, and the benchmark's checks.  A command
+streams only the functions it reads, and a table is sieved on the first access to
+it.  Tables are read-only numpy arrays, safe to share across threads; all query
+helpers are read-only.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .errors import CapacityError
 
 _BLOCK = 1 << 16  # entries per scratch buffer and per fold block over a table; of all
                   # results it fixes only mean_square_p's last bit, as block_size(T) a transform's
-_SEGMENT = 1 << 19  # table entries per segment of the d sieve (see _divisor_sieve), 2 _SEGMENT
+_SEGMENT = 1 << 19  # table entries per segment of the d sieve (see _d_segment), 2 _SEGMENT
                     # for int16 d (see _d_dtype); it fixes no entry, only the time
 _PAIR_SEGMENT = 1 << 18  # int64 words per segment of sigma's packed d and sigma (see
                          # _pair_segment), the same 2 MiB; likewise
@@ -390,14 +389,22 @@ def _segment_runs(lo: int, hi: int, longest: int):
 
 
 def _d_segment(lo: int, hi: int, out: np.ndarray) -> None:
-    """out = d(lo..hi-1): the pair sieve of `_divisor_sieve` with every weight 1.
+    """out = d(lo..hi-1) by the divisor pair sieve (Bays & Hudson, BIT 17 (1977)).
 
-    A pair adds 1 + 1, so each run of cofactors k of delta adds 2 at n = delta k, and each
-    square delta^2 in the segment adds 1: in-place strided adds, with no weights array or
-    pair buffer.  A streamed out is int16 while `_d_dtype` allows (N below 2^28): 2 MiB at
-    2^20 entries, so half the segments, and so half the runs, of 2^19 int32 entries.  At
-    N = 1e7 on a 2-vCPU x86 VM the streamed d took ~0.135 s, against ~0.175 s in int32
-    segments.  A table is int32 and sieved in place, with no int16 buffer to copy from.
+    sum_{delta | n} f(delta) = sum_{delta | n, delta < sqrt(n)} (f(delta) + f(n / delta))
+    + [n = delta^2] f(delta): each divisor below sqrt(n) pairs with its cofactor, over the
+    `_segment_runs` of the segment, and each square adds once.  The segment keeps the adds
+    in cache: a whole-table add per delta touches a new cache line per update from delta ~ 16
+    and a new page from ~1000, and 2^19 int32 entries, 2 MiB, stay in a 2 MiB L2 (at N = 1e7
+    on a 2-vCPU x86 VM a d table took ~0.6 s unsegmented and ~0.26 s so; 2^18 and 2^20 were
+    slower than 2^19).  The adds are integer, so their order changes no entry.
+
+    For d every f(delta) is 1: a pair adds 1 + 1, so each run of cofactors k of delta adds 2
+    at n = delta k, and each square delta^2 in the segment adds 1: in-place strided adds,
+    with no weights array or pair buffer.  A streamed out is int16 while `_d_dtype` allows
+    (N below 2^28): 2 MiB at 2^20 entries, so half the segments, and so half the runs, of
+    2^19 int32 entries.  At N = 1e7 on a 2-vCPU x86 VM the streamed d took ~0.135 s, against
+    ~0.175 s in int32 segments.  A table is int32 and sieved in place, with no int16 buffer.
     """
     out.fill(0)
     for delta, k0, k1 in _segment_runs(lo, hi, _BLOCK):
@@ -438,7 +445,7 @@ def _pack_shift(N: int) -> int:
 def _pair_segment(lo: int, hi: int, out: np.ndarray, ramp: np.ndarray, pair: np.ndarray,
                   shift: int) -> None:
     """out = d(n) 2^shift + sigma(n) for n in lo..hi-1, int64: the pair sieve of
-    `_divisor_sieve` with weight 2^shift + delta, d and sigma in one word per entry.
+    `_d_segment` with f(delta) = 2^shift + delta, d and sigma in one word per entry.
 
     A pair adds 2 to d and delta + k to sigma at n = delta k, so a run of cofactors
     k0 <= k < k1 adds 2^(shift+1) + k0 + delta, ..., 2^(shift+1) + k1 - 1 + delta, read from
@@ -465,40 +472,6 @@ def _pair_segment(lo: int, hi: int, out: np.ndarray, ramp: np.ndarray, pair: np.
             run += np.add(ramp[:k1 - k0], k0 + delta, out=pair[:k1 - k0])
     a = _squares(lo, hi)
     out[a * a - lo] += a + (1 << shift)
-
-
-def _divisor_sieve(weights: np.ndarray) -> np.ndarray:
-    """out[n] = sum_{delta | n} weights[delta] for n in 1..N, in the dtype of weights.
-
-    Pairs each divisor delta < sqrt(n) with its cofactor (Bays & Hudson,
-    BIT 17, 1977): sum_{delta | n} f(delta) = sum_{delta | n, delta < sqrt(n)}
-    (f(delta) + f(n/delta)) + [n = delta^2] f(delta): ~N (ln N / 2) element
-    updates, each square term added once at the end.  The pair updates run
-    segment by segment (`_segment_runs`): for each [lo, hi) of _SEGMENT table
-    entries, one strided add per run of cofactors of each delta <= sqrt(hi - 1)
-    over the n = delta k in it, ~(N / _SEGMENT) sqrt(N) Python iterations.  A
-    whole-table add per delta touches a new cache line per update from delta ~ 16
-    and a new page from ~1000; 2^19 entries, 2 MiB of int32 d, stay in a 2 MiB L2.
-    On such a 2-vCPU x86 VM at N = 1e7 this took d from ~0.6 to ~0.26 s and sigma
-    from ~0.9 to ~0.5 s; 2^18 and 2^20 were slower than 2^19, and 2^16 slower than
-    no segments; a streamed d's int16 segments keep those 2 MiB at 2^20 entries.
-    The adds are integer, so their order changes no entry.  The pair sums go
-    through one preallocated buffer of at most _BLOCK entries, one run at a time:
-    a fresh temporary per run leaves freed heap behind that raised the peak RSS
-    of later commands.  This weights form serves
-    `g_identity_first_failure`; `_d_segment` and `_pair_segment` run the same runs
-    with no weights array.
-    """
-    N = len(weights) - 1
-    out = np.zeros(N + 1, dtype=weights.dtype)
-    pair = np.empty(min(N, _BLOCK), dtype=weights.dtype)
-    for lo in range(0, N + 1, _SEGMENT):
-        for delta, k0, k1 in _segment_runs(lo, min(lo + _SEGMENT, N + 1), _BLOCK):
-            out[delta * k0:delta * (k1 - 1) + 1:delta] += np.add(weights[k0:k1], weights[delta],
-                                                                 out=pair[:k1 - k0])
-    squares = np.arange(1, math.isqrt(N) + 1)
-    out[squares ** 2] += weights[squares]
-    return out
 
 
 def build_tables(N: int) -> ArithTables:
@@ -556,57 +529,8 @@ def g_closed(h: int) -> Fraction:
     return Fraction(8 * abs(2 ** (k + 1) - 3) * _sigma_single(H), h)
 
 
-def g_direct(h: int) -> Fraction:
-    """Main-term coefficient g(h) by direct divisor enumeration.
-
-    g(h) = ((-1)^h * 8 / h) * sum_{d | h} (-1)^d d.   Equal to `g_closed(h)`
-    for every h; the equality is one of the toolkit's exact acceptance checks.
-    """
-    if h < 1:
-        raise ValueError(f"g_direct is defined for h >= 1, got {h}")
-    s = 0
-    for d in _divisors(h):
-        s += -d if d % 2 else d
-    sign = -1 if h % 2 else 1
-    return Fraction(sign * 8 * s, h)
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
-
-
 def _sigma_single(n: int) -> int:
-    return sum(_divisors(n))
-
-
-def g_identity_first_failure(limit: int) -> int | None:
-    """Exact batch check of g_direct(h) == g_closed(h) for all 1 <= h <= limit.
-
-    Both sides are sieved independently -- the direct form through an
-    alternating-divisor-sum sieve, the closed form through the sigma sieve
-    plus 2-adic valuations -- and compared in integer arithmetic after
-    clearing the common denominator h.  Returns the first failing h, or
-    None when the identity holds everywhere (it does; this is the proof's
-    machine check).
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    w = np.arange(0, limit + 1, dtype=np.int64)
-    w[1::2] *= -1
-    t_alt = _divisor_sieve(w)  # sum_{d|h} (-1)^d d
-    sigma = _filled("sigma", limit)
-    h = np.arange(1, limit + 1, dtype=np.int64)
-    lowbit = h & -h
-    k = np.log2(lowbit.astype(np.float64)).astype(np.int64)  # exact: lowbit is a power of 2
-    lhs = np.where(h % 2 == 0, t_alt[1:], -t_alt[1:])        # (-1)^h sum (-1)^d d
-    rhs = np.abs(2 * lowbit - 3) * sigma[h >> k]             # |2^(k+1)-3| sigma(h/2^k)
-    bad = np.nonzero(lhs != rhs)[0]
-    return int(bad[0]) + 1 if bad.size else None
+    """sigma(n) by trial division: each divisor i <= sqrt(n) with its cofactor n // i, a
+    square root once."""
+    s = math.isqrt(n)
+    return sum(i + n // i for i in range(1, s + 1) if n % i == 0) - (s if s * s == n else 0)

@@ -42,29 +42,9 @@ class CorrelationRecord:
         return Fraction(self.raw) - self.main
 
 
-def corr_sum(tables: ArithTables, N: int, h: int) -> int:
-    """Exact integer sum_{n<=N} r(n) r(n+h); needs N + h <= tables.limit."""
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    if N + h > tables.limit:
-        raise ValueError(
-            f"corr_sum needs tables up to N+h={N + h}, limit is {tables.limit}"
-        )
-    a = tables.r[1 : N + 1].astype(np.int64)
-    b = tables.r[1 + h : N + 1 + h].astype(np.int64)
-    return int(np.dot(a, b))
-
-
 def _record(N: int, h: int, raw: int) -> CorrelationRecord:
     main = g_closed(h) * N
     return CorrelationRecord(N=N, h=h, raw=raw, main=main, e_value=float(Fraction(raw) - main))
-
-
-def e_term(tables: ArithTables, N: int, h: int) -> CorrelationRecord:
-    """Correlation record with exact main term g(h) N and error E = raw - main."""
-    return _record(N, h, corr_sum(tables, N, h))
 
 
 def corr_grid(tables: ArithTables, N: int, H_max: int) -> list[CorrelationRecord]:

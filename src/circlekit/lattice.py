@@ -115,25 +115,6 @@ def _circle_sums(m: int) -> np.ndarray:
     return np.array([S - 4 * squares, S], dtype=np.float64)
 
 
-def p_gauss_oracle(x: float) -> float:
-    """Independent oracle for P(x): count lattice points directly.
-
-    Enumerates (a, b) != (0, 0) with a^2 + b^2 <= x by looping over a and
-    counting b via isqrt, then returns count - pi x + 1.  Exact at the
-    integer-count level; meant for non-integer x (the primed halving at
-    integers is deliberately not replicated) and for x small enough that
-    the O(sqrt(x)) loop is cheap.
-    """
-    if not 0 <= x < math.inf:   # nan fails too
-        raise ValueError(f"x must be finite and >= 0, got {x}")
-    m = math.floor(x)          # a^2 + b^2 <= x iff a^2 + b^2 <= floor(x)
-    count = -1                 # excludes the origin
-    a_max = math.isqrt(m)
-    for a in range(-a_max, a_max + 1):
-        count += 2 * math.isqrt(m - a * a) + 1
-    return count - math.pi * x + 1.0
-
-
 def divisor_main(x: np.ndarray) -> np.ndarray:
     """Vectorised divisor main term x (log x + 2 gamma - 1) + 1/4."""
     return x * (np.log(x) + 2.0 * EULER_GAMMA - 1.0) + 0.25

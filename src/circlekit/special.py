@@ -5,7 +5,7 @@ Accuracy policy for `bessel_j`: ascending power series below z = 18
 (accumulated in 80-bit extended precision, since plain doubles lose too
 many digits to cancellation once z > ~12), Hankel asymptotic expansion
 above.  Absolute error is <= 1e-10 for 0 <= z <= 1e6 against the integral
-oracle; beyond z ~ 1e6 the *phase* z mod 2pi of the oscillation slowly
+oracle of the tests; beyond z ~ 1e6 the *phase* z mod 2pi of the oscillation slowly
 loses accuracy to argument rounding (about eps * z radians), although the
 shrinking amplitude keeps the absolute error small.  This degradation is
 inherent to double-precision arguments and is not silently hidden: it is
@@ -119,27 +119,6 @@ def _bessel_j(order: int, z: np.ndarray, theta: np.ndarray) -> np.ndarray:
     if large.any():
         out[large] = _bessel_asymptotic(order, z[large], theta[large])
     return out
-
-
-def bessel_oracle(order: int, z: float) -> float:
-    """Independent check of bessel_j via the integral representation.
-
-    J_n(z) = (1/pi) int_0^pi cos(n theta - z sin theta) d theta, evaluated
-    by composite 16-point Gauss-Legendre quadrature with panel count scaled
-    to z (integrand bandwidth ~ z), trustworthy to ~1e-12 for z <= 1e3.
-    """
-    if order not in (0, 1):
-        raise ValueError(f"order must be 0 or 1, got {order}")
-    if not 0 <= z < math.inf:   # nan fails too
-        raise ValueError("bessel_oracle requires finite z >= 0")
-    panels = max(8, int(math.ceil(z / 2.0)) + 4)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(0.0, math.pi, panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    theta = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return float(np.dot(w, np.cos(order * theta - z * np.sin(theta))) / math.pi)
 
 
 def gauss_sum_sq(k: int, h: int) -> complex:

@@ -14,7 +14,9 @@ import pytest
 from circlekit import arith, cli, correlate, laplace, lattice, special
 from circlekit.lattice import divisor_main
 
-from conftest import brute_divisors, hyperbola_count, lattice_count, partial_sums, sigma_count
+from conftest import (bessel_oracle, brute_divisors, corr_sum, e_term, g_direct,
+                      g_identity_first_failure, hyperbola_count, lattice_count, p_gauss_oracle,
+                      partial_sums, sigma_count)
 
 GRID_BASES = (10**3, 10**4, 10**5, 10**6)
 
@@ -40,11 +42,11 @@ def _announce(tag: str, started: float, detail: str) -> None:
 
 def test_acc01_g_identity_exact_to_1e6():
     t0 = time.perf_counter()
-    first_bad = arith.g_identity_first_failure(10**6)
+    first_bad = g_identity_first_failure(10**6)
     # tie the batch scan to the single-h operations on random arguments
     rng = np.random.default_rng(17)
     for h in rng.integers(1, 10**6 + 1, size=100):
-        assert arith.g_direct(int(h)) == arith.g_closed(int(h))
+        assert g_direct(int(h)) == arith.g_closed(int(h))
     _announce("ACC-01 g identity h=1..1e6", t0,
               f"first failure: {first_bad} (exact integer arithmetic)")
     assert first_bad is None
@@ -59,11 +61,11 @@ def test_acc02_lattice_oracle_equivalence(circle_1m):
         if x != math.floor(x):
             xs.append(x)
     for x in xs:
-        assert lattice.error_term(circle_1m, x) == lattice.p_gauss_oracle(x)
+        assert lattice.error_term(circle_1m, x) == p_gauss_oracle(x)
     # the quantity 37 - 10 pi both ways: the unprimed profile count through
     # n = 10 versus the direct lattice enumeration at x = 10
     profile_path = float(partial_sums(circle_1m.tables.r[:11])[10]) + 1.0 - 10.0 * math.pi
-    oracle_path = lattice.p_gauss_oracle(10.0)
+    oracle_path = p_gauss_oracle(10.0)
     assert abs(profile_path - oracle_path) <= 1e-12
     assert abs(profile_path - (37 - 10 * math.pi)) <= 1e-12
     # under the primed convention the endpoint term r(10) = 8 is halved
@@ -132,7 +134,7 @@ def test_acc04_bessel_vs_oracle():
     worst = 0.0
     for order in (0, 1):
         mine = special.bessel_j(order, zs)
-        ref = np.array([special.bessel_oracle(order, float(z)) for z in zs])
+        ref = np.array([bessel_oracle(order, float(z)) for z in zs])
         worst = max(worst, float(np.max(np.abs(mine - ref))))
     _announce("ACC-04 Bessel accuracy", t0,
               f"1000 z in [0,1e3], orders 0 and 1, max |diff| = {worst:.2e} (tol 1e-10)")
@@ -282,8 +284,8 @@ def test_acc09_correlation_dual_path_and_ratios(tables_1m):
     t0 = time.perf_counter()
     records = correlate.corr_grid(tables_1m, 10**5, 100)
     for rec in records:
-        assert rec.raw == correlate.corr_sum(tables_1m, rec.N, rec.h)
-    assert correlate.e_term(tables_1m, 10, 1).e_value == 16.0
+        assert rec.raw == corr_sum(tables_1m, rec.N, rec.h)
+    assert e_term(tables_1m, 10, 1).e_value == 16.0
     maxima = []
     for N in (10**4, 10**5, 10**6):
         grid = correlate.corr_grid(tables_1m, N, math.isqrt(N))

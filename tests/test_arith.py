@@ -9,8 +9,9 @@ from hypothesis import assume, given, strategies as st
 from circlekit import arith
 from circlekit.errors import CapacityError
 
-from conftest import (LIMIT_1M, brute_divisors, brute_r, hyperbola_count, lattice_count,
-                      property_test, sigma_count, traced_peak)
+from conftest import (LIMIT_1M, brute_divisors, brute_r, divisor_sieve, g_direct,
+                      g_identity_first_failure, hyperbola_count, lattice_count, property_test,
+                      sigma_count, traced_peak)
 
 
 def test_chi_values():
@@ -159,7 +160,7 @@ def _check_sieves_against_naive(sizes, *labels):
     for N in sizes:
         for name, w in _weights(N).items():
             expected = _naive_divisor_sums(w)
-            got = arith._divisor_sieve(w)
+            got = divisor_sieve(w)
             assert got.dtype == w.dtype and np.array_equal(got, expected), (*labels, N, name)
             if name == "ones":
                 d = arith._filled("d", N)
@@ -201,7 +202,7 @@ def test_segmented_sieves_match_one_segment(monkeypatch):
     # the real segment length, with N crossing two segment edges, against the same
     # sieve run as one segment, the whole-table loop
     N = 2**20 + 3
-    sieves = [(name, lambda w=w: arith._divisor_sieve(w)) for name, w in _weights(N).items()]
+    sieves = [(name, lambda w=w: divisor_sieve(w)) for name, w in _weights(N).items()]
     sieves += [(name, lambda name=name: arith._filled(name, N)) for name in ("d", "sigma")]
     sieves += [("streamed d", lambda: _streamed("d", N))]   # 2^20-entry int16 segments
     sieves += [("packed d and sigma", lambda: _streamed("sigma", N))]   # 2^18-entry int64 ones
@@ -226,7 +227,7 @@ def test_r_and_sigma_sieves_match_oracles_on_small_segments(monkeypatch, segment
         sigma = arith._filled("sigma", N)
         assert sigma.dtype == np.int64, (segment, N)
         assert np.array_equal(sigma, _naive_divisor_sums(w)), (segment, N)
-        assert np.array_equal(sigma, arith._divisor_sieve(w)), (segment, N)
+        assert np.array_equal(sigma, divisor_sieve(w)), (segment, N)
 
 
 @pytest.mark.parametrize("name", ["r", "sigma"])
@@ -237,7 +238,7 @@ def test_r_and_sigma_sieves_match_oracles_at_segment_edges(name):
         if name == "r":
             got, expected = arith._filled("r", N), _r_divisor_sieve(N)
         else:
-            got, expected = arith._filled("sigma", N), arith._divisor_sieve(np.arange(N + 1))
+            got, expected = arith._filled("sigma", N), divisor_sieve(np.arange(N + 1))
         assert got.dtype == expected.dtype and np.array_equal(got, expected), N
 
 
@@ -249,7 +250,7 @@ def test_d_stream_matches_the_weights_sieve_at_segment_edges():
         segments = [(lo, f.copy()) for lo, f in arith._segments("d", N)]
         assert [lo for lo, _ in segments] == list(range(0, N + 1, edge)), N
         assert {f.dtype for _, f in segments} == {np.dtype(np.int16)}, N
-        expected = arith._divisor_sieve(np.ones(N + 1, np.int32))
+        expected = divisor_sieve(np.ones(N + 1, np.int32))
         assert np.array_equal(np.concatenate([f for _, f in segments]), expected), N
 
 
@@ -272,8 +273,8 @@ def test_sigma_ramp_views_and_pair_runs_match_the_weights_sieve(monkeypatch):
         kernel(lo, hi, out, ramp, pair, shift)
     monkeypatch.setattr(arith, "_pair_segment", spy)
     for N in range(1, 400):
-        expected = arith._divisor_sieve(np.arange(N + 1))
-        d = arith._divisor_sieve(np.ones(N + 1, np.int64))
+        expected = divisor_sieve(np.arange(N + 1))
+        d = divisor_sieve(np.ones(N + 1, np.int64))
         assert np.array_equal(arith._filled("sigma", N), expected), N
         assert np.array_equal(_streamed("sigma", N), (d << arith._pack_shift(N)) + expected), N
     assert len(both) > 100 and len(at_end) > 10, (len(both), len(at_end))
@@ -477,7 +478,7 @@ def test_r_table_matches_r_single(tables_1m, n):
 @property_test
 @given(st.integers(1, 10**9))
 def test_g_direct_equals_g_closed(h):
-    assert arith.g_direct(h) == arith.g_closed(h)
+    assert g_direct(h) == arith.g_closed(h)
 
 
 def test_tables_immutable(tables_4k):
@@ -539,28 +540,28 @@ def test_g_closed_examples():
 
 
 def test_g_direct_examples():
-    assert arith.g_direct(1) == 8
-    assert arith.g_direct(3) == Fraction(32, 3)
-    assert arith.g_direct(4) == 10
+    assert g_direct(1) == 8
+    assert g_direct(3) == Fraction(32, 3)
+    assert g_direct(4) == 10
 
 
 def test_g_direct_matches_definition():
     # ((-1)^h 8/h) sum_{d|h} (-1)^d d, by independent divisor enumeration
     for h in range(1, 200):
         s = sum((-1) ** d * d for d in brute_divisors(h))
-        assert arith.g_direct(h) == Fraction((-1) ** h * 8 * s, h)
+        assert g_direct(h) == Fraction((-1) ** h * 8 * s, h)
 
 
 def test_g_identity_small_range_exact():
     for h in range(1, 3000):
-        assert arith.g_direct(h) == arith.g_closed(h), h
+        assert g_direct(h) == arith.g_closed(h), h
 
 
 def test_g_identity_scan_matches_single_ops():
-    assert arith.g_identity_first_failure(10**4) is None
+    assert g_identity_first_failure(10**4) is None
     rng = np.random.default_rng(3)
     for h in rng.integers(1, 10**6, size=50):
-        assert arith.g_direct(int(h)) == arith.g_closed(int(h))
+        assert g_direct(int(h)) == arith.g_closed(int(h))
 
 
 def test_g_denominator_divides_h():
@@ -573,8 +574,8 @@ def test_capacity_error_names_limit():
     assert err.required_limit == 123
 
 
-@pytest.mark.parametrize("fn", [arith.v2, arith.r_single, arith.g_closed, arith.g_direct,
-                                arith.g_identity_first_failure])
+@pytest.mark.parametrize("fn", [arith.v2, arith.r_single, arith.g_closed, g_direct,
+                                g_identity_first_failure])
 def test_domain_checks_reject_0(fn):
     with pytest.raises(ValueError, match=">= 1, got 0"):
         fn(0)

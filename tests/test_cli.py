@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -552,14 +553,29 @@ def test_public_names():
     assert sorted(circlekit.__all__) == [
         "A1_EXPECTED", "ArithTables", "BESSEL_SWITCH", "CIRCLE", "CapacityError",
         "CircleKitError", "CorrelationRecord", "DIVISOR", "EULER_GAMMA", "LaplaceEstimate",
-        "SeriesConstant", "StepProfile", "arith", "bessel_j", "bessel_oracle", "build_tables",
-        "chi", "corr_grid", "corr_sum", "correlate", "e_term", "error_term", "errors", "fit_a1",
-        "g_closed", "g_direct", "g_identity_first_failure", "gauss_sum_sq", "hardy_partial",
-        "laplace", "laplace_d2", "laplace_main", "laplace_p2", "lattice", "mean_square_p",
-        "p_gauss_oracle", "pointwise_bound_report", "pointwise_report", "r_single",
+        "SeriesConstant", "StepProfile", "arith", "bessel_j", "build_tables", "chi",
+        "corr_grid", "correlate", "error_term", "errors", "fit_a1", "g_closed", "gauss_sum_sq",
+        "hardy_partial", "laplace", "laplace_d2", "laplace_main", "laplace_p2", "lattice",
+        "mean_square_p", "pointwise_bound_report", "pointwise_report", "r_single",
         "residual_scan", "series_constant", "series_limit", "special", "step_profile",
         "truncated_p", "v2",
     ]
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # perfbench/ wraps every tracing.TARGETS attribute in a traced run, sums the three tables'
+    # nbytes in every run's manifest and spot-checks tables against arith.r_single: a name
+    # removed here breaks the benchmark, not a command
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracing", tracing)   # dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    for module, attr in tracing.TARGETS:
+        assert callable(getattr(getattr(circlekit, module), attr)), (module, attr)
+    small = arith.build_tables(1000)
+    assert small.r.nbytes + small.d.nbytes + small.sigma.nbytes == 16 * 1001
+    assert callable(arith.r_single)
 
 
 _WITHOUT_MPMATH = """

@@ -9,10 +9,10 @@ from circlekit import arith, correlate
 from circlekit.correlate import (
     CorrelationRecord,
     corr_grid,
-    corr_sum,
-    e_term,
     pointwise_bound_report,
 )
+
+from conftest import corr_sum, e_term, g_direct
 
 
 def test_corr_sum_examples(tables_4k):
@@ -151,7 +151,7 @@ def test_main_term_two_forms_interchangeable():
     # g in closed form equals the alternating divisor-sum form as exact
     # rationals, so either main term normalisation gives the same E
     for h in range(1, 500):
-        assert arith.g_closed(h) == arith.g_direct(h)
+        assert arith.g_closed(h) == g_direct(h)
 
 
 def test_pointwise_bound_report(tables_4k):

@@ -7,14 +7,13 @@ import pytest
 
 from circlekit import arith, lattice
 from circlekit.errors import CapacityError
-from conftest import LIMIT_1M, brute_r, lattice_count, partial_sums, traced_peak
+from conftest import LIMIT_1M, brute_r, lattice_count, p_gauss_oracle, partial_sums, traced_peak
 from circlekit.lattice import (
     CIRCLE,
     DIVISOR,
     EULER_GAMMA,
     error_term,
     mean_square_p,
-    p_gauss_oracle,
     pointwise_report,
     step_profile,
 )

@@ -12,13 +12,12 @@ from circlekit.lattice import CIRCLE, DIVISOR, error_term, step_profile
 from circlekit.special import (
     BESSEL_SWITCH,
     bessel_j,
-    bessel_oracle,
     gauss_sum_sq,
     hardy_partial,
     truncated_p,
 )
 
-from conftest import property_test
+from conftest import bessel_oracle, property_test
 
 
 def test_bessel_at_zero():
