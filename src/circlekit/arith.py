@@ -19,8 +19,9 @@ summed exactly by one Python int per series over `_kept_blocks`, `_block_sums`'
 partial sums behind `error-term` and `laplace`, `correlate.corr_grid`'s dots): it
 takes the segments from one reused buffer, through `_windows` when it needs
 aligned blocks, and holds no table.  `_filled`, the one table builder, fills a
-whole table from the same segments for the readers that need random access: the
-tests, their oracles in tests/conftest.py, and the benchmark's checks.  A command
+whole table from the same segments for the readers that need random access, none
+of them a command: the tests and their oracles in tests/conftest.py, the benchmark's
+tracer and bytes-per-entry probe, and the per-layer reports of tools/gates.py.  A command
 streams only the functions it reads, and a table is sieved on the first access to
 it.  Tables are read-only numpy arrays, safe to share across threads; all query
 helpers are read-only.

@@ -220,7 +220,7 @@ def cmd_voronoi(args) -> int:
                          "the range where the phases 2 pi sqrt(x n) are reduced exactly")
     tables = arith.build_tables(args.n_terms)
     # P(x) from the O(sqrt x) lattice count, so only the series' n_terms entries are sieved
-    exact = lattice._error_from_sums(lattice.CIRCLE, args.x, lattice._circle_sums(int(args.x)), 1)
+    exact = lattice._circle_p(args.x)
     trunc, hardy = special._series(tables, args.x, args.n_terms, special._COSINE, special._BESSEL)
     print(f"P(x) exact            {exact:.12f}")
     print(f"cosine sum (N terms)  {trunc:.12f}   residual {exact - trunc:.6e}")

@@ -16,7 +16,8 @@ sums the blocks of `arith._windows` in place.  The readers of one range
 (`error_term`, `mean_square_p`, `error_at_jumps`, `pointwise_report`) fold the
 profile's segments: a slice of a table already built, else the sieve's own
 segments, so `error-term` holds no table.  `_circle_sums` counts S(m) for
-``voronoi``'s P(x) from the lattice points in O(sqrt(m)), with no sieve.  All
+``voronoi``'s P(x) from the lattice points in O(sqrt(m)), with no sieve, and `_circle_p`
+rounds S - pi x + 1 once from a 40-digit pi x; the folds keep the float64 main term.  All
 operations are read-only over an immutable `StepProfile` and are safe to call
 concurrently.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -32,6 +34,9 @@ from . import arith
 
 # Euler's constant to 30 significant digits (double rounds it at 16).
 EULER_GAMMA = 0.577215664901532860606512090082
+
+# pi to 40 significant digits: voronoi's pi x, x < 2^53, within 2e-24
+_PI = Decimal("3.141592653589793238462643383279502884197")
 
 CIRCLE = "circle"
 DIVISOR = "divisor"
@@ -113,6 +118,16 @@ def _circle_sums(m: int) -> np.ndarray:
     if S >= 2**53:
         raise arith._inexact_sum(S, m)
     return np.array([S - 4 * squares, S], dtype=np.float64)
+
+
+def _circle_p(x: float) -> float:
+    """P(x) from `_circle_sums`' exact count (CapacityError once it reaches 2^53), the final
+    term halved at integer x, with pi x formed at 40 digits and S - pi x + 1 rounded to float64
+    once."""
+    S = _circle_sums(int(x))
+    with localcontext(Context(prec=40)):
+        s = Decimal(int(S[1])) - (Decimal(int(S[1] - S[0])) / 2 if x == int(x) else 0)
+        return float(s - _PI * Decimal(x) + 1)
 
 
 def divisor_main(x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,14 @@ def lattice_count(N: int) -> int:
     """sum_{n<=N} r(n): points with 0 < a^2 + b^2 <= N, counted by columns a."""
     s = math.isqrt(N)
     return sum(2 * math.isqrt(N - a * a) + 1 for a in range(-s, s + 1)) - 1
+
+
+def p_60_digits(x: float, S: int, final: int = 0) -> Decimal:
+    """P(x) = S - final/2 - pi x + 1 at 60 digits, S = sum_{n<=x} r(n) and final = r(x) at an
+    integer x."""
+    with localcontext(Context(prec=60)):
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+        return Decimal(S) - Decimal(final) / 2 - pi * Decimal(x) + 1
 
 
 def hyperbola_count(N: int) -> int:

@@ -15,7 +15,7 @@ import pytest
 import circlekit
 from circlekit import arith, cli, correlate, laplace, lattice, special
 from circlekit.errors import CapacityError
-from conftest import hyperbola_count, lattice_count, sigma_count, traced_peak
+from conftest import hyperbola_count, lattice_count, p_60_digits, sigma_count, traced_peak
 
 
 def run(args):
@@ -664,8 +664,7 @@ def test_voronoi_far_above_its_terms_counts_p_exactly(capsys):
     # where a sieve to x would need a 4 TB table; the series stream r to 9000 alone
     x = 1000000000000.5
     assert run(["voronoi", "--x", str(x), "--n-terms", "9000"]) == 0
-    S = lattice_count(int(x))   # S(m - 1), read only at an integer x, stands in as S(m)
-    exact = lattice._error_from_sums(lattice.CIRCLE, x, np.array([S, S], dtype=float), 1)
+    exact = float(p_60_digits(x, lattice_count(int(x))))   # -3966.364034789438
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"P(x) exact            {exact:.12f}"
     trunc, hardy = special._series(arith.build_tables(9000), x, 9000,

@@ -7,7 +7,8 @@ import pytest
 
 from circlekit import arith, lattice
 from circlekit.errors import CapacityError
-from conftest import LIMIT_1M, brute_r, lattice_count, p_gauss_oracle, partial_sums, traced_peak
+from conftest import (LIMIT_1M, brute_r, lattice_count, p_60_digits, p_gauss_oracle, partial_sums,
+                      traced_peak)
 from circlekit.lattice import (
     CIRCLE,
     DIVISOR,
@@ -74,8 +75,8 @@ def test_circle_sums_equal_the_lattice_count_and_r():
 
 
 def test_counted_p_equals_error_term_bit_for_bit(circle_1m):
-    # voronoi's P(x), from the count, against the sieved profile's at integer and
-    # non-integer x, the final term halved at the integers
+    # the count's sums, through error_term's float64 main term, against the sieved profile's
+    # P(x) at integer and non-integer x, the final term halved at the integers
     circle_1m.tables.r   # built, so each error_term reads two entries
     rng = np.random.default_rng(615)
     xs = [*map(float, range(1, 101)), 2.5, 1024.0, 1024.5, 999_999.0, 1_000_000.5,
@@ -83,6 +84,15 @@ def test_counted_p_equals_error_term_bit_for_bit(circle_1m):
     for x in xs:
         counted = lattice._error_from_sums(CIRCLE, x, lattice._circle_sums(int(x)), 1)
         assert counted == error_term(circle_1m, x), x
+
+
+@pytest.mark.parametrize("x", [100000.5, 100000.0, 1e9 + 0.5, 1e12 + 0.5, 2e15 + 0.5])
+def test_counted_p_is_the_60_digit_value_rounded_once(x):
+    # voronoi's P(x): pi x at 40 digits, then one rounding.  error_term's float64 pi x is off
+    # by 3.7e-11 at 100000.5, 2.7e-4 at 1e12 + 0.5 and 0.048 at 2e15 + 0.5
+    before, S = map(int, lattice._circle_sums(int(x)))
+    final = S - before if x == int(x) else 0
+    assert lattice._circle_p(x) == float(p_60_digits(x, S, final))
 
 
 def test_p_domain_error(circle_4k):
