@@ -10,15 +10,18 @@ Everything here is exact integer (or rational) arithmetic:
                    sum_{n<=N} r(n) r(n+h) ~ g(h) N, in closed form (`g_closed`).
 
 Each of r, d and sigma has one kernel that sieves one cache-sized segment
-[lo, hi) of it, with scratch that does not grow with the limit: r by counting
-lattice points, d and sigma by pairing divisors with cofactors (d's segments in
-int16 below 2^28; sigma's in int64 words d(n) 2^s + sigma(n), so that one pass
-gives `sieve` both).  `_segments` runs a kernel over 0..N in ascending order.  Every
-command folds them, reading each value once, in order (`sieve`'s sums, the series,
-summed exactly by one Python int per series over `_kept_blocks`, `_block_sums`'
-partial sums behind `error-term` and `laplace`, `correlate.corr_grid`'s dots): it
-takes the segments from one reused buffer, through `_windows` when it needs
-aligned blocks, and holds no table.  `_filled`, the one table builder, fills a
+[lo, hi) of it, with scratch that grows at most as sqrt(N): r by counting lattice
+points, carrying each column's next b from segment to segment, d and sigma by
+pairing divisors with cofactors (d's segments in int16 below 2^28; sigma's in int64
+words d(n) 2^s + sigma(n), so that one pass gives `sieve` both).  `_segments` runs
+a kernel over 0..N in ascending order.  Every command folds them, reading each value
+once, in order: `sieve`'s sums; the series, summed exactly by one Python int per
+series, and `error-term circle`'s maxima, which change only where P jumps, over
+`_kept_blocks`, which skip the n with f(n) = 0 (~80% of r's up to 1e7); the
+partial sums at every n behind `error-term divisor`, a single error term, the mean
+square and `laplace` over `_block_sums`; `correlate.corr_grid`'s dots.  It takes
+the segments from one reused buffer, through `_windows` when it needs aligned
+blocks, and holds no table.  `_filled`, the one table builder, fills a
 whole table from the same segments for the readers that need random access, none
 of them a command: the tests and their oracles in tests/conftest.py, the benchmark's
 tracer and bytes-per-entry probe, and the per-layer reports of tools/gates.py.  A command
@@ -43,7 +46,9 @@ _SEGMENT = 1 << 19  # table entries per segment of the d sieve (see _d_segment),
                     # for int16 d (see _d_dtype); it fixes no entry, only the time
 _PAIR_SEGMENT = 1 << 18  # int64 words per segment of sigma's packed d and sigma (see
                          # _pair_segment), the same 2 MiB; likewise
-_R_SEGMENT = 1 << 15  # table entries per segment of the r sieve (see _r_segment); likewise
+_R_SEGMENT = 1 << 15  # table entries per segment of the r sieve (see _r_segment); likewise.
+                      # 2^16 streams r ~20% faster, but its int64 bincount counts put
+                      # `constants r_squared --terms 1e6` at 1.42 MiB traced, past 1 MiB
 _PAIR_RUN = 1 << 15  # the longest run of the packed kernel, the length of its pair buffer and
                      # of its ramp's first part (see _pair_segment); likewise
 _WORD_BITS = 63   # the value bits of sigma's packed int64 words (see _pack_shift)
@@ -274,8 +279,11 @@ def _segments(name: str, N: int, table: np.ndarray | None = None):
             ramp += 2 << shift
             pair = np.empty(pair_size, dtype=dtype)
             kernel = lambda lo, hi, out: _pair_segment(lo, hi, out, ramp, pair, shift)
+        elif name == "r":
+            nxt = np.ones(math.isqrt(N) + 1, dtype=np.int64)   # each column's next b
+            kernel = lambda lo, hi, out: _r_segment(lo, hi, out, nxt)
         else:
-            kernel = _r_segment if name == "r" else _d_segment
+            kernel = _d_segment
         buf = None if table is not None else np.empty(min(N + 1, size), dtype=dtype)
         for lo in range(0, N + 1, size):
             hi = min(lo + size, N + 1)
@@ -344,33 +352,42 @@ def _squares(lo: int, hi: int) -> np.ndarray:
     return np.arange(math.isqrt(max(lo - 1, 0)) + 1, math.isqrt(max(hi - 1, 0)) + 1)
 
 
-def _r_segment(lo: int, hi: int, out: np.ndarray) -> None:
-    """out = r(lo..hi-1) from its definition, r(n) = 4 #{(a, b) : a >= 1, b >= 0, a^2 + b^2 = n}.
+def _r_segment(lo: int, hi: int, out: np.ndarray, nxt: np.ndarray) -> None:
+    """out = r(lo..hi-1) from its definition, r(n) = 4 #{(a, b) : a >= 1, b >= 0, a^2 + b^2 = n},
+    given nxt[a], for each column a, the least b >= 1 with a^2 + b^2 >= lo; it leaves there the
+    least one with a^2 + b^2 >= hi, so the segments of 0..N must come in ascending order, from
+    nxt = 1 (`_segments` keeps it over the columns a <= isqrt(N)).
 
     Each pair a > b >= 1 stands for (a, b) and (b, a), so it counts twice; the squares a^2
-    (b = 0) and the n = 2 a^2 (b = a) count once each.  The segment takes the b-range of
-    every a <= sqrt(hi - 2) from `_isqrt` and counts a^2 + b^2 - lo over all its pairs with
-    one np.bincount: O(sqrt(hi)) per-a values and ~(pi / 8) (hi - lo) pairs, int32 while
-    hi <= _INT32_LIMIT, and no entry outside the segment; its squares and 2 a^2 follow.  At
-    N = 1e7 on a 2-vCPU x86 VM the whole table took ~0.07 s, against ~0.16 s for the divisor
-    form r(n) = 4 sum_{delta | n} chi(delta) over the whole table; _R_SEGMENT = 2^16 took
-    ~0.06 s but ~1.8 MiB of scratch, 2^15 stays under 1 MiB.
+    (b = 0) and the n = 2 a^2 (b = a) count once each.  The segment reads the b-range of every
+    a <= sqrt(hi - 2) from nxt and one `_isqrt`, and counts a^2 + b^2 - lo over all its pairs
+    with one np.bincount: O(sqrt(hi)) per-a values and ~(pi / 8) (hi - lo) pairs, int32 while
+    hi <= _INT32_LIMIT, and no entry outside the segment; the counts are copied into out and
+    shifted by 3 in place, and its few squares and 2 a^2 are added one at a time.  At N = 1e7
+    on a 2-vCPU x86 VM the stream took ~0.034 s (median of 6 runs interleaved with the old
+    kernel), against ~0.047 s with each column's first b from a second `_isqrt` and the
+    counts scaled in int64, and ~0.16 s for the divisor form r(n) = 4 sum_{delta | n}
+    chi(delta) over the whole table.  See _R_SEGMENT for why the segment stays at 2^15.
     """
     pairs = np.int32 if hi <= _INT32_LIMIT else np.int64   # holds every b, b^2 and a^2 + b^2 - lo
     # a < sqrt(lo / 2) has a^2 + b^2 < 2 a^2 < lo; a^2 + 1 <= hi - 1 for b >= 1
-    a = np.arange(max(2, math.isqrt(lo // 2)), math.isqrt(max(hi - 2, 0)) + 1, dtype=np.int64)
+    a0, a1 = max(2, math.isqrt(lo // 2)), math.isqrt(max(hi - 2, 0)) + 1
+    a = np.arange(a0, a1, dtype=np.int64)
     a2 = a * a
-    b0 = _isqrt(np.maximum(lo - 1 - a2, 0)) + 1   # the least b >= 1 with a^2 + b^2 >= lo
-    count = np.maximum(np.minimum(a - 1, _isqrt(hi - 1 - a2)) - b0 + 1, 0)
+    b0 = nxt[a0:a1]   # the least b >= 1 with a^2 + b^2 >= lo
+    top = _isqrt(hi - 1 - a2)   # the largest b with a^2 + b^2 < hi
+    count = np.maximum(np.minimum(a - 1, top) - b0 + 1, 0)
     b = np.arange(int(count.sum()), dtype=pairs)   # pair j of a's run is b0 + j - start
     b -= np.repeat((np.cumsum(count) - count - b0).astype(pairs), count)
+    nxt[a0:a1] = top + 1
     b *= b
     b += np.repeat((a2 - lo).astype(pairs), count)
-    np.multiply(np.bincount(b, minlength=hi - lo), 8, out=out, casting="unsafe")
-    a = _squares(lo, hi)
-    out[a * a - lo] += 4
-    a = _squares((lo + 1) // 2, (hi + 1) // 2)   # lo <= 2 a^2 < hi
-    out[2 * a * a - lo] += 4
+    np.copyto(out, np.bincount(b, minlength=hi - lo), casting="unsafe")
+    out <<= 3
+    for a in range(math.isqrt(max(lo - 1, 0)) + 1, math.isqrt(hi - 1) + 1):   # lo <= a^2 < hi
+        out[a * a - lo] += 4
+    for a in range(math.isqrt(max(lo - 1, 0) // 2) + 1, math.isqrt((hi - 1) // 2) + 1):
+        out[2 * a * a - lo] += 4   # lo <= 2 a^2 < hi
 
 
 def _segment_runs(lo: int, hi: int, longest: int):

@@ -20,10 +20,11 @@ Both transforms integrate one way: on each unit interval [n, n+1) the
 error term is a polynomial p in local coordinates, so the interval
 contributes exp(-n/T) p^T H p with H[i][j] = mu_{i+j}, the moments
 int_0^1 (s - shift)^k exp(-s/T) ds (`_moments`) formed once per T to 40
-digits -- the naive antiderivative difference cancels catastrophically
-when T >> 1.  P is affine, so p is exact.  Delta's p is its Taylor
-polynomial about n + 1/2, with a certified remainder; on [0, 1), where
-Delta = -main has a log singularity, Delta^2 is integrated in closed form.
+digits, from unit integrals formed once per scan -- the naive antiderivative
+difference cancels catastrophically when T >> 1.  P is affine, so p is
+exact.  Delta's p is its Taylor polynomial about n + 1/2, with a certified
+remainder; on [0, 1), where Delta = -main has a log singularity, Delta^2 is
+integrated in closed form.
 Float rounding is not bounded yet (ROADMAP item 7).
 
 Truncation policy: integrate whole blocks of `block_size(T)` unit intervals
@@ -153,20 +154,37 @@ def _exp_sum(T: float, term) -> Decimal:
         return sum(c * term(j) for j, c in enumerate(_exp_coefficients(T)))
 
 
-def _moments(T: float, k_max: int, shift: float) -> list[float]:
+def _unit_integrals(shift: float, count: int) -> list[Decimal]:
+    """I_i = int u^i du = (b^(i+1) - a^(i+1))/(i+1) over [a, b] = [-shift, 1 - shift] for
+    i < count, at 40 digits: `_moments`' integrals, which do not depend on T."""
+    with localcontext(_DIGITS):
+        a, b = -Decimal(shift), 1 - Decimal(shift)
+        return [(b**e - a**e) / e for e in range(1, count + 1)]
+
+
+def _moments(T: float, k_max: int, shift: float, integrals=None) -> list[float]:
     """mu_k = int_0^1 (s - shift)^k exp(-s/T) ds for k = 0..k_max, at 40 digits:
-    exp(-shift/T) sum_j c_j I_(k+j), with c_j the `_exp_coefficients` and each
-    I_i = int u^i du = (b^(i+1) - a^(i+1))/(i+1) over [a, b] = [-shift, 1 - shift]
-    formed once.  In closed form these are tiny differences of near-equal
-    exponentials when T >> 1, so they are formed in 40-digit decimal."""
+    exp(-shift/T) sum_j c_j I_(k+j), with c_j the `_exp_coefficients` and the I_i the
+    `_unit_integrals` at shift, formed here unless given (at least k_max + len(c) of them):
+    a scan forms them once for all its T (`_fold`).  In closed form these are tiny
+    differences of near-equal exponentials when T >> 1, so they are formed in 40-digit
+    decimal."""
     if not 1 <= T < math.inf:
         raise ValueError(f"T must be finite and >= 1, got {T}")
     with localcontext(_DIGITS):
-        a, b, scale = -Decimal(shift), 1 - Decimal(shift), (-Decimal(shift) / Decimal(T)).exp()
+        scale = (-Decimal(shift) / Decimal(T)).exp()
         c = _exp_coefficients(T)
-        integrals = [(b**e - a**e) / e for e in range(1, k_max + len(c) + 1)]   # I_0, I_1, ...
+        if integrals is None:
+            integrals = _unit_integrals(shift, k_max + len(c))
         return [float(scale * sum(c_j * integrals[k + j] for j, c_j in enumerate(c)))
                 for k in range(k_max + 1)]
+
+
+def _moment_order(kind: str) -> tuple[int, float]:
+    """(k_max, shift) of a `_Run`'s moments: mu_0..mu_2 at shift 0 for P, affine on each
+    unit interval; mu_0..mu_2K at shift 1/2 for Delta's Taylor polynomials, K the largest
+    order, `_taylor_order(1)`."""
+    return (2, 0.0) if kind == CIRCLE else (2 * _taylor_order(1), 0.5)
 
 
 # (c, c0) with |error(x)| <= c sqrt(x) + c0 for x >= 1, at both one-sided limits.
@@ -252,14 +270,14 @@ class _Run:
     block's value, the closed blocks' values (pieces), each chunk's certificate (errors) and,
     once stopped, (integral, truncation_bound) and its stop edge."""
 
-    def __init__(self, kind: str, T: float):
+    def __init__(self, kind: str, T: float, integrals: list[Decimal]):
         self.T, self.block, self.a = T, block_size(T), 0
+        mu = _moments(T, *_moment_order(kind), integrals)
         if kind == CIRCLE:   # (m0, m1, m2)
-            self.weights, self.lo, self.value = _moments(T, 2, 0.0), 0, 0.0
+            self.weights, self.lo, self.value = mu, 0, 0.0
         else:   # H[i][j] = mu_{i+j} at shift 1/2; Delta^2 on [0, 1) is _first_interval
-            k_max = _taylor_order(1)
-            mu = np.array(_moments(T, 2 * k_max, 0.5))
-            self.weights = mu[np.add.outer(range(k_max + 1), range(k_max + 1))]
+            K = len(mu) // 2   # mu_0..mu_2K
+            self.weights = np.array(mu)[np.add.outer(range(K + 1), range(K + 1))]
             self.lo, self.value = 1, _first_interval(T)
         self.pieces: list[float] = []
         self.errors: list[float] = []
@@ -381,7 +399,9 @@ def _fold(profile: StepProfile, Ts: list, rel_tol: float) -> tuple[list, int]:
     W, L = block_size(Ts[-1]), _carried(Ts)
     rows, integrate = (_p2_rows, _p2_block) if kind == CIRCLE else (_taylor_rows, _d2_chunk)
     order = _taylor_order if kind == DIVISOR else (lambda lo: 0)
-    runs = [_Run(kind, T) for T in Ts]
+    k_max, shift = _moment_order(kind)   # the least T's exp series is the longest
+    integrals = _unit_integrals(shift, k_max + len(_exp_coefficients(Ts[0])))
+    runs = [_Run(kind, T, integrals) for T in Ts]
     running, first = runs, runs[0].lo   # every T's first chunk starts at 0, or at 1 past [0, 1)
 
     def step(run, a, b, chunk_rows):

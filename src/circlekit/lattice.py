@@ -12,8 +12,10 @@ exactly (to rounding) from the closed-form integral of the quadratic
 polynomial on each unit interval.
 
 Folds over a range of n read the partial sums from `arith._block_sums`, which
-sums the blocks of `arith._windows` in place.  The readers of one range
-(`error_term`, `mean_square_p`, `error_at_jumps`, `pointwise_report`) fold the
+sums the blocks of `arith._windows` in place, at every n: `error_term`,
+`mean_square_p`, `error_at_jumps` and a DIVISOR `pointwise_report`.  A CIRCLE
+`pointwise_report` reads only the jumps of P, the `arith._kept_blocks` of r, as no
+maximum of |P| lies between them (`_jump_sums`).  Each reader of one range folds the
 profile's segments: a slice of a table already built, else the sieve's own
 segments, so `error-term` holds no table.  `_circle_sums` counts S(m) for
 ``voronoi``'s P(x) from the lattice points in O(sqrt(m)), with no sieve, and `_circle_p`
@@ -240,34 +242,67 @@ def _ratio_max(M: float, v: np.ndarray, n: np.ndarray, p: float, scratch: np.nda
     return max(M, float(ratio.max()))
 
 
+def _jump_sums(profile: StepProfile, nf: int):
+    """Yield float64 (n, S) for the folds of `pointwise_report` over 1..nf: ascending n and
+    S = S(n[0] - 1), S(n[0]), ..., S(n[-1]), so that S[:-1] and S[1:] are the left and the
+    right limits at n, as `_jump_maxima` reads them.  DIVISOR's n are every integer, in the
+    blocks of `arith._block_sums`.  CIRCLE's are the jumps of P, the n with r(n) != 0, in the
+    `arith._kept_blocks` of r: there S(n - 1) is the S of the jump before, and each S is
+    summed onto the last in place, exact and checked against 2^53 as in `_block_sums`.  Last
+    comes nf with S(nf - 1) = S(nf) if r(nf) = 0.  Between jumps P falls with slope -pi, so
+    at an n with r(n) = 0, |P(n)| is below the right limit at the jump before it or the left
+    limit at the next jump (or at nf) by pi times its distance from that n, at least pi, and
+    its ratio to n^p, p < 1, below theirs, as |P(n)| < pi n: no maximum of `pointwise_report`
+    is taken there.  The arrays are fresh for each CIRCLE block, buffers the next block
+    overwrites for DIVISOR."""
+    segments = profile._segments(nf)
+    if profile.kind == DIVISOR:   # d(n) >= 1: every n is a jump
+        for n, S in arith._block_sums(segments, 0, nf, arith._BLOCK):
+            yield n[1:], S
+        return
+    head, last = 0.0, 0   # S and n at the last jump
+    for n, f in arith._kept_blocks(segments):
+        S = np.empty(n.size + 1)
+        S[0], f[0] = head, f[0] + head
+        np.cumsum(f, out=S[1:])
+        head, last = float(S[-1]), int(n[-1])
+        if head >= 2.0**53:
+            raise arith._inexact_sum(head, last)
+        yield n, S
+    if last < nf:
+        yield np.array([float(nf)]), np.array([head, head])
+
+
 def pointwise_report(profile: StepProfile, x_max: float, samples: int) -> PointwiseReport:
     """Sample the error term at `samples` points log-spaced over [1, x_max], or at x_max
     alone for one sample, and report the extremal ratios up to x_max.
 
-    The jumps are folded block by block from `arith._block_sums`: `_jump_maxima` writes each
-    block's |error| (and CIRCLE's main term) into two buffers allocated once, and the two
-    ratio maxima divide by a power of n only at `_ratio_max`'s candidates, so a CIRCLE block
-    costs a few array ops and allocates no block-sized array; a DIVISOR block allocates the
-    ones `divisor_main` forms.  Every maximum is the one over the whole range, bit for bit."""
+    The jumps are folded block by block from `_jump_sums`, CIRCLE's only where r(n) != 0
+    (~20% of n up to 1e7): `_jump_maxima` writes each block's |error| (and CIRCLE's main term)
+    into two buffers allocated once, and the two ratio maxima divide by a power of n only at
+    `_ratio_max`'s candidates, so a CIRCLE block costs a few array ops on its jumps; a DIVISOR
+    block allocates the ones `divisor_main` forms.  Every maximum is the one over the whole
+    range, bit for bit.  At 1e7 on a 2-vCPU x86 VM the CIRCLE fold of a built table took
+    ~0.047 s, against ~0.073 s over every n (medians of 6 interleaved runs)."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 1 <= x_max <= profile.limit:   # nan fails too
         raise ValueError(f"x_max={x_max} outside profile domain [1, {profile.limit}]")
-    # fold error_at_jumps over blocks of n, one carried pass over the profile's segments; a
-    # block takes the maximum only when strictly larger, so argmax is the first maximiser,
-    # as over the whole range.  Each ascending sample x is read from the block [a, b] with
-    # a < floor(x) <= b, which holds S(floor(x)) and S(floor(x) - 1)
+    # fold error_at_jumps over the blocks of `_jump_sums`, one carried pass over the profile's
+    # segments; a block takes the maximum only when strictly larger, so argmax is the first
+    # maximiser, as over the whole range.  Each ascending sample x is read from the first
+    # block whose last n is floor(x) = k or past it: S(k) is S[i] for the i of its n up to k,
+    # and S(k - 1) is S[i - 1] if k is one of them, else S(k) too
     xs = np.geomspace(1.0 if samples > 1 else float(x_max), float(x_max), samples)
     max_abs = argmax = max_ratio_quarter = max_ratio_huxley = -1.0
     values = []
     nf = int(math.floor(x_max))
     main, absval = np.empty((2, min(nf, arith._BLOCK)))
-    for n, S in arith._block_sums(profile._segments(nf), 0, nf, arith._BLOCK):
-        a, b = int(n[0]), int(n[-1])
-        while len(values) < samples and int(xs[len(values)]) <= b:
-            x = float(xs[len(values)])
-            values.append(_error_from_sums(profile.kind, x, S, int(x) - a))
-        n = n[1:]
+    for n, S in _jump_sums(profile, nf):
+        while len(values) < samples and (k := int(xs[len(values)])) <= n[-1]:
+            i = int(np.searchsorted(n, k, side="right"))
+            j = i - 1 if i and n[i - 1] == k else i
+            values.append(_error_from_sums(profile.kind, float(xs[len(values)]), S[[j, i]], 1))
         scratch = main[:n.size]   # the main term, spent once v is formed, then the ratios'
         v = _jump_maxima(profile.kind, n, S, scratch, absval[:n.size])
         i = int(np.argmax(v))

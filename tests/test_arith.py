@@ -215,10 +215,18 @@ def test_segmented_sieves_match_one_segment(monkeypatch):
         assert got.dtype == expected.dtype and np.array_equal(got, expected), name
 
 
-@pytest.mark.parametrize("segment", [1, 7, 64])
+@pytest.mark.parametrize("segment", [1, 7, 64, arith._R_SEGMENT])
 def test_r_and_sigma_sieves_match_oracles_on_small_segments(monkeypatch, segment):
-    # every N <= 300 puts N at, and one off, many segment edges
+    # every N <= 300 puts N at, and one off, many segment edges.  r's kernel carries each
+    # column's next b from segment to segment, so r's stream is also checked against oracles
+    # that share none of it: r_single at every n <= 3000, and lattice_count at the end of
+    # every segment up to 2000 segments (31 at the real size, up to 1e6)
     monkeypatch.setattr(arith, "_R_SEGMENT", segment)
+    assert _streamed("r", 3000).tolist() == [0, *map(arith.r_single, range(1, 3001))], segment
+    total = 0
+    for lo, f in arith._segments("r", min(10**6, 2000 * segment)):
+        total += int(f.sum(dtype=np.int64))
+        assert total == lattice_count(lo + f.size - 1), (segment, lo)
     monkeypatch.setattr(arith, "_PAIR_SEGMENT", segment)
     for N in range(1, 301):
         r = arith._filled("r", N)

@@ -335,8 +335,8 @@ def test_int32_guard_on_streamed_segments_exits_3(tmp_path, monkeypatch, capsys,
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     sieve = getattr(arith, kernel)
 
-    def overflowing(lo, hi, out):   # a segment holding the largest value of its dtype
-        sieve(lo, hi, out)
+    def overflowing(lo, hi, out, *nxt):   # a segment holding the largest value of its dtype
+        sieve(lo, hi, out, *nxt)   # r's kernel also takes its columns' next b
         if lo <= 700 < hi:
             out[700 - lo] = np.iinfo(out.dtype).max
     monkeypatch.setattr(arith, kernel, overflowing)

@@ -118,8 +118,8 @@ def test_corr_grid_checks_each_streamed_block_against_2_53(monkeypatch):
     top = math.isqrt((2**53 - 1) // 64)   # the largest |r| with block * r^2 < 2^53
     sieve, spike = arith._r_segment, [top]
 
-    def spiked(lo, hi, out):   # r(200), past the first block's window 1..74, set to spike[0]
-        sieve(lo, hi, out)
+    def spiked(lo, hi, out, nxt):   # r(200), past the first block's window 1..74, set to spike[0]
+        sieve(lo, hi, out, nxt)
         if lo <= 200 < hi:
             out[200 - lo] = spike[0]
     monkeypatch.setattr(arith, "_r_segment", spiked)

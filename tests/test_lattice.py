@@ -365,7 +365,10 @@ def _whole_range_maxima(profile, x_max):
 
 
 def _report_maxima(profile, x_max):
+    """The report's four maxima, once each sampled row's value is error_term's, bit for bit
+    (a circle report reads S(floor(x)) and S(floor(x) - 1) from the jumps around x)."""
     rep = pointwise_report(profile, x_max, samples=3)
+    assert [row.value for row in rep.rows] == [error_term(profile, row.x) for row in rep.rows]
     return rep.max_abs, rep.argmax, rep.max_ratio_quarter, rep.max_ratio_huxley
 
 
@@ -412,8 +415,15 @@ def test_folded_report_equals_whole_range_maxima(monkeypatch, tables_4k, circle_
     assert _whole_range_maxima(tied, 200.0)[:2] == (20.0, 100.0)
     monkeypatch.setattr(arith, "_BLOCK", block)
     edges = [k * block + e for k in (1, 3) for e in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    # a circle report folds only the jumps of P (r(n) != 0): x_max before the second jump
+    # (1.5), between two (3.5), at an integer with r = 0 (24) and with r != 0 (25), just
+    # past the last jump of the block [block, 2 block), and 441, whose middle sample is 21.0
+    # (r(21) = 0, so S(20) = S(21) is read from the jump 20 or from the S before 25)
+    last = max(n for n in range(block, 2 * block) if tables_4k.r[n])
+    jumps = [3.5, 24.0, 25.0, last + 0.5, last + 1.0, 441.0]
     for profile in (circle_4k, divisor_4k, tied):
-        for x_max in [1.0, 1.5, 2.0, 99.5, 100.0, 120.25, 128.0, 150.25, *edges, profile.limit]:
+        for x_max in [1.0, 1.5, 2.0, 99.5, 100.0, 120.25, 128.0, 150.25, *edges, *jumps,
+                      profile.limit]:
             if 1 <= x_max <= profile.limit:
                 assert _report_maxima(profile, x_max) == _whole_range_maxima(profile, x_max), \
                     (profile.kind, profile.limit, x_max)
