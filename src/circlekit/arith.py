@@ -13,10 +13,12 @@ Each of r, d and sigma has one kernel that sieves one cache-sized segment
 [lo, hi) of it, with scratch that grows at most as sqrt(N): r by counting lattice
 points, carrying each column's next b from segment to segment, d and sigma by
 pairing divisors with cofactors (d's segments in int16 below 2^28; sigma's in int64
-words d(n) 2^s + sigma(n), so that one pass gives `sieve` both).  `_segments` runs
-a kernel over 0..N in ascending order.  Every command folds them, reading each value
-once, in order: `sieve`'s sums; the series, summed exactly by one Python int per
-series, and `error-term circle`'s maxima, which change only where P jumps, over
+words d(m) 2^s + sigma(m) of the odd m only, so that one pass gives `sieve` both, and
+the even n follow by multiplicativity at 2: d(2^e m) = (e + 1) d(m) and
+sigma(2^e m) = (2^(e+1) - 1) sigma(m)).  `_segments` runs a kernel over 0..N in
+ascending order.  Every command folds them, reading each value once, in order:
+`sieve`'s sums; the series, summed exactly by one Python int per series, and
+`error-term circle`'s maxima, which change only where P jumps, over
 `_kept_blocks`, which skip the n with f(n) = 0 (~80% of r's up to 1e7); the
 partial sums at every n behind `error-term divisor`, a single error term, the mean
 square and `laplace` over `_block_sums`; `correlate.corr_grid`'s dots.  It takes
@@ -45,7 +47,7 @@ _BLOCK = 1 << 16  # entries per scratch buffer and per fold block over a table; 
 _SEGMENT = 1 << 19  # table entries per segment of the d sieve (see _d_segment), 2 _SEGMENT
                     # for int16 d (see _d_dtype); it fixes no entry, only the time
 _PAIR_SEGMENT = 1 << 18  # int64 words per segment of sigma's packed d and sigma (see
-                         # _pair_segment), the same 2 MiB; likewise
+                         # _pair_segment), the same 2 MiB, for the odd n of 2^19; likewise
 _R_SEGMENT = 1 << 15  # table entries per segment of the r sieve (see _r_segment); likewise.
                       # 2^16 streams r ~20% faster, but its int64 bincount counts put
                       # `constants r_squared --terms 1e6` at 1.42 MiB traced, past 1 MiB
@@ -240,7 +242,7 @@ class ArithTables:
     def _stream(self, name: str, N: int):
         """(lo, f) segments of the named table's f(0..N), N <= limit, in ascending order: one
         slice when that table is built or given, else `_segments`, which keeps no table.  For
-        r and d: sigma's segments are packed words, which `_pair_sums` reads."""
+        r and d: sigma's segments are packed words of the odd n, which `_pair_sums` reads."""
         table = self.__dict__.get(name)
         return _segments(name, N) if table is None else [(0, table[:N + 1])]
 
@@ -258,17 +260,22 @@ def _segments(name: str, N: int, table: np.ndarray | None = None):
     f(lo..hi-1) from its kernel: `_r_segment` over _R_SEGMENT entries, `_d_segment` over
     _SEGMENT, a streamed d over 2 _SEGMENT while `_d_dtype` makes it int16 (the same 2 MiB), and
     sigma's `_pair_segment` over _PAIR_SEGMENT int64 words (2 MiB again).  sigma's stream is
-    those words, d(n) 2^s + sigma(n) with s = `_pack_shift(N)`: `_pair_sums` unpacks them, and
-    `_filled` masks each table segment to sigma.  f is a buffer that the next segment
-    overwrites; given a table, f is table[lo:hi], each segment sieved straight into the table in
-    the table's dtype.  Tables and streams take this one path, so both keep the overflow guard of r and d and name N in the CapacityError of a
-    failed allocation: the table's size when filling one, else the size of the stream's segment
-    buffers, which its kernel's per-segment scratch comes on top of."""
+    those words, d(m) 2^s + sigma(m) with s = `_pack_shift(N)`, of the odd m only: word i of a
+    sigma segment is m = lo + 2 i, its segments start at lo = 1 and each covers 2 _PAIR_SEGMENT
+    integers.  `_pair_sums` unpacks them, and `_filled` masks each table segment to sigma and
+    lifts the even n from them.  f is a buffer that the next segment overwrites; given a table,
+    f is table[lo:hi] (sigma's table[lo:hi:2]), each segment sieved straight into the table in
+    the table's dtype.  Tables and streams take this one path, so both keep the overflow guard
+    of r and d and name N in the CapacityError of a failed allocation: the table's size when
+    filling one, else the size of the stream's segment buffers, which its kernel's per-segment
+    scratch comes on top of."""
     dtype = _DTYPES[name]
     if name == "d" and table is None:   # a d table is sieved in its own int32
         dtype = _d_dtype(N)
     size = (_R_SEGMENT if name == "r" else _PAIR_SEGMENT if name == "sigma"
             else 2 * _SEGMENT if dtype == np.int16 else _SEGMENT)
+    first, step = (1, 2) if name == "sigma" else (0, 1)   # sigma's words are the odd n
+    words = min(len(range(first, N + 1, step)), size)
     ramp_size = pair_size = 0   # sigma's ramp and pair buffer (see _pair_segment)
     if name == "sigma":
         shift = _pack_shift(N)
@@ -276,6 +283,7 @@ def _segments(name: str, N: int, table: np.ndarray | None = None):
     try:
         if name == "sigma":
             ramp = np.arange(ramp_size, dtype=dtype)
+            ramp <<= 1
             ramp += 2 << shift
             pair = np.empty(pair_size, dtype=dtype)
             kernel = lambda lo, hi, out: _pair_segment(lo, hi, out, ramp, pair, shift)
@@ -284,10 +292,10 @@ def _segments(name: str, N: int, table: np.ndarray | None = None):
             kernel = lambda lo, hi, out: _r_segment(lo, hi, out, nxt)
         else:
             kernel = _d_segment
-        buf = None if table is not None else np.empty(min(N + 1, size), dtype=dtype)
-        for lo in range(0, N + 1, size):
-            hi = min(lo + size, N + 1)
-            f = buf[:hi - lo] if table is None else table[lo:hi]
+        buf = None if table is not None else np.empty(words, dtype=dtype)
+        for lo in range(first, N + 1, step * size):
+            hi = min(lo + step * size, N + 1)
+            f = buf[:len(range(lo, hi, step))] if table is None else table[lo:hi:step]
             kernel(lo, hi, f)
             # Overflow guard: r(n) <= 4 d(n) < 2**31 at any feasible N, and an int16 d(n) < 2**15
             # (`_d_dtype`), but check the built maxima.  sigma's words are bounded by `_pack_shift`
@@ -299,16 +307,18 @@ def _segments(name: str, N: int, table: np.ndarray | None = None):
     except MemoryError as exc:
         if table is not None:
             raise _capacity_error(N, _DTYPES[name]) from exc
-        kib = -(-(min(N + 1, size) + ramp_size + pair_size) * np.dtype(dtype).itemsize // 1024)
+        kib = -(-(words + ramp_size + pair_size) * np.dtype(dtype).itemsize // 1024)
         raise CapacityError(f"cannot allocate the streamed {name} sieve for N={N} (~{kib} KiB "
                             f"of segment buffers, plus the kernel's scratch)",
                             required_limit=N) from exc
 
 
 def _filled(name: str, N: int) -> np.ndarray:
-    """The named table f(0..N), read-only, every segment of `_segments` left in it (sigma's
-    packed words masked to sigma in place).  A failed allocation, of the table here or of
-    scratch in the fill, is the CapacityError naming N."""
+    """The named table f(0..N), read-only, every segment of `_segments` left in it.  sigma's
+    packed words of the odd m are masked to sigma(m) in place, and each even entry
+    n = 2^e m is lifted from table[n >> e] = sigma(m) as sigma(2^e m) = (2^(e+1) - 1) sigma(m),
+    one strided multiply per e.  A failed allocation, of the table here or of scratch in the
+    fill, is the CapacityError naming N."""
     mask = (1 << _pack_shift(N)) - 1 if name == "sigma" else None
     try:
         table = np.empty(N + 1, dtype=_DTYPES[name])
@@ -317,23 +327,38 @@ def _filled(name: str, N: int) -> np.ndarray:
     for _, f in _segments(name, N, table):
         if mask is not None:
             f &= mask
+    if mask is not None:
+        table[0] = 0
+        for e in range(1, N.bit_length()):   # the n = 2^e m, m odd, m <= N >> e
+            np.multiply(table[1:(N >> e) + 1:2], (2 << e) - 1, out=table[1 << e::2 << e])
     table.flags.writeable = False
     return table
 
 
 def _pair_sums(N: int) -> tuple[int, int]:
-    """(sum d(n), sum sigma(n)) over n <= N from one pass over sigma's packed stream, unpacked in
-    place with no other buffer: each segment's words d(n) 2^s + sigma(n) are summed mod 2^64,
-    then shifted down to d(n) and summed, and sigma's sum is the difference mod 2^64, exact as a
-    segment's sigma sum is below its size times 2^s <= 2^64.  A limit past `_pack_shift`'s
-    raises its CapacityError before any sieving."""
+    """(sum d(n), sum sigma(n)) over n <= N from one pass over sigma's packed stream of the odd
+    m, unpacked in place with no other buffer.  Each odd m stands for the n = 2^e m <= N,
+    e <= E(m) = floor(log2(N / m)), and d(2^e m) = (e + 1) d(m), sigma(2^e m) =
+    (2^(e+1) - 1) sigma(m), so its d(m) counts (E + 1)(E + 2) / 2 times and its sigma(m)
+    2^(E+2) - E - 3 times.  A segment is split where E steps, at m = N >> E; each piece's words
+    d(m) 2^s + sigma(m) are summed mod 2^64, then shifted down to d(m) and summed, and sigma's
+    sum is the difference mod 2^64, exact as a piece's sigma sum is below its size times
+    2^s <= 2^64; both are weighted as Python ints.  A limit past `_pack_shift`'s raises its
+    CapacityError before any sieving."""
     shift = _pack_shift(N)
-    assert min(N + 1, _PAIR_SEGMENT) << shift <= 2**64
+    assert min((N + 1) // 2, _PAIR_SEGMENT) << shift <= 2**64
     d_sum = s_sum = 0
-    for _, words in _segments("sigma", N):
-        total = int(words.view(np.uint64).sum())
-        d = int(np.right_shift(words, shift, out=words).sum())
-        d_sum, s_sum = d_sum + d, s_sum + (total - (d << shift)) % 2**64
+    for lo, words in _segments("sigma", N):
+        i = 0
+        while i < words.size:
+            e = (N // (lo + 2 * i)).bit_length() - 1   # E of word i's m
+            j = min(words.size, ((N >> e) - lo) // 2 + 1)   # the words to m = N >> e share it
+            piece = words[i:j]
+            total = int(piece.view(np.uint64).sum())
+            d = int(np.right_shift(piece, shift, out=piece).sum())
+            d_sum += (e + 1) * (e + 2) // 2 * d
+            s_sum += ((4 << e) - e - 3) * ((total - (d << shift)) % 2**64)
+            i = j
     return d_sum, s_sum
 
 
@@ -390,18 +415,21 @@ def _r_segment(lo: int, hi: int, out: np.ndarray, nxt: np.ndarray) -> None:
         out[2 * a * a - lo] += 4   # lo <= 2 a^2 < hi
 
 
-def _segment_runs(lo: int, hi: int, longest: int):
-    """Yield (delta, k0, k1), the runs of at most longest cofactors k0 <= k < k1 of each
-    delta whose products delta k lie in the segment [lo, hi): each delta <= sqrt(hi - 1),
-    with k from max(delta + 1, ceil(lo / delta)), so over the segments of 0..N every pair
-    delta < k with delta k <= N is yielded exactly once; a run is never empty."""
-    for delta in range(1, math.isqrt(hi - 1) + 1):
+def _segment_runs(lo: int, hi: int, longest: int, step: int = 1):
+    """Yield (delta, k0, k1), the runs of at most longest cofactors k in range(k0, k1, step) of
+    each delta whose products delta k lie in the segment [lo, hi): each delta in
+    range(1, isqrt(hi - 1) + 1, step), with k from the least k >= max(delta + 1, ceil(lo / delta))
+    with k = delta (mod step), so over the segments of 0..N every pair delta < k with
+    delta k <= N (both odd when step is 2) is yielded exactly once; a run is never empty."""
+    span = longest * step   # the k of a run of longest cofactors
+    for delta in range(1, math.isqrt(hi - 1) + 1, step):
         k0, k1 = -(-lo // delta), (hi - 1) // delta + 1
         if k0 <= delta:
             k0 = delta + 1
-        while k1 - k0 > longest:   # only the deltas below (hi - lo) / longest
-            yield delta, k0, k0 + longest
-            k0 += longest
+        k0 += (delta - k0) % step
+        while k1 - k0 > span:   # only the deltas below (hi - lo) / span
+            yield delta, k0, k0 + span
+            k0 += span
         if k0 < k1:
             yield delta, k0, k1
 
@@ -462,34 +490,38 @@ def _pack_shift(N: int) -> int:
 
 def _pair_segment(lo: int, hi: int, out: np.ndarray, ramp: np.ndarray, pair: np.ndarray,
                   shift: int) -> None:
-    """out = d(n) 2^shift + sigma(n) for n in lo..hi-1, int64: the pair sieve of
-    `_d_segment` with f(delta) = 2^shift + delta, d and sigma in one word per entry.
+    """out[i] = d(m) 2^shift + sigma(m) for the odd m = lo + 2 i in lo..hi-1, lo odd, int64: the
+    pair sieve of `_d_segment` with f(delta) = 2^shift + delta, d and sigma in one word per odd m.
 
-    A pair adds 2 to d and delta + k to sigma at n = delta k, so a run of cofactors
-    k0 <= k < k1 adds 2^(shift+1) + k0 + delta, ..., 2^(shift+1) + k1 - 1 + delta, read from
-    ramp = 2^(shift+1) + (0, 1, ...), with no weights array; each square delta^2 adds
-    2^shift + delta.  A run with k1 + delta <= ramp.size adds the view ramp[k0 + delta:k1 + delta]
-    in one strided add.  `_segments` makes pair min(N, _PAIR_RUN) long, the longest run, and ramp
-    pair.size + isqrt(N) + 1, which takes in every delta >= N / _PAIR_RUN, as then
-    k1 - 1 <= N / delta <= pair.size and delta <= isqrt(N).  The cofactors of the smaller deltas
-    run up to N / delta, past any ramp that does not grow with N, so their runs form
-    ramp[:k1 - k0] + (k0 + delta) in the pair buffer first (one contiguous add).  Both are
-    int64, ~0.5 MiB together at N = 1e7; _PAIR_RUN = 2^16 doubled them and took no less time.
-    `_pack_shift` keeps the two fields apart.  One strided add per run serves both functions:
-    at N = 1e7 on a 2-vCPU x86 VM the d and sigma streams took ~0.34 s as two kernels (int16 d
-    and int32 sigma, 2 MiB segments each) and ~0.27 s as this one, paired median x0.80.
-    A stream of d alone (`error-term`, `laplace`, `constants` divisor) keeps `_d_segment`, whose
-    int16 adds take about half this kernel's time.
+    Every divisor of an odd m is odd, so only the `_segment_runs` of step 2 pair up: odd
+    delta <= sqrt(hi - 1) with odd cofactors k > delta.  Word (delta k - lo) / 2 takes the pair,
+    so a run of cofactors k0, k0 + 2, ... has stride delta, and it adds 2 to d and delta + k to
+    sigma: 2^(shift+1) + k0 + delta, 2^(shift+1) + k0 + delta + 2, ..., which is even, read from
+    ramp = 2^(shift+1) + (0, 2, 4, ...) with no weights array; each odd square a^2 adds
+    2^shift + a.  A run of n words with (k0 + delta) / 2 + n <= ramp.size adds the view
+    ramp[(k0 + delta) / 2:][:n] in one strided add.  `_segments` makes pair min(N, _PAIR_RUN)
+    long, the longest run, and ramp pair.size + isqrt(N) + 1, which takes in every
+    delta >= N / (2 _PAIR_RUN), as then k <= N / delta <= 2 pair.size and delta <= isqrt(N).
+    The cofactors of the smaller deltas run up to N / delta, past any ramp that does not grow
+    with N, so their runs form ramp[:n] + (k0 + delta) in the pair buffer first (one contiguous
+    add).  Both are int64, ~0.5 MiB together at N = 1e7.  `_pack_shift` keeps the two fields
+    apart.  One strided add per run serves both functions, and the even n follow from the odd
+    by multiplicativity at 2 (see `_pair_sums` and `_filled`): at N = 1e7, 22,490 runs of
+    22.1 million pairs, against 85,161 runs of 81.4 million over every n.  There, on a 2-vCPU
+    x86 VM, `_pair_sums` took ~0.07 s (median of 7), against ~0.23 s over the words of every n
+    and ~0.34 s as two kernels, int16 d and int32 sigma.  A stream of d alone (`error-term`,
+    `laplace`, `constants` divisor) keeps `_d_segment`, which reads d at every n.
     """
     out.fill(0)
-    for delta, k0, k1 in _segment_runs(lo, hi, pair.size):
-        run = out[delta * k0 - lo:delta * (k1 - 1) - lo + 1:delta]
-        if k1 + delta <= ramp.size:
-            run += ramp[k0 + delta:k1 + delta]
+    for delta, k0, k1 in _segment_runs(lo, hi, pair.size, 2):
+        n, i, j = (k1 - k0 + 1) >> 1, (delta * k0 - lo) >> 1, (k0 + delta) >> 1
+        run = out[i:i + delta * (n - 1) + 1:delta]
+        if j + n <= ramp.size:
+            run += ramp[j:j + n]
         else:
-            run += np.add(ramp[:k1 - k0], k0 + delta, out=pair[:k1 - k0])
-    a = _squares(lo, hi)
-    out[a * a - lo] += a + (1 << shift)
+            run += np.add(ramp[:n], k0 + delta, out=pair[:n])
+    a = np.arange((math.isqrt(lo - 1) + 1) | 1, math.isqrt(hi - 1) + 1, 2)   # lo <= a^2 < hi, a odd
+    out[(a * a - lo) >> 1] += a + (1 << shift)
 
 
 def build_tables(N: int) -> ArithTables:

@@ -115,8 +115,8 @@ def cmd_sieve(args) -> int:
     tables = arith.build_tables(args.limit)
     N = tables.limit
     # each function is folded segment by segment as it is sieved, so no N-entry table is held:
-    # d and sigma first, from one pass of packed words, whose limit is checked before any
-    # sieving; bytes per entry is what ArithTables would hold: the sizes of its three dtypes
+    # d and sigma first, from one pass of packed words of the odd n, whose limit is checked before
+    # any sieving; bytes per entry is what ArithTables would hold: the sizes of its three dtypes
     d_sum, s_sum = arith._pair_sums(N)
     r_sum = r_max = 0
     for _, r in tables._stream("r", N):
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("sieve", help="build tables and print checksums")
+    sp = sub.add_parser("sieve", help="print the sums of r, d and sigma and max r to a limit")
     sp.add_argument("--limit", type=_POSITIVE_INT, default=10**6, help="sieve limit (default 10^6)")
     sp.set_defaults(func=cmd_sieve)
 

@@ -87,25 +87,30 @@ def test_lazy_tables_equal_eager_sieves():
 
 def _streamed(name: str, N: int) -> np.ndarray:
     """The named table as `arith._segments` streams it, each reused buffer copied out; the
-    segments start at 0 and each begins where the last ended."""
+    segments start at 0 and each begins where the last ended.  sigma's words are of the odd n
+    only: its segments start at 1, and word i of a segment is n = lo + 2 i."""
+    first, step = (1, 2) if name == "sigma" else (0, 1)
     starts, parts = [], []
     for lo, f in arith._segments(name, N):
         starts.append(lo)
         parts.append(f.copy())
-    assert starts == np.cumsum([0] + [p.size for p in parts[:-1]]).tolist(), (name, N)
+    sizes = [0] + [p.size for p in parts[:-1]]
+    assert starts == (first + step * np.cumsum(sizes)).tolist(), (name, N)
+    assert sum(p.size for p in parts) == len(range(first, N + 1, step)), (name, N)
     return np.concatenate(parts)
 
 
 def _packed(tables) -> np.ndarray:
-    """The words d(n) 2^s + sigma(n) of sigma's stream, from the d and sigma tables."""
-    return (tables.d.astype(np.int64) << arith._pack_shift(tables.limit)) + tables.sigma
+    """The words d(n) 2^s + sigma(n) of sigma's stream, the odd n, from the d and sigma tables."""
+    return ((tables.d.astype(np.int64) << arith._pack_shift(tables.limit)) + tables.sigma)[1::2]
 
 
 @pytest.mark.parametrize("name", ["r", "d", "sigma"])
 def test_streamed_segments_equal_the_table(name):
     # every N <= 300; N one below, at and one above the first and the second edge of r's
-    # 2^15-entry, the packed 2^18-entry and the 2^19-entry segments; and 1e6 + 7.  sigma's
-    # stream is the packed words of the d and sigma tables
+    # 2^15-entry, the packed 2^18-word and the 2^19-entry segments (the packed words' edges
+    # in n are those of the 2^19-entry ones, as 2^18 words hold the odd n of 2^19 integers);
+    # and 1e6 + 7.  sigma's stream is the packed words of the d and sigma tables at the odd n
     edges = [k * size + e for size in (arith._R_SEGMENT, arith._PAIR_SEGMENT, arith._SEGMENT)
              for k in (1, 2) for e in (-1, 0, 1)]
     for N in [*range(1, 301), *edges, 10**6 + 7]:
@@ -171,7 +176,7 @@ def _check_sieves_against_naive(sizes, *labels):
                 assert sigma.dtype == np.int64 and np.array_equal(sigma, expected), (*labels, N)
                 d = _naive_divisor_sums(_weights(N)["ones"]).astype(np.int64)
                 packed = (d << arith._pack_shift(N)) + expected
-                assert np.array_equal(_streamed("sigma", N), packed), (*labels, N)
+                assert np.array_equal(_streamed("sigma", N), packed[1::2]), (*labels, N)
 
 
 @pytest.mark.parametrize("block, sizes", [
@@ -205,7 +210,7 @@ def test_segmented_sieves_match_one_segment(monkeypatch):
     sieves = [(name, lambda w=w: divisor_sieve(w)) for name, w in _weights(N).items()]
     sieves += [(name, lambda name=name: arith._filled(name, N)) for name in ("d", "sigma")]
     sieves += [("streamed d", lambda: _streamed("d", N))]   # 2^20-entry int16 segments
-    sieves += [("packed d and sigma", lambda: _streamed("sigma", N))]   # 2^18-entry int64 ones
+    sieves += [("packed d and sigma", lambda: _streamed("sigma", N))]   # 2^18-word int64 ones
     for name, sieve in sieves:
         got = sieve()
         with monkeypatch.context() as m:
@@ -240,8 +245,10 @@ def test_r_and_sigma_sieves_match_oracles_on_small_segments(monkeypatch, segment
 
 @pytest.mark.parametrize("name", ["r", "sigma"])
 def test_r_and_sigma_sieves_match_oracles_at_segment_edges(name):
-    # N one below, at and one above the first and the second edge of the real segments
-    edge = arith._R_SEGMENT if name == "r" else arith._PAIR_SEGMENT
+    # N one below, at and one above the first and the second edge of the real segments: sigma's
+    # 2^18 words are of the odd n, so its edges are at multiples of 2^19 (n = 2^19 is the last
+    # n of the first segment, 2^19 + 1 the first word of the second)
+    edge = arith._R_SEGMENT if name == "r" else 2 * arith._PAIR_SEGMENT
     for N in (edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge, 2 * edge + 1, 10**6 + 7):
         if name == "r":
             got, expected = arith._filled("r", N), _r_divisor_sieve(N)
@@ -263,17 +270,18 @@ def test_d_stream_matches_the_weights_sieve_at_segment_edges():
 
 
 def test_sigma_ramp_views_and_pair_runs_match_the_weights_sieve(monkeypatch):
-    # segments of 64 and runs of at most 7, so one segment adds some runs as views of the
-    # ramp and others through the pair buffer, and some N have a run that ends exactly at
-    # the ramp's end (k1 + delta == ramp.size); table and packed stream against the weights form
+    # segments of 64 words and runs of at most 7, so one segment adds some runs as views of
+    # the ramp and others through the pair buffer, and some N have a run that ends exactly at
+    # the ramp's end: the run of the odd k0 <= k < k1, n = (k1 - k0 + 1) // 2 words, reads
+    # ramp[(k0 + delta) // 2:][:n]; table and packed stream against the weights form
     monkeypatch.setattr(arith, "_PAIR_SEGMENT", 64)
     monkeypatch.setattr(arith, "_PAIR_RUN", 7)
     both, at_end = set(), set()
     kernel = arith._pair_segment
 
     def spy(lo, hi, out, ramp, pair, shift):
-        ends = {k1 + delta - ramp.size
-                for delta, k0, k1 in arith._segment_runs(lo, hi, pair.size)}
+        ends = {(k0 + delta) // 2 + (k1 - k0 + 1) // 2 - ramp.size
+                for delta, k0, k1 in arith._segment_runs(lo, hi, pair.size, 2)}
         if ends and min(ends) <= 0 < max(ends):
             both.add(N)
         if 0 in ends:
@@ -284,7 +292,8 @@ def test_sigma_ramp_views_and_pair_runs_match_the_weights_sieve(monkeypatch):
         expected = divisor_sieve(np.arange(N + 1))
         d = divisor_sieve(np.ones(N + 1, np.int64))
         assert np.array_equal(arith._filled("sigma", N), expected), N
-        assert np.array_equal(_streamed("sigma", N), (d << arith._pack_shift(N)) + expected), N
+        packed = (d << arith._pack_shift(N)) + expected
+        assert np.array_equal(_streamed("sigma", N), packed[1::2]), N
     assert len(both) > 100 and len(at_end) > 10, (len(both), len(at_end))
 
 
@@ -377,26 +386,57 @@ def test_sigma_bound_on_the_table_and_the_packing_limit(tables_1m):
 
 
 def _unpacked(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """d(0..N) and sigma(0..N) from sigma's packed stream."""
+    """d(m) and sigma(m) of the odd m <= N from sigma's packed stream."""
     words, shift = _streamed("sigma", N), arith._pack_shift(N)
     return words >> shift, words & ((1 << shift) - 1)
 
 
+def _two_adic_weights(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """How often d(m) and sigma(m) of each odd m <= N count in sum_{n<=N} d(n) and
+    sum sigma(n): once per n = 2^e m <= N, as d(2^e m) = (e + 1) d(m) and
+    sigma(2^e m) = (2^(e+1) - 1) sigma(m), added up one e at a time."""
+    m = np.arange(1, N + 1, 2)
+    wd, ws = np.zeros_like(m), np.zeros_like(m)
+    for e in range(N.bit_length()):
+        has = (m << e) <= N
+        wd += has * (e + 1)
+        ws += has * ((2 << e) - 1)
+    return wd, ws
+
+
 @pytest.mark.parametrize("segment", [1, 2, 3, 4, 5, 6, 7, 2**18])
 def test_packed_stream_equals_the_d_stream_the_sigma_table_and_the_counts(monkeypatch, segment):
-    # N in 1, 2 and 3 segments + 7, and squares on the first entry of a segment: of the
-    # short segments every N up to segment^2 + 7 (3 segments + 7 at least), of the real 2^18
-    # entries 2^18 = 512^2 opening the second, and N = 2^18, whose last segment is that square
+    # a segment of w words covers the odd n of 2w integers.  N in 1, 2 and 3 segments + 7, and
+    # odd squares on the first word of a segment: of the short segments every N up to 200 (a
+    # square opens a segment below 170 at each w); at the real 2^18 words also N = 2^19 + 1,
+    # the first word of the second segment (no odd square opens one below 2^36)
     monkeypatch.setattr(arith, "_PAIR_SEGMENT", segment)
-    sizes = {k * segment + 7 for k in (1, 2, 3)}
-    sizes |= set(range(1, max(3, segment) * segment + 8)) if segment < 8 else {segment}
+    sizes = {2 * k * segment + 7 for k in (1, 2, 3)}
+    sizes |= set(range(1, 201)) if segment < 8 else {2 * segment + 1}
     for N in sorted(sizes):
         d, sigma = _unpacked(N)
-        assert np.array_equal(d, _streamed("d", N)), (segment, N)
-        assert np.array_equal(sigma, arith._filled("sigma", N)), (segment, N)
+        assert np.array_equal(d, _streamed("d", N)[1::2]), (segment, N)
+        assert np.array_equal(sigma, arith._filled("sigma", N)[1::2]), (segment, N)
         assert arith._pair_sums(N) == (hyperbola_count(N), sigma_count(N)), (segment, N)
-        assert int(d.sum()) == hyperbola_count(N) and int(sigma.sum()) == sigma_count(N)
-    assert any(math.isqrt(lo) ** 2 == lo for lo in range(segment, max(sizes), segment))
+        wd, ws = _two_adic_weights(N)
+        assert int(wd @ d) == hyperbola_count(N) and int(ws @ sigma) == sigma_count(N), N
+    if segment < 8:
+        starts = range(1 + 2 * segment, max(sizes), 2 * segment)
+        assert any(math.isqrt(lo) ** 2 == lo for lo in starts), segment
+
+
+@pytest.mark.parametrize("segment, top", [(1, 2**10), (7, 2**13), (64, 2**16), (2**18, 2**20)])
+def test_pair_sums_and_the_sigma_table_are_exact_where_the_weights_step(monkeypatch, segment,
+                                                                         top):
+    # the even n come from the odd m by weights that step where m = N >> e, and the even table
+    # entries from table[n >> v2(n)]: every N <= 300, and N = 2^k - 1, 2^k and 2^k + 1 up to
+    # top, where a new power of 2 fits, against the counts and the weights sieve
+    monkeypatch.setattr(arith, "_PAIR_SEGMENT", segment)
+    powers = [2**k + e for k in range(1, top.bit_length()) for e in (-1, 0, 1)]
+    for N in sorted({*range(1, 301), *powers}):
+        assert arith._pair_sums(N) == (hyperbola_count(N), sigma_count(N)), (segment, N)
+        expected = divisor_sieve(np.arange(N + 1))
+        assert np.array_equal(arith._filled("sigma", N), expected), (segment, N)
 
 
 def test_pair_sums_are_exact_when_a_segments_words_wrap_past_2_64(monkeypatch):

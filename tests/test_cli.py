@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -246,9 +246,10 @@ def test_memory_error_in_lazy_sieve_exits_3(tmp_path, monkeypatch, capsys, faili
     # each argv but correlate's ends with the sieve limit
     N = int(argv[2]) + int(argv[4]) if argv[0] == "correlate" else int(float(argv[-1]))
     # a stream names its segment buffers: r's int32 segment (1001 * 4 B, rounded up), d's
-    # int16 one, sigma's packed int64 one and its ramp and pair ((1001 + 1032 + 1000) * 8 B)
+    # int16 one, sigma's packed int64 one of the 500 odd n and its ramp and pair
+    # ((500 + 1032 + 1000) * 8 B)
     name = {"_pair_segment": "sigma"}.get(failing, failing[1:].removesuffix("_segment"))
-    kib = {("r", 1000): 4, ("r", 10**7): 128, ("d", 1000): 2, ("sigma", 1000): 24}[name, N]
+    kib = {("r", 1000): 4, ("r", 10**7): 128, ("d", 1000): 2, ("sigma", 1000): 20}[name, N]
     message = (f"cannot allocate the streamed {name} sieve for N={N} "
                f"(~{kib} KiB of segment buffers, plus the kernel's scratch)")
     if argv[0] in {"error-term", "correlate"}:
@@ -306,14 +307,15 @@ def test_correlation_window_that_cannot_be_allocated_exits_3(tmp_path, monkeypat
     (["sieve", "--limit", "100"], (1, 0, 1)),   # d and sigma in one pass of packed words
 ])
 def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, sieves):
-    # a run of a table's kernel, filling the table or streaming it, starts at segment lo = 0
+    # a run of a table's kernel, filling the table or streaming it, starts at segment lo = 0,
+    # or lo = 1 for sigma's packed words of the odd n; no later segment starts below 2
     calls = {"_r_segment": 0, "_d_segment": 0, "_pair_segment": 0}
 
     def counted(name):
         kernel = getattr(arith, name)
 
         def count(lo, *args):
-            calls[name] += lo == 0
+            calls[name] += lo == (1 if name == "_pair_segment" else 0)
             return kernel(lo, *args)
         return count
     for name in calls:
@@ -366,6 +368,33 @@ def test_command_peak_memory_per_entry(tmp_path, capsys, argv, bytes_per_entry, 
 def test_sieve_peak_memory_does_not_grow_with_the_limit(capsys, limit):
     assert traced_peak(lambda: run(["sieve", "--limit", str(limit)])) <= 6 * 2**20
     assert "error" not in capsys.readouterr().err
+
+
+def test_sieve_sieves_d_and_sigma_at_the_odd_n_only(monkeypatch, capsys):
+    # the even n follow from the odd m by multiplicativity at 2: the packed kernel gets
+    # ceil(N / 2) words in all, and its runs pair each odd delta with odd cofactors k, every
+    # such pair with delta < k and delta k <= N once
+    N = 10**6
+    words, pairs = [], 0
+    kernel, runs = arith._pair_segment, arith._segment_runs
+
+    def counted_words(lo, hi, out, *args):
+        words.append(out.size)
+        return kernel(lo, hi, out, *args)
+
+    def odd_runs(lo, hi, longest, step=1):
+        nonlocal pairs
+        for delta, k0, k1 in runs(lo, hi, longest, step):
+            assert delta % 2 == k0 % 2 == 1 and step == 2, (delta, k0, k1, step)
+            pairs += len(range(k0, k1, step))
+            yield delta, k0, k1
+    monkeypatch.setattr(arith, "_pair_segment", counted_words)
+    monkeypatch.setattr(arith, "_segment_runs", odd_runs)
+    assert run(["sieve", "--limit", str(N)]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert sum(words) == -(-N // 2) and len(words) == 2
+    assert pairs == sum(len(range(delta + 2, N // delta + 1, 2))
+                        for delta in range(1, isqrt(N) + 1, 2))
 
 
 def test_sieve_past_the_packed_words_exits_3_before_sieving(monkeypatch, capsys):

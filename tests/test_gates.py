@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from circlekit import arith, cli
-from conftest import corr_sum
+from conftest import corr_sum, sigma_count
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 _spec = importlib.util.spec_from_file_location("gates", TOOLS / "gates.py")
@@ -31,20 +31,27 @@ CALLS = {
 }
 
 
+# the sieve gate once more at an odd N just past a power of 2: sigma's last packed word is
+# that N's, and the weights that fold the even n in step at m = N >> e
+EDGE = 2**17 + 1
+
+
 def test_each_gate_and_report_passes_at_a_small_size():
     # each in a fresh interpreter, as CI runs each NAME: a gate's child started from this
     # process would count pytest's pages in its peak RSS
     assert set(CALLS) == set(gates.NAMES)
+    calls = {**CALLS, f"sieve at {EDGE}": (f"sieve({EDGE})",
+                                           f"sum sigma(n)     {sigma_count(EDGE)}")}
     children = {
         name: subprocess.Popen(
             [sys.executable, "-c",
              f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import gates; sys.exit(gates.{call})"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        for name, (call, _) in CALLS.items()}
+        for name, (call, _) in calls.items()}
     for name, child in children.items():
         out, err = child.communicate(timeout=120)
         assert child.returncode == 0, (name, out, err)
-        assert CALLS[name][1] in out, (name, out)
+        assert calls[name][1] in out, (name, out)
 
 
 @pytest.mark.parametrize("argv", [[], ["sieves"], ["sieve", "sieve"], ["sieve", "--n", "100"]])

@@ -13,7 +13,8 @@ NAME is one of:
     correlate          `circlekit correlate --n 1e8 --h-max 10`: each raw must equal the sum
                        recounted here from r's segment stream, each main N g_closed(h)
     report-sieves      the wall time and tracemalloc peak of r, d and sigma at 1e7, each as a
-                       table and as the streamed fold that `sieve` runs
+                       table and as the streamed fold that `sieve` runs (for sigma, the sums
+                       of d and sigma from the packed words of the odd n)
     report-transforms  laplace_p2 and laplace_d2 per T over the transform benchmark's T lists,
                        then residual_scan over each list in one pass
 
@@ -190,12 +191,14 @@ def _traced_mib(call) -> float:
 
 
 def report_sieves(N: int = 10**7) -> None:
-    """Each table's sieve, then the streamed fold that sieve runs: the sum over the table's
-    segments, with no table held (sigma's are the packed d and sigma words)."""
+    """Each table's sieve, then the streamed fold that sieve runs, with no table held: for r
+    and d the sum over the table's segments, for sigma `arith._pair_sums`, the sums of d and
+    sigma from the packed words of the odd n (whose raw sum is neither)."""
     from circlekit import arith
     for name in ("r", "d", "sigma"):
         table = lambda: getattr(arith.build_tables(N), name)
-        fold = lambda: sum(int(f.sum(dtype="int64")) for _, f in arith._segments(name, N))
+        fold = ((lambda: arith._pair_sums(N)) if name == "sigma" else
+                lambda: sum(int(f.sum(dtype="int64")) for _, f in arith._segments(name, N)))
         print(f"{name} at N = {N}: " + "; ".join(
             f"{what} {_wall(build):.3f} s, tracemalloc peak {_traced_mib(build):.1f} MiB"
             for what, build in (("table", table), ("streamed fold", fold))))

@@ -71,8 +71,12 @@ COMMANDS = [
     ("correlate-carry-segments", "correlate --n 100000 --h-max 40000 --out corr.csv"),
     ("correlate-block-edge", "correlate --n 65537 --h-max 1000 --out corr.csv"),
     ("correlate-tiny", "correlate --n 7 --h-max 3 --out corr.csv"),
-    # sieve's packed d and sigma at the smallest limits and at the 2^18-entry segment's edge
-    *((f"sieve-{n}", f"sieve --limit {n}") for n in (1, 2, 3, 4, 262143, 262144, 262145)),
+    # sieve's packed d and sigma of the odd n: the smallest limits, where the weights that fold
+    # the even n in step at every N; 2^18 - 1..2^18 + 1; the 2^18-word segment's edge at
+    # 2^19 (its 2^18 odd n) and 2^20
+    *((f"sieve-{n}", f"sieve --limit {n}")
+      for n in (1, 2, 3, 4, 5, 6, 7, 8, 262143, 262144, 262145, 524287, 524288, 524289,
+                1048575, 1048576, 1048577)),
     # d streamed across several of its 2^20-entry int16 segments
     ("constants-d-3e6", "constants d_squared --terms 3000000"),
     ("error-term-divisor-3e6", "error-term divisor --x-max 3e6 --samples 64 --out pd_scan.csv"),
