@@ -12,11 +12,11 @@ Everything here is exact integer (or rational) arithmetic:
 Each of r, d and sigma has one kernel that sieves one cache-sized segment
 [lo, hi) of it, with scratch that grows at most as sqrt(N): r by counting lattice
 points, carrying each column's next b from segment to segment, d and sigma by
-pairing divisors with cofactors (d's segments in int16 below 2^28; sigma's in int64
-words d(m) 2^s + sigma(m) of the odd m only, so that one pass gives `sieve` both, and
-the even n follow by multiplicativity at 2: d(2^e m) = (e + 1) d(m) and
-sigma(2^e m) = (2^(e+1) - 1) sigma(m)).  `_segments` runs a kernel over 0..N in
-ascending order.  Every command folds them, reading each value once, in order:
+pairing divisors with cofactors (a streamed d in int16 segments up to N = 2^49; sigma in
+int64 words d(m) 2^43 + sigma(m) of the odd m only, up to N = 2^38 - 1, so that one pass
+gives `sieve` both, and the even n follow by multiplicativity at 2: d(2^e m) =
+(e + 1) d(m) and sigma(2^e m) = (2^(e+1) - 1) sigma(m)).  `_segments` runs a kernel over
+0..N in ascending order.  Every command folds them, reading each value once, in order:
 `sieve`'s sums; the series, summed exactly by one Python int per series, and
 `error-term circle`'s maxima, which change only where P jumps, over
 `_kept_blocks`, which skip the n with f(n) = 0 (~80% of r's up to 1e7); the
@@ -44,8 +44,8 @@ from .errors import CapacityError
 
 _BLOCK = 1 << 16  # entries per scratch buffer and per fold block over a table; of all
                   # results it fixes only mean_square_p's last bit, as block_size(T) a transform's
-_SEGMENT = 1 << 19  # table entries per segment of the d sieve (see _d_segment), 2 _SEGMENT
-                    # for int16 d (see _d_dtype); it fixes no entry, only the time
+_SEGMENT = 1 << 19  # table entries per segment of a d table (see _d_segment), 2 _SEGMENT of
+                    # a streamed int16 d (the same 2 MiB); it fixes no entry, only the time
 _PAIR_SEGMENT = 1 << 18  # int64 words per segment of sigma's packed d and sigma (see
                          # _pair_segment), the same 2 MiB, for the odd n of 2^19; likewise
 _R_SEGMENT = 1 << 15  # table entries per segment of the r sieve (see _r_segment); likewise.
@@ -53,9 +53,10 @@ _R_SEGMENT = 1 << 15  # table entries per segment of the r sieve (see _r_segment
                       # `constants r_squared --terms 1e6` at 1.42 MiB traced, past 1 MiB
 _PAIR_RUN = 1 << 15  # the longest run of the packed kernel, the length of its pair buffer and
                      # of its ramp's first part (see _pair_segment); likewise
-_WORD_BITS = 63   # the value bits of sigma's packed int64 words (see _pack_shift)
 _INT32_LIMIT = 2**31  # scratch integers stay int32 while every value they hold is below this
-_INT16_LIMIT = 2**15  # and d's segments int16 (see _d_dtype)
+_D_LIMIT = 2**49  # the largest N of a d stream, whose int16 holds d(n) to here (see _check_words)
+_PACK_SHIFT = 43  # sigma's packed int64 words are d(m) 2^43 + sigma(m) (see _pair_segment)
+_PACK_LIMIT = 2**38 - 1  # to here, where sigma(m) <= m (1 + ln m) < 2^43 and d(m) < 2^20
 _SCALE = 1126   # `_scaled_sum`'s sums are of x 2^_SCALE, an integer for every double x
 
 
@@ -255,38 +256,57 @@ def _capacity_error(N: int, dtype) -> CapacityError:
                          f"(~{kib} KiB needed)", required_limit=N)
 
 
+def _check_words(name: str, N: int) -> None:
+    """Raise the CapacityError naming the largest N whose values the named stream's words hold,
+    if N is past it; r's int32 holds r(n) <= 4 d(n) at any N.  A streamed d is int16 to
+    N = _D_LIMIT = 2^49: log2 d(n) <= 1.53794 ln n / ln ln n for n >= 3 (Nicolas & Robin,
+    Canad. Math. Bull. 26 (1983)), with equality at n = 6983776800, so 1.538 bounds it; the
+    bound grows with n from n = 16 on (where ln n > e), and d(n) <= 6 below 16, so up to N
+    d(n) <= 2^(1.538 ln N / ln ln N), 28,878 < 2^15 - 1 at 2^49 (past 2^15 - 1 at 2^50).
+    sigma's words d(m) 2^_PACK_SHIFT + sigma(m) hold to N = _PACK_LIMIT = 2^38 - 1:
+    sigma(m) / m = sum_{delta | m} 1 / delta <= H_m <= 1 + ln m, so sigma(m) < 2^43 and no add
+    carries out of sigma's field, and d(m) <= 2 isqrt(m) < 2^20, so no word reaches int64's
+    sign bit.  Either stream past its limit would take years (d) or days (sigma)."""
+    if name == "d" and N > _D_LIMIT:
+        raise CapacityError(f"d(n) fits int16 segments only for N <= {_D_LIMIT}, not N={N}",
+                            required_limit=_D_LIMIT)
+    if name == "sigma" and N > _PACK_LIMIT:
+        raise CapacityError(f"d(n) and sigma(n) pack into one int64 word only for "
+                            f"N <= {_PACK_LIMIT}, not N={N}", required_limit=_PACK_LIMIT)
+
+
 def _segments(name: str, N: int, table: np.ndarray | None = None):
     """Yield (lo, f) for the segments [lo, hi) of 0..N in ascending order, f the named stream's
     f(lo..hi-1) from its kernel: `_r_segment` over _R_SEGMENT entries, `_d_segment` over
-    _SEGMENT, a streamed d over 2 _SEGMENT while `_d_dtype` makes it int16 (the same 2 MiB), and
-    sigma's `_pair_segment` over _PAIR_SEGMENT int64 words (2 MiB again).  sigma's stream is
-    those words, d(m) 2^s + sigma(m) with s = `_pack_shift(N)`, of the odd m only: word i of a
+    _SEGMENT int32 entries of a d table and 2 _SEGMENT int16 ones of a streamed d (the same
+    2 MiB), and sigma's `_pair_segment` over _PAIR_SEGMENT int64 words (2 MiB again).  sigma's
+    stream is those words, d(m) 2^_PACK_SHIFT + sigma(m), of the odd m only: word i of a
     sigma segment is m = lo + 2 i, its segments start at lo = 1 and each covers 2 _PAIR_SEGMENT
     integers.  `_pair_sums` unpacks them, and `_filled` masks each table segment to sigma and
-    lifts the even n from them.  f is a buffer that the next segment overwrites; given a table,
+    lifts the even n from them.  Each stream has one word format, which holds every value up
+    to the stream's limit; the first step checks that limit (`_check_words`) before any buffer
+    is allocated.  f is a buffer that the next segment overwrites; given a table,
     f is table[lo:hi] (sigma's table[lo:hi:2]), each segment sieved straight into the table in
     the table's dtype.  Tables and streams take this one path, so both keep the overflow guard
     of r and d and name N in the CapacityError of a failed allocation: the table's size when
     filling one, else the size of the stream's segment buffers, which its kernel's per-segment
     scratch comes on top of."""
-    dtype = _DTYPES[name]
-    if name == "d" and table is None:   # a d table is sieved in its own int32
-        dtype = _d_dtype(N)
+    _check_words(name, N)
+    dtype = np.dtype(np.int16) if name == "d" and table is None else _DTYPES[name]
     size = (_R_SEGMENT if name == "r" else _PAIR_SEGMENT if name == "sigma"
             else 2 * _SEGMENT if dtype == np.int16 else _SEGMENT)
     first, step = (1, 2) if name == "sigma" else (0, 1)   # sigma's words are the odd n
     words = min(len(range(first, N + 1, step)), size)
     ramp_size = pair_size = 0   # sigma's ramp and pair buffer (see _pair_segment)
     if name == "sigma":
-        shift = _pack_shift(N)
         ramp_size, pair_size = min(N, _PAIR_RUN) + math.isqrt(N) + 1, min(N, _PAIR_RUN)
     try:
         if name == "sigma":
             ramp = np.arange(ramp_size, dtype=dtype)
             ramp <<= 1
-            ramp += 2 << shift
+            ramp += 2 << _PACK_SHIFT
             pair = np.empty(pair_size, dtype=dtype)
-            kernel = lambda lo, hi, out: _pair_segment(lo, hi, out, ramp, pair, shift)
+            kernel = lambda lo, hi, out: _pair_segment(lo, hi, out, ramp, pair)
         elif name == "r":
             nxt = np.ones(math.isqrt(N) + 1, dtype=np.int64)   # each column's next b
             kernel = lambda lo, hi, out: _r_segment(lo, hi, out, nxt)
@@ -297,8 +317,8 @@ def _segments(name: str, N: int, table: np.ndarray | None = None):
             hi = min(lo + step * size, N + 1)
             f = buf[:len(range(lo, hi, step))] if table is None else table[lo:hi:step]
             kernel(lo, hi, f)
-            # Overflow guard: r(n) <= 4 d(n) < 2**31 at any feasible N, and an int16 d(n) < 2**15
-            # (`_d_dtype`), but check the built maxima.  sigma's words are bounded by `_pack_shift`
+            # Overflow guard: r(n) <= 4 d(n) < 2**31 at any feasible N, and d(n) < 2**15 - 1 to
+            # _D_LIMIT (`_check_words`, which bounds sigma's words too), but check the built maxima
             if name != "sigma" and max(int(f.max()), -int(f.min())) >= np.iinfo(dtype).max:
                 what = "table" if dtype == _DTYPES[name] else "segment"
                 raise CapacityError(f"{np.dtype(dtype)} {what} overflow at N={N}",
@@ -315,11 +335,13 @@ def _segments(name: str, N: int, table: np.ndarray | None = None):
 
 def _filled(name: str, N: int) -> np.ndarray:
     """The named table f(0..N), read-only, every segment of `_segments` left in it.  sigma's
-    packed words of the odd m are masked to sigma(m) in place, and each even entry
-    n = 2^e m is lifted from table[n >> e] = sigma(m) as sigma(2^e m) = (2^(e+1) - 1) sigma(m),
-    one strided multiply per e.  A failed allocation, of the table here or of scratch in the
-    fill, is the CapacityError naming N."""
-    mask = (1 << _pack_shift(N)) - 1 if name == "sigma" else None
+    packed words of the odd m are masked to their low _PACK_SHIFT bits, sigma(m), in place, and
+    each even entry n = 2^e m is lifted from table[n >> e] = sigma(m) as sigma(2^e m) =
+    (2^(e+1) - 1) sigma(m), one strided multiply per e.  N past the stream's limit raises
+    `_check_words`' CapacityError before the table is allocated; a failed allocation, of the
+    table here or of scratch in the fill, is the CapacityError naming N."""
+    _check_words(name, N)
+    mask = (1 << _PACK_SHIFT) - 1 if name == "sigma" else None
     try:
         table = np.empty(N + 1, dtype=_DTYPES[name])
     except MemoryError as exc:
@@ -341,12 +363,11 @@ def _pair_sums(N: int) -> tuple[int, int]:
     e <= E(m) = floor(log2(N / m)), and d(2^e m) = (e + 1) d(m), sigma(2^e m) =
     (2^(e+1) - 1) sigma(m), so its d(m) counts (E + 1)(E + 2) / 2 times and its sigma(m)
     2^(E+2) - E - 3 times.  A segment is split where E steps, at m = N >> E; each piece's words
-    d(m) 2^s + sigma(m) are summed mod 2^64, then shifted down to d(m) and summed, and sigma's
-    sum is the difference mod 2^64, exact as a piece's sigma sum is below its size times
-    2^s <= 2^64; both are weighted as Python ints.  A limit past `_pack_shift`'s raises its
-    CapacityError before any sieving."""
-    shift = _pack_shift(N)
-    assert min((N + 1) // 2, _PAIR_SEGMENT) << shift <= 2**64
+    d(m) 2^_PACK_SHIFT + sigma(m) are summed mod 2^64, then shifted down to d(m) and summed, and
+    sigma's sum is the difference mod 2^64, exact as a piece's sigma sum is below
+    _PAIR_SEGMENT 2^_PACK_SHIFT <= 2^64; both are weighted as Python ints.  N past _PACK_LIMIT
+    raises `_check_words`' CapacityError at the stream's first step, before any sieving."""
+    assert _PAIR_SEGMENT << _PACK_SHIFT <= 2**64
     d_sum = s_sum = 0
     for lo, words in _segments("sigma", N):
         i = 0
@@ -355,9 +376,9 @@ def _pair_sums(N: int) -> tuple[int, int]:
             j = min(words.size, ((N >> e) - lo) // 2 + 1)   # the words to m = N >> e share it
             piece = words[i:j]
             total = int(piece.view(np.uint64).sum())
-            d = int(np.right_shift(piece, shift, out=piece).sum())
+            d = int(np.right_shift(piece, _PACK_SHIFT, out=piece).sum())
             d_sum += (e + 1) * (e + 2) // 2 * d
-            s_sum += ((4 << e) - e - 3) * ((total - (d << shift)) % 2**64)
+            s_sum += ((4 << e) - e - 3) * ((total - (d << _PACK_SHIFT)) % 2**64)
             i = j
     return d_sum, s_sum
 
@@ -447,10 +468,9 @@ def _d_segment(lo: int, hi: int, out: np.ndarray) -> None:
 
     For d every f(delta) is 1: a pair adds 1 + 1, so each run of cofactors k of delta adds 2
     at n = delta k, and each square delta^2 in the segment adds 1: in-place strided adds,
-    with no weights array or pair buffer.  A streamed out is int16 while `_d_dtype` allows
-    (N below 2^28): 2 MiB at 2^20 entries, so half the segments, and so half the runs, of
-    2^19 int32 entries.  At N = 1e7 on a 2-vCPU x86 VM the streamed d took ~0.135 s, against
-    ~0.175 s in int32 segments.  A table is int32 and sieved in place, with no int16 buffer.
+    with no weights array or pair buffer.  A streamed out is int16 at every N a d stream
+    reaches (see `_check_words`): 2 MiB at 2^20 entries, so half the segments, and so half the
+    runs, of a table's.  A table is int32 and sieved in place, with no int16 buffer.
     """
     out.fill(0)
     for delta, k0, k1 in _segment_runs(lo, hi, _BLOCK):
@@ -458,56 +478,26 @@ def _d_segment(lo: int, hi: int, out: np.ndarray) -> None:
     out[_squares(lo, hi) ** 2 - lo] += 1
 
 
-def _d_dtype(n: int):
-    """The dtype of d's streamed segment buffer for entries up to n >= 1: int16 while
-    2 isqrt(n) < _INT16_LIMIT, i.e. n < 2^28, as the divisors of m pair up as delta, m / delta
-    with delta <= sqrt(m), so d(m) <= 2 isqrt(m) <= 2^15 - 2.  Past that, int32, as the table."""
-    return np.int16 if 2 * math.isqrt(n) < _INT16_LIMIT else np.int32
-
-
-def _pack_shift(N: int) -> int:
-    """The shift s of sigma's packed words d(n) 2^s + sigma(n) for n <= N: the least s with
-    N (1 + ln N) < 2^s, as sigma(n) / n = sum_{delta | n} 1 / delta <= H_n <= 1 + ln n (1 + ln n
-    exceeds H_n by ~1 - gamma ~ 0.42, so the ~1e-16 relative rounding of the float product
-    cannot matter).  No add then carries out of sigma's field, and d(n) <= 2 isqrt(n) must stay
-    below 2^(_WORD_BITS - s), so that no word reaches int64's sign bit.  That holds up to
-    N = 2^38 - 1 (s = 43 there, d(n) < 2^20); a larger N raises the CapacityError naming that
-    largest N, a limit that would take days to stream."""
-    def shift(n):
-        return int(n * (1 + math.log(n))).bit_length()
-
-    def packs(n):
-        return shift(n) < _WORD_BITS and 2 * math.isqrt(n) < 1 << (_WORD_BITS - shift(n))
-    if not packs(N):
-        lo, hi = 1, N   # packs(n) holds up to some n and fails past it, as s and d(n) grow
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if packs(mid) else (lo, mid)
-        raise CapacityError(f"d(n) and sigma(n) pack into one int64 word only for N <= {lo}, "
-                            f"not N={N}", required_limit=lo)
-    return shift(N)
-
-
-def _pair_segment(lo: int, hi: int, out: np.ndarray, ramp: np.ndarray, pair: np.ndarray,
-                  shift: int) -> None:
-    """out[i] = d(m) 2^shift + sigma(m) for the odd m = lo + 2 i in lo..hi-1, lo odd, int64: the
-    pair sieve of `_d_segment` with f(delta) = 2^shift + delta, d and sigma in one word per odd m.
+def _pair_segment(lo: int, hi: int, out: np.ndarray, ramp: np.ndarray, pair: np.ndarray) -> None:
+    """out[i] = d(m) 2^s + sigma(m), s = _PACK_SHIFT, for the odd m = lo + 2 i in lo..hi-1, lo odd,
+    int64: the pair sieve of `_d_segment` with f(delta) = 2^s + delta, d and sigma in one word
+    per odd m.
 
     Every divisor of an odd m is odd, so only the `_segment_runs` of step 2 pair up: odd
     delta <= sqrt(hi - 1) with odd cofactors k > delta.  Word (delta k - lo) / 2 takes the pair,
     so a run of cofactors k0, k0 + 2, ... has stride delta, and it adds 2 to d and delta + k to
-    sigma: 2^(shift+1) + k0 + delta, 2^(shift+1) + k0 + delta + 2, ..., which is even, read from
-    ramp = 2^(shift+1) + (0, 2, 4, ...) with no weights array; each odd square a^2 adds
-    2^shift + a.  A run of n words with (k0 + delta) / 2 + n <= ramp.size adds the view
+    sigma: 2^(s+1) + k0 + delta, 2^(s+1) + k0 + delta + 2, ..., which is even, read from
+    ramp = 2^(s+1) + (0, 2, 4, ...) with no weights array; each odd square a^2 adds 2^s + a.
+    A run of n words with (k0 + delta) / 2 + n <= ramp.size adds the view
     ramp[(k0 + delta) / 2:][:n] in one strided add.  `_segments` makes pair min(N, _PAIR_RUN)
     long, the longest run, and ramp pair.size + isqrt(N) + 1, which takes in every
     delta >= N / (2 _PAIR_RUN), as then k <= N / delta <= 2 pair.size and delta <= isqrt(N).
     The cofactors of the smaller deltas run up to N / delta, past any ramp that does not grow
     with N, so their runs form ramp[:n] + (k0 + delta) in the pair buffer first (one contiguous
-    add).  Both are int64, ~0.5 MiB together at N = 1e7.  `_pack_shift` keeps the two fields
-    apart.  One strided add per run serves both functions, and the even n follow from the odd
-    by multiplicativity at 2 (see `_pair_sums` and `_filled`): at N = 1e7, 22,490 runs of
-    22.1 million pairs, against 85,161 runs of 81.4 million over every n.  There, on a 2-vCPU
+    add).  Both are int64, ~0.5 MiB together at N = 1e7.  The two fields stay apart to
+    _PACK_LIMIT (see `_check_words`).  One strided add per run serves both functions, and the
+    even n follow from the odd by multiplicativity at 2 (see `_pair_sums` and `_filled`): at
+    N = 1e7, 22,490 runs of 22.1 million pairs, against 85,161 runs of 81.4 million over every n.  There, on a 2-vCPU
     x86 VM, `_pair_sums` took ~0.07 s (median of 7), against ~0.23 s over the words of every n
     and ~0.34 s as two kernels, int16 d and int32 sigma.  A stream of d alone (`error-term`,
     `laplace`, `constants` divisor) keeps `_d_segment`, which reads d at every n.
@@ -521,7 +511,7 @@ def _pair_segment(lo: int, hi: int, out: np.ndarray, ramp: np.ndarray, pair: np.
         else:
             run += np.add(ramp[:n], k0 + delta, out=pair[:n])
     a = np.arange((math.isqrt(lo - 1) + 1) | 1, math.isqrt(hi - 1) + 1, 2)   # lo <= a^2 < hi, a odd
-    out[(a * a - lo) >> 1] += a + (1 << shift)
+    out[(a * a - lo) >> 1] += a + (1 << _PACK_SHIFT)
 
 
 def build_tables(N: int) -> ArithTables:

@@ -25,7 +25,7 @@ difference cancels catastrophically when T >> 1.  P is affine, so p is
 exact.  Delta's p is its Taylor polynomial about n + 1/2, with a certified
 remainder; on [0, 1), where Delta = -main has a log singularity, Delta^2 is
 integrated in closed form.
-Float rounding is not bounded yet (ROADMAP item 7).
+Float rounding is not bounded yet (ROADMAP item 35).
 
 Truncation policy: integrate whole blocks of `block_size(T)` unit intervals
 until, at a block edge x_max, the tail bound `_tail_bound` drops below

@@ -101,8 +101,8 @@ def _streamed(name: str, N: int) -> np.ndarray:
 
 
 def _packed(tables) -> np.ndarray:
-    """The words d(n) 2^s + sigma(n) of sigma's stream, the odd n, from the d and sigma tables."""
-    return ((tables.d.astype(np.int64) << arith._pack_shift(tables.limit)) + tables.sigma)[1::2]
+    """The words d(n) 2^43 + sigma(n) of sigma's stream, the odd n, from the d and sigma tables."""
+    return ((tables.d.astype(np.int64) << arith._PACK_SHIFT) + tables.sigma)[1::2]
 
 
 @pytest.mark.parametrize("name", ["r", "d", "sigma"])
@@ -175,7 +175,7 @@ def _check_sieves_against_naive(sizes, *labels):
                 sigma = arith._filled("sigma", N)
                 assert sigma.dtype == np.int64 and np.array_equal(sigma, expected), (*labels, N)
                 d = _naive_divisor_sums(_weights(N)["ones"]).astype(np.int64)
-                packed = (d << arith._pack_shift(N)) + expected
+                packed = (d << arith._PACK_SHIFT) + expected
                 assert np.array_equal(_streamed("sigma", N), packed[1::2]), (*labels, N)
 
 
@@ -279,20 +279,20 @@ def test_sigma_ramp_views_and_pair_runs_match_the_weights_sieve(monkeypatch):
     both, at_end = set(), set()
     kernel = arith._pair_segment
 
-    def spy(lo, hi, out, ramp, pair, shift):
+    def spy(lo, hi, out, ramp, pair):
         ends = {(k0 + delta) // 2 + (k1 - k0 + 1) // 2 - ramp.size
                 for delta, k0, k1 in arith._segment_runs(lo, hi, pair.size, 2)}
         if ends and min(ends) <= 0 < max(ends):
             both.add(N)
         if 0 in ends:
             at_end.add(N)
-        kernel(lo, hi, out, ramp, pair, shift)
+        kernel(lo, hi, out, ramp, pair)
     monkeypatch.setattr(arith, "_pair_segment", spy)
     for N in range(1, 400):
         expected = divisor_sieve(np.arange(N + 1))
         d = divisor_sieve(np.ones(N + 1, np.int64))
         assert np.array_equal(arith._filled("sigma", N), expected), N
-        packed = (d << arith._pack_shift(N)) + expected
+        packed = (d << arith._PACK_SHIFT) + expected
         assert np.array_equal(_streamed("sigma", N), packed[1::2]), N
     assert len(both) > 100 and len(at_end) > 10, (len(both), len(at_end))
 
@@ -315,8 +315,9 @@ def test_int64_scratch_equals_int32(monkeypatch):
 
 
 def test_int16_d_segments_equal_int32(monkeypatch):
-    # the streamed d is int16 below N = 2^28 and int32 past it; a lowered limit takes the int32
-    # path here, in segments of _SEGMENT entries instead of 2 _SEGMENT
+    # a streamed d fills int16 segments of 2 _SEGMENT entries at every N, a table int32 ones of
+    # _SEGMENT; both equal, and so do the kernel's int16 and int32 buffers across 2^28, where
+    # 2 isqrt(n), the elementary bound on d(n), passes 2^15
     N = 4 * arith._SEGMENT + 5
     seen = []   # the dtype and length of each segment buffer the kernel fills
     kernel = arith._d_segment
@@ -325,24 +326,43 @@ def test_int16_d_segments_equal_int32(monkeypatch):
         seen.append((out.dtype, out.size))
         kernel(lo, hi, out)
     monkeypatch.setattr(arith, "_d_segment", spy)
-    assert arith._d_dtype(N) == np.int16
     d = _streamed("d", N)
     assert seen == [(np.dtype(np.int16), 2 * arith._SEGMENT)] * 2 + [(np.dtype(np.int16), 6)]
-    monkeypatch.setattr(arith, "_INT16_LIMIT", 2 * math.isqrt(N))   # int32 from N on
-    seen.clear()
-    assert arith._d_dtype(math.isqrt(N) ** 2 - 1) == np.int16 and arith._d_dtype(N) == np.int32
-    assert np.array_equal(_streamed("d", N), d)
-    assert seen == [(np.dtype(np.int32), arith._SEGMENT)] * 4 + [(np.dtype(np.int32), 6)]
     assert np.array_equal(arith._filled("d", N), d)   # a table is int32 at any N
+    seen.clear()
+    lo, f = next(arith._segments("d", 2**28 + 5))
+    assert lo == 0 and f.dtype == np.int16 and f.size == 2 * arith._SEGMENT
+    assert seen == [(np.dtype(np.int16), 2 * arith._SEGMENT)]
+    lo, hi = 2**28 - 2**19, 2**28 + 2**20
+    short, wide = np.empty(hi - lo, np.int16), np.empty(hi - lo, np.int32)
+    kernel(lo, hi, short)
+    kernel(lo, hi, wide)
+    assert np.array_equal(short, wide) and short.max() < np.iinfo(np.int16).max
 
 
-def test_d_fits_int16_exactly_below_2_28(tables_1m):
-    # d(n) <= 2 isqrt(n) on the sieved table, and the streamed buffer turns int32 at 2^28,
-    # where 2 isqrt(n) reaches 2^15
-    n = np.arange(1, tables_1m.limit + 1)
-    assert (tables_1m.d[1:] <= 2 * arith._isqrt(n)).all()
-    assert arith._d_dtype(2**28 - 1) == np.int16 and arith._d_dtype(2**28) == np.int32
-    assert 2 * math.isqrt(2**28 - 1) == 2**15 - 2 < np.iinfo(np.int16).max
+def _nicolas_robin(n, c: float = 1.538):
+    """The bound c ln n / ln ln n on log2 d(n), n >= 3 (Nicolas & Robin, Canad. Math. Bull. 26
+    (1983): c = 1.53794..., with equality at n = 6983776800)."""
+    return c * np.log(n) / np.log(np.log(n))
+
+
+def test_d_fits_int16_to_2_49_by_the_nicolas_robin_bound(tables_1m):
+    # 1.538 is the theorem's constant rounded up: 1.5379 falls short at the equality case.  The
+    # bound holds on the sieved table, grows from n = 16 on (ln n > e) and stays below 2^15 - 1
+    # up to _D_LIMIT = 2^49, not at 2^50; below 16, d(n) <= 6.  d(n) <= 2 isqrt(n) holds too
+    n = 6983776800
+    root = math.isqrt(n)
+    d = sum(2 for k in range(1, root + 1) if n % k == 0) - (root * root == n)
+    assert d == 2304 and _nicolas_robin(n, 1.5379) < math.log2(d) <= _nicolas_robin(n)
+    m = np.arange(3, tables_1m.limit + 1)
+    assert (np.log2(tables_1m.d[3:]) <= _nicolas_robin(m)).all()
+    assert arith._D_LIMIT == 2**49
+    assert _nicolas_robin(2**49) < math.log2(2**15 - 1) < _nicolas_robin(2**50)
+    assert math.e ** math.e < 16 and tables_1m.d[1:16].max() == 6
+    grid = np.concatenate([np.arange(16, 10**6), 2.0 ** np.arange(20, 50)])
+    assert (np.diff(np.log(grid) / np.log(np.log(grid))) > 0).all()
+    m = np.arange(1, tables_1m.limit + 1)
+    assert (tables_1m.d[1:] <= 2 * arith._isqrt(m)).all()
 
 
 def test_isqrt_exact_next_to_every_square_below_2_31():
@@ -358,36 +378,36 @@ def test_isqrt_exact_next_to_squares(k):
     assert arith._isqrt(np.array(m, dtype=np.int64)).tolist() == [math.isqrt(x) for x in m]
 
 
-_PACKED_TOP = 2**38 - 1   # the largest N whose d(n) 2^s + sigma(n) fit one int64 word
-
-
 @property_test
-@given(st.integers(1, _PACKED_TOP))
+@given(st.integers(1, arith._PACK_LIMIT))
 def test_pack_shift_is_the_least_that_keeps_the_fields_apart(n):
-    # sigma(m) <= m H_m <= n (ln n + gamma + 1/(2n)) < 2^s, the least such s of the bound
-    # n (1 + ln n), and d(m) <= 2 isqrt(n) < 2^(63 - s), so no word reaches the sign bit
-    s = arith._pack_shift(n)
+    # sigma(m) <= m H_m <= n (ln n + gamma + 1/(2n)) < n (1 + ln n) < 2^43, and
+    # d(m) <= 2 isqrt(n) < 2^(63 - 43), so no word reaches the sign bit; at the limit a shift
+    # of 42 would not hold sigma
+    s = arith._PACK_SHIFT
     assert n * (1 + math.log(n)) < 2**s and n * (math.log(n) + 0.5773 + 1 / (2 * n)) < 2**s
-    assert s == 1 or n * (1 + math.log(n)) >= 2**(s - 1)
     assert 2 * math.isqrt(n) < 2**(63 - s)
+    top = arith._PACK_LIMIT
+    assert s == 43 and top * (1 + math.log(top)) >= 2**(s - 1)
 
 
 def test_sigma_bound_on_the_table_and_the_packing_limit(tables_1m):
     # sigma(n) / n <= 1 + ln n on the sieved table; the words pack up to N = 2^38 - 1, where
-    # s = 43 and d(n) <= 2 isqrt(N) < 2^20, and no further
+    # d(n) <= 2 isqrt(N) < 2^20, and no further
     n = np.arange(1, tables_1m.limit + 1)
     assert (tables_1m.sigma[1:] <= n * (1 + np.log(n))).all()
-    top = _PACKED_TOP
-    assert arith._pack_shift(top) == 43 and 2 * math.isqrt(top) < 2**20 <= 2 * math.isqrt(top + 1)
+    top = arith._PACK_LIMIT
+    assert top == 2**38 - 1 and 2 * math.isqrt(top) < 2**20 <= 2 * math.isqrt(top + 1)
+    arith._check_words("sigma", top)
     for N in (top + 1, 10**19):
         with pytest.raises(CapacityError, match=f"only for N <= {top}, not N={N}$") as info:
-            arith._pack_shift(N)
+            arith._check_words("sigma", N)
         assert info.value.required_limit == top
 
 
 def _unpacked(N: int) -> tuple[np.ndarray, np.ndarray]:
     """d(m) and sigma(m) of the odd m <= N from sigma's packed stream."""
-    words, shift = _streamed("sigma", N), arith._pack_shift(N)
+    words, shift = _streamed("sigma", N), arith._PACK_SHIFT
     return words >> shift, words & ((1 << shift) - 1)
 
 
@@ -439,35 +459,37 @@ def test_pair_sums_and_the_sigma_table_are_exact_where_the_weights_step(monkeypa
         assert np.array_equal(arith._filled("sigma", N), expected), (segment, N)
 
 
-def test_pair_sums_are_exact_when_a_segments_words_wrap_past_2_64(monkeypatch):
-    # a shift of 45 still keeps the fields apart here (d(n) < 2^11 < 2^18) and takes each
-    # segment's word sum past 2^64, so sigma's part comes back from the wrapped sum mod 2^64
-    N = 3 * arith._PAIR_SEGMENT + 7
-    monkeypatch.setattr(arith, "_pack_shift", lambda n: 45)
-    assert int(_streamed("sigma", N)[:arith._PAIR_SEGMENT].sum(dtype=object)) >= 2**64
+def test_pair_sums_are_exact_when_a_segments_words_wrap_past_2_64():
+    # the second segment's words, the odd m in (2^19, 2^20), sum past 2^64 at the shift of 43,
+    # so sigma's part comes back from the wrapped sum mod 2^64
+    N = 4 * arith._PAIR_SEGMENT + 7
+    words = _streamed("sigma", N)[arith._PAIR_SEGMENT:2 * arith._PAIR_SEGMENT]
+    assert int(words.sum(dtype=object)) >= 2**64
     assert arith._pair_sums(N) == (hyperbola_count(N), sigma_count(N))
 
 
-def test_packing_past_a_patched_carry_bound_raises(monkeypatch):
-    # 24-bit words: the largest N that packs is found, its words fill no more than 24 bits
-    # and equal the tables'; one more raises before any sieving, from the stream, the sums
-    # and the table alike
-    monkeypatch.setattr(arith, "_WORD_BITS", 24)
-    with pytest.raises(CapacityError) as info:
-        arith._pack_shift(10**6)
-    top = info.value.required_limit
-    assert 1000 < top < 10**4
-    shift = arith._pack_shift(top)
-    words = _streamed("sigma", top)
-    assert 0 <= words.min() and words.max() < 2**24
-    assert np.array_equal(words, _packed(arith.build_tables(top)))
-    assert 2 * math.isqrt(top) < 2**(24 - shift) and (words >> shift).max() <= 2 * math.isqrt(top)
-    for name in ("_pair_segment", "_d_segment"):   # any sieve would fail
-        monkeypatch.setattr(arith, name, None)
-    for call in (lambda: next(arith._segments("sigma", top + 1)),
-                 lambda: arith._pair_sums(top + 1), lambda: arith._filled("sigma", top + 1)):
-        with pytest.raises(CapacityError, match=f"only for N <= {top}, not N={top + 1}$"):
+@pytest.mark.parametrize("name", ["sigma", "d"])
+def test_packing_past_the_limit_raises_before_sieving(monkeypatch, name):
+    # one past a stream's limit raises the CapacityError naming the limit before any sieving,
+    # from the stream, the table and sigma's sums alike; at the limit a d stream's first step
+    # sieves its first segment
+    top = arith._PACK_LIMIT if name == "sigma" else arith._D_LIMIT
+    kernel = arith._d_segment
+    for kernel_name in ("_pair_segment", "_d_segment"):   # any sieve would fail
+        monkeypatch.setattr(arith, kernel_name, None)
+    calls = [lambda: next(arith._segments(name, top + 1)), lambda: arith._filled(name, top + 1)]
+    if name == "sigma":
+        calls.append(lambda: arith._pair_sums(top + 1))
+    what = "pack into one int64 word" if name == "sigma" else "fits int16 segments"
+    for call in calls:
+        with pytest.raises(CapacityError, match=f"{what} only for N <= {top}, not N={top + 1}$"
+                           ) as info:
             call()
+        assert info.value.required_limit == top
+    if name == "d":
+        monkeypatch.setattr(arith, "_d_segment", kernel)
+        lo, f = next(arith._segments("d", top))
+        assert lo == 0 and np.array_equal(f, divisor_sieve(np.ones(f.size, np.int16)))
 
 
 def test_sieve_scratch_memory_is_bounded():

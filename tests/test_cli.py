@@ -332,7 +332,7 @@ def test_commands_sieve_only_the_tables_they_read(tmp_path, monkeypatch, argv, s
     ("_d_segment", ["constants", "d_squared", "--terms", "1000"]),
 ])
 def test_int32_guard_on_streamed_segments_exits_3(tmp_path, monkeypatch, capsys, kernel, argv):
-    # r streams int32 segments, d int16 ones below N = 2^28 (arith._d_dtype): the same guard
+    # r streams int32 segments, d int16 ones at every N (arith._check_words): the same guard
     if argv[0] == "error-term":
         argv = argv + ["--out", str(tmp_path / "x.csv")]
     sieve = getattr(arith, kernel)
@@ -405,6 +405,24 @@ def test_sieve_past_the_packed_words_exits_3_before_sieving(monkeypatch, capsys)
     assert run(["sieve", "--limit", str(2**38)]) == 3
     assert capsys.readouterr().err == ("capacity error: d(n) and sigma(n) pack into one int64 "
                                        "word only for N <= 274877906943, not N=274877906944\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["error-term", "divisor", "--x-max", str(2**49 + 1)],
+    ["constants", "d_squared", "--terms", str(2**49 + 1)],
+])
+def test_d_stream_past_its_int16_limit_exits_3_before_sieving(tmp_path, monkeypatch, capsys,
+                                                             argv):
+    # d(n) < 2^15 - 1 holds up to N = 2^49 (Nicolas & Robin); past it a d stream exits 3 at its
+    # first step, where it would have streamed for years first
+    calls = []
+    monkeypatch.setattr(arith, "_d_segment", lambda *args: calls.append(args))
+    if argv[0] == "error-term":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == ("capacity error: d(n) fits int16 segments only for "
+                                       "N <= 562949953421312, not N=562949953421313\n")
+    assert calls == [] and list(tmp_path.iterdir()) == []
 
 
 def test_streamed_sieve_sums_equal_the_exact_counts(capsys):

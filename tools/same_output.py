@@ -117,6 +117,10 @@ COMMANDS = [
     ("capacity-sieve-1e19", "sieve --limit 10000000000000000000"),
     ("capacity-sieve-1e400", "sieve --limit 1" + "0" * 400),
     ("capacity-error-term-1e30", "error-term circle --x-max 1e30 --out x.csv"),
+    # build_tables' table-size check, before d's 2^49 cap (a d command between the two would
+    # stream for years on a tree without that cap)
+    ("capacity-error-term-divisor-1e30", "error-term divisor --x-max 1e30 --out x.csv"),
+    ("capacity-sieve-packed-words", "sieve --limit 274877906944"),   # sigma's 2^38 - 1 cap
     ("capacity-correlate-1e19", "correlate --n 10000000000000000000 --h-max 1 --out x.csv"),
     ("capacity-constants-1e19", "constants r_squared --terms 10000000000000000000"),
     ("capacity-laplace-1e307", "laplace circle --t-list 1e307 --out x.csv"),
